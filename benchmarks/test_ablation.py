@@ -110,16 +110,16 @@ def test_ablation_coarse_vs_fine_refinement(benchmark, workload):
 
 def test_ablation_group_partitioner_strength(benchmark, workload, profile):
     """Stronger phase-1 grouping lowers coarse volume but costs time."""
-    from repro.partition.driver import EngineConfig
+    from repro.partition.driver import PartitionConfig
 
     wl, machine, _ = workload
 
     def run():
         out = {}
         for label, cfg in (
-            ("weak", EngineConfig(fm_passes=1, initial_attempts=1)),
-            ("default", EngineConfig(fm_passes=3, initial_attempts=4)),
-            ("strong", EngineConfig(fm_passes=6, initial_attempts=8)),
+            ("weak", PartitionConfig(fm_passes=1, initial_attempts=1)),
+            ("default", PartitionConfig(fm_passes=3, initial_attempts=4)),
+            ("strong", PartitionConfig(fm_passes=6, initial_attempts=8)),
         ):
             t0 = time.perf_counter()
             _, coarse = prepare_groups(

@@ -8,13 +8,6 @@ MappingService`, :class:`~repro.api.pool.ExecutorPool`, the CLI and the
 network server.  Every legacy kwarg keeps working — call sites pass
 explicit kwargs, those override the config, and omitted ones fall back
 to it — so the config is a consolidation, not a migration.
-
-Note the name collision with :class:`repro.partition.driver.
-EngineConfig`, the *partitioner* configuration (refinement passes,
-imbalance, coarsening): that object configures one grouping
-computation; this one configures how batches execute.  Code touching
-both imports this one as ``EngineConfig`` and the partitioner's under
-its qualified module path.
 """
 
 from __future__ import annotations

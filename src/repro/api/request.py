@@ -18,7 +18,7 @@ import numpy as np
 from repro.graph.task_graph import TaskGraph
 from repro.mapping.pipeline import MapperResult
 from repro.metrics.mapping import MappingMetrics
-from repro.partition.driver import EngineConfig
+from repro.partition.driver import PartitionConfig
 from repro.topology.machine import Machine
 
 __all__ = ["MapRequest", "MapResponse"]
@@ -66,7 +66,7 @@ class MapRequest:
     algorithms: Union[str, Sequence[str]] = ("UG",)
     seed: int = 0
     delta: int = 8
-    group_config: Optional[EngineConfig] = None
+    group_config: Optional[PartitionConfig] = None
     groups: Optional[Tuple[np.ndarray, TaskGraph]] = None
     grouping_seed: Optional[int] = None
     evaluate: bool = False

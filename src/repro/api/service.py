@@ -54,10 +54,7 @@ from repro.graph.task_graph import TaskGraph
 from repro.mapping.base import Mapping, expand_mapping
 from repro.mapping.pipeline import MapperResult
 from repro.metrics.mapping import evaluate_mapping
-# The *partitioner* configuration (refinement passes, imbalance,
-# coarsening) — a different object from repro.api.config.EngineConfig,
-# the engine's execution knobs; see the latter's module docstring.
-from repro.partition import driver as partition_driver
+from repro.partition.driver import PartitionConfig
 from repro.topology.machine import Machine
 
 __all__ = ["MappingService"]
@@ -275,7 +272,7 @@ class MappingService:
         machine: Machine,
         *,
         seed: int = 0,
-        config: Optional[partition_driver.EngineConfig] = None,
+        config: Optional[PartitionConfig] = None,
     ) -> Tuple[np.ndarray, TaskGraph]:
         """Shared grouping (phase-1 partition of ranks into nodes), cached.
 

@@ -42,10 +42,14 @@ Lifetime
   the droppings of a worker killed inside a publish.  Committed
   segments are live artifacts and are left to the owner's close.
 
-Segments created or attached here are explicitly unregistered from
-Python's ``multiprocessing.resource_tracker``: the tracker would
-otherwise unlink a shared segment when *any* attaching process exits
-(and warn about it), which is exactly wrong for a cross-process cache.
+Segments are kept out of Python's ``multiprocessing.resource_tracker``:
+the tracker would otherwise unlink a shared segment when *any*
+attaching process exits (and warn about it), which is exactly wrong for
+a cross-process cache.  A publisher unregisters its segment once it is
+committed; readers attach through ``/dev/shm`` without registering at
+all.  (The tracker keeps one entry per name for all the processes that
+share it, so attach-then-unregister from several processes at once
+unregistered a name twice and printed a ``KeyError`` traceback.)
 Cleanup is this module's job, not the tracker's.
 
 :class:`TieredArtifactStore` composes the tiers — reads go shm → disk
@@ -62,6 +66,7 @@ from __future__ import annotations
 import atexit
 import hashlib
 import json
+import mmap
 import os
 import struct
 import threading
@@ -140,6 +145,28 @@ def _untrack(seg: shared_memory.SharedMemory) -> None:
         pass
 
 
+class _Segment:
+    """A segment attached by name, untracked (cf. ``SharedMemory``).
+
+    Exposes the ``buf``/``close`` subset of
+    :class:`multiprocessing.shared_memory.SharedMemory` this module uses.
+    """
+
+    __slots__ = ("_mmap", "buf")
+
+    def __init__(self, name: str) -> None:
+        fd = os.open(os.path.join(_SHM_DIR, name), os.O_RDWR)
+        try:
+            self._mmap = mmap.mmap(fd, os.fstat(fd).st_size)
+        finally:
+            os.close(fd)
+        self.buf = memoryview(self._mmap)
+
+    def close(self) -> None:
+        self.buf.release()
+        self._mmap.close()
+
+
 def _store_token(root: str) -> str:
     return hashlib.sha256(os.path.abspath(root).encode()).hexdigest()[:8]
 
@@ -149,7 +176,7 @@ class _Attachment:
 
     __slots__ = ("segment", "refs", "retired")
 
-    def __init__(self, segment: shared_memory.SharedMemory) -> None:
+    def __init__(self, segment: _Segment) -> None:
         self.segment = segment
         self.refs = 0
         self.retired = False
@@ -337,12 +364,11 @@ class SharedMemoryStore(ArtifactStore):
         from a crashed publisher is unlinked and the publish retried
         once."""
         try:
-            seg = shared_memory.SharedMemory(name=name)
+            seg = _Segment(name)
         except FileNotFoundError:
             if retried:
                 return False
             return self._publish(name, namespace, key, value, retried=True)
-        _untrack(seg)
         committed = bytes(seg.buf[0:8]) == _MAGIC
         seg.close()
         if committed:
@@ -395,10 +421,9 @@ class SharedMemoryStore(ArtifactStore):
             if att is not None and not att.retired:
                 return att
         try:
-            seg = shared_memory.SharedMemory(name=name)
+            seg = _Segment(name)
         except (FileNotFoundError, OSError):
             return None
-        _untrack(seg)
         with self._lock:
             current = self._attached.get(name)
             if current is not None and not current.retired:
@@ -436,10 +461,9 @@ class SharedMemoryStore(ArtifactStore):
         """Whether a committed segment for this key exists right now."""
         name = self.segment_name(namespace, key)
         try:
-            seg = shared_memory.SharedMemory(name=name)
+            seg = _Segment(name)
         except (FileNotFoundError, OSError):
             return False
-        _untrack(seg)
         committed = bytes(seg.buf[0:8]) == _MAGIC
         seg.close()
         return committed
@@ -534,10 +558,9 @@ class SharedMemoryStore(ArtifactStore):
 
     def _segment_namespace(self, name: str) -> Optional[str]:
         try:
-            seg = shared_memory.SharedMemory(name=name)
+            seg = _Segment(name)
         except (FileNotFoundError, OSError):
             return None
-        _untrack(seg)
         try:
             if bytes(seg.buf[0:8]) != _MAGIC:
                 return None

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.graph.task_graph import TaskGraph
 from repro.mapping.base import Mapping, validate_mapping
-from repro.partition.driver import EngineConfig, partition_graph
+from repro.partition.driver import PartitionConfig, partition_graph
 from repro.topology.machine import Machine
 from repro.util.rng import mix_seed
 
@@ -44,7 +44,7 @@ def hierarchical_map(
     machine: Machine,
     *,
     seed: int = 0,
-    engine: EngineConfig = EngineConfig(fm_passes=2, initial_attempts=2),
+    engine: PartitionConfig = PartitionConfig(fm_passes=2, initial_attempts=2),
 ) -> np.ndarray:
     """Recursive per-dimension partitioning of groups onto nodes; returns Γ."""
     n = task_graph.num_tasks
@@ -76,7 +76,7 @@ def _recurse(
     machine: Machine,
     gamma: np.ndarray,
     seed: int,
-    engine: EngineConfig,
+    engine: PartitionConfig,
 ) -> None:
     if node_ids.shape[0] == 0 or group_ids.shape[0] == 0:
         return
@@ -215,7 +215,7 @@ class HierMapper:
     """Hierarchical per-dimension recursive partition placement."""
 
     seed: int = 0
-    engine: EngineConfig = EngineConfig(fm_passes=2, initial_attempts=2)
+    engine: PartitionConfig = PartitionConfig(fm_passes=2, initial_attempts=2)
 
     name: str = "HIER"
 

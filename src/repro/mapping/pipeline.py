@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.graph.task_graph import TaskGraph, coarse_task_graph
-from repro.partition.driver import EngineConfig, partition_graph
+from repro.partition.driver import PartitionConfig, partition_graph
 from repro.partition.fm import balance_fixup
 from repro.topology.machine import Machine
 
@@ -77,7 +77,7 @@ def prepare_groups(
     machine: Machine,
     *,
     seed: int = 0,
-    config: Optional[EngineConfig] = None,
+    config: Optional[PartitionConfig] = None,
 ) -> Tuple[np.ndarray, TaskGraph]:
     """Partition ranks into node-sized groups; returns (group_of_task, coarse).
 
@@ -88,7 +88,7 @@ def prepare_groups(
     counts so capacity checks in the mapping algorithms line up.
     """
     if config is None:
-        config = EngineConfig(fm_passes=3, initial_attempts=4)
+        config = PartitionConfig(fm_passes=3, initial_attempts=4)
     n_nodes = machine.num_alloc_nodes
     if task_graph.num_tasks > machine.total_procs:
         raise ValueError(
@@ -151,7 +151,7 @@ class TwoPhaseMapper:
     algorithm: str = "UG"
     seed: int = 0
     delta: int = 8
-    group_config: Optional[EngineConfig] = None
+    group_config: Optional[PartitionConfig] = None
 
     def __post_init__(self) -> None:
         from repro.api.registry import get_spec

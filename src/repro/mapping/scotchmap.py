@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from repro.graph.task_graph import TaskGraph
 from repro.mapping.base import Mapping
 from repro.mapping.topomap import dual_recursive_map
-from repro.partition.driver import EngineConfig
+from repro.partition.driver import PartitionConfig
 from repro.topology.machine import Machine
 
 __all__ = ["ScotchMapper"]
@@ -31,7 +31,7 @@ class ScotchMapper:
     """Fast dual-recursive-bipartitioning mapping (no fallback)."""
 
     seed: int = 0
-    engine: EngineConfig = EngineConfig(
+    engine: PartitionConfig = PartitionConfig(
         fm_passes=1, initial_attempts=1, coarse_target=96, strict_fm_limit=0
     )
 

@@ -26,7 +26,7 @@ import numpy as np
 from repro.graph.task_graph import TaskGraph
 from repro.mapping.base import Mapping, validate_mapping
 from repro.metrics.mapping import evaluate_mapping
-from repro.partition.driver import EngineConfig, multilevel_bisect
+from repro.partition.driver import PartitionConfig, multilevel_bisect
 from repro.topology.machine import Machine
 from repro.util.rng import mix_seed
 
@@ -38,7 +38,7 @@ class TopoMapper:
     """Recursive-bipartitioning mapping with DEF fallback on MC."""
 
     seed: int = 0
-    engine: EngineConfig = EngineConfig(fm_passes=4, initial_attempts=4)
+    engine: PartitionConfig = PartitionConfig(fm_passes=4, initial_attempts=4)
     fallback_on_mc: bool = True
 
     name: str = "TMAP"
@@ -72,7 +72,7 @@ def dual_recursive_map(
     machine: Machine,
     *,
     seed: int = 0,
-    engine: EngineConfig = EngineConfig(),
+    engine: PartitionConfig = PartitionConfig(),
     split: str = "geometric",
 ) -> np.ndarray:
     """Simultaneous recursive bipartition of tasks and allocated nodes.
@@ -110,7 +110,7 @@ def _recurse(
     machine: Machine,
     gamma: np.ndarray,
     seed: int,
-    engine: EngineConfig,
+    engine: PartitionConfig,
     split: str,
 ) -> None:
     k = node_ids.shape[0]
@@ -163,7 +163,7 @@ def _split_nodes(node_ids: np.ndarray, machine: Machine, split: str, seed: int):
                 float(k0),
                 seed=mix_seed(seed, 977),
                 slack=1.0,
-                config=EngineConfig(fm_passes=2, initial_attempts=2),
+                config=PartitionConfig(fm_passes=2, initial_attempts=2),
             )
             left = node_ids[side == 0]
             right = node_ids[side == 1]

@@ -120,11 +120,8 @@ def contract(graph: CSRGraph, mate: np.ndarray) -> Tuple[CSRGraph, np.ndarray]:
     mate = np.asarray(mate, dtype=np.int64)
     rep = np.where((mate >= 0) & (mate < np.arange(n)), mate, np.arange(n))
     # rep[v] = min(v, mate) — the pair representative; compress to ids.
-    reps = np.unique(rep)
-    coarse_id = np.empty(n, dtype=np.int64)
-    lookup = np.full(n, -1, dtype=np.int64)
-    lookup[reps] = np.arange(reps.shape[0])
-    coarse_id = lookup[rep]
+    reps, coarse_id = np.unique(rep, return_inverse=True)
+    coarse_id = coarse_id.astype(np.int64)
     coarse = graph.quotient(coarse_id, reps.shape[0])
     return coarse, coarse_id
 

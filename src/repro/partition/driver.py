@@ -25,18 +25,17 @@ from repro.partition.fm import fm_bisection_refine, greedy_bisection_refine
 from repro.partition.initial import best_bisection
 from repro.util.rng import mix_seed
 
-__all__ = ["partition_graph", "multilevel_bisect", "PartitionResult", "EngineConfig"]
+__all__ = ["partition_graph", "multilevel_bisect", "PartitionResult", "PartitionConfig"]
 
 
 @dataclass(frozen=True)
-class EngineConfig:
+class PartitionConfig:
     """Knobs of the multilevel engine (per-personality strength settings)."""
 
     coarse_target: int = 48
     initial_attempts: int = 4
     fm_passes: int = 3
     tolerance: float = 0.03
-    matching_rounds: int = 4
     #: above this vertex count, use the vectorized hill-climb refinement
     #: instead of strict heap-based FM (speed/quality trade).
     strict_fm_limit: int = 600
@@ -63,7 +62,7 @@ def multilevel_bisect(
     *,
     seed: int = 0,
     slack: Optional[float] = None,
-    config: EngineConfig = EngineConfig(),
+    config: PartitionConfig = PartitionConfig(),
 ) -> np.ndarray:
     """Bisect *graph* with a multilevel V-cycle; side-0 weight ≈ target0.
 
@@ -76,35 +75,20 @@ def multilevel_bisect(
         return np.zeros(0, dtype=np.int64)
     total = float(graph.vertex_weights.sum())
     slack_abs = config.tolerance * total if slack is None else float(slack)
-    levels = coarsen_graph(
-        graph,
-        target_vertices=config.coarse_target,
-        seed=seed,
-    )
+    levels = coarsen_graph(graph, target_vertices=config.coarse_target, seed=seed)
     coarsest = levels[-1].graph
-    side = best_bisection(
-        coarsest, target0, attempts=config.initial_attempts, seed=seed
-    )
+    side = best_bisection(coarsest, target0, attempts=config.initial_attempts, seed=seed)
     side = fm_bisection_refine(
-        coarsest,
-        side,
-        target0,
-        slack=slack_abs,
-        max_passes=config.fm_passes,
+        coarsest, side, target0, slack=slack_abs, max_passes=config.fm_passes
     )
     for lvl in range(len(levels) - 1, 0, -1):
         side = side[levels[lvl].fine_to_coarse]
         level_graph = levels[lvl - 1].graph
         if level_graph.num_vertices <= config.strict_fm_limit:
-            side = fm_bisection_refine(
-                level_graph, side, target0, slack=slack_abs,
-                max_passes=config.fm_passes,
-            )
+            refine = fm_bisection_refine
         else:
-            side = greedy_bisection_refine(
-                level_graph, side, target0, slack=slack_abs,
-                max_passes=config.fm_passes,
-            )
+            refine = greedy_bisection_refine
+        side = refine(level_graph, side, target0, slack=slack_abs, max_passes=config.fm_passes)
     # Final hard rebalance at the finest level (no compounding drift).
     side = greedy_bisection_refine(graph, side, target0, slack=slack_abs, max_passes=1)
     return side
@@ -116,7 +100,7 @@ def partition_graph(
     *,
     target_weights: Optional[Sequence[float]] = None,
     seed: int = 0,
-    config: EngineConfig = EngineConfig(),
+    config: PartitionConfig = PartitionConfig(),
     tool: str = "engine",
 ) -> PartitionResult:
     """Recursive-bisection k-way partition with target part weights.
@@ -150,16 +134,7 @@ def partition_graph(
     # along a recursion path.
     depth = max(1, int(np.ceil(np.log2(num_parts))))
     level_slack = config.tolerance * float(targets.min()) / depth
-    _recurse(
-        graph,
-        np.arange(n, dtype=np.int64),
-        targets,
-        0,
-        part,
-        seed,
-        config,
-        level_slack,
-    )
+    _recurse(graph, np.arange(n, dtype=np.int64), targets, 0, part, seed, config, level_slack)
     return PartitionResult(part=part, num_parts=num_parts, seed=seed, tool=tool)
 
 
@@ -170,7 +145,7 @@ def _recurse(
     first_part: int,
     out: np.ndarray,
     seed: int,
-    config: EngineConfig,
+    config: PartitionConfig,
     level_slack: float,
 ) -> None:
     """Assign parts ``first_part .. first_part+len(targets)-1`` in place."""
@@ -204,17 +179,8 @@ def _recurse(
         right_ids = np.sort(order[split:])
     left_graph, _ = graph.subgraph(left_ids)
     right_graph, _ = graph.subgraph(right_ids)
-    _recurse(
-        left_graph, vertex_ids[left_ids], targets[:k0], first_part, out, seed, config,
-        level_slack,
-    )
-    _recurse(
-        right_graph,
-        vertex_ids[right_ids],
-        targets[k0:],
-        first_part + k0,
-        out,
-        seed,
-        config,
-        level_slack,
-    )
+    for sub, ids, sub_targets, first in (
+        (left_graph, left_ids, targets[:k0], first_part),
+        (right_graph, right_ids, targets[k0:], first_part + k0),
+    ):
+        _recurse(sub, vertex_ids[ids], sub_targets, first, out, seed, config, level_slack)

@@ -16,12 +16,15 @@ Two flavours are needed:
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import heapq
+import itertools
+from functools import reduce
+from operator import add
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.util.heap import AddressableMaxHeap
 
 __all__ = ["fm_bisection_refine", "greedy_bisection_refine", "balance_fixup"]
 
@@ -122,12 +125,23 @@ def greedy_bisection_refine(
     return side
 
 
-def _side_connectivity(graph: CSRGraph, side: np.ndarray, v: int) -> Tuple[float, float]:
-    """(internal, external) edge weight of *v* w.r.t. its current side."""
-    nbrs = graph.neighbors(v)
-    wts = graph.neighbor_weights(v)
-    same = side[nbrs] == side[v]
-    return float(wts[same].sum()), float(wts[~same].sum())
+def _exact_sum(values: List[float]) -> float:
+    """``float(np.asarray(values).sum())`` bit for bit, without the array.
+
+    NumPy sums float64 pairwise: sequentially below 8 terms, in eight
+    interleaved accumulators up to 128 terms, and by recursive halving
+    above that (left to NumPy here).  On non-integral weights another
+    order can change the last bit of a gain, and with it FM's move order.
+    """
+    n = len(values)
+    if n > 128:
+        return float(np.asarray(values).sum())
+    if n < 8:
+        return reduce(add, values, 0.0)
+    m = n - n % 8
+    r = [reduce(add, values[j + 8 : m : 8], values[j]) for j in range(8)]
+    head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return 0.0 + reduce(add, values[m:], head)
 
 
 def fm_bisection_refine(
@@ -145,6 +159,11 @@ def fm_bisection_refine(
     vertex whose move keeps both sides within ``target ± tolerance·total``
     (or strictly improves balance), tracking the best prefix; roll back the
     tail.  Stops after a pass with no improvement.
+
+    The gain queue is a :mod:`heapq` of ``(-gain, seq, v)`` with lazy
+    deletion: ``seq`` is the vertex's insertion number, kept by gain
+    updates and renewed on re-insertion, so among equal gains the
+    earliest-inserted vertex pops first.
     """
     side = np.asarray(side, dtype=np.int64).copy()
     n = graph.num_vertices
@@ -152,50 +171,68 @@ def fm_bisection_refine(
         return side
     vw = graph.vertex_weights
     total = float(vw.sum())
-    target = np.array([target0, total - target0])
+    target = [float(target0), total - target0]
     if slack is None:
         slack = tolerance * total
     slack = max(float(slack), float(vw.max()) * 1.001)
+    vwl = vw.tolist()
+    ptr, ind, wts = graph.indptr.tolist(), graph.indices.tolist(), graph.weights.tolist()
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
+    sd = side.tolist()
 
+    def fresh_gain(u: int) -> float:
+        """External minus internal edge weight of *u*, as NumPy sums it."""
+        su = sd[u]
+        lo, hi = ptr[u], ptr[u + 1]
+        same, ext = [], []
+        for x, wx in zip(ind[lo:hi], wts[lo:hi]):
+            (same if sd[x] == su else ext).append(wx)
+        return _exact_sum(ext) - _exact_sum(same)
+
+    gain = [0.0] * n
+    order = itertools.count()
     for _ in range(max_passes):
+        side = np.array(sd, dtype=np.int64)
         w0 = float(vw[side == 0].sum())
-        weights = np.array([w0, total - w0])
-        locked = np.zeros(n, dtype=bool)
-        heap = AddressableMaxHeap()
-
-        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
-        boundary = np.unique(src[side[src] != side[graph.indices]])
-        for v in boundary.tolist():
-            internal, external = _side_connectivity(graph, side, v)
-            heap.insert(v, external - internal)
+        weights = [w0, total - w0]
+        locked = [False] * n
+        seq = [-1] * n  # insertion number while queued, -1 otherwise
+        on_boundary = np.zeros(n, dtype=bool)
+        on_boundary[src[side[src] != side[graph.indices]]] = True
+        boundary = np.flatnonzero(on_boundary).tolist()
+        for v in boundary:
+            gain[v] = fresh_gain(v)
+            seq[v] = next(order)
+        heap = [(-gain[v], seq[v], v) for v in boundary]
+        heapq.heapify(heap)
 
         moves = []
-        gains = []
         cur_gain = 0.0
         best_gain = 0.0
         best_len = 0
         imb0 = max(abs(weights[0] - target[0]), abs(weights[1] - target[1]))
         best_imb = imb0
         while heap:
-            v, g = heap.pop()
-            if locked[v]:
-                continue
-            a = int(side[v])
+            neg, s, v = heapq.heappop(heap)
+            if seq[v] != s or -neg != gain[v]:
+                continue  # superseded entry
+            seq[v] = -1
+            a = sd[v]
             b = 1 - a
-            new_wb = weights[b] + vw[v]
-            new_wa = weights[a] - vw[v]
+            new_wb = weights[b] + vwl[v]
+            new_wa = weights[a] - vwl[v]
             new_imb = max(abs(new_wa - target[a]), abs(new_wb - target[b]))
-            cur_imb = max(abs(weights[a] - target[a]), abs(weights[b] - target[b]))
-            if new_wb > target[b] + slack and new_imb >= cur_imb:
+            if new_wb > target[b] + slack and new_imb >= max(
+                abs(weights[a] - target[a]), abs(weights[b] - target[b])
+            ):
                 continue  # infeasible and not balance-improving
             # Tentatively move.
-            side[v] = b
+            sd[v] = b
             weights[a] = new_wa
             weights[b] = new_wb
             locked[v] = True
-            cur_gain += g
+            cur_gain += gain[v]
             moves.append(v)
-            gains.append(g)
             # A strictly better cut, or equal cut with better balance,
             # advances the rollback point.
             if cur_gain > best_gain or (cur_gain == best_gain and new_imb < best_imb):
@@ -203,27 +240,26 @@ def fm_bisection_refine(
                 best_len = len(moves)
                 best_imb = new_imb
             # Update neighbour gains (insert fresh boundary vertices).
-            nbrs = graph.neighbors(v)
-            wts = graph.neighbor_weights(v)
-            for u, w in zip(nbrs.tolist(), wts.tolist()):
+            lo, hi = ptr[v], ptr[v + 1]
+            for u, wu in zip(ind[lo:hi], wts[lo:hi]):
                 if locked[u]:
                     continue
-                # v moved a -> b: edges (u,v) flip between cut/uncut.
-                delta = 2.0 * w if side[u] == b else -2.0 * w
-                # gain(u) = ext - int; v joining u's side turns an external
-                # edge internal (gain -= 2w); v leaving turns internal
-                # external (gain += 2w).
-                if u in heap:
-                    heap.update(u, heap.priority(u) - delta)
+                if seq[u] >= 0:
+                    # v moved a -> b: v joining u's side turns an external
+                    # edge internal (gain -= 2w); v leaving turns internal
+                    # external (gain += 2w).
+                    g = gain[u] - (2.0 * wu if sd[u] == b else -2.0 * wu)
                 else:
-                    internal, external = _side_connectivity(graph, side, u)
-                    heap.insert(u, external - internal)
+                    g = fresh_gain(u)
+                    seq[u] = next(order)
+                gain[u] = g
+                heapq.heappush(heap, (-g, seq[u], u))
         # Roll back the tail beyond the best prefix.
         for v in moves[best_len:]:
-            side[v] = 1 - side[v]
+            sd[v] = 1 - sd[v]
         if best_gain <= 0 and best_imb >= imb0:
             break
-    return side
+    return np.array(sd, dtype=np.int64)
 
 
 def balance_fixup(

@@ -9,12 +9,13 @@ PaToH use for their initial partitions.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from typing import Optional
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.util.heap import AddressableMaxHeap
 from repro.util.rng import seeded_rng
 
 __all__ = ["greedy_grow_bisection", "best_bisection"]
@@ -27,55 +28,53 @@ def greedy_grow_bisection(
 ) -> np.ndarray:
     """Grow part 0 from *seed_vertex* to weight ~*target0*; rest is part 1.
 
-    Ties in connectivity break toward heavier vertices (paper's greedy
-    mapping breaks ties "in the favor of the task with a higher
-    communication volume"; we follow the same spirit for partitioning).
+    Ties in connectivity break toward the vertex first reached by the
+    grown region (a :mod:`heapq` of ``(-connectivity, seq, v)`` with lazy
+    deletion, ``seq`` fixed when the vertex is first reached).
     Disconnected graphs are handled by re-seeding from the heaviest
     unassigned vertex.
     """
     n = graph.num_vertices
-    side = np.ones(n, dtype=np.int64)
-    vw = graph.vertex_weights
+    side = [1] * n
+    vwl = graph.vertex_weights.tolist()
+    ptr, ind, wts = graph.indptr.tolist(), graph.indices.tolist(), graph.weights.tolist()
     grown = 0.0
-    heap = AddressableMaxHeap()
-    in_part0 = np.zeros(n, dtype=bool)
+    conn = [0.0] * n
+    seq = [-1] * n  # first-reached number while queued, -1 otherwise
+    order = itertools.count()
+    heap = []
 
     def absorb(v: int) -> None:
         nonlocal grown
-        in_part0[v] = True
         side[v] = 0
-        grown += float(vw[v])
-        nbrs = graph.neighbors(v)
-        wts = graph.neighbor_weights(v)
-        for u, w in zip(nbrs.tolist(), wts.tolist()):
-            if not in_part0[u]:
-                heap.increase(u, w)
+        grown += vwl[v]
+        for u, w in zip(ind[ptr[v] : ptr[v + 1]], wts[ptr[v] : ptr[v + 1]]):
+            if side[u] == 0:
+                continue
+            if seq[u] < 0:
+                seq[u] = next(order)
+            conn[u] += w
+            heapq.heappush(heap, (-conn[u], seq[u], u))
 
     absorb(seed_vertex)
-    if seed_vertex in heap:
-        heap.remove(seed_vertex)
     while grown < target0:
         while heap:
-            v, _ = heap.pop()
-            if not in_part0[v]:
+            neg, s, v = heapq.heappop(heap)
+            if seq[v] == s and -neg == conn[v]:
+                seq[v] = -1
                 break
         else:
             # Disconnected: restart from the heaviest unassigned vertex.
-            rest = np.flatnonzero(~in_part0)
+            rest = np.flatnonzero(side)
             if rest.size == 0:
                 break
-            v = int(rest[np.argmax(vw[rest])])
-        if grown + vw[v] > target0 and grown > 0.5 * target0:
+            v = int(rest[np.argmax(graph.vertex_weights[rest])])
+        if grown + vwl[v] > target0 and grown > 0.5 * target0:
             # Absorbing v overshoots badly; stop if reasonably full.
-            if grown + vw[v] - target0 > target0 - grown:
+            if grown + vwl[v] - target0 > target0 - grown:
                 break
         absorb(v)
-    return side
-
-
-def _cut(graph: CSRGraph, side: np.ndarray) -> float:
-    src = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), np.diff(graph.indptr))
-    return float(graph.weights[side[src] != side[graph.indices]].sum())
+    return np.array(side, dtype=np.int64)
 
 
 def best_bisection(
@@ -93,15 +92,14 @@ def best_bisection(
     slightly worse cut with a far better balance wins.
     """
     n = graph.num_vertices
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    if n == 1:
-        return np.zeros(1, dtype=np.int64)
+    if n <= 1:
+        return np.zeros(n, dtype=np.int64)
     rng = seeded_rng(seed)
     total = float(graph.vertex_weights.sum())
     seeds = set()
     heaviest = int(np.argmax(graph.vertex_weights))
-    levels = graph.symmetrized().bfs_levels([heaviest])
+    # The engine's working graphs are symmetric: BFS needs no symmetrized copy.
+    levels = graph.bfs_levels([heaviest])
     if np.any(levels >= 0):
         reached = np.flatnonzero(levels >= 0)
         seeds.add(int(reached[np.argmax(levels[reached])]))
@@ -109,11 +107,12 @@ def best_bisection(
     while len(seeds) < min(attempts, n):
         seeds.add(int(rng.integers(0, n)))
 
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
     best: Optional[np.ndarray] = None
     best_score = np.inf
     for s in sorted(seeds):
         side = greedy_grow_bisection(graph, target0, s)
-        cut = _cut(graph, side)
+        cut = float(graph.weights[side[src] != side[graph.indices]].sum())
         w0 = float(graph.vertex_weights[side == 0].sum())
         imb = abs(w0 - target0) / max(total, 1e-12)
         score = cut * (1.0 + 4.0 * imb * imb) + imb * total * 1e-6

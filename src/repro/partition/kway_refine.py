@@ -19,6 +19,7 @@ move of a different vertex — the invariant the incremental updates rely on.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,32 +58,28 @@ class KWayState:
         # The incremental updates rely on row j pinning net j (structural
         # diagonal); verify once, vectorized.
         net_ptr, net_ids = h.vertex_incidence()
-        own = np.zeros(h.num_vertices, dtype=bool)
-        for v in range(h.num_vertices):
-            lo, hi = net_ptr[v], net_ptr[v + 1]
-            idx = np.searchsorted(net_ids[lo:hi], v)
-            own[v] = idx < hi - lo and net_ids[lo + idx] == v
-        if not own.all():
+        rows = np.repeat(np.arange(h.num_vertices), np.diff(net_ptr))
+        if np.unique(rows[net_ids == rows]).size != h.num_vertices:
             raise ValueError("net j must pin vertex j (missing structural diagonal)")
         self.costs = h.net_costs
+        self._costs: List[float] = self.costs.tolist()  # for the per-move loops
         # σ(j, ·) as one small dict per net.
-        self.sigma: List[Dict[int, int]] = []
-        for j in range(h.num_nets):
-            d: Dict[int, int] = {}
-            for p in self.part[h.pins(j)].tolist():
-                d[p] = d.get(p, 0) + 1
-            self.sigma.append(d)
-        self.lam = np.array([len(d) for d in self.sigma], dtype=np.int64)
-        self.tv = float(np.sum(self.costs * np.maximum(self.lam - 1, 0)))
-        # Owner-side aggregates.
-        self.sendvol = np.zeros(self.k, dtype=np.float64)
-        self.cnt = np.zeros((self.k, self.k), dtype=np.int32)
-        for j in range(h.num_nets):
-            o = int(self.part[j])
-            self.sendvol[o] += self.costs[j] * (self.lam[j] - 1)
-            for q in self.sigma[j]:
-                if q != o:
-                    self.cnt[o, q] += 1
+        pin_parts = self.part[h.pin_ids].tolist()
+        pin_ptr = h.pin_ptr.tolist()
+        self.sigma: List[Dict[int, int]] = [
+            Counter(pin_parts[pin_ptr[j] : pin_ptr[j + 1]]) for j in range(h.num_nets)
+        ]
+        self.lam: List[int] = [len(d) for d in self.sigma]
+        lam = np.array(self.lam, dtype=np.int64)
+        self.tv = float(np.sum(self.costs * np.maximum(lam - 1, 0)))
+        # Owner-side aggregates (net j is owned by row j's part).
+        self.sendvol = np.bincount(self.part, weights=self.costs * (lam - 1), minlength=self.k)
+        nets, parts = h.net_part_pairs(self.part, self.k)
+        owners = self.part[nets]
+        off = parts != owners
+        self.cnt = np.bincount(
+            owners[off] * self.k + parts[off], minlength=self.k * self.k
+        ).reshape(self.k, self.k).astype(np.int32)
         self.sendmsg = (self.cnt > 0).sum(axis=1).astype(np.int64)
         self.tm = int(self.sendmsg.sum())
         self.loads = np.bincount(self.part, weights=h.loads, minlength=self.k).astype(
@@ -101,16 +98,15 @@ class KWayState:
     def metrics(self) -> Dict[str, float]:
         return {"TV": self.tv, "MSV": self.msv, "TM": float(self.tm), "MSM": float(self.msm)}
 
-    def is_boundary(self, v: int) -> bool:
-        """True if *v* touches at least one cut net."""
-        return any(self.lam[j] > 1 for j in self.h.nets_of(v).tolist())
-
     def candidate_parts(self, v: int, limit: int = 6) -> List[int]:
         """Parts connected to *v* through its nets, strongest first."""
         conn: Dict[int, float] = {}
         a = int(self.part[v])
+        lam = self.lam
         for j in self.h.nets_of(v).tolist():
-            c = float(self.costs[j])
+            if lam[j] == 1:
+                continue  # uncut: net j's only part is v's own
+            c = self._costs[j]
             for p in self.sigma[j]:
                 if p != a:
                     conn[p] = conn.get(p, 0.0) + c
@@ -118,31 +114,37 @@ class KWayState:
         return [p for p, _ in ranked[:limit]]
 
     # ------------------------------------------------------------------
-    def eval_move(self, v: int, b: int) -> Tuple[float, float, int, int]:
+    def eval_move(
+        self, v: int, b: int, priorities: Objective = (_TV, _MSV, _TM, _MSM)
+    ) -> Tuple[float, float, int, int]:
         """Deltas ``(dTV, dMSV, dTM, dMSM)`` if *v* moved to part *b*.
 
-        Pure evaluation — no state changes.  Max-metric deltas compare the
-        would-be maxima against the current ones using only the affected
-        parts, then fall back to a full scan when the current argmax
-        decreases (exactness over speed; K is at most ~1k).
+        Pure evaluation — no state changes.  Only the components named in
+        *priorities* are computed; the others are reported as 0.  Max-metric
+        deltas compare the would-be maxima against the current ones using
+        only the affected parts, then fall back to a full scan when the
+        current argmax decreases (exactness over speed; K is at most ~1k).
         """
         a = int(self.part[v])
         if b == a:
             return (0.0, 0.0, 0, 0)
+        want_msv = _MSV in priorities
+        want_cnt = _TM in priorities or _MSM in priorities
         d_tv = 0.0
         d_sendvol: Dict[int, float] = {}
         d_cnt: Dict[Tuple[int, int], int] = {}
-
         for j in self.h.nets_of(v).tolist():
-            c = float(self.costs[j])
+            c = self._costs[j]
             s = self.sigma[j]
-            o = int(self.part[j])
             a_left = s[a] == 1
             b_new = b not in s
             if a_left:
                 d_tv -= c
             if b_new:
                 d_tv += c
+            if not (want_msv or want_cnt):
+                continue
+            o = int(self.part[j])
             if j == v:
                 # Owner relocation: retract a's contributions, grant b's.
                 lam_new = self.lam[j] - (1 if a_left else 0) + (1 if b_new else 0)
@@ -168,6 +170,9 @@ class KWayState:
                     # owner's part always holds at least one pin.
                     d_cnt[(o, b)] = d_cnt.get((o, b), 0) + 1
                     d_sendvol[o] = d_sendvol.get(o, 0.0) + c
+        d_msv = self._max_delta(self.sendvol, d_sendvol, float(self.msv)) if want_msv else 0.0
+        if not want_cnt:
+            return (d_tv, d_msv, 0, 0)
 
         # ΔTM / Δsendmsg from cnt transitions through zero.
         d_sendmsg: Dict[int, int] = {}
@@ -184,14 +189,8 @@ class KWayState:
                 d_tm -= 1
                 d_sendmsg[p] = d_sendmsg.get(p, 0) - 1
 
-        d_msv = self._max_delta(self.sendvol, d_sendvol, float(self.msv))
-        cur_msm = float(self.msm)
-        d_msm_f = self._max_delta(
-            self.sendmsg.astype(np.float64),
-            {p: float(dv) for p, dv in d_sendmsg.items()},
-            cur_msm,
-        )
-        return (d_tv, d_msv, d_tm, int(round(d_msm_f)))
+        d_msm = self._max_delta(self.sendmsg.astype(np.float64), d_sendmsg, float(self.msm))
+        return (d_tv, d_msv, d_tm, int(round(d_msm)))
 
     @staticmethod
     def _max_delta(values: np.ndarray, deltas: Dict[int, float], cur_max: float) -> float:
@@ -220,7 +219,7 @@ class KWayState:
         if b == a:
             return
         for j in self.h.nets_of(v).tolist():
-            c = float(self.costs[j])
+            c = self._costs[j]
             s = self.sigma[j]
             o = int(self.part[j])
             if j == v:
@@ -326,15 +325,13 @@ def refine_kway(
     for _ in range(passes):
         moved = 0
         for v in range(h.num_vertices):
-            if not state.is_boundary(v):
-                continue
-            a = int(state.part[v])
+            # Only boundary vertices have candidate parts.
             best_b = -1
             best_deltas: Optional[Tuple[float, float, int, int]] = None
             for b in state.candidate_parts(v, candidate_limit):
                 if state.loads[b] + h.loads[v] > limits[b]:
                     continue
-                deltas = state.eval_move(v, b)
+                deltas = state.eval_move(v, b, priorities)
                 if not _lex_better(deltas, priorities):
                     continue
                 if best_deltas is None or _lex_better(

@@ -25,7 +25,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.graph.matrices import SparseMatrix
 from repro.hypergraph.model import Hypergraph
-from repro.partition.driver import EngineConfig, PartitionResult, partition_graph
+from repro.partition.driver import PartitionConfig, PartitionResult, partition_graph
 from repro.partition.kway_refine import refine_kway
 from repro.util.rng import mix_seed
 
@@ -41,7 +41,7 @@ class Partitioner:
     name:
         Tool name as used in the paper's figures.
     engine:
-        Multilevel engine strength settings.
+        Multilevel engine strength settings (the volume tools use the defaults).
     objective:
         ``None`` for pure edge-cut tools, otherwise a named priority list
         for the hypergraph k-way refinement.
@@ -50,7 +50,7 @@ class Partitioner:
     """
 
     name: str
-    engine: EngineConfig
+    engine: PartitionConfig = PartitionConfig()
     objective: Optional[str] = None
     refine_passes: int = 2
     candidate_limit: int = 6
@@ -98,24 +98,22 @@ _REGISTRY: Dict[str, Partitioner] = {
     # KaFFPa: the heavyweight evolutionary engine -> strongest edge-cut.
     "SCOTCH": Partitioner(
         name="SCOTCH",
-        engine=EngineConfig(fm_passes=2, initial_attempts=2),
+        engine=PartitionConfig(fm_passes=2, initial_attempts=2),
     ),
     "KAFFPA": Partitioner(
         name="KAFFPA",
-        engine=EngineConfig(fm_passes=5, initial_attempts=6),
+        engine=PartitionConfig(fm_passes=5, initial_attempts=6),
     ),
     # Volume minimizers.  METIS's volume objective works on the graph
     # model (one light TV pass); PaToH natively optimizes connectivity-1.
     "METIS": Partitioner(
         name="METIS",
-        engine=EngineConfig(fm_passes=3, initial_attempts=4),
         objective="tv",
         refine_passes=1,
         candidate_limit=4,
     ),
     "PATOH": Partitioner(
         name="PATOH",
-        engine=EngineConfig(fm_passes=3, initial_attempts=4),
         objective="tv",
         refine_passes=3,
         candidate_limit=8,
@@ -123,21 +121,18 @@ _REGISTRY: Dict[str, Partitioner] = {
     # UMPA multi-objective variants (primary, secondary, tertiary).
     "UMPAMV": Partitioner(
         name="UMPAMV",
-        engine=EngineConfig(fm_passes=3, initial_attempts=4),
         objective="msv_tv",
         refine_passes=2,
         candidate_limit=8,
     ),
     "UMPAMM": Partitioner(
         name="UMPAMM",
-        engine=EngineConfig(fm_passes=3, initial_attempts=4),
         objective="msm_tm_tv",
         refine_passes=2,
         candidate_limit=8,
     ),
     "UMPATM": Partitioner(
         name="UMPATM",
-        engine=EngineConfig(fm_passes=3, initial_attempts=4),
         objective="tm_tv",
         refine_passes=2,
         candidate_limit=8,

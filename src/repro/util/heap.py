@@ -19,6 +19,18 @@ across platforms.
 The heaps here are used on *coarse* graphs (one vertex per allocated node),
 so they hold at most a few thousand entries; a pure-Python implementation is
 more than fast enough and keeps the hot NumPy paths elsewhere uncluttered.
+
+Who still needs an addressable heap:
+
+* :class:`IntKeyMaxHeap` — Algorithm 1's ``conn``
+  (:mod:`repro.mapping.greedy`) and Algorithm 2's ``whHeap``
+  (:mod:`repro.mapping.refine_wh`, :mod:`repro.mapping.refine_fine`).
+* :class:`AddressableMaxHeap` / :class:`AddressableMinHeap` — no mapping or
+  partitioning code any more.  The partitioner's FM refinement and greedy
+  graph growing use :mod:`heapq` with lazy deletion, which pops in the
+  same order (max priority, then earliest insertion).  They stay as the
+  hashable-key API exported by :mod:`repro.util` and as the reference
+  the :class:`IntKeyMaxHeap` tests compare against.
 """
 
 from __future__ import annotations

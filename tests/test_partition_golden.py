@@ -1,0 +1,230 @@
+"""Golden-equivalence tests for the multilevel partitioner.
+
+Every mapper behind grouping, SMAP, TMAP and HIER, and every partitioner
+personality, runs through ``repro.partition``: FM bisection refinement,
+greedy graph growing, the multilevel V-cycle, the recursive k-way driver
+and the objective-driven k-way refinement.  Rewrites of those inner
+loops must keep every partition vector bit-identical.
+
+The goldens in ``tests/data/golden_partition.json`` were generated from
+the reference implementation that predates the heap and adjacency-list
+rewrite (``python tests/test_partition_golden.py`` regenerates them; do
+NOT regenerate after touching partition code unless a behaviour change
+is intended and reviewed).
+
+Unlike the mapping goldens, the graphs here carry *non-integral* edge
+weights drawn from a small value set, so FM gains tie often and their
+floating-point sums depend on summation order — a change in either the
+heap's tie order or the order gains are summed shows up as a diff.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.graph.csr import CSRGraph
+from repro.graph.generators import cage_like, rgg_like
+from repro.hypergraph.model import Hypergraph
+from repro.partition.driver import multilevel_bisect, partition_graph
+from repro.partition.fm import _exact_sum, fm_bisection_refine
+from repro.partition.initial import best_bisection, greedy_grow_bisection
+from repro.partition.kway_refine import OBJECTIVES, refine_kway
+from repro.partition.toolbox import PARTITIONER_NAMES, get_partitioner
+
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_partition.json")
+
+#: Non-integral edge weights: few distinct values (ties) whose sums are
+#: not associative in binary floating point (0.1 + 0.2 != 0.3).
+TIE_WEIGHTS = np.array([0.1, 0.2, 0.3, 0.7, 1.1])
+
+
+def _sym_graph(n, src, dst, w, vw=None) -> CSRGraph:
+    """Symmetric graph from one direction of each edge (no self loops)."""
+    src, dst, w = np.asarray(src), np.asarray(dst), np.asarray(w, dtype=np.float64)
+    keep = src != dst
+    src, dst, w = src[keep], dst[keep], w[keep]
+    return CSRGraph.from_edges(
+        n, np.concatenate([src, dst]), np.concatenate([dst, src]), np.concatenate([w, w]), vw
+    )
+
+
+def _tie_graph(n: int, m: int, seed: int) -> CSRGraph:
+    """Random graph, tie-prone non-integral weights, mixed vertex weights."""
+    rng = np.random.default_rng(seed)
+    src, dst = rng.integers(0, n, size=m), rng.integers(0, n, size=m)
+    vw = rng.choice([1.0, 1.5, 2.0], size=n)
+    return _sym_graph(n, src, dst, rng.choice(TIE_WEIGHTS, size=m), vw)
+
+
+def _continuous_graph(n: int, m: int, seed: int) -> CSRGraph:
+    """Random graph with log-uniform weights spanning 1e-3..1e3."""
+    rng = np.random.default_rng(seed)
+    src, dst = rng.integers(0, n, size=m), rng.integers(0, n, size=m)
+    return _sym_graph(n, src, dst, 10.0 ** rng.uniform(-3, 3, size=m))
+
+
+def _hub_graph(n: int, seed: int) -> CSRGraph:
+    """Sparse ring plus three hubs of degree > 128 (numpy's pairwise-sum
+    regime), all with tie-prone non-integral weights."""
+    rng = np.random.default_rng(seed)
+    ring = np.arange(n)
+    src, dst = [ring], [(ring + 1) % n]
+    for hub in (0, n // 3, 2 * n // 3):
+        spokes = rng.choice(n, size=200, replace=False)
+        src.append(np.full(spokes.size, hub))
+        dst.append(spokes)
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    # Duplicate (hub, spoke) pairs accumulate in from_edges; dedupe first
+    # so the adjacency keeps one entry per neighbour.
+    pairs = np.unique(np.stack([np.minimum(src, dst), np.maximum(src, dst)]), axis=1)
+    return _sym_graph(n, pairs[0], pairs[1], rng.choice(TIE_WEIGHTS, size=pairs.shape[1]))
+
+
+def _grid_graph(side: int, w: float) -> CSRGraph:
+    """side×side grid with one uniform weight (maximal gain ties)."""
+    idx = np.arange(side * side).reshape(side, side)
+    src = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
+    dst = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
+    return _sym_graph(side * side, src, dst, np.full(src.size, w))
+
+
+def graphs():
+    """(name, graph) pairs the bisection-level goldens run on."""
+    return [
+        ("ties90", _tie_graph(90, 260, seed=1)),
+        ("ties400", _tie_graph(400, 1300, seed=2)),
+        ("cont150", _continuous_graph(150, 500, seed=3)),
+        ("hub320", _hub_graph(320, seed=4)),
+        ("grid12", _grid_graph(12, 0.3)),
+        ("int120", _sym_graph(
+            120,
+            *np.random.default_rng(5).integers(0, 120, size=(2, 400)),
+            np.random.default_rng(6).integers(1, 9, size=400),
+        )),
+    ]
+
+
+def _big_graph() -> CSRGraph:
+    """Above the engine's strict-FM limit, so every level type runs."""
+    return _tie_graph(900, 2700, seed=7)
+
+
+def _matrix():
+    return cage_like(240, seed=8)
+
+
+def _weighted_hypergraph(seed: int) -> Hypergraph:
+    """Column-net model of an rgg matrix with non-integral net costs."""
+    h = Hypergraph.from_matrix(rgg_like(200, seed=seed))
+    costs = np.random.default_rng(seed).choice(TIE_WEIGHTS, size=h.num_nets)
+    return Hypergraph(h.num_vertices, h.pin_ptr, h.pin_ids, h.loads, costs)
+
+
+def _side(graph: CSRGraph, seed: int) -> np.ndarray:
+    return np.random.default_rng(seed).integers(0, 2, size=graph.num_vertices)
+
+
+def _cases():
+    """Yield ``(key, thunk)``; each thunk returns a partition vector."""
+    for name, g in graphs():
+        total = float(g.vertex_weights.sum())
+        n = g.num_vertices
+        for frac in (0.5, 0.35):
+            t0 = total * frac
+            yield f"fm/{name}/{frac}/random", lambda g=g, t0=t0: fm_bisection_refine(
+                g, _side(g, 11), t0, max_passes=4
+            )
+            yield f"fm/{name}/{frac}/grown", lambda g=g, t0=t0: fm_bisection_refine(
+                g, greedy_grow_bisection(g, t0, 0), t0, slack=0.01 * total, max_passes=3
+            )
+            for s in (0, n // 2):
+                yield f"grow/{name}/{frac}/{s}", lambda g=g, t0=t0, s=s: (
+                    greedy_grow_bisection(g, t0, s)
+                )
+            yield f"best/{name}/{frac}", lambda g=g, t0=t0: best_bisection(
+                g, t0, attempts=4, seed=5
+            )
+            yield f"ml/{name}/{frac}", lambda g=g, t0=t0: multilevel_bisect(g, t0, seed=9)
+    big = _big_graph()
+    half = 0.5 * float(big.vertex_weights.sum())
+    yield "ml/big900", lambda: multilevel_bisect(big, half, seed=2)
+    tie = _tie_graph(400, 1300, seed=2)
+    matrix = _matrix()
+    for tool in PARTITIONER_NAMES:
+        p = get_partitioner(tool)
+        yield f"pg/{tool}/ties400", lambda p=p: partition_graph(
+            tie, 6, seed=4, config=p.engine
+        ).part
+        yield f"tool/{tool}/cage240", lambda p=p: p.partition(matrix, 7, seed=3).part
+    for hseed in (21, 22):
+        h = _weighted_hypergraph(hseed)
+        start = np.random.default_rng(hseed).integers(0, 5, size=h.num_vertices)
+        for objective in sorted(OBJECTIVES):
+            yield f"kway/{objective}/h{hseed}", lambda h=h, start=start, o=objective: (
+                refine_kway(h, start, 5, o, passes=2, tolerance=0.15, candidate_limit=6)
+            )
+
+
+def _run_all():
+    return {key: np.asarray(thunk(), dtype=np.int64).tolist() for key, thunk in _cases()}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    if not os.path.exists(GOLDEN_PATH):
+        pytest.fail(
+            "golden file missing; run `python tests/test_partition_golden.py` "
+            "on the reference implementation to generate it"
+        )
+    with open(GOLDEN_PATH) as fh:
+        return json.load(fh)
+
+
+def test_golden_covers_every_case(golden):
+    assert sorted(golden) == sorted(key for key, _ in _cases())
+
+
+@pytest.mark.parametrize("prefix", ["fm/", "grow/", "best/", "ml/", "pg/", "tool/", "kway/"])
+def test_partition_golden(golden, prefix):
+    for key, thunk in _cases():
+        if not key.startswith(prefix):
+            continue
+        np.testing.assert_array_equal(
+            np.asarray(thunk(), dtype=np.int64),
+            np.asarray(golden[key], dtype=np.int64),
+            err_msg=f"partition vector diverged from the reference for {key}",
+        )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False),
+        min_size=0,
+        max_size=300,
+    )
+)
+def test_exact_sum_matches_numpy_bit_for_bit(values):
+    """FM's gain sums reproduce ``ndarray.sum()``'s pairwise order exactly."""
+    assert _exact_sum(values).hex() == float(np.asarray(values, dtype=np.float64).sum()).hex()
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 300])
+def test_exact_sum_block_boundaries(n):
+    values = (10.0 ** np.random.default_rng(n).uniform(-3, 3, size=n)).tolist()
+    assert _exact_sum(values).hex() == float(np.asarray(values, dtype=np.float64).sum()).hex()
+
+
+if __name__ == "__main__":
+    os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
+    data = _run_all()
+    with open(GOLDEN_PATH, "w") as fh:
+        json.dump(data, fh, separators=(",", ":"), sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {len(data)} golden entries to {GOLDEN_PATH}")

@@ -85,11 +85,11 @@ class TestMoves:
     def test_boundary_detection(self, small_h):
         part = np.zeros(small_h.num_vertices, dtype=np.int64)
         state = KWayState(small_h, part, 2)
-        assert not state.is_boundary(0)  # single part: no cut nets
+        assert state.candidate_parts(0) == []  # single part: no cut nets
         part2 = part.copy()
         part2[0] = 1
         state2 = KWayState(small_h, part2, 2)
-        assert state2.is_boundary(0)
+        assert state2.candidate_parts(0)
 
     def test_candidate_parts_exclude_own(self, small_h):
         part = random_part(small_h.num_vertices, 4, 6)

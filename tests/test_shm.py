@@ -23,6 +23,9 @@ from __future__ import annotations
 import gc
 import os
 import struct
+import subprocess
+import sys
+import textwrap
 import time
 from multiprocessing import shared_memory
 
@@ -40,7 +43,7 @@ from repro.api import (
     make_store,
     shm_available,
 )
-from repro.api.shm import _MAGIC, STORE_TIERS
+from repro.api.shm import _MAGIC, _PREFIX, STORE_TIERS
 from repro.api.store import READS_FORBIDDEN_ENV
 from repro.graph.task_graph import TaskGraph
 from repro.topology.allocation import AllocationSpec, SparseAllocator
@@ -230,6 +233,29 @@ class TestSharedMemoryStore:
             reader.close()
             writer.close()
         assert _token_segments(writer) == []
+
+    def test_attach_never_registers_with_resource_tracker(self, tmp_path, monkeypatch):
+        """Only a publisher registers a segment (and unregisters it once
+        committed); readers stay out of the tracker, whose one entry per
+        name several attaching processes would otherwise unregister
+        twice."""
+        from multiprocessing import resource_tracker
+
+        writer = SharedMemoryStore(str(tmp_path), owner=True)
+        reader = SharedMemoryStore(str(tmp_path), owner=False)
+        try:
+            writer.save("route_table", "k", np.arange(64, dtype=np.uint8))
+            calls = []
+            monkeypatch.setattr(resource_tracker, "register", lambda *a: calls.append(a))
+            out = reader.load("route_table", "k")
+            assert reader.contains("route_table", "k")
+            assert writer.save("route_table", "k", np.arange(64, dtype=np.uint8))
+            assert calls == []
+            del out
+            gc.collect()
+        finally:
+            reader.close()
+            writer.close()
 
     def test_delete_unlinks_name_but_live_views_survive(self, tmp_path):
         store = SharedMemoryStore(str(tmp_path), owner=True)
@@ -473,3 +499,76 @@ class TestPooledZeroCopy:
             assert out[0].ok
             assert pool.store.file_count("batch") == 0
             assert not (store_dir / "batch").exists()
+
+
+#: A pooled shm-tier batch in a fresh interpreter, so the resource
+#: tracker it starts writes to a stderr this test can read.
+_POOL_EXIT_SCRIPT = textwrap.dedent(
+    """
+    import os
+    import sys
+    import threading
+    import numpy as np
+    from repro.api import ExecutorPool, MappingService, MapRequest
+    from repro.graph.task_graph import TaskGraph
+    from repro.topology.allocation import AllocationSpec, SparseAllocator
+    from repro.topology.torus import Torus3D
+
+    machine = SparseAllocator(Torus3D((2, 2, 2))).allocate(
+        AllocationSpec(num_nodes=8, procs_per_node=2, fragmentation=0.3, seed=4)
+    )
+    rng = np.random.default_rng(7)
+    src, dst = rng.integers(0, 16, 90), rng.integers(0, 16, 90)
+    keep = src != dst
+    tg = TaskGraph.from_edges(16, src[keep], dst[keep], rng.uniform(1, 5, keep.sum()))
+    reqs = [
+        MapRequest(task_graph=tg, machine=machine, algorithms=("UG", "UWH"),
+                   seed=3, grouping_seed=g, tag=f"r{g}")
+        for g in range(4)
+    ]
+    with ExecutorPool("process", workers=2, store_dir=sys.argv[1],
+                      store_tier="shm") as pool:
+        shm = pool.store.shm
+        print(shm.token)
+        service = MappingService(pool=pool)
+        for _ in range(2):
+            assert all(r.ok for r in service.map_batch(reqs))
+            pool.respawn()
+        # Concurrent attaches of the same published segments, as the
+        # workers of a busy pool make them.
+        names = [n for n in os.listdir("/dev/shm") if n.startswith("rpr" + shm.token)]
+        def attach_all():
+            for _ in range(50):
+                for name in names:
+                    shm._segment_namespace(name)
+        threads = [threading.Thread(target=attach_all) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    """
+)
+
+
+@needs_shm
+def test_pool_exit_is_silent_and_leaks_no_segments(tmp_path):
+    """Several processes attach the same segments; shutting the pool
+    down must print no resource-tracker traceback (the tracker keeps
+    one entry per name, so attach-side registrations used to be
+    unregistered twice) and must leave no segment behind."""
+    env = dict(os.environ)
+    src_dir = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _POOL_EXIT_SCRIPT, str(tmp_path / "store")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    token = proc.stdout.split()[0]
+    assert "KeyError" not in proc.stderr, proc.stderr
+    assert "resource_tracker" not in proc.stderr, proc.stderr
+    leftovers = [n for n in os.listdir("/dev/shm") if n.startswith(_PREFIX + token)]
+    assert leftovers == []

@@ -49,8 +49,9 @@ import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.serve.client import ServeClient, parse_address
+from repro.serve.client import ServeClient
 from repro.serve.metrics import summarize_latencies
+from repro.serve.protocol import parse_address
 
 #: The one request every phase sends: small enough that the CI host
 #: serves a phase in seconds, identical across clients so the planner's

@@ -902,7 +902,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
 
     from repro.api.pool import POOL_BACKENDS, ExecutorPool
-    from repro.serve.client import parse_address
+    from repro.serve.protocol import parse_address
     from repro.serve.server import MappingServer
 
     _install_kernel_backend(args)
@@ -1024,7 +1024,8 @@ def _serve_until_signal(server, *, what: str) -> None:
 def _cmd_store_serve(args: argparse.Namespace) -> int:
     import tempfile
 
-    from repro.dist.remote import ArtifactStoreServer, parse_address
+    from repro.dist.remote import ArtifactStoreServer
+    from repro.serve.protocol import parse_address
 
     tmp = None
     root = args.root
@@ -1050,7 +1051,7 @@ def _cmd_store_serve(args: argparse.Namespace) -> int:
 
 def _cmd_shard_serve(args: argparse.Namespace) -> int:
     from repro.dist.host import HostServer
-    from repro.dist.remote import parse_address
+    from repro.serve.protocol import parse_address
 
     _install_kernel_backend(args)
     server = HostServer(
@@ -1078,7 +1079,8 @@ def _cmd_shard_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    from repro.serve.client import ServeClient, parse_address
+    from repro.serve.client import ServeClient
+    from repro.serve.protocol import parse_address
 
     host, port = parse_address(args.connect)
     with ServeClient(host, port, timeout=10.0) as client:

@@ -55,7 +55,10 @@ class EngineConfig:
         :class:`~repro.api.fault.RetryPolicy` for plan nodes (``None``
         = no retries).
     node_timeout:
-        Per-node deadline in seconds (``None`` = none).
+        Per-node deadline in seconds (``None`` = none; the serial
+        backend ignores it).  On local executors every ready node is
+        handed off at once, so the deadline also counts time a node
+        spends queued behind busy workers.
     on_error:
         ``"raise"`` or ``"partial"`` (structured per-request errors).
     idle_timeout:

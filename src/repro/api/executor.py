@@ -1,44 +1,48 @@
-"""Plan executors — serial (reference), thread pool, process pool.
+"""Plan execution — one scheduler over pluggable worker sets.
 
 :func:`execute_plan` runs a :class:`~repro.api.plan.Plan` against a
-:class:`~repro.api.service.MappingService` on a pluggable backend and
-collects responses in request order:
+:class:`~repro.api.service.MappingService` and collects responses in
+request order.  Every mode runs the same scheduler, :func:`drive_plan`,
+which owns node outcomes, dependency release, retries with backoff,
+per-node deadlines, raise-vs-partial and the ``upstream`` cascade.  A
+mode only supplies a :class:`WorkerSet`, which decides where a ready
+node goes, when it is handed off, and what a lost worker means:
 
 ``serial``
-    Runs nodes in plan order in the calling thread.  Plan order equals
-    the legacy sequential loop's order, so this backend is the
-    bit-identical reference — same mappings, same cache interaction
+    The in-process worker set: one node at a time in the calling
+    thread, always the lowest-index ready node.  The planner emits a
+    topological order, so on a healthy batch this is plan order — the
+    legacy sequential loop's order — and this backend is the
+    bit-identical reference: same mappings, same cache interaction
     sequence, same Figure-3 time accounting.
 ``thread``
-    A ``ThreadPoolExecutor`` over ready nodes.  The service's
-    :class:`~repro.api.cache.ArtifactCache` is switched to its
-    lock-striped concurrent mode; the mapping kernels drop the GIL in
-    their NumPy hot loops, so congestion-heavy batches overlap.  All
-    sharing still happens through the one in-memory cache.
+    A ``ThreadPoolExecutor`` that receives every ready node at once.
+    The service's :class:`~repro.api.cache.ArtifactCache` is switched to
+    its lock-striped concurrent mode; the mapping kernels drop the GIL
+    in their NumPy hot loops, so congestion-heavy batches overlap.
 ``process``
-    A ``ProcessPoolExecutor``; every worker owns a private
-    ``MappingService`` whose cache layers over a shared
-    :class:`~repro.api.store.DiskArtifactStore`, so a grouping computed
-    by one worker is *read* (not recomputed) by the workers mapping the
-    dependent algorithms.  When neither the caller nor the service
-    provides a store directory, a temporary one lives for the batch.
+    A ``ProcessPoolExecutor``, also fed every ready node at once; each
+    worker owns a private ``MappingService`` whose cache layers over a
+    shared :class:`~repro.api.store.DiskArtifactStore`, so a grouping
+    computed by one worker is *read* (not recomputed) by the workers
+    mapping the dependent algorithms.  When neither the caller nor the
+    service provides a store directory, a temporary one lives for the
+    batch.
 
-The thread/process executors above are **per batch**: spawned when
-``execute_plan`` starts and joined when it returns.  Passing ``pool=``
-(an :class:`~repro.api.pool.ExecutorPool`) runs the same DAG on
-long-lived workers instead — the executor and the artifact store
-survive across batches, which is the serving layer's amortization (see
-:mod:`repro.api.pool`).  Persistent process workers receive each
-batch's request list through the pool store rather than spawn-time
-``initargs``.
+The thread/process executors above are **per batch**.  Passing
+``pool=`` (an :class:`~repro.api.pool.ExecutorPool`) runs the same
+worker set on long-lived workers instead, which the pool respawns when
+one dies (see :mod:`repro.api.pool`).  Passing ``hosts=`` runs the
+batch on shard hosts (:mod:`repro.dist.coordinator`), whose worker set
+places nodes by workload and treats a lost host as a lost worker.  When
+a mode runs out of workers — an executor that cannot be respawned,
+every shard host gone — the scheduler finishes the batch on the
+in-process worker set.
 
-Every backend honours the same DAG: a node runs only after its
-dependencies, so the planner's dedupe guarantees (one grouping per
-artifact key, one initial route enumeration per placement chain) hold
-under arbitrary interleaving.  Determinism does not rest on scheduling:
-each node's output is a pure function of its request + the declared
-artifacts, which is why thread/process responses are byte-identical to
-serial (pinned by ``tests/test_engine.py``).
+Determinism does not rest on scheduling: each node's output is a pure
+function of its request + the declared artifacts, which is why every
+mode's responses are byte-identical to serial (pinned by
+``tests/test_engine.py`` and ``tests/test_dist.py``).
 """
 
 from __future__ import annotations
@@ -47,21 +51,23 @@ import heapq
 import os
 import tempfile
 import time
+from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
     CancelledError,
+    Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
     wait,
 )
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.fault import NO_RETRY, PlanError, RetryPolicy, maybe_inject
 from repro.api.plan import Plan, PlanNode
 from repro.api.request import MapRequest, MapResponse
 
-__all__ = ["BACKENDS", "execute_plan", "default_workers"]
+__all__ = ["BACKENDS", "WorkerSet", "drive_plan", "execute_plan", "default_workers"]
 
 BACKENDS: Tuple[str, ...] = ("serial", "thread", "process")
 
@@ -136,7 +142,10 @@ def execute_plan(
         Per-node deadline in seconds for the thread/process backends.  A
         node past its deadline is cancelled (or abandoned when already
         running — pools cannot interrupt a running callable) and fails
-        with a ``timeout`` outcome.  Ignored by ``serial``, which cannot
+        with a ``timeout`` outcome.  The clock starts when the node is
+        handed to the executor, and local executors receive every ready
+        node at once, so the deadline also counts time the node spends
+        queued behind busy workers.  Ignored by ``serial``, which cannot
         preempt the calling thread.
     on_error:
         ``"raise"`` (default) aborts the batch on the first permanent
@@ -156,7 +165,7 @@ def execute_plan(
         for sharded runs whose hosts do not share a filesystem.
     hosts:
         Shard-host addresses (``repro-map shard-serve`` processes).
-        Non-empty runs the plan on the distributed coordinator
+        Non-empty runs the plan on the shard hosts' worker set
         (:func:`repro.dist.coordinator.run_sharded`) instead of a local
         backend; *backend*/*workers*/*pool* are ignored there.
     steal_threshold:
@@ -189,7 +198,7 @@ def execute_plan(
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
     if backend == "serial":
-        outcomes = _run_serial(plan, service, retry, on_error == "partial")
+        outcomes = drive_plan(plan, service, **fault_kw)
     elif backend == "thread":
         outcomes = _run_threaded(plan, service, workers, fault_kw)
     else:
@@ -223,86 +232,391 @@ def _node_label(plan: Plan, index: int) -> str:
     return f"algo:{node.algorithm}" if node.kind == "algo" else node.kind
 
 
-def _node_tag(plan: Plan, index: int):
-    return plan.requests[plan.nodes[index].request_index].tag
-
-
 # ---------------------------------------------------------------------------
-# Backends.
+# Worker sets.
 # ---------------------------------------------------------------------------
 
 
-def _run_serial(
-    plan: Plan,
-    service,
-    retry: Optional[RetryPolicy] = None,
-    partial: bool = False,
-) -> List:
-    """Plan order is the legacy loop's order — the reference backend.
+#: ``(node index, future, worker)`` — one hand-off from :meth:`WorkerSet.take`.
+HandOff = Tuple[int, Future, object]
 
-    ``node_timeout`` is not enforced here: the serial backend runs in the
-    caller's thread and cannot preempt itself.
+
+class WorkerSet:
+    """Where ready plan nodes run — the seam between a mode and the scheduler.
+
+    :func:`drive_plan` calls :meth:`put` with every node whose
+    dependencies are met (or whose retry backoff has elapsed), then
+    :meth:`take` once per tick to collect hand-offs.  Each hand-off names
+    the *worker* it went to — any hashable key other than ``None``, which
+    marks in-process futures — so that when :meth:`lost` reports a
+    worker dead, the scheduler can settle every future that worker held.
     """
-    policy = retry or NO_RETRY
-    outcomes: List = [None] * len(plan.nodes)
-    for node in plan.nodes:
-        failed_dep = next(
-            (d for d in node.deps if isinstance(outcomes[d], _NodeFailure)), None
-        )
-        if failed_dep is not None:
-            outcomes[node.index] = _NodeFailure(
-                PlanError(
-                    kind="upstream",
-                    message=(
-                        f"dependency {_node_label(plan, failed_dep)} failed: "
-                        f"{outcomes[failed_dep].error.message}"
-                    ),
-                    node=_node_label(plan, node.index),
-                    tag=_node_tag(plan, node.index),
-                )
-            )
-            continue
-        attempts = 0
-        while True:
-            try:
-                outcomes[node.index] = run_plan_node(
-                    service,
-                    plan.requests[node.request_index],
+
+    #: False once no worker is left; the scheduler then moves whatever
+    #: :meth:`drain` returns onto the in-process worker set.
+    alive = True
+    #: True when the nodes a lost worker held are crash suspects (counted
+    #: against ``RetryPolicy.max_crashes`` and re-run via :meth:`isolate`);
+    #: False when each is one failed attempt, retried after backoff.
+    crash_suspects = False
+
+    def put(self, index: int) -> None:
+        raise NotImplementedError
+
+    def take(self, inflight: Dict[Future, Tuple[int, object]]) -> List[HandOff]:
+        """Hand off what may start now; *inflight* maps each unsettled
+        future to its ``(index, worker)``."""
+        raise NotImplementedError
+
+    def lost(self, exc: BaseException, worker) -> bool:
+        """Whether *exc*, raised by a future of *worker*, means the worker
+        died.  On ``True`` the set has already retired or replaced it."""
+        return False
+
+    def isolate(self, index: int) -> None:
+        """Re-run crash suspect *index* alone (``crash_suspects`` sets)."""
+        raise NotImplementedError
+
+    def drain(self) -> List[int]:
+        """Give up the nodes still queued here once ``alive`` is False."""
+        return []
+
+
+class _InProcess(WorkerSet):
+    """The calling thread: one node per tick, the lowest-index ready one.
+
+    Its futures are resolved before they are handed off, so a deadline
+    never fires on them — the calling thread cannot preempt itself.
+    """
+
+    def __init__(self, plan: Plan, service) -> None:
+        self.plan = plan
+        self.service = service
+        self.ready: List[int] = []
+
+    def put(self, index: int) -> None:
+        heapq.heappush(self.ready, index)
+
+    def take(self, inflight) -> List[HandOff]:
+        if not self.ready:
+            return []
+        node = self.plan.nodes[heapq.heappop(self.ready)]
+        future: Future = Future()
+        try:
+            future.set_result(
+                run_plan_node(
+                    self.service,
+                    self.plan.requests[node.request_index],
                     node.kind,
                     node.algorithm,
                 )
+            )
+        except Exception as exc:
+            future.set_exception(exc)
+        return [(node.index, future, None)]
+
+
+class _ExecutorWorkers(WorkerSet):
+    """A local thread/process executor, handed every ready node at once.
+
+    A ``BrokenExecutor`` means the executor died.  It is replaced via
+    *respawn* when one is given (a persistent pool), and every node it
+    held becomes a crash suspect: suspects re-run **one at a time with
+    nothing else in flight**, so a repeat kill is attributable to exactly
+    one node and an innocent that merely shared the pool with a poison
+    request never reaches the quarantine threshold.  The worker key is
+    the executor's generation, so stragglers of a replaced executor are
+    never mistaken for a fresh break.
+    """
+
+    crash_suspects = True
+
+    def __init__(
+        self,
+        plan: Plan,
+        submit: Callable[[PlanNode], Future],
+        respawn: Optional[Callable[[], None]] = None,
+    ) -> None:
+        self.plan = plan
+        self.submit = submit
+        self.respawn = respawn
+        self.ready: List[int] = []
+        self.suspects: Deque[int] = deque()
+        self.generation = 0
+
+    def put(self, index: int) -> None:
+        self.ready.append(index)
+
+    def isolate(self, index: int) -> None:
+        self.suspects.append(index)
+
+    def take(self, inflight) -> List[HandOff]:
+        if not self.alive:
+            return []
+        if self.suspects:
+            if inflight:
+                return []
+            batch = [self.suspects.popleft()]
+        else:
+            batch, self.ready = self.ready, []
+        handed: List[HandOff] = []
+        for n, index in enumerate(batch):
+            future = self._submit(index)
+            if future is None:
+                self.ready.extend(batch[n:])  # drained in-process
                 break
-            except Exception as exc:
-                attempts += 1
-                if attempts < policy.max_attempts:
-                    time.sleep(policy.delay(attempts))
-                    continue
-                if not partial:
-                    raise
-                outcomes[node.index] = _NodeFailure(
-                    PlanError(
-                        kind="error",
-                        message=str(exc) or type(exc).__name__,
-                        exception=type(exc).__name__,
-                        attempts=attempts,
-                        node=_node_label(plan, node.index),
-                        tag=_node_tag(plan, node.index),
-                    ),
-                    exc,
+            handed.append((index, future, self.generation))
+        return handed
+
+    def _submit(self, index: int) -> Optional[Future]:
+        """Submit *index*, replacing a broken executor once; None once dead."""
+        node = self.plan.nodes[index]
+        try:
+            return self.submit(node)
+        except BrokenExecutor:
+            if not self._renew():
+                return None
+        try:
+            return self.submit(node)
+        except BrokenExecutor:
+            self.alive = False
+            return None
+
+    def _renew(self) -> bool:
+        """Replace the broken executor; False (and dead) when impossible."""
+        if self.respawn is not None:
+            try:
+                self.respawn()
+                self.generation += 1
+                return True
+            except Exception:
+                pass
+        self.alive = False
+        return False
+
+    def lost(self, exc: BaseException, worker) -> bool:
+        if not isinstance(exc, BrokenExecutor):
+            return False
+        if worker == self.generation and self.alive:
+            self._renew()
+        return True
+
+    def drain(self) -> List[int]:
+        nodes = list(self.suspects) + self.ready
+        self.suspects.clear()
+        self.ready = []
+        return nodes
+
+
+# ---------------------------------------------------------------------------
+# The scheduler.
+# ---------------------------------------------------------------------------
+
+
+def drive_plan(
+    plan: Plan,
+    service,
+    workers: Optional[WorkerSet] = None,
+    *,
+    retry: Optional[RetryPolicy] = None,
+    node_timeout: Optional[float] = None,
+    partial: bool = False,
+) -> List:
+    """Run *plan* on *workers*; returns the outcome list per node.
+
+    *workers* defaults to the in-process worker set over *service* (the
+    serial backend); any other set falls back to it for nodes it cannot
+    run.  On top of dependency release the scheduler owns fault
+    handling for every mode:
+
+    - A node that raises is retried per *retry*, after an exponential
+      backoff that waits in a ready-time heap while other nodes keep
+      running.  A node out of attempts fails permanently — with the
+      ``plan_error_kind`` its exception carries (``host_lost`` for a
+      lost shard host), else ``error``.
+    - A node past *node_timeout* is cancelled (abandoned when already
+      running) and fails permanently with a ``timeout`` outcome.
+    - A lost worker settles every future it held: finished results are
+      salvaged, the rest are lost.  A lost node is one failed attempt,
+      or, for ``crash_suspects`` sets, a crash suspect re-run in
+      isolation until ``retry.max_crashes`` crashes quarantine it —
+      re-run in-process when ``retry.poison == "serial"``, failed with
+      a ``crash`` outcome otherwise.
+    - With ``partial=False`` a permanent failure cancels everything in
+      flight and re-raises; with ``partial=True`` it becomes a
+      :class:`_NodeFailure` outcome and cascades ``upstream`` failures
+      to its dependents while every unrelated node keeps running.
+
+    The healthy path runs no retries and arms no deadline unless asked,
+    so results stay byte-identical to the serial reference.
+    """
+    policy = retry or NO_RETRY
+    local = _InProcess(plan, service)
+    if workers is None:
+        workers = local
+    outcomes: List = [None] * len(plan.nodes)
+    indegree = [len(node.deps) for node in plan.nodes]
+    dependents = plan.dependents()
+    inflight: Dict[Future, Tuple[int, object]] = {}
+    deadlines: Dict[Future, float] = {}
+    retry_heap: List[Tuple[float, int]] = []  # (monotonic ready time, node)
+    failures = [0] * len(plan.nodes)
+    crashes = [0] * len(plan.nodes)
+
+    def _error(index: int, kind: str, message: str, **fields) -> PlanError:
+        return PlanError(
+            kind=kind,
+            message=message,
+            node=_node_label(plan, index),
+            tag=plan.requests[plan.nodes[index].request_index].tag,
+            **fields,
+        )
+
+    def _final(index: int, error: PlanError, exc: Optional[BaseException] = None):
+        if not partial:
+            raise exc if exc is not None else RuntimeError(str(error))
+        outcomes[index] = _NodeFailure(error, exc)
+        message = f"dependency {_node_label(plan, index)} failed: {error.message}"
+        stack = [index]
+        while stack:
+            for dep in dependents[stack.pop()]:
+                if outcomes[dep] is None:
+                    outcomes[dep] = _NodeFailure(_error(dep, "upstream", message))
+                    stack.append(dep)
+
+    def _failed(index: int, exc: BaseException) -> None:
+        failures[index] += 1
+        if failures[index] < policy.max_attempts:
+            ready_at = time.monotonic() + policy.delay(failures[index])
+            heapq.heappush(retry_heap, (ready_at, index))
+            return
+        error = _error(
+            index,
+            getattr(exc, "plan_error_kind", "error"),
+            str(exc) or type(exc).__name__,
+            exception=getattr(exc, "plan_error_exception", type(exc).__name__),
+            attempts=failures[index],
+        )
+        _final(index, error, exc)
+
+    def _ready(index: int) -> None:
+        (workers if workers.alive else local).put(index)
+
+    def _complete(index: int, result) -> None:
+        outcomes[index] = result
+        for dep in dependents[index]:
+            indegree[dep] -= 1
+            if indegree[dep] == 0 and outcomes[dep] is None:
+                _ready(dep)
+
+    def _lose(index: int, exc: BaseException, worker) -> None:
+        """*worker* died running *index*: settle everything it held."""
+        lost, salvaged = [index], []
+        for future in [f for f, (_, w) in inflight.items() if w == worker]:
+            held, _ = inflight.pop(future)
+            deadlines.pop(future, None)
+            # A future that finished before the loss holds a real result.
+            if future.done() and not future.cancelled() and future.exception() is None:
+                salvaged.append((held, future.result()))
+            else:
+                future.cancel()
+                lost.append(held)
+        for held in lost:
+            if not workers.crash_suspects:
+                _failed(held, exc)
+                continue
+            # The dead worker cannot say which node killed it.
+            crashes[held] += 1
+            if crashes[held] < policy.max_crashes:
+                (workers.isolate if workers.alive else local.put)(held)
+            elif policy.poison == "serial":
+                local.put(held)
+            else:
+                error = _error(
+                    held,
+                    "crash",
+                    f"worker pool broke {crashes[held]} times with this node "
+                    "in flight; quarantined",
+                    exception=type(exc).__name__,
+                    attempts=crashes[held],
                 )
-                break
+                _final(held, error, exc)
+        for held, result in salvaged:
+            _complete(held, result)
+
+    def _hand_off(source: WorkerSet) -> None:
+        for index, future, worker in source.take(inflight):
+            inflight[future] = (index, worker)
+            if node_timeout is not None:
+                deadlines[future] = time.monotonic() + node_timeout
+
+    for node in plan.nodes:
+        if not node.deps:
+            _ready(node.index)
+    try:
+        while True:
+            now = time.monotonic()
+            while retry_heap and retry_heap[0][0] <= now:
+                _ready(heapq.heappop(retry_heap)[1])
+            _hand_off(workers)
+            if not workers.alive:
+                for index in workers.drain():
+                    local.put(index)
+            if workers is not local:
+                _hand_off(local)
+            if not inflight:
+                if not retry_heap:
+                    break
+                time.sleep(max(0.0, retry_heap[0][0] - time.monotonic()))
+                continue
+            wake = [retry_heap[0][0]] if retry_heap else []
+            if deadlines:
+                wake.append(min(deadlines.values()))
+            timeout = max(min(wake) - now, 0.0) if wake else None
+            done, _ = wait(list(inflight), timeout=timeout, return_when=FIRST_COMPLETED)
+            for future in done:
+                if future not in inflight:
+                    continue  # settled by a worker loss earlier in this tick
+                index, worker = inflight.pop(future)
+                deadlines.pop(future, None)
+                try:
+                    result = future.result()
+                except CancelledError:
+                    message = "node was cancelled before it ran"
+                    _final(index, _error(index, "cancelled", message))
+                except Exception as exc:
+                    if worker is not None and workers.lost(exc, worker):
+                        _lose(index, exc, worker)
+                    else:
+                        _failed(index, exc)
+                else:
+                    _complete(index, result)
+            now = time.monotonic()
+            for future in [f for f, d in deadlines.items() if d <= now]:
+                index, _ = inflight.pop(future)
+                del deadlines[future]
+                future.cancel()
+                expired = f"exceeded its {node_timeout:g}s deadline"
+                _final(
+                    index,
+                    _error(
+                        index, "timeout", f"node {expired}", attempts=failures[index] + 1
+                    ),
+                    TimeoutError(f"{_node_label(plan, index)} {expired}"),
+                )
+    except BaseException:
+        for future in inflight:
+            future.cancel()
+        raise
+    for index, outcome in enumerate(outcomes):
+        if outcome is None:  # defensive: a scheduler hole, not a node fault
+            _final(index, _error(index, "cancelled", "node was never scheduled"))
     return outcomes
 
 
-def _serial_fallback(plan: Plan, service) -> Callable[[PlanNode], object]:
-    """In-process fallback runner used when an executor cannot be trusted."""
-
-    def run(node: PlanNode):
-        return run_plan_node(
-            service, plan.requests[node.request_index], node.kind, node.algorithm
-        )
-
-    return run
+# ---------------------------------------------------------------------------
+# Local executors.
+# ---------------------------------------------------------------------------
 
 
 def _run_threaded(
@@ -320,9 +634,7 @@ def _run_threaded(
                 node.algorithm,
             )
 
-        return _drive(
-            plan, submit, serial_run=_serial_fallback(plan, service), **fault_kw
-        )
+        return drive_plan(plan, service, _ExecutorWorkers(plan, submit), **fault_kw)
 
 
 def _run_process(
@@ -388,10 +700,9 @@ def _run_process(
                 )
 
             # A batch-scoped process pool cannot be respawned mid-batch;
-            # when it breaks, lost/remaining nodes fall back to the
-            # caller's in-process service.
-            return _drive(
-                plan, submit, serial_run=_serial_fallback(plan, service), **fault_kw
+            # when it breaks, the scheduler finishes in-process.
+            return drive_plan(
+                plan, service, _ExecutorWorkers(plan, submit), **fault_kw
             )
     finally:
         if owned_store is not None and hasattr(owned_store, "close"):
@@ -408,12 +719,9 @@ def _run_pooled(plan: Plan, service, pool, fault_kw: dict) -> List:
     enabled); the process flavour publishes the request list to the
     pool's store, lets the long-lived workers pull and cache it, and
     retires the payload when the batch completes.  Submission always
-    goes through :meth:`ExecutorPool.submit` so a pool respawned after a
-    worker crash is picked up mid-batch: the scheduler hands
-    ``respawn=pool.respawn`` to :func:`_drive`, which re-runs only the
-    nodes that were in flight when the executor broke.
+    goes through :meth:`ExecutorPool.submit` with ``respawn=pool.respawn``
+    so a pool replaced after a worker crash is picked up mid-batch.
     """
-    serial_run = _serial_fallback(plan, service)
     if pool.backend == "thread":
         service.cache.enable_concurrency()
         with pool.session():
@@ -427,13 +735,8 @@ def _run_pooled(plan: Plan, service, pool, fault_kw: dict) -> List:
                     node.algorithm,
                 )
 
-            return _drive(
-                plan,
-                submit,
-                respawn=pool.respawn,
-                serial_run=serial_run,
-                **fault_kw,
-            )
+            workers = _ExecutorWorkers(plan, submit, pool.respawn)
+            return drive_plan(plan, service, workers, **fault_kw)
 
     from repro.api.pool import _persistent_run_node
 
@@ -450,361 +753,10 @@ def _run_pooled(plan: Plan, service, pool, fault_kw: dict) -> List:
                     node.algorithm,
                 )
 
-            return _drive(
-                plan,
-                submit,
-                respawn=pool.respawn,
-                serial_run=serial_run,
-                **fault_kw,
-            )
+            workers = _ExecutorWorkers(plan, submit, pool.respawn)
+            return drive_plan(plan, service, workers, **fault_kw)
     finally:
         pool.release_batch(batch_key)
-
-
-def _drive(
-    plan: Plan,
-    submit: Callable[[PlanNode], "object"],
-    *,
-    retry: Optional[RetryPolicy] = None,
-    node_timeout: Optional[float] = None,
-    partial: bool = False,
-    respawn: Optional[Callable[[], None]] = None,
-    serial_run: Optional[Callable[[PlanNode], object]] = None,
-) -> List:
-    """Generic DAG scheduler: submit ready nodes, release dependents.
-
-    Shared by the thread/process backends and the pooled runner;
-    *submit* returns a future.  On top of the dependency bookkeeping it
-    owns the engine's fault handling:
-
-    - A node that raises is retried per *retry* (exponential backoff via
-      a ready-time heap — the scheduler keeps draining other futures
-      while a retry waits out its backoff).  A node out of attempts
-      becomes a permanent failure.
-    - A node past *node_timeout* is cancelled (abandoned when already
-      running — executors cannot interrupt a running callable) and fails
-      permanently with a ``timeout`` outcome.
-    - ``BrokenExecutor`` means the worker pool died.  Every node in
-      flight at break time is a crash suspect; finished-but-uncollected
-      results are salvaged, the pool is respawned via *respawn* (when
-      given), and suspects are re-run **in isolation** — one at a time
-      with nothing else in flight, so a repeat kill is attributable to
-      exactly one node and an innocent that merely shared the pool with
-      a poison request can never reach the quarantine threshold.  A node
-      whose isolated re-runs break the pool ``retry.max_crashes`` times
-      total is quarantined: re-run in-process via *serial_run* when
-      ``retry.poison == "serial"``, failed cleanly otherwise.  Never
-      blindly re-submitted.
-    - With ``partial=False`` a permanent failure cancels the pending
-      siblings and re-raises, exactly like the pre-fault-tolerance
-      engine; with ``partial=True`` it becomes a :class:`_NodeFailure`
-      outcome and cascades ``upstream`` failures to its dependents while
-      every unrelated node keeps running.
-
-    The healthy path through this function is the old one: no retries
-    fire, no deadline is armed unless requested, and ``wait`` blocks
-    exactly as before — results stay byte-identical.
-    """
-    policy = retry or NO_RETRY
-    outcomes: List = [None] * len(plan.nodes)
-    indegree = [len(node.deps) for node in plan.nodes]
-    dependents = plan.dependents()
-    pending: dict = {}  # future -> node index
-    deadlines: dict = {}  # future -> monotonic deadline
-    ready_heap: List[Tuple[float, int]] = []  # (monotonic ready time, node)
-    failures = [0] * len(plan.nodes)
-    crashes = [0] * len(plan.nodes)
-    broken = False  # executor is dead and could not be respawned
-
-    def _abort(exc: BaseException):
-        for future in pending:
-            future.cancel()
-        raise exc
-
-    def _final(index: int, error: PlanError, exc: Optional[BaseException] = None):
-        if not partial:
-            _abort(exc if exc is not None else RuntimeError(str(error)))
-        outcomes[index] = _NodeFailure(error, exc)
-        stack = [index]
-        while stack:
-            for dep_index in dependents[stack.pop()]:
-                if outcomes[dep_index] is None:
-                    outcomes[dep_index] = _NodeFailure(
-                        PlanError(
-                            kind="upstream",
-                            message=(
-                                f"dependency {_node_label(plan, index)} failed: "
-                                f"{error.message}"
-                            ),
-                            node=_node_label(plan, dep_index),
-                            tag=_node_tag(plan, dep_index),
-                        )
-                    )
-                    stack.append(dep_index)
-
-    def _record_exception(index: int, exc: BaseException):
-        failures[index] += 1
-        if failures[index] < policy.max_attempts:
-            heapq.heappush(
-                ready_heap, (time.monotonic() + policy.delay(failures[index]), index)
-            )
-            return
-        _final(
-            index,
-            PlanError(
-                kind="error",
-                message=str(exc) or type(exc).__name__,
-                exception=type(exc).__name__,
-                attempts=failures[index],
-                node=_node_label(plan, index),
-                tag=_node_tag(plan, index),
-            ),
-            exc,
-        )
-
-    def _complete(index: int, result) -> None:
-        outcomes[index] = result
-        for dep_index in dependents[index]:
-            indegree[dep_index] -= 1
-            if indegree[dep_index] == 0 and outcomes[dep_index] is None:
-                _submit(dep_index)
-
-    def _run_inline(index: int) -> None:
-        if serial_run is None:
-            _final(
-                index,
-                PlanError(
-                    kind="crash",
-                    message="executor broke and no in-process fallback is available",
-                    attempts=max(crashes[index], 1),
-                    node=_node_label(plan, index),
-                    tag=_node_tag(plan, index),
-                ),
-                BrokenExecutor("executor broke; no in-process fallback"),
-            )
-            return
-        try:
-            result = serial_run(plan.nodes[index])
-        except Exception as exc:
-            _record_exception(index, exc)
-        else:
-            _complete(index, result)
-
-    def _submit(index: int) -> None:
-        nonlocal broken
-        if broken:
-            _run_inline(index)
-            return
-        node = plan.nodes[index]
-        try:
-            future = submit(node)
-        except BrokenExecutor:
-            if respawn is not None:
-                respawn()
-                try:
-                    future = submit(node)
-                except BrokenExecutor:
-                    broken = True
-                    _run_inline(index)
-                    return
-            else:
-                broken = True
-                _run_inline(index)
-                return
-        pending[future] = index
-        if node_timeout is not None:
-            deadlines[future] = time.monotonic() + node_timeout
-
-    def _respawn_or_break() -> None:
-        nonlocal broken
-        if respawn is not None:
-            try:
-                respawn()
-            except Exception:
-                broken = True
-        else:
-            broken = True
-
-    def _quarantine(index: int, exc: BaseException, recovered: list) -> None:
-        if policy.poison == "serial" and serial_run is not None:
-            try:
-                recovered.append((index, serial_run(plan.nodes[index])))
-            except Exception as run_exc:
-                _record_exception(index, run_exc)
-            return
-        _final(
-            index,
-            PlanError(
-                kind="crash",
-                message=(
-                    f"worker pool broke {crashes[index]} times with "
-                    "this node in flight; quarantined"
-                ),
-                exception=type(exc).__name__,
-                attempts=crashes[index],
-                node=_node_label(plan, index),
-                tag=_node_tag(plan, index),
-            ),
-            exc,
-        )
-
-    def _on_break(first_index: int, exc: BaseException) -> None:
-        nonlocal broken
-        # Everything in flight when the pool died is a crash suspect —
-        # attribution is conservative because the dead worker cannot
-        # tell us which node it was running.  Futures that finished
-        # before the break still hold real results; salvage them.
-        suspects = [first_index]
-        survivors = []
-        for future, index in list(pending.items()):
-            salvaged = False
-            if future.done() and not future.cancelled():
-                try:
-                    survivors.append((index, future.result()))
-                    salvaged = True
-                except BaseException:
-                    pass
-            if not salvaged:
-                future.cancel()
-                suspects.append(index)
-        pending.clear()
-        deadlines.clear()
-        _respawn_or_break()
-        # Re-run suspects one at a time with nothing else in flight, so
-        # a repeat kill indicts exactly one node.  Successes are held
-        # back and completed only after the whole suspect list is
-        # processed — completing releases dependents into the pool,
-        # which would put bystanders in flight during the next isolated
-        # attempt.
-        recovered: list = []
-        for index in suspects:
-            crashes[index] += 1
-            while not broken and crashes[index] < policy.max_crashes:
-                try:
-                    future = submit(plan.nodes[index])
-                except BrokenExecutor:
-                    broken = True
-                    continue  # loop condition now fails -> fallback below
-                done, _ = wait([future], timeout=node_timeout)
-                if future not in done:
-                    future.cancel()
-                    _final(
-                        index,
-                        PlanError(
-                            kind="timeout",
-                            message=(
-                                f"node exceeded its {node_timeout:g}s deadline"
-                            ),
-                            attempts=failures[index] + 1,
-                            node=_node_label(plan, index),
-                            tag=_node_tag(plan, index),
-                        ),
-                        TimeoutError(
-                            f"{_node_label(plan, index)} exceeded its "
-                            f"{node_timeout:g}s deadline"
-                        ),
-                    )
-                    break
-                try:
-                    recovered.append((index, future.result()))
-                except BrokenExecutor:
-                    crashes[index] += 1
-                    _respawn_or_break()
-                    continue
-                except Exception as run_exc:
-                    _record_exception(index, run_exc)
-                break
-            else:
-                # Out of the loop without an attempt: the pool is gone
-                # (fall back in-process) or the node hit the crash
-                # threshold (quarantine).
-                if broken and crashes[index] < policy.max_crashes:
-                    _run_inline(index)
-                else:
-                    _quarantine(index, exc, recovered)
-        for index, result in survivors + recovered:
-            _complete(index, result)
-
-    for node in plan.nodes:
-        if indegree[node.index] == 0:
-            _submit(node.index)
-
-    while pending or ready_heap:
-        now = time.monotonic()
-        while ready_heap and ready_heap[0][0] <= now:
-            _, index = heapq.heappop(ready_heap)
-            _submit(index)
-        if not pending:
-            if ready_heap:
-                time.sleep(max(0.0, ready_heap[0][0] - time.monotonic()))
-            continue
-        timeout = None
-        if deadlines:
-            timeout = min(deadlines.values()) - now
-        if ready_heap:
-            until_retry = ready_heap[0][0] - now
-            timeout = until_retry if timeout is None else min(timeout, until_retry)
-        if timeout is not None:
-            timeout = max(timeout, 0.0)
-        done, _ = wait(list(pending), timeout=timeout, return_when=FIRST_COMPLETED)
-        for future in done:
-            if future not in pending:
-                continue  # drained by an earlier break in this very set
-            index = pending.pop(future)
-            deadlines.pop(future, None)
-            try:
-                result = future.result()
-            except BrokenExecutor as exc:
-                _on_break(index, exc)
-                break
-            except CancelledError:
-                _final(
-                    index,
-                    PlanError(
-                        kind="cancelled",
-                        message="node was cancelled before it ran",
-                        node=_node_label(plan, index),
-                        tag=_node_tag(plan, index),
-                    ),
-                )
-            except Exception as exc:
-                _record_exception(index, exc)
-            else:
-                _complete(index, result)
-        if deadlines:
-            now = time.monotonic()
-            for future in [f for f, d in deadlines.items() if d <= now]:
-                index = pending.pop(future, None)
-                deadlines.pop(future, None)
-                if index is None:
-                    continue
-                future.cancel()
-                _final(
-                    index,
-                    PlanError(
-                        kind="timeout",
-                        message=f"node exceeded its {node_timeout:g}s deadline",
-                        attempts=failures[index] + 1,
-                        node=_node_label(plan, index),
-                        tag=_node_tag(plan, index),
-                    ),
-                    TimeoutError(
-                        f"{_node_label(plan, index)} exceeded its "
-                        f"{node_timeout:g}s deadline"
-                    ),
-                )
-
-    for index, outcome in enumerate(outcomes):
-        if outcome is None:  # defensive: a scheduler hole, not a node fault
-            outcomes[index] = _NodeFailure(
-                PlanError(
-                    kind="cancelled",
-                    message="node was never scheduled",
-                    node=_node_label(plan, index),
-                    tag=_node_tag(plan, index),
-                )
-            )
-    return outcomes
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
-"""Multi-host plan coordinator — drives shard hosts through one DAG.
+"""Multi-host plan sharding — shard hosts as one more worker set.
 
-:func:`run_sharded` is the distributed sibling of the executors in
-:mod:`repro.api.executor`: it takes a planned batch and returns the
-same outcome list ``_collect`` consumes, but the nodes run on remote
-:class:`~repro.dist.host.HostServer` processes instead of local
-workers.  The moving parts:
+:func:`run_sharded` runs a planned batch on remote
+:class:`~repro.dist.host.HostServer` processes through the engine's one
+scheduler, :func:`repro.api.executor.drive_plan`, and returns the same
+outcome list every local mode produces.  Retries, deadlines,
+raise-vs-partial and error reporting are the scheduler's; this module
+only decides where nodes run:
 
 * the **batch payload** is published once to the coordinator's store —
   whose remote tier replicates it to the cluster's
@@ -13,17 +14,15 @@ workers.  The moving parts:
   the persistent process pool uses;
 * a :class:`~repro.dist.router.ShardRouter` partitions nodes across
   hosts by workload fingerprint, so a workload's grouping, DEF
-  baseline and consumers stay host-local; an idle host steals unpinned
-  ready nodes from the deepest backlog once it exceeds the steal
-  threshold;
-* **host loss** (socket death, crash, kill) fails the in-flight nodes
-  with structured ``kind="host_lost"`` :class:`~repro.api.fault.
-  PlanError`\\ s under the no-retry policy, or reroutes them to a
-  survivor when the :class:`~repro.api.fault.RetryPolicy` grants
-  another attempt; *queued* (not yet dispatched) nodes always reroute.
-  With zero survivors the remaining nodes drain through the caller's
-  in-process service — the same serial fallback the pooled executors
-  use when their executor breaks.
+  baseline and consumers stay host-local; each host gets at most its
+  advertised capacity in flight, and an idle host steals unpinned ready
+  nodes from the deepest backlog once it exceeds the steal threshold;
+* **host loss** (socket death, crash, kill) is worker loss: the host's
+  queued nodes move to survivors, and each node it had in flight counts
+  one failed attempt — retried on a survivor after backoff while the
+  :class:`~repro.api.fault.RetryPolicy` allows, else failed with a
+  ``kind="host_lost"`` :class:`~repro.api.fault.PlanError`.  With no
+  host left the scheduler finishes the batch in-process.
 
 Scheduling never affects results: each node's output is a pure
 function of its request and declared artifacts, so a sharded batch is
@@ -32,20 +31,17 @@ byte-identical to a serial one (pinned by ``tests/test_dist.py``).
 
 from __future__ import annotations
 
-import heapq
 import os
 import tempfile
-import time
 import uuid
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, wait
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from collections import Counter, deque
+from typing import Deque, Dict, List, Optional, Sequence
 
-from repro.api.executor import _node_label, _node_tag, _NodeFailure, run_plan_node
-from repro.api.fault import NO_RETRY, PlanError, RetryPolicy
+from repro.api.executor import HandOff, WorkerSet, drive_plan
+from repro.api.fault import RetryPolicy
 from repro.api.plan import Plan
 from repro.api.store import make_store
-from repro.dist.host import HostClient, HostLostError, RemoteNodeError
+from repro.dist.host import HostClient, HostLostError
 from repro.dist.router import DEFAULT_STEAL_THRESHOLD, ShardRouter
 
 __all__ = ["run_sharded"]
@@ -71,7 +67,7 @@ def run_sharded(
     ----------
     plan / service:
         As in :func:`repro.api.executor.execute_plan`; the service only
-        runs nodes here when every host is lost (local drain).
+        runs nodes here once every host is lost.
     hosts:
         ``host:port`` addresses of ``repro-map shard-serve`` processes.
     store_remote:
@@ -87,7 +83,6 @@ def run_sharded(
     stats_out:
         Optional dict that receives router + per-host dispatch stats.
     """
-    policy = retry or NO_RETRY
     tmp: Optional[tempfile.TemporaryDirectory] = None
     if store_dir is None:
         tmp = tempfile.TemporaryDirectory(prefix="repro-coord-")
@@ -107,17 +102,26 @@ def run_sharded(
                 client.close()
                 continue
             clients[client.name] = client
-        outcomes = _Scheduler(
+        workers = _HostWorkers(plan, clients, batch_key, steal_threshold)
+        outcomes = drive_plan(
             plan,
             service,
-            clients,
-            batch_key,
-            policy=policy,
+            workers,
+            retry=retry,
             node_timeout=node_timeout,
             partial=partial,
-            steal_threshold=steal_threshold,
-            stats_out=stats_out,
-        ).run()
+        )
+        if stats_out is not None:
+            stats_out.update(
+                {
+                    "router": workers.router.stats() if workers.router else None,
+                    "hosts_lost": workers.hosts_lost,
+                    "hosts": {
+                        name: {"capacity": c.capacity, "host_id": c.host_id}
+                        for name, c in clients.items()
+                    },
+                }
+            )
         return outcomes
     finally:
         for client in clients.values():
@@ -129,102 +133,74 @@ def run_sharded(
             tmp.cleanup()
 
 
-class _Scheduler:
-    """One batch's dispatch state (split out of :func:`run_sharded`)."""
+class _HostWorkers(WorkerSet):
+    """Shard hosts: router placement, per-host queues and capacity,
+    stealing, and host loss.  The worker key is the host's name."""
 
     def __init__(
         self,
         plan: Plan,
-        service,
         clients: Dict[str, HostClient],
         batch_key: str,
-        *,
-        policy: RetryPolicy,
-        node_timeout: Optional[float],
-        partial: bool,
         steal_threshold: int,
-        stats_out: Optional[dict],
     ) -> None:
         self.plan = plan
-        self.service = service
         self.clients = clients
         self.batch_key = batch_key
-        self.policy = policy
-        self.node_timeout = node_timeout
-        self.partial = partial
-        self.stats_out = stats_out
         self.live: List[str] = list(clients)
         self.router = (
             ShardRouter(plan, self.live, steal_threshold=steal_threshold)
             if self.live
             else None
         )
-        self.outcomes: List = [None] * len(plan.nodes)
-        self.indegree = [len(node.deps) for node in plan.nodes]
-        self.dependents = plan.dependents()
-        self.ready: Dict[str, Deque[int]] = {h: deque() for h in self.live}
-        self.pending: Dict[Future, Tuple[int, str]] = {}
-        self.deadlines: Dict[Future, float] = {}
-        self.retry_heap: List[Tuple[float, int]] = []
-        self.failures = [0] * len(plan.nodes)
+        self.queues: Dict[str, Deque[int]] = {h: deque() for h in self.live}
+        self.orphans: List[int] = []  # ready while no host is left
         self.hosts_lost: List[str] = []
 
-    # ------------------------------------------------------------------
-    def run(self) -> List:
-        plan = self.plan
-        try:
-            for node in plan.nodes:
-                if self.indegree[node.index] == 0:
-                    self._enqueue(node.index)
-            self._loop()
-        except BaseException:
-            for future in self.pending:
-                future.cancel()
-            raise
-        self._drain_local()  # no-op unless every host died
-        for index, outcome in enumerate(self.outcomes):
-            if outcome is None:  # defensive: a scheduler hole
-                self.outcomes[index] = _NodeFailure(
-                    PlanError(
-                        kind="cancelled",
-                        message="node was never scheduled",
-                        node=_node_label(plan, index),
-                        tag=_node_tag(plan, index),
-                    )
-                )
-        if self.stats_out is not None:
-            self.stats_out.update(
-                {
-                    "router": self.router.stats() if self.router else None,
-                    "hosts_lost": self.hosts_lost,
-                    "hosts": {
-                        name: {"capacity": c.capacity, "host_id": c.host_id}
-                        for name, c in self.clients.items()
-                    },
-                }
-            )
-        return self.outcomes
+    @property
+    def alive(self) -> bool:
+        return bool(self.live)
 
-    # -- queueing -------------------------------------------------------
-    def _enqueue(self, index: int) -> None:
-        """Put a ready node on its (live) host's queue."""
+    def put(self, index: int) -> None:
         if not self.live:
-            return  # _drain_local picks it up
+            self.orphans.append(index)
+            return
         host = self.router.host_of(index)
-        if host not in self.ready:
+        if host not in self.queues:
             host = self.router.reroute(index, self.live)
-        self.ready[host].append(index)
+        self.queues[host].append(index)
+
+    def take(self, inflight) -> List[HandOff]:
+        busy = Counter(worker for _, worker in inflight.values())
+        handed: List[HandOff] = []
+        for host in self.live:
+            client = self.clients[host]
+            while busy[host] < client.capacity:
+                index = self._next_for(host)
+                if index is None:
+                    break
+                node = self.plan.nodes[index]
+                future = client.submit(
+                    self.batch_key,
+                    node.index,
+                    node.request_index,
+                    node.kind,
+                    node.algorithm,
+                )
+                handed.append((index, future, host))
+                busy[host] += 1
+        return handed
 
     def _next_for(self, host: str) -> Optional[int]:
-        queue = self.ready[host]
+        queue = self.queues[host]
         if queue:
             return queue.popleft()
         stolen = self.router.steal(
-            host, {h: list(q) for h, q in self.ready.items()}
+            host, {h: list(q) for h, q in self.queues.items()}
         )
         if stolen is None:
             return None
-        for other in self.ready.values():
+        for other in self.queues.values():
             try:
                 other.remove(stolen)
                 break
@@ -232,279 +208,18 @@ class _Scheduler:
                 continue
         return stolen
 
-    def _dispatch(self) -> None:
-        inflight: Dict[str, int] = {h: 0 for h in self.live}
-        for _, host in self.pending.values():
-            if host in inflight:
-                inflight[host] += 1
-        for host in list(self.live):
-            client = self.clients[host]
-            while inflight[host] < client.capacity:
-                index = self._next_for(host)
-                if index is None:
-                    break
-                node = self.plan.nodes[index]
-                try:
-                    future = client.submit(
-                        self.batch_key,
-                        node.index,
-                        node.request_index,
-                        node.kind,
-                        node.algorithm,
-                    )
-                except HostLostError:
-                    self.ready[host].appendleft(index)
-                    self._on_host_lost(host)
-                    return  # topology changed; restart dispatch next tick
-                self.pending[future] = (index, host)
-                if self.node_timeout is not None:
-                    self.deadlines[future] = time.monotonic() + self.node_timeout
-                inflight[host] += 1
+    def lost(self, exc: BaseException, worker) -> bool:
+        if not isinstance(exc, HostLostError):
+            return False
+        if worker in self.queues:
+            self.hosts_lost.append(worker)
+            self.live.remove(worker)
+            self.clients[worker].close()
+            # Undispatched nodes never count an attempt — they just move.
+            for index in self.queues.pop(worker):
+                self.put(index)
+        return True
 
-    # -- completion ----------------------------------------------------
-    def _complete(self, index: int, result) -> None:
-        self.outcomes[index] = result
-        for dep in self.dependents[index]:
-            self.indegree[dep] -= 1
-            if self.indegree[dep] == 0 and self.outcomes[dep] is None:
-                self._enqueue(dep)
-
-    def _final(self, index: int, error: PlanError, exc=None) -> None:
-        if not self.partial:
-            raise exc if exc is not None else RuntimeError(str(error))
-        self.outcomes[index] = _NodeFailure(error, exc)
-        stack = [index]
-        while stack:
-            for dep in self.dependents[stack.pop()]:
-                if self.outcomes[dep] is None:
-                    self.outcomes[dep] = _NodeFailure(
-                        PlanError(
-                            kind="upstream",
-                            message=(
-                                f"dependency {_node_label(self.plan, index)} "
-                                f"failed: {error.message}"
-                            ),
-                            node=_node_label(self.plan, dep),
-                            tag=_node_tag(self.plan, dep),
-                        )
-                    )
-                    stack.append(dep)
-
-    def _record_exception(self, index: int, exc: BaseException) -> None:
-        self.failures[index] += 1
-        if self.failures[index] < self.policy.max_attempts:
-            heapq.heappush(
-                self.retry_heap,
-                (time.monotonic() + self.policy.delay(self.failures[index]), index),
-            )
-            return
-        remote = exc.error if isinstance(exc, RemoteNodeError) else {}
-        self._final(
-            index,
-            PlanError(
-                kind=remote.get("kind", "error"),
-                message=str(exc) or type(exc).__name__,
-                exception=remote.get("exception") or type(exc).__name__,
-                attempts=self.failures[index],
-                node=_node_label(self.plan, index),
-                tag=_node_tag(self.plan, index),
-            ),
-            exc,
-        )
-
-    def _lost_in_flight(self, index: int, host: str) -> None:
-        """An in-flight node's host died: reroute or fail ``host_lost``."""
-        self.failures[index] += 1
-        if self.failures[index] < self.policy.max_attempts and self.live:
-            self.router.reroute(index, self.live)
-            heapq.heappush(
-                self.retry_heap,
-                (time.monotonic() + self.policy.delay(self.failures[index]), index),
-            )
-            return
-        self._final(
-            index,
-            PlanError(
-                kind="host_lost",
-                message=f"shard host {host} was lost with this node in flight",
-                attempts=self.failures[index],
-                node=_node_label(self.plan, index),
-                tag=_node_tag(self.plan, index),
-            ),
-            HostLostError(host),
-        )
-
-    def _on_host_lost(self, host: str) -> None:
-        if host not in self.ready:
-            return  # already handled
-        self.hosts_lost.append(host)
-        self.live.remove(host)
-        queued = self.ready.pop(host)
-        self.clients[host].close()
-        # Salvage futures that finished before the loss; everything else
-        # in flight on the dead host follows the retry-or-fail policy.
-        lost: List[int] = []
-        for future, (index, fhost) in list(self.pending.items()):
-            if fhost != host:
-                continue
-            del self.pending[future]
-            self.deadlines.pop(future, None)
-            salvaged = False
-            if future.done() and not future.cancelled():
-                try:
-                    self._complete(index, future.result())
-                    salvaged = True
-                except Exception:
-                    pass
-            if not salvaged:
-                future.cancel()
-                lost.append(index)
-        for index in lost:
-            self._lost_in_flight(index, host)
-        # Undispatched nodes never count an attempt — they just move.
-        for index in queued:
-            if self.outcomes[index] is not None:
-                continue  # upstream-cascaded while handling the loss
-            if self.live:
-                self._enqueue(index)
-            # else: _drain_local runs them in-process
-
-    # -- main loop ------------------------------------------------------
-    def _loop(self) -> None:
-        while True:
-            now = time.monotonic()
-            while self.retry_heap and self.retry_heap[0][0] <= now:
-                _, index = heapq.heappop(self.retry_heap)
-                if self.outcomes[index] is None:
-                    self._enqueue(index)
-            if self.live:
-                self._dispatch()
-            queued = any(self.ready.values())
-            if not self.pending and not self.retry_heap and not queued:
-                return
-            if not self.live:
-                return  # remaining work drains locally
-            if not self.pending:
-                if self.retry_heap:
-                    time.sleep(
-                        max(0.0, self.retry_heap[0][0] - time.monotonic())
-                    )
-                continue
-            timeout = None
-            if self.deadlines:
-                timeout = min(self.deadlines.values()) - now
-            if self.retry_heap:
-                until = self.retry_heap[0][0] - now
-                timeout = until if timeout is None else min(timeout, until)
-            if timeout is not None:
-                timeout = max(timeout, 0.0)
-            done, _ = wait(
-                list(self.pending), timeout=timeout, return_when=FIRST_COMPLETED
-            )
-            for future in done:
-                if future not in self.pending:
-                    continue  # drained by a host-loss sweep this tick
-                index, host = self.pending.pop(future)
-                self.deadlines.pop(future, None)
-                try:
-                    result = future.result()
-                except HostLostError:
-                    self._lost_in_flight(index, host)
-                    self._on_host_lost(host)
-                except RemoteNodeError as exc:
-                    self._record_exception(index, exc)
-                except Exception as exc:
-                    self._record_exception(index, exc)
-                else:
-                    self._complete(index, result)
-            self._expire_deadlines()
-
-    def _expire_deadlines(self) -> None:
-        if not self.deadlines:
-            return
-        now = time.monotonic()
-        for future in [f for f, d in self.deadlines.items() if d <= now]:
-            entry = self.pending.pop(future, None)
-            self.deadlines.pop(future, None)
-            if entry is None:
-                continue
-            index, _host = entry
-            future.cancel()
-            self._final(
-                index,
-                PlanError(
-                    kind="timeout",
-                    message=(
-                        f"node exceeded its {self.node_timeout:g}s deadline"
-                    ),
-                    attempts=self.failures[index] + 1,
-                    node=_node_label(self.plan, index),
-                    tag=_node_tag(self.plan, index),
-                ),
-                TimeoutError(
-                    f"{_node_label(self.plan, index)} exceeded its "
-                    f"{self.node_timeout:g}s deadline"
-                ),
-            )
-
-    # -- zero-survivor fallback ----------------------------------------
-    def _drain_local(self) -> None:
-        """Run every unfinished node against the caller's service.
-
-        Node-index order is a topological order, so one pass suffices;
-        the retry/partial semantics match ``_run_serial``.
-        """
-        plan = self.plan
-        for node in plan.nodes:
-            if self.outcomes[node.index] is not None:
-                continue
-            failed = next(
-                (
-                    d
-                    for d in node.deps
-                    if isinstance(self.outcomes[d], _NodeFailure)
-                ),
-                None,
-            )
-            if failed is not None:
-                self.outcomes[node.index] = _NodeFailure(
-                    PlanError(
-                        kind="upstream",
-                        message=(
-                            f"dependency {_node_label(plan, failed)} failed: "
-                            f"{self.outcomes[failed].error.message}"
-                        ),
-                        node=_node_label(plan, node.index),
-                        tag=_node_tag(plan, node.index),
-                    )
-                )
-                continue
-            attempts = self.failures[node.index]
-            while True:
-                try:
-                    self.outcomes[node.index] = run_plan_node(
-                        self.service,
-                        plan.requests[node.request_index],
-                        node.kind,
-                        node.algorithm,
-                    )
-                    break
-                except Exception as exc:
-                    attempts += 1
-                    if attempts < self.policy.max_attempts:
-                        time.sleep(self.policy.delay(attempts))
-                        continue
-                    if not self.partial:
-                        raise
-                    self.outcomes[node.index] = _NodeFailure(
-                        PlanError(
-                            kind="error",
-                            message=str(exc) or type(exc).__name__,
-                            exception=type(exc).__name__,
-                            attempts=attempts,
-                            node=_node_label(plan, node.index),
-                            tag=_node_tag(plan, node.index),
-                        ),
-                        exc,
-                    )
-                    break
+    def drain(self) -> List[int]:
+        nodes, self.orphans = self.orphans, []
+        return nodes

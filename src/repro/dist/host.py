@@ -54,8 +54,13 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.api.store import decode_artifact_bytes, encode_artifact_bytes, make_store
-from repro.dist.remote import parse_address
-from repro.serve.protocol import recv_blob, recv_frame, send_blob, send_frame
+from repro.serve.protocol import (
+    parse_address,
+    recv_blob,
+    recv_frame,
+    send_blob,
+    send_frame,
+)
 
 __all__ = ["HostServer", "HostClient", "HostLostError", "RemoteNodeError"]
 
@@ -68,6 +73,10 @@ _OP_TIMEOUT = 300.0
 class HostLostError(ConnectionError):
     """The shard host's connection died (crash, kill, network loss)."""
 
+    #: The :class:`~repro.api.fault.PlanError` kind a node gets when it
+    #: runs out of attempts this way.
+    plan_error_kind = "host_lost"
+
     def __init__(self, host: str, message: str = "") -> None:
         super().__init__(message or f"shard host {host} lost")
         self.host = host
@@ -79,6 +88,9 @@ class RemoteNodeError(RuntimeError):
     def __init__(self, error: dict) -> None:
         super().__init__(error.get("message", "remote node failed"))
         self.error = dict(error)
+        # The host-side failure, reported as if the node had raised here.
+        self.plan_error_kind = self.error.get("kind", "error")
+        self.plan_error_exception = self.error.get("exception") or type(self).__name__
 
 
 class _HostHandler(socketserver.BaseRequestHandler):

@@ -48,13 +48,18 @@ from repro.api.store import (
     decode_artifact_bytes,
     encode_artifact_bytes,
 )
-from repro.serve.protocol import recv_blob, recv_frame, send_blob, send_frame
+from repro.serve.protocol import (
+    parse_address,
+    recv_blob,
+    recv_frame,
+    send_blob,
+    send_frame,
+)
 
 __all__ = [
     "ArtifactStoreServer",
     "RemoteArtifactStore",
     "RemoteStoreError",
-    "parse_address",
 ]
 
 #: Socket timeout (seconds) for one client op; generous — an op is one
@@ -66,16 +71,6 @@ _MISSING = object()
 
 class RemoteStoreError(ConnectionError):
     """The store server is unreachable or the conversation broke."""
-
-
-def parse_address(address) -> Tuple[str, int]:
-    """``"host:port"`` (or a ``(host, port)`` pair) → ``(host, port)``."""
-    if isinstance(address, (tuple, list)) and len(address) == 2:
-        return str(address[0]), int(address[1])
-    host, sep, port = str(address).rpartition(":")
-    if not sep or not host:
-        raise ValueError(f"address {address!r} is not host:port")
-    return host, int(port)
 
 
 # ---------------------------------------------------------------------------

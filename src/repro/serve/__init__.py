@@ -24,13 +24,14 @@ CLI: ``repro-map serve --listen 127.0.0.1:8765 --backend process`` runs
 a server; ``repro-map stats --connect 127.0.0.1:8765`` queries one.
 """
 
-from repro.serve.client import ServeClient, ServerClosedError, parse_address
+from repro.serve.client import ServeClient, ServerClosedError
 from repro.serve.metrics import LatencyHistogram, RollingWindow, summarize_latencies
 from repro.serve.protocol import (
     MANIFEST_DEFAULTS,
     ProtocolError,
     canonical_result,
     error_payload,
+    parse_address,
     requests_from_entries,
     response_payload,
 )

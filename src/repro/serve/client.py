@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import socket
 from itertools import count
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.serve.protocol import ProtocolError, recv_frame, send_frame
 
@@ -164,14 +164,3 @@ class ServeClient:
     def shutdown(self) -> dict:
         """Ask the server to drain and exit (``shutdown`` op)."""
         return self.request({"op": "shutdown"})
-
-
-def parse_address(text: str) -> Tuple[str, int]:
-    """``host:port`` → ``(host, port)`` (CLI --listen/--connect syntax)."""
-    host, sep, port = text.rpartition(":")
-    if not sep or not host:
-        raise ValueError(f"address {text!r} is not host:port")
-    try:
-        return host, int(port)
-    except ValueError as exc:
-        raise ValueError(f"address {text!r} has a non-integer port") from exc

@@ -52,6 +52,7 @@ __all__ = [
     "requests_from_entries",
     "parse_stream_line",
     "response_payload",
+    "parse_address",
 ]
 
 #: Hard bound on one frame's JSON payload; a peer announcing more is
@@ -127,6 +128,33 @@ def error_payload(
         "attempts": attempts,
         "node": node,
     }
+
+
+# ---------------------------------------------------------------------------
+# Addresses
+# ---------------------------------------------------------------------------
+
+
+def parse_address(address) -> Tuple[str, int]:
+    """``"host:port"`` (or a ``(host, port)`` pair) → ``(host, port)``.
+
+    The one address syntax of every ``--listen``/``--connect``/``--hosts``
+    flag and socket endpoint; a missing host, a non-integer port or a
+    port outside 0–65535 raises :class:`ValueError`.
+    """
+    if isinstance(address, (tuple, list)) and len(address) == 2:
+        host, port = str(address[0]), address[1]
+    else:
+        host, sep, port = str(address).rpartition(":")
+        if not sep or not host:
+            raise ValueError(f"address {address!r} is not host:port")
+    try:
+        port = int(port)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"address {address!r} has a non-integer port") from exc
+    if not 0 <= port <= 65535:
+        raise ValueError(f"address {address!r} has a port outside 0-65535")
+    return host, port
 
 
 # ---------------------------------------------------------------------------

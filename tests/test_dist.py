@@ -354,6 +354,35 @@ class TestShardedExecution:
         assert stats["hosts_lost"] == [victim_address]
         assert _fingerprints(responses) == _fingerprints(serial_responses)
 
+    def test_last_host_loss_retries_every_in_flight_node(
+        self, tmp_path, requests, serial_responses
+    ):
+        """Losing the only host with several nodes in flight: each lost
+        node keeps its retry budget and finishes in-process."""
+        store_srv = ArtifactStoreServer(str(tmp_path / "store")).start()
+        remote = "%s:%d" % store_srv.address
+        host = HostServer(
+            store_remote=remote,
+            store_dir=str(tmp_path / "host"),
+            store_tier="disk",
+            capacity=4,
+        )
+        host.start()
+        try:
+            host.arm_kill("req-1")
+            responses = MappingService().map_batch(
+                requests,
+                hosts=["%s:%d" % host.address],
+                store_remote=remote,
+                retry=RetryPolicy(max_attempts=3, backoff=0.01),
+                on_error="partial",
+            )
+        finally:
+            host.stop()
+            store_srv.stop()
+        assert [r.error for r in responses] == [None] * len(requests)
+        assert _fingerprints(responses) == _fingerprints(serial_responses)
+
     def test_all_hosts_dead_drains_locally(self, cluster, requests, serial_responses):
         """Zero survivors: the coordinator finishes the batch in-process."""
         store_srv, hosts, addresses = cluster

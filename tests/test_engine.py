@@ -291,6 +291,36 @@ class TestExecutionSemantics:
                     backend=backend,
                 )
 
+    def test_serial_runs_nodes_in_plan_order(self, setup, monkeypatch):
+        """The serial backend runs exactly plan order, one node at a time."""
+        tg, machine = setup
+        import repro.api.executor as executor_mod
+
+        reqs = [
+            MapRequest(
+                task_graph=tg,
+                machine=machine,
+                algorithms=("UG", "DEF", "TMAP"),
+                seed=1,
+            ),
+            MapRequest(task_graph=tg, machine=machine, algorithms=("UWH",), seed=1),
+            MapRequest(task_graph=tg, machine=machine, algorithms=("UG",), seed=5),
+        ]
+        plan = build_plan(reqs)
+        assert plan.baseline_producers, "DEF should feed TMAP's baseline"
+        assert sum(n.kind == "grouping" for n in plan.nodes) == 2
+        request_index = {id(r): i for i, r in enumerate(reqs)}
+        ran = []
+        real = executor_mod.run_plan_node
+
+        def recording(service, request, kind, algorithm):
+            ran.append((kind, request_index[id(request)], algorithm))
+            return real(service, request, kind, algorithm)
+
+        monkeypatch.setattr(executor_mod, "run_plan_node", recording)
+        execute_plan(plan, MappingService(), backend="serial")
+        assert ran == [(n.kind, n.request_index, n.algorithm) for n in plan.nodes]
+
     def test_execute_plan_collects_in_request_order(self, setup):
         tg, machine = setup
         reqs = [

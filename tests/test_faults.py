@@ -331,6 +331,30 @@ class TestPoolSelfHealing:
                 _assert_same_mapping(a, b)
             assert pool.restarts == 2
 
+    def test_unrecoverable_executor_finishes_in_process(self, workload):
+        """An executor that stays broken after one respawn is given up:
+        every node runs in-process, byte-identically."""
+        from concurrent.futures import BrokenExecutor
+
+        from repro.api import build_plan
+        from repro.api.executor import _collect, _ExecutorWorkers, drive_plan
+
+        tg, machine = workload
+        reqs = [_request(tg, machine, f"r{i}", algos=("UG", "UWH")) for i in range(2)]
+        baseline = MappingService().map_batch(reqs)
+        respawns = []
+
+        def submit(node):
+            raise BrokenExecutor("executor is gone")
+
+        plan = build_plan(reqs)
+        workers = _ExecutorWorkers(plan, submit, respawn=lambda: respawns.append(1))
+        out = _collect(plan, drive_plan(plan, MappingService(), workers))
+        assert respawns == [1]
+        assert all(r.ok for r in out)
+        for a, b in zip(baseline, out):
+            _assert_same_mapping(a, b)
+
     def test_healthy_goes_false_on_broken_executor(self):
         with ExecutorPool("process", workers=2) as pool:
             assert pool.healthy

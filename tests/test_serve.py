@@ -280,7 +280,7 @@ class TestParseAddress:
     def test_round_trip(self):
         assert parse_address("127.0.0.1:8765") == ("127.0.0.1", 8765)
 
-    @pytest.mark.parametrize("bad", ["nohost", ":1", "h:", "h:x"])
+    @pytest.mark.parametrize("bad", ["nohost", ":1", "h:", "h:x", "h:70000", "h:-1"])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_address(bad)

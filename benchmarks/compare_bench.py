@@ -54,14 +54,6 @@ reference they replace.  Snapshots emitted without numba installed
 (native timings null) skip the check with a note instead of failing, so
 the gate is safe to pass unconditionally.
 
-With ``--gate-ipc`` the ``ipc`` section (the zero-copy artifact plane's
-transfer latencies) is gated, self-consistently within the new
-snapshot: wherever both store tiers timed an artifact load, shared
-memory must beat disk on the load geo-mean, and the recorded warm
-pooled batch must have performed zero artifact disk reads.  Snapshots
-emitted on hosts without working shared memory skip with a note, so
-the gate is safe to pass unconditionally.
-
 With ``--gate-dist`` the ``dist`` section (multi-host sharding over
 loopback hosts) is gated, self-consistently within the new snapshot:
 the sharded run's mappings must be byte-identical to the serial
@@ -74,7 +66,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/compare_bench.py NEW.json [BASELINE.json]
         [--threshold 1.25] [--gate-batch] [--gate-tail] [--gate-native]
-        [--gate-ipc] [--gate-dist]
+        [--gate-dist]
 
 With no explicit baseline, the highest-numbered ``BENCH_<n>.json`` in
 the repository root that is not the new snapshot itself is used.
@@ -96,7 +88,6 @@ __all__ = [
     "compare_snapshots",
     "gate_batch_throughput",
     "gate_dist",
-    "gate_ipc",
     "gate_native_kernels",
     "gate_tail_latency",
     "latest_snapshot",
@@ -410,82 +401,6 @@ def gate_native_kernels(new: dict) -> Tuple[bool, List[str]]:
     return ok, lines
 
 
-def gate_ipc(new: dict) -> Tuple[bool, List[str]]:
-    """``(ok, report_lines)`` for the artifact-transfer (IPC) gate.
-
-    Self-consistency within the *new* snapshot only: wherever both
-    store tiers timed an artifact load, the shared-memory tier must
-    beat disk on geo-mean — the tier exists to be faster, so losing to
-    the files it fronts is a regression.  The ``warm_process_batch``
-    block must additionally show zero artifact disk reads (that is the
-    zero-copy data plane's headline claim).  Snapshots emitted where
-    shared memory is unavailable skip with a note, so the gate is safe
-    to pass unconditionally.
-    """
-    import math
-
-    section = new.get("ipc")
-    if not section:
-        return False, ["ipc gate: new snapshot has no ipc section"]
-    if not section.get("shm_available"):
-        return True, [
-            "ipc gate: shared memory unavailable where this snapshot "
-            "was emitted; skipped"
-        ]
-    tiers = section.get("tiers") or {}
-    disk = (tiers.get("disk") or {}).get("artifacts") or {}
-    shm = (tiers.get("shm") or {}).get("artifacts") or {}
-    pairs = {
-        name: (disk[name]["load_s"], shm[name]["load_s"])
-        for name in disk
-        if name in shm
-        and disk[name].get("load_s")
-        and shm[name].get("load_s")
-    }
-    if not pairs:
-        return False, [
-            "ipc gate: shm reported available but no artifact was timed "
-            "on both tiers (MALFORMED)"
-        ]
-    lines: List[str] = []
-    log_sum = 0.0
-    for name in sorted(pairs):
-        disk_s, shm_s = pairs[name]
-        ratio = shm_s / disk_s
-        log_sum += math.log(ratio)
-        lines.append(
-            f"ipc gate: {name:>16s} disk {disk_s * 1e3:8.3f} ms  "
-            f"shm {shm_s * 1e3:8.3f} ms  (ratio {ratio:.3f})"
-        )
-    geo = math.exp(log_sum / len(pairs))
-    ok = geo <= 1.0
-    lines.append(
-        f"ipc gate: geo-mean shm/disk load ratio {geo:.3f} over "
-        f"{len(pairs)} artifacts ({'OK' if ok else 'REGRESSION'}; "
-        "shared memory must beat the disk it fronts)"
-    )
-
-    warm = section.get("warm_process_batch")
-    if warm is None:
-        ok = False
-        lines.append(
-            "ipc gate: shm available but no warm_process_batch block "
-            "(MALFORMED)"
-        )
-    else:
-        disk_loads = warm.get("parent_disk_loads")
-        batch_files = warm.get("batch_disk_files")
-        good = disk_loads == 0 and batch_files == 0
-        ok = ok and good
-        lines.append(
-            f"ipc gate: warm pooled batch disk loads={disk_loads}, "
-            f"batch files on disk={batch_files} "
-            f"({'OK' if good else 'REGRESSION'}; warm batches must not "
-            "touch disk)"
-        )
-    return ok, lines
-
-
 def gate_dist(new: dict) -> Tuple[bool, List[str]]:
     """``(ok, report_lines)`` for the multi-host sharding gate.
 
@@ -581,13 +496,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "were timed; numba-less snapshots skip with a note)",
     )
     parser.add_argument(
-        "--gate-ipc",
-        action="store_true",
-        help="also gate the ipc section (shared-memory artifact loads "
-        "must beat disk on geo-mean and warm pooled batches must do "
-        "zero disk reads; shm-less snapshots skip with a note)",
-    )
-    parser.add_argument(
         "--gate-dist",
         action="store_true",
         help="also gate the dist section (sharded mappings must be "
@@ -621,10 +529,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             native_ok, native_lines = gate_native_kernels(new)
             ok = ok and native_ok
             lines += native_lines
-        if args.gate_ipc:
-            ipc_ok, ipc_lines = gate_ipc(new)
-            ok = ok and ipc_ok
-            lines += ipc_lines
         if args.gate_dist:
             dist_ok, dist_lines = gate_dist(new)
             ok = ok and dist_ok

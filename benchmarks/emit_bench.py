@@ -31,14 +31,6 @@ overload (admission-control shedding) and as a synchronized identical
 burst (request coalescing), with exact p50/p95/p99 latency per phase.
 ``compare_bench.py --gate-tail`` gates on its structural invariants.
 
-Since the zero-copy artifact plane the snapshot also carries an ``ipc``
-section: per-tier (disk vs shared-memory) artifact publish/load
-latencies over representative artifact shapes — every timed load runs
-on a fresh reader store and touches all array bytes, so lazy mmap reads
-cannot hide I/O — plus a ``warm_process_batch`` block proving a warm
-pooled batch under the shm tier performs zero artifact disk reads.
-``compare_bench.py --gate-ipc`` gates on both.
-
 Since multi-host sharding the snapshot also carries a ``dist`` section:
 the sweep run serially and then sharded across two loopback
 :class:`~repro.dist.host.HostServer` processes behind one remote
@@ -76,9 +68,7 @@ from repro.analysis.stats import geometric_mean
 from repro.api.cache import ArtifactCache
 from repro.api.executor import default_workers
 from repro.api.pool import ExecutorPool
-from repro.api.request import MapRequest
 from repro.api.service import MappingService
-from repro.api.shm import make_store, shm_available
 from repro.experiments.fig2 import run_fig2, sweep_requests
 from repro.experiments.harness import WorkloadCache
 from repro.experiments.profiles import profile_from_env
@@ -289,161 +279,6 @@ def _timed(fn) -> float:
     return time.perf_counter() - t0
 
 
-#: Load/publish repetitions per (tier, artifact); minimum reported.
-IPC_REPS = 7
-
-
-def _ipc_artifacts() -> dict:
-    """``name -> value`` spanning the artifact shapes the engine stores.
-
-    Sizes bracket real traffic: a grouping-sized int vector, a
-    route-table-scale CSR pair, and a multi-megabyte matrix block, plus
-    a nested dict exercising the pickle-5 out-of-band path.
-    """
-    rng = np.random.default_rng(17)
-    return {
-        "grouping-64KB": rng.integers(0, 512, size=8_192).astype(np.int64),
-        "routes-1MB": {
-            "ptr": np.arange(65_537, dtype=np.int64),
-            "links": rng.integers(0, 6, size=65_536 * 2).astype(np.int32),
-        },
-        "block-8MB": rng.standard_normal((1024, 1024)),
-        "nested-oob": {
-            "payload": (rng.standard_normal(50_000), [1, "x", None]),
-            "meta": {"k": 3},
-        },
-    }
-
-
-def measure_ipc(tmp_root: str) -> dict:
-    """Per-tier artifact publish/load latencies (the ``ipc`` section).
-
-    For each tier a writer store publishes every artifact once; each
-    timed load then runs on a *fresh* reader store (cold attachment,
-    empty mmap cache) and touches every array byte (``.sum()``), so the
-    disk tier's lazy mmap reads cannot win by deferring I/O the shm
-    tier actually performs.  ``--gate-ipc`` requires the shm tier to
-    beat disk on the load geo-mean, and the ``warm_process_batch``
-    block to show a pooled warm batch doing zero artifact disk reads.
-    """
-    out = {"shm_available": shm_available(), "reps": IPC_REPS, "tiers": {}}
-    artifacts = _ipc_artifacts()
-    tiers = ["disk"] + (["shm"] if shm_available() else [])
-    for tier in tiers:
-        root = os.path.join(tmp_root, f"ipc-{tier}")
-        writer = make_store(root, tier=tier, owner=True)
-        entry = {"artifacts": {}}
-        try:
-            for name, value in artifacts.items():
-                # Unique key per rep: both tiers are content-addressed
-                # and skip re-publishing an existing key, so reusing one
-                # key would time the skip, not the publish.
-                best_save = min(
-                    _timed(
-                        lambda key=f"{name}@{rep}": writer.save(
-                            "grouping", key, value
-                        )
-                    )
-                    for rep in range(IPC_REPS)
-                )
-                writer.save("grouping", name, value)
-                best_load = None
-                for _ in range(IPC_REPS):
-                    reader = make_store(root, tier=tier, owner=False)
-                    t0 = time.perf_counter()
-                    loaded = reader.load("grouping", name)
-                    _touch_arrays(loaded)
-                    elapsed = time.perf_counter() - t0
-                    del loaded
-                    if hasattr(reader, "close"):
-                        reader.close()
-                    best_load = elapsed if best_load is None else min(best_load, elapsed)
-                entry["artifacts"][name] = {
-                    "save_s": best_save,
-                    "load_s": best_load,
-                }
-            entry["load_geo_mean_s"] = geometric_mean(
-                [m["load_s"] for m in entry["artifacts"].values()]
-            )
-        finally:
-            if hasattr(writer, "close"):
-                writer.close()
-        out["tiers"][tier] = entry
-
-    if shm_available():
-        out["warm_process_batch"] = _measure_warm_batch(
-            os.path.join(tmp_root, "ipc-warm")
-        )
-    return out
-
-
-def _touch_arrays(value) -> None:
-    """Force every array byte resident (defeats lazy mmap reads)."""
-    if isinstance(value, np.ndarray):
-        if value.size:
-            value.sum()
-    elif isinstance(value, dict):
-        for v in value.values():
-            _touch_arrays(v)
-    elif isinstance(value, (list, tuple)):
-        for v in value:
-            _touch_arrays(v)
-
-
-def _measure_warm_batch(store_dir: str) -> dict:
-    """Cold vs warm pooled process batch under the shm tier.
-
-    The warm batch runs against respawned workers (cold private caches)
-    whose only artifact sources are the shm segments — the parent's
-    disk-load counter staying at zero is the measured zero-disk claim
-    ``--gate-ipc`` checks.
-    """
-    from repro.graph.task_graph import TaskGraph
-    from repro.topology.allocation import AllocationSpec, SparseAllocator
-
-    rng = np.random.default_rng(7)
-    torus = Torus3D((2, 2, 2))
-    machine = SparseAllocator(torus).allocate(
-        AllocationSpec(num_nodes=8, procs_per_node=2, fragmentation=0.3, seed=4)
-    )
-    n, m = 16, 90
-    src = rng.integers(0, n, m)
-    dst = rng.integers(0, n, m)
-    keep = src != dst
-    tg = TaskGraph.from_edges(n, src[keep], dst[keep], rng.uniform(1, 5, keep.sum()))
-    requests = [
-        MapRequest(
-            task_graph=tg,
-            machine=machine,
-            algorithms=("UG", "UWH"),
-            seed=3,
-            tag=f"r{i}",
-        )
-        for i in range(2)
-    ]
-    with ExecutorPool(
-        "process", workers=2, store_dir=store_dir, store_tier="shm"
-    ) as pool:
-        service = MappingService(pool=pool)
-        t0 = time.perf_counter()
-        service.map_batch(requests)
-        cold_s = time.perf_counter() - t0
-        pool.respawn()
-        t0 = time.perf_counter()
-        service.map_batch(requests)
-        warm_s = time.perf_counter() - t0
-        stats = pool.stats()["store"]
-        return {
-            "store_tier": stats.get("tier"),
-            "cold_s": cold_s,
-            "warm_s": warm_s,
-            "parent_disk_loads": stats.get("disk", {}).get("loads"),
-            "batch_disk_files": pool.store.file_count("batch"),
-            "shm_publishes": stats.get("shm", {}).get("publishes"),
-            "shm_segment_bytes": stats.get("shm", {}).get("segment_bytes"),
-        }
-
-
 def measure_degraded_sweep() -> dict:
     """BFS-detour routing cost on degraded machines (``degraded`` section).
 
@@ -534,7 +369,6 @@ def measure_dist() -> dict:
                 host = HostServer(
                     store_remote=remote,
                     store_dir=os.path.join(root, f"host{i}"),
-                    store_tier="auto" if shm_available() else "disk",
                     capacity=max(1, default_workers() // 2),
                 )
                 host.start()
@@ -588,8 +422,6 @@ def main(argv) -> str:
         serving = serve_load.measure_serving()
         kernel_backends = measure_kernel_backends()
         degraded = measure_degraded_sweep()
-        with tempfile.TemporaryDirectory(prefix="repro-ipc-") as tmp_root:
-            ipc = measure_ipc(tmp_root)
         dist = measure_dist()
     except BaseException:
         if not existed:
@@ -625,9 +457,6 @@ def main(argv) -> str:
         "kernel_backends": kernel_backends,
         # Fault-avoiding router overhead vs dead-link fraction.
         "degraded": degraded,
-        # Artifact-plane transfer latencies per store tier (disk vs
-        # shared memory) and the warm pooled batch's zero-disk proof.
-        "ipc": ipc,
         # Multi-host sharding over loopback hosts: dispatch overhead
         # and byte-identity vs the serial reference.
         "dist": dist,
@@ -682,25 +511,6 @@ def main(argv) -> str:
             f"{m['build_s'] * 1e3:7.1f} ms, inflation "
             f"{m['length_inflation']:.4f}, affected "
             f"{m['affected_pair_fraction'] * 100:.2f}% of pairs"
-        )
-    print(f"  ipc (shm_available={ipc['shm_available']}):")
-    for tier, entry in ipc["tiers"].items():
-        print(
-            f"    {tier:>4s}: load geo-mean "
-            f"{entry['load_geo_mean_s'] * 1e3:7.3f} ms"
-        )
-        for name, m in sorted(entry["artifacts"].items()):
-            print(
-                f"      {name:>14s}: save {m['save_s'] * 1e3:7.3f} ms  "
-                f"load {m['load_s'] * 1e3:7.3f} ms"
-            )
-    warm = ipc.get("warm_process_batch")
-    if warm:
-        print(
-            f"    warm pooled batch ({warm['store_tier']}): cold "
-            f"{warm['cold_s']:.2f} s, warm {warm['warm_s']:.2f} s, "
-            f"parent disk loads {warm['parent_disk_loads']}, "
-            f"batch files on disk {warm['batch_disk_files']}"
         )
     sharded = dist["sharded"]
     print(

@@ -70,14 +70,12 @@ from repro.api.executor import BACKENDS, execute_plan
 from repro.api.fault import FaultInjector, InjectedFault, PlanError, RetryPolicy
 from repro.api.plan import Plan, PlanNode, build_plan
 from repro.api.pool import POOL_BACKENDS, ExecutorPool
-from repro.api.shm import (
-    STORE_TIERS,
-    SharedMemoryStore,
+from repro.api.store import (
+    ArtifactStore,
+    DiskArtifactStore,
     TieredArtifactStore,
     make_store,
-    shm_available,
 )
-from repro.api.store import ArtifactStore, DiskArtifactStore
 from repro.api.registry import (
     MapperRegistrationError,
     MapperSpec,
@@ -109,11 +107,8 @@ __all__ = [
     "CacheStats",
     "DiskArtifactStore",
     "EngineConfig",
-    "SharedMemoryStore",
     "TieredArtifactStore",
     "make_store",
-    "shm_available",
-    "STORE_TIERS",
     "ExecutorPool",
     "FaultInjector",
     "InjectedFault",

@@ -370,11 +370,12 @@ class ArtifactCache:
             return dict(self._stats)
 
     def store_stats(self) -> Optional[dict]:
-        """The layered store's tier/I-O counters (None when unlayered).
+        """The layered store's I/O counters (None when unlayered).
 
-        The tiered read path is memory LRU (this cache) → shm → disk;
-        this exposes the two lower tiers' side of it — segment counts
-        and bytes for shm, load/save/skip counters for disk.
+        The read path is memory LRU (this cache) → disk → remote; this
+        exposes the lower tiers' side of it — load/save/skip counters
+        for disk, plus the remote's under ``"remote"`` when one is
+        layered in.
         """
         store = self.store
         if store is None or not hasattr(store, "stats"):

@@ -41,8 +41,8 @@ Subcommands
     health and cache statistics.
 ``store-serve``
     Run a remote content-addressed artifact store: a TCP object server
-    any number of engines and shard hosts layer under their local
-    store tiers (``--store-remote HOST:PORT``).
+    any number of engines and shard hosts layer under their disk
+    store (``--store-remote HOST:PORT``).
 ``shard-serve``
     Run one shard host for multi-host batch execution: it executes
     individual plan nodes for a coordinating ``map-batch --hosts ...``
@@ -88,7 +88,7 @@ from repro.api.executor import BACKENDS
 from repro.api.registry import UnknownMapperError, get_spec, registered_mappers
 from repro.api.request import MapRequest
 from repro.api.service import MappingService
-from repro.api.shm import STORE_TIERS, make_store
+from repro.api.store import make_store
 from repro.data.corpus import CORPUS
 from repro.kernels.backend import (
     ENV_VAR as KERNEL_ENV_VAR,
@@ -287,9 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
         "store-serve",
         help="run a remote content-addressed artifact store",
         description="Serve a content-addressed artifact store over TCP. "
-        "Engines and shard hosts layer it under their local tiers via "
+        "Engines and shard hosts layer it under their disk store via "
         "--store-remote HOST:PORT: writes replicate in, reads promote "
-        "into local shm/memory.  The on-disk layout is identical to a "
+        "onto the local disk.  The on-disk layout is identical to a "
         "local --store-dir, so an existing store directory can be served "
         'as-is.  Prints one {"listening": [host, port]} line once bound; '
         "SIGINT/SIGTERM shut down cleanly.",
@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one shard host for multi-host batch execution",
         description="Serve plan-node execution for a coordinating "
         "'map-batch --hosts ...' process.  The host's cache layers over "
-        "its local store tiers with the cluster's --store-remote store "
+        "its disk store with the cluster's --store-remote store "
         "underneath, so batch payloads stream in and shared artifacts "
         "(groupings, DEF baselines) replicate out to sibling hosts.  "
         'Prints one {"listening": [host, port]} line once bound; SIGINT/'
@@ -378,20 +378,11 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         "route tables and DEF baselines across runs and pool workers)",
     )
     parser.add_argument(
-        "--store-tier",
-        default="auto",
-        choices=STORE_TIERS,
-        help="artifact store tier: shm (shared-memory segments + disk "
-        "write-through; pool workers attach arrays zero-copy), disk "
-        "(files only), or auto-detect (default; shm where "
-        "/dev/shm-style segments work, disk elsewhere)",
-    )
-    parser.add_argument(
         "--store-remote",
         default=None,
         metavar="HOST:PORT",
         help="remote artifact store (a running 'store-serve' process) "
-        "layered under the local store tiers: writes replicate to it, "
+        "layered under the disk store: writes replicate to it, "
         "reads promote from it — required for --hosts runs whose shard "
         "hosts do not share a filesystem",
     )
@@ -503,7 +494,6 @@ def _engine_config(args: argparse.Namespace):
         backend=args.backend,
         workers=args.workers,
         store_dir=args.store_dir,
-        store_tier=args.store_tier,
         store_remote=getattr(args, "store_remote", None),
         kernel_backend=getattr(args, "kernel_backend", None),
         cache_entries=args.cache_entries,
@@ -559,7 +549,6 @@ def _cmd_map(args: argparse.Namespace) -> int:
             delta=args.delta,
             evaluate=True,
         ),
-        store_tier=args.store_tier,
         **_fault_kwargs(args),
     )
 
@@ -657,9 +646,7 @@ def _cmd_map_batch(args: argparse.Namespace) -> int:
     requests = _manifest_requests(args)
     service = _build_service(args)
     t0 = time.perf_counter()
-    responses = service.map_batch(
-        requests, store_tier=args.store_tier, **_fault_kwargs(args)
-    )
+    responses = service.map_batch(requests, **_fault_kwargs(args))
     elapsed = time.perf_counter() - t0
     errors = sum(1 for r in responses if not r.ok)
     hosts = _parse_hosts(getattr(args, "hosts", None))
@@ -740,7 +727,6 @@ def _cmd_follow(args: argparse.Namespace) -> int:
             store_dir=args.store_dir,
             idle_timeout=args.idle_timeout,
             kernel_backend=args.kernel_backend,
-            store_tier=args.store_tier,
             store_remote=args.store_remote,
         )
     service = MappingService(
@@ -798,11 +784,7 @@ def _cmd_follow(args: argparse.Namespace) -> int:
                 state["in_batch"] = True
                 try:
                     t0 = time.perf_counter()
-                    responses = service.map_batch(
-                        requests,
-                        store_tier=args.store_tier,
-                        **fault_kwargs,
-                    )
+                    responses = service.map_batch(requests, **fault_kwargs)
                     elapsed = time.perf_counter() - t0
                 finally:
                     state["in_batch"] = False
@@ -923,13 +905,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             store_dir=args.store_dir,
             idle_timeout=args.idle_timeout,
             kernel_backend=args.kernel_backend,
-            store_tier=args.store_tier,
             store_remote=args.store_remote,
         )
     store = pool.store if pool is not None else (
-        make_store(
-            args.store_dir, tier=args.store_tier, remote=args.store_remote
-        )
+        make_store(args.store_dir, remote=args.store_remote)
         if args.store_dir is not None
         else None
     )
@@ -1058,7 +1037,6 @@ def _cmd_shard_serve(args: argparse.Namespace) -> int:
         parse_address(args.listen),
         store_remote=args.store_remote,
         store_dir=args.store_dir,
-        store_tier=args.store_tier,
         capacity=args.capacity if args.capacity is not None else args.workers,
         backend="process" if args.backend == "process" else "inline",
         host_id=args.host_id,
@@ -1219,17 +1197,8 @@ def _print_stats(service: MappingService, backend: str) -> None:
         summary = (
             ", ".join(f"{ns}: {n}" for ns, n in counts.items()) or "(empty)"
         )
-        tier = getattr(store, "tier", "disk")
-        print(f"Artifact store ({store.root}, tier={tier}): {summary}")
-        stats = store.stats() if hasattr(store, "stats") else {}
-        shm = stats.get("shm")
-        if shm:
-            print(
-                f"Shared memory: {shm.get('segments', 0)} segments, "
-                f"{shm.get('segment_bytes', 0)} bytes "
-                f"({shm.get('loads', 0)} loads, {shm.get('load_hits', 0)} hits)"
-            )
-        remote = stats.get("remote")
+        print(f"Artifact store ({store.root}): {summary}")
+        remote = store.stats().get("remote")
         if remote:
             print(
                 f"Remote store {remote.get('address', '?')}: "

@@ -1,7 +1,7 @@
 """EngineConfig — one object for the engine's execution knobs.
 
 The per-call kwargs the engine grew PR over PR (``backend``,
-``workers``, ``store_dir``, ``store_tier``, ``kernel_backend``, cache
+``workers``, ``store_dir``, ``store_remote``, ``kernel_backend``, cache
 bounds, retry/timeout knobs, and now the sharding fields) live in one
 frozen dataclass threaded through :class:`~repro.api.service.
 MappingService`, :class:`~repro.api.pool.ExecutorPool`, the CLI and the
@@ -39,11 +39,9 @@ class EngineConfig:
     store_dir:
         Root directory of the artifact store (``None`` = in-memory
         cache only, or a pool-managed temp root).
-    store_tier:
-        ``auto`` / ``shm`` / ``disk`` (see ``repro.api.store.STORE_TIERS``).
     store_remote:
         ``host:port`` of a ``repro-map store-serve`` process to layer
-        under the local tiers (replicated writes, promoted reads).
+        under the disk store (replicated writes, promoted reads).
     kernel_backend:
         Kernel tier (``numpy`` / ``numba``; ``None`` = auto-detect).
     cache_entries / cache_bytes:
@@ -75,7 +73,6 @@ class EngineConfig:
     backend: Optional[str] = None
     workers: Optional[int] = None
     store_dir: Optional[str] = None
-    store_tier: str = "auto"
     store_remote: Optional[str] = None
     kernel_backend: Optional[str] = None
     cache_entries: Optional[int] = None

@@ -16,28 +16,29 @@ node goes, when it is handed off, and what a lost worker means:
     bit-identical reference: same mappings, same cache interaction
     sequence, same Figure-3 time accounting.
 ``thread``
-    A ``ThreadPoolExecutor`` that receives every ready node at once.
-    The service's :class:`~repro.api.cache.ArtifactCache` is switched to
-    its lock-striped concurrent mode; the mapping kernels drop the GIL
-    in their NumPy hot loops, so congestion-heavy batches overlap.
+    An :class:`~repro.api.pool.ExecutorPool` of threads that receives
+    every ready node at once.  The service's
+    :class:`~repro.api.cache.ArtifactCache` is switched to its
+    lock-striped concurrent mode; the mapping kernels drop the GIL in
+    their NumPy hot loops, so congestion-heavy batches overlap.
 ``process``
-    A ``ProcessPoolExecutor``, also fed every ready node at once; each
-    worker owns a private ``MappingService`` whose cache layers over a
-    shared :class:`~repro.api.store.DiskArtifactStore`, so a grouping
+    An :class:`~repro.api.pool.ExecutorPool` of processes, also fed
+    every ready node at once, each node shipped with its request.  Each
+    worker owns a private ``MappingService`` whose read path is memory
+    LRU → disk → remote over a shared artifact store, so a grouping
     computed by one worker is *read* (not recomputed) by the workers
-    mapping the dependent algorithms.  When neither the caller nor the
-    service provides a store directory, a temporary one lives for the
-    batch.
+    mapping the dependent algorithms.
 
-The thread/process executors above are **per batch**.  Passing
-``pool=`` (an :class:`~repro.api.pool.ExecutorPool`) runs the same
-worker set on long-lived workers instead, which the pool respawns when
-one dies (see :mod:`repro.api.pool`).  Passing ``hosts=`` runs the
-batch on shard hosts (:mod:`repro.dist.coordinator`), whose worker set
-places nodes by workload and treats a lost host as a lost worker.  When
-a mode runs out of workers — an executor that cannot be respawned,
-every shard host gone — the scheduler finishes the batch on the
-in-process worker set.
+Without ``pool=`` the pool lives for one batch: it uses the service
+cache's store root when one is attached (else a temporary directory)
+and is shut down when the batch ends.  Passing ``pool=`` runs the batch
+on a long-lived pool instead.  Either way a pool respawns its executor
+when a worker dies (see :mod:`repro.api.pool`).  Passing ``hosts=``
+runs the batch on shard hosts (:mod:`repro.dist.coordinator`), whose
+worker set places nodes by workload and treats a lost host as a lost
+worker.  When a mode runs out of workers — an executor that cannot be
+respawned, every shard host gone — the scheduler finishes the batch on
+the in-process worker set.
 
 Determinism does not rest on scheduling: each node's output is a pure
 function of its request + the declared artifacts, which is why every
@@ -47,9 +48,9 @@ mode's responses are byte-identical to serial (pinned by
 
 from __future__ import annotations
 
+import functools
 import heapq
 import os
-import tempfile
 import time
 from collections import deque
 from concurrent.futures import (
@@ -57,8 +58,6 @@ from concurrent.futures import (
     BrokenExecutor,
     CancelledError,
     Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
@@ -70,10 +69,6 @@ from repro.api.request import MapRequest, MapResponse
 __all__ = ["BACKENDS", "WorkerSet", "drive_plan", "execute_plan", "default_workers"]
 
 BACKENDS: Tuple[str, ...] = ("serial", "thread", "process")
-
-#: Worker-process globals installed by :func:`_process_worker_init`.
-_WORKER_SERVICE = None
-_WORKER_REQUESTS: Tuple[MapRequest, ...] = ()
 
 
 def default_workers() -> int:
@@ -101,7 +96,6 @@ def execute_plan(
     retry: Optional[RetryPolicy] = None,
     node_timeout: Optional[float] = None,
     on_error: str = "raise",
-    store_tier: str = "auto",
     store_remote: Optional[str] = None,
     hosts: Sequence[str] = (),
     steal_threshold: int = 2,
@@ -115,8 +109,7 @@ def execute_plan(
     service:
         The :class:`~repro.api.service.MappingService` owning the cache
         (serial/thread backends run nodes directly against it; the
-        process backend only reads its store configuration and collects
-        into its response format).
+        process backend only reads its store configuration).
     backend:
         One of :data:`BACKENDS`.
     workers:
@@ -130,12 +123,12 @@ def execute_plan(
         Optional :class:`~repro.api.pool.ExecutorPool`.  When given, the
         plan runs on the pool's long-lived workers (the pool's backend
         wins; *workers*/*store_dir* are the pool's concern) instead of a
-        batch-scoped executor.
+        pool that lives for this batch.
     retry:
         Optional :class:`~repro.api.fault.RetryPolicy` — bounded retries
         with exponential backoff for nodes that raise.  ``None`` keeps
         the healthy path untouched (no retries; worker-crash quarantine
-        still applies on pooled process runs).  Retries only run on
+        still applies on process runs).  Retries only run on
         failure, so results on healthy machines are byte-identical with
         or without a policy.
     node_timeout:
@@ -154,15 +147,10 @@ def execute_plan(
         :class:`~repro.api.fault.PlanError` outcomes: affected responses
         come back with :attr:`MapResponse.error` set, every other
         request still succeeds.
-    store_tier:
-        Artifact-store tier for the ``process`` backend's batch-scoped
-        store (``auto``/``shm``/``disk``; see :func:`repro.api.shm.
-        make_store`).  A store attached to the service cache keeps its
-        own tier; pooled runs use the pool store's.
     store_remote:
         ``host:port`` of a remote artifact store (``repro-map
-        store-serve``) layered under the batch-scoped store — required
-        for sharded runs whose hosts do not share a filesystem.
+        store-serve``) layered under the batch's store — required for
+        sharded runs whose hosts do not share a filesystem.
     hosts:
         Shard-host addresses (``repro-map shard-serve`` processes).
         Non-empty runs the plan on the shard hosts' worker set
@@ -188,7 +176,6 @@ def execute_plan(
             hosts,
             store_remote=store_remote,
             store_dir=store_dir,
-            store_tier=store_tier,
             steal_threshold=steal_threshold,
             **fault_kw,
         )
@@ -198,14 +185,9 @@ def execute_plan(
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
     if backend == "serial":
-        outcomes = drive_plan(plan, service, **fault_kw)
-    elif backend == "thread":
-        outcomes = _run_threaded(plan, service, workers, fault_kw)
-    else:
-        outcomes = _run_process(
-            plan, service, workers, store_dir, fault_kw, store_tier, store_remote
-        )
-    return _collect(plan, outcomes)
+        return _collect(plan, drive_plan(plan, service, **fault_kw))
+    with _batch_pool(service, backend, workers, store_dir, store_remote) as pool:
+        return _collect(plan, _run_pooled(plan, service, pool, fault_kw))
 
 
 def run_plan_node(service, request: MapRequest, kind: str, algorithm: Optional[str]):
@@ -619,182 +601,63 @@ def drive_plan(
 # ---------------------------------------------------------------------------
 
 
-def _run_threaded(
-    plan: Plan, service, workers: Optional[int], fault_kw: dict
-) -> List:
-    service.cache.enable_concurrency()
-    with ThreadPoolExecutor(max_workers=workers or default_workers()) as pool:
-
-        def submit(node: PlanNode):
-            return pool.submit(
-                run_plan_node,
-                service,
-                plan.requests[node.request_index],
-                node.kind,
-                node.algorithm,
-            )
-
-        return drive_plan(plan, service, _ExecutorWorkers(plan, submit), **fault_kw)
-
-
-def _run_process(
-    plan: Plan,
+def _batch_pool(
     service,
+    backend: str,
     workers: Optional[int],
     store_dir: Optional[str],
-    fault_kw: dict,
-    store_tier: str = "auto",
-    store_remote: Optional[str] = None,
-) -> List:
-    from repro.api.shm import make_store
+    store_remote: Optional[str],
+):
+    """An :class:`~repro.api.pool.ExecutorPool` that lives for one batch.
+
+    Process workers share the service cache's attached store (its root
+    and namespaces) unless *store_dir* names another root; with neither
+    the pool's own temporary root lives for the batch.  Worker caches
+    are unbounded, as nothing outlives the batch, and the pool keeps
+    the kernel backend this process has installed.
+    """
+    from repro.api.pool import ExecutorPool
     from repro.api.store import DEFAULT_PERSIST_NAMESPACES
+    from repro.kernels.backend import get_backend
 
     namespaces = DEFAULT_PERSIST_NAMESPACES
-    tmp: Optional[tempfile.TemporaryDirectory] = None
-    owned_store = None
     attached = getattr(service.cache, "store", None) if store_dir is None else None
     if attached is not None:
-        store_dir = attached.root
-        namespaces = attached.namespaces
-        # Workers join the attached store's resolved tier so parent and
-        # children agree on where artifacts live; the attached store's
-        # owner reaps its segments.
-        store_tier = getattr(attached, "tier", "disk")
-    else:
-        if store_dir is None:
-            tmp = tempfile.TemporaryDirectory(prefix="repro-artifacts-")
-            store_dir = tmp.name
-        # The batch-scoped parent owns the root for this run; closing it
-        # below reaps any shm segments the workers published.
-        owned_store = make_store(
-            store_dir,
-            tier=store_tier,
-            namespaces=namespaces,
-            owner=True,
-            remote=store_remote,
-        )
-        store_tier = owned_store.tier
-    try:
-        with ProcessPoolExecutor(
-            max_workers=workers or default_workers(),
-            initializer=_process_worker_init,
-            # The whole request list ships once per worker (at spawn)
-            # instead of once per node — a request's task graph and
-            # machine would otherwise cross the IPC boundary for every
-            # one of its algorithms.
-            initargs=(
-                store_dir,
-                sorted(namespaces),
-                plan.requests,
-                store_tier,
-                store_remote,
-            ),
-        ) as pool:
-
-            def submit(node: PlanNode):
-                return pool.submit(
-                    _process_run_node,
-                    node.request_index,
-                    node.kind,
-                    node.algorithm,
-                )
-
-            # A batch-scoped process pool cannot be respawned mid-batch;
-            # when it breaks, the scheduler finishes in-process.
-            return drive_plan(
-                plan, service, _ExecutorWorkers(plan, submit), **fault_kw
-            )
-    finally:
-        if owned_store is not None and hasattr(owned_store, "close"):
-            owned_store.close()
-        if tmp is not None:
-            tmp.cleanup()
+        store_dir, namespaces = attached.root, attached.namespaces
+    return ExecutorPool(
+        backend,
+        workers=workers,
+        store_dir=store_dir,
+        worker_cache_bytes=None,
+        namespaces=namespaces,
+        kernel_backend=get_backend().requested,
+        store_remote=store_remote,
+    )
 
 
 def _run_pooled(plan: Plan, service, pool, fault_kw: dict) -> List:
     """Run the DAG on an :class:`~repro.api.pool.ExecutorPool`'s workers.
 
-    The thread flavour drives the caller's service exactly like the
-    batch-scoped thread backend (one in-memory cache, concurrency
-    enabled); the process flavour publishes the request list to the
-    pool's store, lets the long-lived workers pull and cache it, and
-    retires the payload when the batch completes.  Submission always
-    goes through :meth:`ExecutorPool.submit` with ``respawn=pool.respawn``
-    so a pool replaced after a worker crash is picked up mid-batch.
+    Thread workers drive the caller's service (one in-memory cache,
+    concurrency enabled); process workers each receive the node's
+    request with the node.  Submission always goes through
+    :meth:`ExecutorPool.submit` with ``respawn=pool.respawn``, so a pool
+    replaced after a worker crash is picked up mid-batch.
     """
     if pool.backend == "thread":
         service.cache.enable_concurrency()
-        with pool.session():
+        run = functools.partial(run_plan_node, service)
+    else:
+        from repro.api.pool import _worker_run_node as run
 
-            def submit(node: PlanNode):
-                return pool.submit(
-                    run_plan_node,
-                    service,
-                    plan.requests[node.request_index],
-                    node.kind,
-                    node.algorithm,
-                )
+    def submit(node: PlanNode):
+        return pool.submit(
+            run, plan.requests[node.request_index], node.kind, node.algorithm
+        )
 
-            workers = _ExecutorWorkers(plan, submit, pool.respawn)
-            return drive_plan(plan, service, workers, **fault_kw)
-
-    from repro.api.pool import _persistent_run_node
-
-    batch_key = pool.publish_batch(plan.requests)
-    try:
-        with pool.session():
-
-            def submit(node: PlanNode):
-                return pool.submit(
-                    _persistent_run_node,
-                    batch_key,
-                    node.request_index,
-                    node.kind,
-                    node.algorithm,
-                )
-
-            workers = _ExecutorWorkers(plan, submit, pool.respawn)
-            return drive_plan(plan, service, workers, **fault_kw)
-    finally:
-        pool.release_batch(batch_key)
-
-
-# ---------------------------------------------------------------------------
-# Process-pool worker side.
-# ---------------------------------------------------------------------------
-
-
-def _process_worker_init(
-    store_dir: str,
-    namespaces: Sequence[str],
-    requests: Sequence[MapRequest],
-    store_tier: str = "disk",
-    store_remote: Optional[str] = None,
-) -> None:
-    """Build this worker's service over the shared cross-process store."""
-    global _WORKER_SERVICE, _WORKER_REQUESTS
-    from repro.api.cache import ArtifactCache
-    from repro.api.service import MappingService
-    from repro.api.shm import make_store
-
-    # owner=False: batch-scoped workers must not reap segments their
-    # siblings still read; the parent (or the attached store's owner)
-    # does.
-    store = make_store(
-        store_dir,
-        tier=store_tier,
-        namespaces=frozenset(namespaces),
-        owner=False,
-        remote=store_remote,
-    )
-    _WORKER_SERVICE = MappingService(cache=ArtifactCache(store=store))
-    _WORKER_REQUESTS = tuple(requests)
-
-
-def _process_run_node(request_index: int, kind: str, algorithm: Optional[str]):
-    return run_plan_node(
-        _WORKER_SERVICE, _WORKER_REQUESTS[request_index], kind, algorithm
-    )
+    with pool.session():
+        workers = _ExecutorWorkers(plan, submit, pool.respawn)
+        return drive_plan(plan, service, workers, **fault_kw)
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,22 @@
-"""ExecutorPool — long-lived workers + artifact store for the serving layer.
+"""ExecutorPool — the workers and artifact store of every local batch.
 
-PR 4's execution engine spawns a fresh thread/process pool (and, for the
-process backend, warms a fresh artifact store) on *every* ``map_batch``
-call, which is the right shape for one-shot experiment sweeps but caps a
-serving deployment: pool spawn + store warm-up dominate small batches.
-An :class:`ExecutorPool` amortizes both across calls:
+Every thread or process batch runs on an :class:`ExecutorPool`.  Without
+``pool=`` the engine builds one that lives for that one batch; a
+serving deployment keeps one alive instead, because pool spawn and
+store warm-up dominate small batches.  A long-lived pool amortizes both
+across calls:
 
 * **Lazy spawn** — constructing a pool is free; workers start on the
   first batch that needs them.
 * **Reuse** — every subsequent batch (from any thread, including the
   async front end in :mod:`repro.api.aio`) runs on the same executor,
   and process workers keep their warm in-memory artifact caches.
-* **One store** — the pool owns a :class:`~repro.api.store.
-  DiskArtifactStore` (caller-supplied directory or a pool-scoped
-  temporary one) that outlives individual batches, so groupings / route
-  tables / DEF baselines computed for batch *n* are disk hits for batch
-  *n + 1* even across worker processes.
+* **One store** — the pool owns an artifact store (caller-supplied
+  directory or a pool-scoped temporary one, optionally over a remote)
+  that outlives individual batches, so groupings / route tables / DEF
+  baselines computed for batch *n* are disk hits for batch *n + 1* even
+  across worker processes.  Each worker's read path is memory LRU →
+  disk → remote.
 * **Idle reap** — with ``idle_timeout`` set, workers are shut down after
   a quiet period and respawned lazily on the next batch; the store (and
   therefore all warm artifacts) survives the reap.
@@ -26,11 +27,10 @@ An :class:`ExecutorPool` amortizes both across calls:
   the workers and removes a pool-owned temporary store; an ``atexit``
   hook covers pools the caller forgot.
 
-Process workers receive each batch's request list through the pool
-store (namespace ``"batch"``, written once per batch and deleted when
-the batch completes) instead of the spawn-time ``initargs`` channel the
-one-shot backend uses — long-lived workers must be able to serve
-batches that did not exist when they were spawned.
+Process workers receive each node's :class:`~repro.api.request.
+MapRequest` with the node itself: a pickled request is small and
+cheap next to the node's mapping work, and nothing is written to the
+store per batch.
 """
 
 from __future__ import annotations
@@ -40,23 +40,16 @@ import os
 import tempfile
 import threading
 import time
-import uuid
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
-from itertools import count
 from typing import List, Optional, Sequence, Tuple
 
-from repro.api.shm import STORE_TIERS, make_store
-from repro.api.store import DEFAULT_PERSIST_NAMESPACES, DiskArtifactStore
+from repro.api.store import DEFAULT_PERSIST_NAMESPACES, ArtifactStore, make_store
 
 __all__ = ["ExecutorPool", "POOL_BACKENDS"]
 
 #: Backends a pool can host (``serial`` needs no workers to keep alive).
 POOL_BACKENDS: Tuple[str, ...] = ("thread", "process")
-
-#: Batches a worker process keeps decoded in memory (LRU).
-_WORKER_BATCH_LIMIT = 4
 
 
 class ExecutorPool:
@@ -88,13 +81,11 @@ class ExecutorPool:
         lifetime, so batches never pay JIT compile latency; the thread
         backend warms in-process on the first spawn.  Warm-up records
         surface through :meth:`stats` (process workers publish theirs
-        into the pool store's ``runtime`` namespace).
-    store_tier:
-        ``"auto"`` (default) layers a shared-memory tier over the disk
-        store when the host supports it, so warm artifacts and batch
-        payloads move between workers as mapped segments instead of
-        ``.npz`` round-trips; ``"shm"`` insists (raising where
-        unsupported); ``"disk"`` keeps the plain disk store.
+        into the pool store's ``runtime`` namespace and delete them
+        when the executor stops).
+    store_remote:
+        ``host:port`` of a remote artifact store layered under the pool
+        store (sharded deployments; workers rebuild the same layering).
 
     Use as a context manager, or call :meth:`shutdown` explicitly::
 
@@ -114,7 +105,6 @@ class ExecutorPool:
         worker_cache_bytes: Optional[int] = 256 << 20,
         namespaces: frozenset = DEFAULT_PERSIST_NAMESPACES,
         kernel_backend: Optional[str] = None,
-        store_tier: str = "auto",
         store_remote: Optional[str] = None,
     ) -> None:
         if kernel_backend is not None:
@@ -127,10 +117,6 @@ class ExecutorPool:
             raise ValueError(
                 f"unknown pool backend {backend!r}; choose from {POOL_BACKENDS}"
             )
-        if store_tier not in STORE_TIERS:
-            raise ValueError(
-                f"unknown store tier {store_tier!r}; choose from {STORE_TIERS}"
-            )
         if idle_timeout is not None and idle_timeout <= 0:
             raise ValueError("idle_timeout must be positive (or None)")
         self.backend = backend
@@ -140,9 +126,6 @@ class ExecutorPool:
         self.worker_cache_bytes = worker_cache_bytes
         self.namespaces = frozenset(namespaces)
         self.kernel_backend = kernel_backend
-        self.store_tier = store_tier
-        #: Remote artifact store address layered under the pool store
-        #: (sharded deployments; workers rebuild the same layering).
         self.store_remote = store_remote
         #: Parent-side warm-up record (thread backend; None until the
         #: first executor spawn).  Process workers publish their records
@@ -157,13 +140,12 @@ class ExecutorPool:
 
         self._lock = threading.RLock()
         self._executor = None
-        self._store: Optional[DiskArtifactStore] = None
+        self._store: Optional[ArtifactStore] = None
         self._tmp: Optional[tempfile.TemporaryDirectory] = None
         self._active = 0
         self._last_used = time.monotonic()
         self._reap_timer: Optional[threading.Timer] = None
         self._closed = False
-        self._batch_ids = count()
         atexit.register(self.shutdown)
 
     # ------------------------------------------------------------------
@@ -212,7 +194,7 @@ class ExecutorPool:
             return sorted(getattr(ex, "_processes", None) or {})
 
     @property
-    def store(self) -> DiskArtifactStore:
+    def store(self) -> ArtifactStore:
         """The pool's artifact store (created lazily, survives reaps)."""
         with self._lock:
             return self._ensure_store()
@@ -318,20 +300,16 @@ class ExecutorPool:
     def respawn(self) -> None:
         """Replace a crashed (or merely suspect) executor with a fresh one.
 
-        The artifact store — and with it every warm artifact and every
-        published batch payload — survives, so re-submitted nodes of an
-        in-flight batch find their inputs without the caller resending
-        anything.  Bumps :attr:`restarts` (and, via the spawn,
+        The artifact store — and with it every warm artifact — survives,
+        and each re-submitted node carries its own request.  Bumps :attr:`restarts` (and, via the spawn,
         :attr:`spawn_count`).
         """
         with self._lock:
             if self._closed:
                 raise RuntimeError("ExecutorPool is shut down")
-            if self._executor is not None:
-                # wait=False: a broken pool's workers are already dead,
-                # and a wedged one must not block the recovery path.
-                self._executor.shutdown(wait=False)
-                self._executor = None
+            # wait=False: a broken pool's workers are already dead, and a
+            # wedged one must not block the recovery path.
+            self._stop_executor(wait=False)
             self.restarts += 1
             self._ensure_executor()
 
@@ -354,11 +332,7 @@ class ExecutorPool:
                 "active_batches": self._active,
                 "closed": self._closed,
                 "kernel_backend": self.kernel_stats(),
-                "store": (
-                    self._store.stats()
-                    if self._store is not None
-                    else {"tier": self.store_tier}
-                ),
+                "store": self._store.stats() if self._store is not None else None,
             }
 
     def kernel_stats(self) -> dict:
@@ -388,34 +362,10 @@ class ExecutorPool:
             info["workers"] = workers
         return info
 
-    def publish_batch(self, requests: Sequence) -> str:
-        """Publish a batch's request list to the pool store; returns its key.
-
-        Long-lived process workers load (and LRU-cache) the list on the
-        first node of the batch they execute — the store replaces the
-        one-shot backend's spawn-time ``initargs`` channel.  Under the
-        shared-memory store tier the payload is pickled with
-        protocol-5 out-of-band buffers straight into a shared segment
-        (``batch`` is shm-only there — no disk file at all), so workers
-        reattach every ndarray in every request as a zero-copy view;
-        with the plain disk tier (thread pools, hosts without
-        ``/dev/shm``) it falls back to the store's ``.npz`` path.
-        """
-        key = f"{os.getpid()}-{next(self._batch_ids)}-{uuid.uuid4().hex[:8]}"
-        self.store.save("batch", key, tuple(requests))
-        return key
-
-    def release_batch(self, key: str) -> None:
-        """Delete a completed batch's request payload from the store."""
-        with self._lock:
-            store = self._store
-        if store is not None:
-            store.delete("batch", key)
-
     # ------------------------------------------------------------------
     # internals (all called under self._lock)
     # ------------------------------------------------------------------
-    def _ensure_store(self) -> DiskArtifactStore:
+    def _ensure_store(self) -> ArtifactStore:
         if self._closed:
             # A post-shutdown access must not resurrect a temporary
             # store directory nobody would ever clean up.
@@ -425,15 +375,8 @@ class ExecutorPool:
             if root is None:
                 self._tmp = tempfile.TemporaryDirectory(prefix="repro-pool-")
                 root = self._tmp.name
-            # The pool parent owns the root: its close (at shutdown)
-            # reaps every shm segment published under it, including by
-            # since-dead workers.
             self._store = make_store(
-                root,
-                tier=self.store_tier,
-                namespaces=self.namespaces,
-                owner=True,
-                remote=self.store_remote,
+                root, namespaces=self.namespaces, remote=self.store_remote
             )
         return self._store
 
@@ -459,13 +402,12 @@ class ExecutorPool:
                 store = self._ensure_store()
                 self._executor = ProcessPoolExecutor(
                     max_workers=width,
-                    initializer=_persistent_worker_init,
+                    initializer=_worker_init,
                     initargs=(
                         store.root,
                         sorted(store.namespaces),
                         self.worker_cache_bytes,
                         self.kernel_backend,
-                        store.tier,  # resolved: "shm" or "disk"
                         self.store_remote,
                     ),
                 )
@@ -475,12 +417,16 @@ class ExecutorPool:
     def _stop_executor(self, *, wait: bool) -> None:
         self._cancel_reap()
         if self._executor is not None:
+            pids = self.worker_pids()
             self._executor.shutdown(wait=wait)
             self._executor = None
+            # A stopped worker's warm-up record describes nothing live.
+            for pid in pids:
+                self._store.delete("runtime", f"kernel-warmup-{pid}")
 
     def _drop_store(self) -> None:
-        if self._store is not None and hasattr(self._store, "close"):
-            self._store.close()  # owner close: unlink this root's segments
+        if self._store is not None:
+            self._store.close()
         self._store = None
         if self._tmp is not None:
             self._tmp.cleanup()
@@ -522,16 +468,13 @@ class ExecutorPool:
 # ---------------------------------------------------------------------------
 
 _WORKER_SERVICE = None
-_WORKER_STORE: Optional[DiskArtifactStore] = None
-_WORKER_BATCHES: "OrderedDict[str, tuple]" = OrderedDict()
 
 
-def _persistent_worker_init(
+def _worker_init(
     store_root: str,
     namespaces: Sequence[str],
     cache_bytes: Optional[int],
     kernel_backend: Optional[str] = None,
-    store_tier: str = "disk",
     store_remote: Optional[str] = None,
 ) -> None:
     """Build this worker's long-lived service over the pool's store.
@@ -542,51 +485,28 @@ def _persistent_worker_init(
     into the store's ``runtime`` namespace for the parent's
     :meth:`ExecutorPool.kernel_stats`.
     """
-    global _WORKER_SERVICE, _WORKER_STORE, _WORKER_BATCHES
+    global _WORKER_SERVICE
     from repro.api.cache import ArtifactCache
     from repro.api.service import MappingService
     from repro.kernels.backend import set_backend, warm_up
 
-    # owner=False: a worker must not unlink segments at exit — its
-    # siblings (and the parent) still read them; the parent reaps.
-    _WORKER_STORE = make_store(
-        store_root,
-        tier=store_tier,
-        namespaces=frozenset(namespaces),
-        owner=False,
-        remote=store_remote,
+    store = make_store(
+        store_root, namespaces=frozenset(namespaces), remote=store_remote
     )
     _WORKER_SERVICE = MappingService(
-        cache=ArtifactCache(store=_WORKER_STORE, max_bytes=cache_bytes)
+        cache=ArtifactCache(store=store, max_bytes=cache_bytes)
     )
-    _WORKER_BATCHES = OrderedDict()
     record = warm_up(set_backend(kernel_backend))
     record["pid"] = os.getpid()
     record["warmed_at"] = time.time()
     try:
-        _WORKER_STORE.save("runtime", f"kernel-warmup-{os.getpid()}", record)
+        store.save("runtime", f"kernel-warmup-{os.getpid()}", record)
     except OSError:
         pass  # observability only — never fail a worker over it
 
 
-def _persistent_run_node(
-    batch_key: str, request_index: int, kind: str, algorithm: Optional[str]
-):
-    """Execute one plan node of a published batch in this worker."""
+def _worker_run_node(request, kind: str, algorithm: Optional[str]):
+    """Execute one plan node, shipped with its request, in this worker."""
     from repro.api.executor import run_plan_node
 
-    requests = _WORKER_BATCHES.get(batch_key)
-    if requests is None:
-        requests = _WORKER_STORE.load("batch", batch_key)
-        if requests is None:
-            raise RuntimeError(
-                f"batch payload {batch_key!r} is missing from the pool store"
-            )
-        _WORKER_BATCHES[batch_key] = requests
-        while len(_WORKER_BATCHES) > _WORKER_BATCH_LIMIT:
-            _WORKER_BATCHES.popitem(last=False)
-    else:
-        _WORKER_BATCHES.move_to_end(batch_key)
-    return run_plan_node(
-        _WORKER_SERVICE, requests[request_index], kind, algorithm
-    )
+    return run_plan_node(_WORKER_SERVICE, request, kind, algorithm)

@@ -21,7 +21,8 @@ deduped, congestion route-table consumers chained) and
 ``serial`` (the bit-identical reference ordering), ``thread`` (pool over
 ready nodes, lock-striped concurrent cache) or ``process`` (pool workers
 sharing artifacts through a cross-process
-:class:`~repro.api.store.DiskArtifactStore`).
+:class:`~repro.api.store.DiskArtifactStore`); both parallel backends run
+on an :class:`~repro.api.pool.ExecutorPool`.
 
 Timing follows Figure 3's accounting exactly as the legacy pipeline
 did: ``prep_time`` covers the shared grouping (0 when it was injected
@@ -126,11 +127,7 @@ class MappingService:
             if config.store_dir is not None:
                 from repro.api.store import make_store
 
-                store = make_store(
-                    config.store_dir,
-                    tier=config.store_tier,
-                    remote=config.store_remote,
-                )
+                store = make_store(config.store_dir, remote=config.store_remote)
             cache = ArtifactCache(
                 max_entries=config.cache_entries,
                 max_bytes=config.cache_bytes,
@@ -165,7 +162,6 @@ class MappingService:
         retry=None,
         node_timeout: Optional[float] = None,
         on_error: Optional[str] = None,
-        store_tier: Optional[str] = None,
         store_remote: Optional[str] = None,
         hosts: Optional[Iterable[str]] = None,
         steal_threshold: Optional[int] = None,
@@ -224,7 +220,6 @@ class MappingService:
             retry=retry,
             node_timeout=node_timeout,
             on_error=on_error,
-            store_tier=store_tier,
             store_remote=store_remote,
             hosts=tuple(hosts) if hosts else None,
             steal_threshold=steal_threshold,
@@ -241,7 +236,6 @@ class MappingService:
                 hosts=cfg.hosts,
                 store_remote=cfg.store_remote,
                 store_dir=cfg.store_dir,
-                store_tier=cfg.store_tier,
                 steal_threshold=cfg.steal_threshold,
                 **fault_kw,
             )
@@ -262,7 +256,6 @@ class MappingService:
             backend=resolved,
             workers=cfg.workers if cfg.workers is not None else self.workers,
             store_dir=cfg.store_dir,
-            store_tier=cfg.store_tier,
             **fault_kw,
         )
 

@@ -1,22 +1,25 @@
-"""DiskArtifactStore — content-addressed, ``.npz``-backed artifact store.
+"""Content-addressed, ``.npz``-backed artifact stores.
 
-The cross-process layer of the artifact system (the ROADMAP's "cross-
-process artifact store" open item): where :class:`~repro.api.cache.
-ArtifactCache` is one process's in-memory LRU, this store persists
-selected namespaces to disk so *other* processes — the ``process``
-backend's pool workers, a later batch, a sibling service — can read an
-artifact instead of recomputing it.  The cache layers over the store
+The artifact system has one read path: memory LRU → disk → remote.
+:class:`~repro.api.cache.ArtifactCache` is one process's in-memory LRU;
+:class:`DiskArtifactStore` persists selected namespaces to disk so
+*other* processes — the ``process`` backend's pool workers, a later
+batch, a sibling service — can read an artifact instead of recomputing
+it; :class:`TieredArtifactStore` adds a
+:class:`~repro.dist.remote.RemoteArtifactStore` under the disk for
+hosts that share no filesystem.  The cache layers over the store
 transparently: a memory miss falls through to :meth:`load`, a computed
 value is written through with :meth:`save` (see
-``ArtifactCache(store=...)``).
+``ArtifactCache(store=...)``).  :func:`make_store` builds whichever of
+the two a root and an optional remote address call for.
 
 Layout and format
 -----------------
 One file per artifact: ``<root>/<namespace>/<sha256(key)[:32]>.npz``.
 Each file is a regular NumPy ``.npz`` archive holding
 
-* the artifact's ndarrays as native entries (zero-copy friendly,
-  CRC-checked by the zip container),
+* the artifact's ndarrays as native entries (CRC-checked by the zip
+  container),
 * a JSON *manifest* describing how to reassemble nested
   tuples/lists/dicts, :class:`~repro.topology.routing.RouteTable`
   instances and plain scalars,
@@ -45,14 +48,11 @@ import abc
 import hashlib
 import io
 import json
-import mmap
 import os
 import pickle
-import struct
 import tempfile
 import threading
 import time
-import zipfile
 from typing import Any, Dict, Hashable, List, Optional
 
 import numpy as np
@@ -61,19 +61,12 @@ __all__ = [
     "ArtifactStore",
     "DiskArtifactStore",
     "DEFAULT_PERSIST_NAMESPACES",
-    "STORE_TIERS",
+    "TieredArtifactStore",
     "artifact_digest",
     "encode_artifact_bytes",
     "decode_artifact_bytes",
     "make_store",
 ]
-
-#: When this environment variable names an *existing* file, every
-#: :meth:`DiskArtifactStore.load` raises instead of reading.  Tests arm
-#: it to prove a warm shared-memory-tier batch touches no artifact file
-#: (the flag-file indirection lets a test arm it after pool workers
-#: have already inherited the environment).
-READS_FORBIDDEN_ENV = "REPRO_STORE_READS_FORBIDDEN"
 
 #: Namespaces worth sharing across processes by default: the expensive,
 #: deterministic artifacts the planner dedupes (groupings, initial route
@@ -84,17 +77,12 @@ DEFAULT_PERSIST_NAMESPACES = frozenset(
 )
 
 _MISSING = object()
-_SENTINEL_DEFAULT = object()
-
-#: Tier names :func:`make_store` accepts.  ``auto`` resolves to ``shm``
-#: where POSIX shared memory is available and ``disk`` elsewhere.
-STORE_TIERS = ("auto", "shm", "disk")
 
 
 def artifact_digest(namespace: str, key: Hashable) -> str:
     """Content address of ``(namespace, key)`` — the filename stem.
 
-    Every store backend (disk, shm, remote) derives its storage name
+    Every store backend (disk, remote) derives its storage name
     from this one digest, which is what lets a
     :class:`~repro.dist.remote.RemoteArtifactStore` server and a
     :class:`DiskArtifactStore` interoperate over the same directory.
@@ -106,12 +94,11 @@ class ArtifactStore(abc.ABC):
     """The contract every artifact-store backend implements.
 
     An artifact store is a *content-addressed*, namespaced map from
-    ``(namespace, key)`` to a deterministic artifact value.  Four
+    ``(namespace, key)`` to a deterministic artifact value.  Three
     backends implement it — :class:`DiskArtifactStore` (durable files),
-    :class:`~repro.api.shm.SharedMemoryStore` (node-local zero-copy
-    segments), :class:`~repro.api.shm.TieredArtifactStore` (the
-    composition) and :class:`~repro.dist.remote.RemoteArtifactStore`
-    (the same surface over a TCP object protocol) — and
+    :class:`~repro.dist.remote.RemoteArtifactStore` (the same surface
+    over a TCP object protocol) and :class:`TieredArtifactStore` (disk
+    over a remote) — and
     :func:`make_store` is the single construction path; engine, pool
     and serve code hold an ``ArtifactStore``, never a concrete class.
 
@@ -121,9 +108,7 @@ class ArtifactStore(abc.ABC):
       "route_table", "def_baseline", "batch", …).  :attr:`namespaces`
       declares which of them an attached
       :class:`~repro.api.cache.ArtifactCache` reads *and* writes
-      through; direct calls are never restricted by the set.  The
-      ephemeral ``"batch"`` namespace may be served from volatile
-      tiers only (see ``TieredArtifactStore.EPHEMERAL_NAMESPACES``).
+      through; direct calls are never restricted by the set.
     * **Determinism**: a key's value is a pure function of the key, so
       a save whose target already exists may be skipped (counted as
       ``save_skips`` in :meth:`stats`); ``force=True`` overwrites
@@ -137,8 +122,7 @@ class ArtifactStore(abc.ABC):
       never yanked.
     """
 
-    #: Tier label reported through :meth:`stats` ("disk", "shm",
-    #: "remote").
+    #: Tier label reported through :meth:`stats` ("disk", "remote").
     tier: str = "unknown"
     #: Namespaces an attached cache persists through this store.
     namespaces: frozenset = DEFAULT_PERSIST_NAMESPACES
@@ -200,8 +184,6 @@ class DiskArtifactStore(ArtifactStore):
         :meth:`save`/:meth:`load` calls are not restricted by this set.
     """
 
-    #: Tier label reported through :meth:`stats` (the shared-memory
-    #: layer's ``TieredArtifactStore`` reports ``"shm"``).
     tier = "disk"
 
     def __init__(
@@ -209,14 +191,9 @@ class DiskArtifactStore(ArtifactStore):
         root: str,
         *,
         namespaces: frozenset = DEFAULT_PERSIST_NAMESPACES,
-        mmap_reads: Optional[bool] = None,
     ) -> None:
         self.root = os.path.abspath(root)
         self.namespaces = frozenset(namespaces)
-        # Lazy mmap reads need stored (uncompressed) zip members and
-        # POSIX unlink-while-mapped semantics; default on where both
-        # hold, with a per-load fallback to the eager decoder.
-        self.mmap_reads = (os.name == "posix") if mmap_reads is None else mmap_reads
         self._counter_lock = threading.Lock()
         self._loads = 0
         self._load_hits = 0
@@ -315,10 +292,8 @@ class DiskArtifactStore(ArtifactStore):
         if not os.path.exists(path):
             return False
         try:
-            with zipfile.ZipFile(path) as zf:
-                with zf.open("__manifest__.npy") as member:
-                    raw = _read_npy_bytes(member)
-            manifest = json.loads(raw.decode("utf-8"))
+            with np.load(path, allow_pickle=False) as archive:
+                manifest = _manifest(archive)
             return manifest.get("version") == 1 and manifest.get(
                 "key_repr"
             ) == repr(key)
@@ -331,44 +306,15 @@ class DiskArtifactStore(ArtifactStore):
         Every failure mode — missing file, truncated zip, garbled JSON,
         stale format version, key-hash collision, broken pickle — is a
         miss, never an exception: the caller recomputes and overwrites.
-
-        With :attr:`mmap_reads` (the default on POSIX) array payloads
-        are returned as read-only views over a memory-mapped file —
-        lazy, no eager copy — falling back to the eager ``np.load``
-        decoder whenever the file predates the stored-member layout the
-        mapper needs.
         """
-        forbid = os.environ.get(READS_FORBIDDEN_ENV)
-        if forbid and os.path.exists(forbid):
-            # Deliberately outside the try: the whole point of the
-            # canary is to surface, not mask, a forbidden disk read.
-            raise RuntimeError(
-                f"artifact disk read of {namespace!r} forbidden while "
-                f"{READS_FORBIDDEN_ENV} flag file {forbid!r} exists"
-            )
         path = self.path_for(namespace, key)
         with self._counter_lock:
             self._loads += 1
-        value = _MISSING
-        if self.mmap_reads:
-            try:
-                value = self._load_mmap(path, key, default)
-            except Exception:
-                value = _MISSING  # fall back to the eager decoder
+        try:
+            value = _decode_archive(key, path)
+        except Exception:
+            return default
         if value is _MISSING:
-            try:
-                with np.load(path, allow_pickle=False) as archive:
-                    manifest = json.loads(
-                        bytes(archive["__manifest__"]).decode("utf-8")
-                    )
-                    if manifest.get("version") != 1:
-                        return default
-                    if manifest.get("key_repr") != repr(key):
-                        return default  # filename-hash collision: not our key
-                    value = _decode(manifest["value"], archive)
-            except Exception:
-                return default
-        if value is _SENTINEL_DEFAULT:
             return default
         with self._counter_lock:
             self._load_hits += 1
@@ -378,34 +324,12 @@ class DiskArtifactStore(ArtifactStore):
                 pass
         return value
 
-    def _load_mmap(self, path: str, key: Hashable, default: Any) -> Any:
-        """Lazy decode over one shared ``mmap`` of the archive.
-
-        Returns ``_MISSING`` to request the eager fallback and the
-        ``_SENTINEL_DEFAULT`` marker for a definitive miss (collision /
-        version skew), so the caller distinguishes "try again eagerly"
-        from "this file is not our artifact".
-        """
-        with open(path, "rb") as fh:
-            mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        archive = _MmapArchive(mapped)
-        manifest = json.loads(bytes(archive["__manifest__"]).decode("utf-8"))
-        if manifest.get("version") != 1:
-            return _SENTINEL_DEFAULT
-        if manifest.get("key_repr") != repr(key):
-            return _SENTINEL_DEFAULT
-        return _decode(manifest["value"], archive)
-
     def contains(self, namespace: str, key: Hashable) -> bool:
         """Cheap existence probe (does not validate the file's content)."""
         return os.path.exists(self.path_for(namespace, key))
 
     def delete(self, namespace: str, key: Hashable) -> bool:
-        """Remove one artifact; True when a file was deleted.
-
-        Used by :class:`~repro.api.pool.ExecutorPool` to retire a
-        batch's request payload once every node has executed.
-        """
+        """Remove one artifact; True when a file was deleted."""
         try:
             os.unlink(self.path_for(namespace, key))
             return True
@@ -449,8 +373,7 @@ class DiskArtifactStore(ArtifactStore):
 
     def stats(self) -> dict:
         """I/O counters for monitoring (`loads` counts attempts, hits or
-        not; ``bytes_read`` is file bytes behind successful loads —
-        mapped lazily when :attr:`mmap_reads` is on)."""
+        not; ``bytes_read`` is file bytes behind successful loads)."""
         with self._counter_lock:
             return {
                 "tier": self.tier,
@@ -459,7 +382,6 @@ class DiskArtifactStore(ArtifactStore):
                 "bytes_read": self._bytes_read,
                 "saves": self._saves,
                 "save_skips": self._save_skips,
-                "mmap_reads": self.mmap_reads,
             }
 
     def _namespace_dirs(self) -> List[str]:
@@ -498,8 +420,8 @@ def _encode(value: Any, arrays: Dict[str, np.ndarray]) -> Dict[str, Any]:
     # Protocol-5 out-of-band fallback: contiguous ndarrays inside an
     # otherwise unencodable object (a TaskGraph's CSR arrays, a
     # MapperResult's permutation) leave the pickle stream as raw
-    # buffers and become native array entries — which the shm tier and
-    # the mmap reader then serve as zero-copy views.
+    # buffers and become native array entries instead of being copied
+    # into the pickle bytes.
     oob: List[np.ndarray] = []
 
     def _take_out_of_band(pb: pickle.PickleBuffer):
@@ -605,132 +527,122 @@ def decode_artifact_bytes(key: Hashable, data: bytes, default: Any = None) -> An
     mismatches all read as a miss, never an exception.
     """
     try:
-        with np.load(io.BytesIO(data), allow_pickle=False) as archive:
-            manifest = json.loads(bytes(archive["__manifest__"]).decode("utf-8"))
-            if manifest.get("version") != 1:
-                return default
-            if manifest.get("key_repr") != repr(key):
-                return default
-            return _decode(manifest["value"], archive)
+        value = _decode_archive(key, io.BytesIO(data))
     except Exception:
         return default
+    return default if value is _MISSING else value
+
+
+def _manifest(archive) -> dict:
+    return json.loads(bytes(archive["__manifest__"]).decode("utf-8"))
+
+
+def _decode_archive(key: Hashable, source) -> Any:
+    """Decode one ``.npz`` archive; ``_MISSING`` when it is not *key*'s.
+
+    A stale format version or a filename-hash collision is a miss; a
+    torn or garbled archive raises, which callers also turn into one.
+    """
+    with np.load(source, allow_pickle=False) as archive:
+        manifest = _manifest(archive)
+        if manifest.get("version") != 1 or manifest.get("key_repr") != repr(key):
+            return _MISSING
+        return _decode(manifest["value"], archive)
 
 
 # ---------------------------------------------------------------------------
-# Construction: the single entry point engine/pool/serve/CLI go through.
+# Remote layering and construction.
 # ---------------------------------------------------------------------------
+
+
+class TieredArtifactStore(DiskArtifactStore):
+    """A :class:`DiskArtifactStore` over a remote store.
+
+    Reads go disk → remote, and a remote hit is promoted onto disk so
+    the next reader on this host skips the network round trip.  Writes
+    go to disk and replicate to the remote, where sibling hosts read
+    them.  ``batch`` payloads (a sharding coordinator's requests) are
+    never promoted: they live for one batch.
+
+    The remote (a :class:`~repro.dist.remote.RemoteArtifactStore`
+    speaking to a ``repro-map store-serve`` process) is best-effort at
+    runtime: an unreachable remote reads as a miss and drops writes,
+    never raises, so the disk keeps the host correct.
+    """
+
+    def __init__(
+        self,
+        root: str,
+        *,
+        remote,
+        namespaces: frozenset = DEFAULT_PERSIST_NAMESPACES,
+    ) -> None:
+        super().__init__(root, namespaces=namespaces)
+        if isinstance(remote, str):
+            from repro.dist.remote import RemoteArtifactStore  # lazy: dist imports us
+
+            remote = RemoteArtifactStore(remote, namespaces=namespaces)
+        self.remote = remote
+
+    def save(
+        self, namespace: str, key: Hashable, value: Any, *, force: bool = False
+    ) -> str:
+        self.remote.save(namespace, key, value, force=force)
+        return super().save(namespace, key, value, force=force)
+
+    def load(self, namespace: str, key: Hashable, default: Any = None) -> Any:
+        value = super().load(namespace, key, _MISSING)
+        if value is _MISSING:
+            value = self.remote.load(namespace, key, _MISSING)
+            if value is _MISSING:
+                return default
+            if namespace != "batch":
+                super().save(namespace, key, value)
+        return value
+
+    def contains(self, namespace: str, key: Hashable) -> bool:
+        return super().contains(namespace, key) or self.remote.contains(
+            namespace, key
+        )
+
+    def delete(self, namespace: str, key: Hashable) -> bool:
+        removed = self.remote.delete(namespace, key)
+        return super().delete(namespace, key) or removed
+
+    def stats(self) -> dict:
+        # The canonical keys count this store's operations: every save
+        # and every load goes through the disk first, and a load hits at
+        # most one of the two tiers.
+        disk = super().stats()
+        remote = self.remote.stats()
+        return {
+            "tier": self.tier,
+            "saves": disk["saves"],
+            "save_skips": disk["save_skips"],
+            "loads": disk["loads"],
+            "load_hits": disk["load_hits"] + remote["load_hits"],
+            "disk": disk,
+            "remote": remote,
+        }
+
+    def close(self) -> None:
+        self.remote.close()
 
 
 def make_store(
     root: str,
     *,
-    tier: str = "auto",
     namespaces: frozenset = DEFAULT_PERSIST_NAMESPACES,
-    owner: bool = True,
-    mmap_reads: Optional[bool] = None,
     remote: Optional[str] = None,
-) -> "ArtifactStore":
-    """Build the artifact store for *root* at the requested *tier*.
-
-    ``tier="auto"`` resolves to the shared-memory tier where POSIX
-    shared memory works and plain disk elsewhere; ``"shm"`` insists
-    (and raises where unsupported); ``"disk"`` opts out.  *owner* marks
-    the store that reaps this root's shm segments at close.
+) -> ArtifactStore:
+    """The artifact store for *root*: disk, or disk over *remote*.
 
     *remote* ("host:port" of a ``repro-map store-serve`` process) layers
-    a :class:`~repro.dist.remote.RemoteArtifactStore` under the local
-    tiers: remote reads promote into shm/memory, local writes replicate
-    to the remote so sibling hosts can read them.  Connection failures
-    at construction raise immediately (fail fast); at runtime the
-    remote degrades to a miss, never an error.
+    a :class:`~repro.dist.remote.RemoteArtifactStore` under the disk
+    (:class:`TieredArtifactStore`).  Connection failures at construction
+    raise immediately (fail fast); at runtime the remote degrades to a
+    miss, never an error.
     """
-    if tier not in STORE_TIERS:
-        raise ValueError(f"unknown store tier {tier!r}; expected {STORE_TIERS}")
-    from repro.api import shm as shm_mod  # lazy: shm imports this module
-
-    use_shm = shm_mod.shm_available() if tier == "auto" else (tier == "shm")
-    if not use_shm and remote is None:
-        return DiskArtifactStore(root, namespaces=namespaces, mmap_reads=mmap_reads)
-    return shm_mod.TieredArtifactStore(
-        root,
-        namespaces=namespaces,
-        owner=owner,
-        mmap_reads=mmap_reads,
-        use_shm=use_shm,
-        remote=remote,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Lazy mmap reads: ``np.savez`` stores each member uncompressed, so every
-# array body is a contiguous region of the archive that can be served as
-# an ``np.frombuffer`` view over one shared memory map instead of being
-# eagerly copied out of the zip.
-# ---------------------------------------------------------------------------
-
-_ZIP_LOCAL_HEADER_SIZE = 30
-_ZIP_LOCAL_MAGIC = b"PK\x03\x04"
-
-
-def _read_array_header(fh, version):
-    """Version-dispatched ``.npy`` header parse (NumPy 1.x/2.x safe)."""
-    if version == (1, 0):
-        return np.lib.format.read_array_header_1_0(fh)
-    if version == (2, 0):
-        return np.lib.format.read_array_header_2_0(fh)
-    raise ValueError(f"unsupported .npy format version {version}")
-
-
-def _read_npy_bytes(fh) -> bytes:
-    """Raw bytes of a 1-D uint8 ``.npy`` stream (the JSON manifest)."""
-    version = np.lib.format.read_magic(fh)
-    shape, fortran, dtype = _read_array_header(fh, version)
-    if dtype != np.uint8 or len(shape) != 1:
-        raise ValueError("manifest member is not a flat uint8 array")
-    return fh.read(shape[0])
-
-
-class _MmapArchive:
-    """Read-only, ``NpzFile``-shaped view over one memory-mapped archive.
-
-    ``archive[name]`` returns a read-only ``np.frombuffer`` view into
-    the map (the view's ``base`` keeps the map alive), so a load
-    materializes no array bytes until a kernel actually touches them.
-    Any structural surprise — compressed member, foreign local header,
-    truncated data region, object dtype — raises, and the store falls
-    back to the eager ``np.load`` decoder.
-    """
-
-    def __init__(self, mapped: mmap.mmap) -> None:
-        self._mm = mapped
-        self._zip = zipfile.ZipFile(mapped)  # mmap objects are file-like
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        info = self._zip.getinfo(f"{name}.npy")
-        if info.compress_type != zipfile.ZIP_STORED:
-            raise ValueError(f"member {name!r} is compressed; cannot map")
-        mm = self._mm
-        header = mm[
-            info.header_offset : info.header_offset + _ZIP_LOCAL_HEADER_SIZE
-        ]
-        if len(header) != _ZIP_LOCAL_HEADER_SIZE or not header.startswith(
-            _ZIP_LOCAL_MAGIC
-        ):
-            raise ValueError(f"member {name!r} has a garbled local header")
-        name_len, extra_len = struct.unpack("<HH", header[26:30])
-        start = info.header_offset + _ZIP_LOCAL_HEADER_SIZE + name_len + extra_len
-        mm.seek(start)
-        version = np.lib.format.read_magic(mm)
-        shape, fortran, dtype = _read_array_header(mm, version)
-        if dtype.hasobject:
-            raise ValueError(f"member {name!r} holds objects; cannot map")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        offset = mm.tell()
-        if offset + count * dtype.itemsize > len(mm):
-            raise ValueError(f"member {name!r} is truncated")
-        flat = np.frombuffer(mm, dtype=dtype, count=count, offset=offset)
-        arr = flat.reshape(shape, order="F" if fortran else "C")
-        # ACCESS_READ maps already decode read-only; keep the invariant
-        # explicit — every store tier returns copy-on-write views.
-        arr.flags.writeable = False
-        return arr
+    if remote is None:
+        return DiskArtifactStore(root, namespaces=namespaces)
+    return TieredArtifactStore(root, remote=remote, namespaces=namespaces)

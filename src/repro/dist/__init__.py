@@ -8,8 +8,9 @@ already has:
   (``repro-map store-serve``) fronts one directory, and
   :class:`~repro.dist.remote.RemoteArtifactStore` is the
   :class:`~repro.api.store.ArtifactStore` client that
-  :class:`~repro.api.shm.TieredArtifactStore` layers under shm/disk so
-  remote reads promote into host-local memory.
+  :class:`~repro.api.store.TieredArtifactStore` layers under the disk,
+  so every host's read path is memory LRU → disk → remote and remote
+  reads promote onto the host's disk.
 * :mod:`repro.dist.host` — ``HostServer`` (``repro-map shard-serve``)
   executes individual plan nodes against its own
   :class:`~repro.api.service.MappingService` (or a local

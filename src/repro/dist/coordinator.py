@@ -8,10 +8,9 @@ raise-vs-partial and error reporting are the scheduler's; this module
 only decides where nodes run:
 
 * the **batch payload** is published once to the coordinator's store —
-  whose remote tier replicates it to the cluster's
-  ``repro-map store-serve`` process — and each host pulls + LRU-caches
-  it on the first node it executes, the same store-not-initargs channel
-  the persistent process pool uses;
+  memory LRU → disk → remote, whose remote tier replicates it to the
+  cluster's ``repro-map store-serve`` process — and each host pulls +
+  LRU-caches it on the first node it executes;
 * a :class:`~repro.dist.router.ShardRouter` partitions nodes across
   hosts by workload fingerprint, so a workload's grouping, DEF
   baseline and consumers stay host-local; each host gets at most its
@@ -54,7 +53,6 @@ def run_sharded(
     *,
     store_remote: Optional[str] = None,
     store_dir: Optional[str] = None,
-    store_tier: str = "auto",
     retry: Optional[RetryPolicy] = None,
     node_timeout: Optional[float] = None,
     partial: bool = False,
@@ -87,7 +85,7 @@ def run_sharded(
     if store_dir is None:
         tmp = tempfile.TemporaryDirectory(prefix="repro-coord-")
         store_dir = tmp.name
-    store = make_store(store_dir, tier=store_tier, owner=True, remote=store_remote)
+    store = make_store(store_dir, remote=store_remote)
     batch_key = f"coord-{os.getpid()}-{uuid.uuid4().hex[:8]}"
 
     clients: Dict[str, HostClient] = {}
@@ -127,8 +125,7 @@ def run_sharded(
         for client in clients.values():
             client.close()
         store.delete("batch", batch_key)
-        if hasattr(store, "close"):
-            store.close()
+        store.close()
         if tmp is not None:
             tmp.cleanup()
 

@@ -1,12 +1,12 @@
 """Shard host — executes individual plan nodes for a remote coordinator.
 
 ``HostServer`` (the process behind ``repro-map shard-serve``) owns a
-:class:`~repro.api.service.MappingService` whose cache layers over a
-:class:`~repro.api.shm.TieredArtifactStore` with the cluster's remote
-store underneath, so
+:class:`~repro.api.service.MappingService` whose read path is memory
+LRU → disk → remote, with the cluster's remote store under the host's
+disk store, so
 
 * batch request payloads published by the coordinator are read through
-  the remote tier and promoted into host-local shm/memory,
+  the remote tier and kept decoded in host memory,
 * shared artifacts this host computes (groupings, DEF baselines, route
   tables) replicate to the remote store, where sibling hosts' reads
   find them, and
@@ -25,7 +25,8 @@ equals the coordinator's view of its capacity.
 With ``backend="process"`` the host drives a local
 :class:`~repro.api.pool.ExecutorPool` instead of running nodes inline —
 the coordinator is then literally driving remote ``ExecutorPool``\\ s —
-and the pool's workers rebuild the same remote-tiered store from
+the host submits each node with the request it has already decoded, and
+the pool's workers rebuild the same remote-layered store from
 initargs.
 
 ``HostClient`` is the coordinator-side counterpart: ``submit`` returns
@@ -64,7 +65,7 @@ from repro.serve.protocol import (
 
 __all__ = ["HostServer", "HostClient", "HostLostError", "RemoteNodeError"]
 
-#: Decoded batch payloads kept per host (mirrors the pool workers').
+#: Decoded batch payloads kept per host (LRU).
 _BATCH_LIMIT = 4
 
 _OP_TIMEOUT = 300.0
@@ -131,12 +132,10 @@ class HostServer:
         ``(host, port)`` or ``"host:port"`` to bind (port 0 = ephemeral).
     store_remote:
         Address of the cluster's ``store-serve`` process; layered under
-        this host's local store tiers.  ``None`` runs store-less
+        this host's disk store.  ``None`` runs store-less
         cross-host sharing (each host still correct, nothing shared).
     store_dir:
         Local store root (default: a private temp directory).
-    store_tier:
-        Local tier policy (``auto``/``shm``/``disk``).
     capacity:
         Concurrent nodes this host advertises (default: CPU count).
     backend:
@@ -153,7 +152,6 @@ class HostServer:
         *,
         store_remote: Optional[str] = None,
         store_dir: Optional[str] = None,
-        store_tier: str = "auto",
         capacity: Optional[int] = None,
         backend: str = "inline",
         host_id: Optional[str] = None,
@@ -183,16 +181,13 @@ class HostServer:
                 "process",
                 workers=self.capacity,
                 store_dir=store_dir,
-                store_tier=store_tier,
                 store_remote=store_remote,
                 kernel_backend=kernel_backend,
             )
             self.store = self.pool.store
             self.service = None
         else:
-            self.store = make_store(
-                store_dir, tier=store_tier, owner=True, remote=store_remote
-            )
+            self.store = make_store(store_dir, remote=store_remote)
             cache = ArtifactCache(
                 max_entries=cache_entries,
                 max_bytes=cache_bytes,
@@ -250,8 +245,8 @@ class HostServer:
             self._thread.join(timeout=5.0)
             self._thread = None
         if self.pool is not None:
-            self.pool.close()
-        elif self.store is not None and hasattr(self.store, "close"):
+            self.pool.shutdown()
+        else:
             self.store.close()
         if self._tmp is not None:
             self._tmp.cleanup()
@@ -325,10 +320,10 @@ class HostServer:
                 self._die()
                 return True  # no reply: the client sees a dead socket
             if self.pool is not None:
-                from repro.api.pool import _persistent_run_node
+                from repro.api.pool import _worker_run_node
 
                 result = self.pool.submit(
-                    _persistent_run_node, batch_key, request_index, kind, algorithm
+                    _worker_run_node, request, kind, algorithm
                 ).result()
             else:
                 from repro.api.executor import run_plan_node
@@ -382,7 +377,7 @@ class HostServer:
             requests = self.store.load("batch", batch_key)
             if requests is None:
                 raise RuntimeError(
-                    f"batch payload {batch_key!r} not found in any store tier"
+                    f"batch payload {batch_key!r} not found in the store"
                 )
             with self._lock:
                 self._batches[batch_key] = requests

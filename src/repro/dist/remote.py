@@ -22,9 +22,10 @@ Construction pings the server and **raises** on failure (a
 misconfigured ``--store-remote`` should fail fast).  After that the
 client degrades instead of raising: a dead server turns ``load`` into
 a miss, ``save`` into a dropped replication and ``contains`` into
-False, each counted under ``stats()["errors"]`` — the remote tier is
-an optimization layer under :class:`~repro.api.shm.TieredArtifactStore`
-and must never take a healthy host down with it.
+False, each counted under ``stats()["errors"]`` — the remote is the
+last tier of the memory LRU → disk → remote read path
+(:class:`~repro.api.store.TieredArtifactStore`) and must never take a
+healthy host down with it.
 
 One connection per client thread (kept in ``threading.local``), so a
 host's worker threads stream artifacts concurrently without a shared
@@ -123,9 +124,11 @@ class ArtifactStoreServer:
     count     ``ns?``                                        ``{ok, count}``
     ========  =============================================  =============
 
-    Digest strings are sanitized against path escapes; everything else
-    is opaque bytes.  Thread-per-connection; writes are atomic
-    (temp + rename) so concurrent savers of one digest are safe.
+    A namespace or digest must be one plain path component (no
+    separator, not ``.`` or ``..``, not empty); any other is answered
+    with ``{ok: False, error}`` and touches nothing.  Everything else is
+    opaque bytes.  Thread-per-connection; writes are atomic (temp +
+    rename) so concurrent savers of one digest are safe.
     """
 
     def __init__(self, root: str, address=("127.0.0.1", 0)) -> None:
@@ -198,12 +201,10 @@ class ArtifactStoreServer:
             self._thread = None
 
     # -- op dispatch ----------------------------------------------------
-    def _path(self, namespace: str, digest: str) -> str:
-        ns = os.path.basename(str(namespace))
-        stem = os.path.basename(str(digest))
-        if not ns or not stem:
-            raise ValueError("empty namespace or digest")
-        return os.path.join(self.root, ns, f"{stem}.npz")
+    def _path(self, namespace, digest) -> str:
+        return os.path.join(
+            self.root, _component(namespace), f"{_component(digest)}.npz"
+        )
 
     def _bump(self, counter: str, by: int = 1) -> None:
         with self._lock:
@@ -211,6 +212,13 @@ class ArtifactStoreServer:
 
     def handle_op(self, sock, frame: dict) -> bool:
         """Execute one op; returns True when the connection should end."""
+        try:
+            return self._handle_op(sock, frame)
+        except _BadName as exc:
+            send_frame(sock, {"ok": False, "error": str(exc)})
+            return False
+
+    def _handle_op(self, sock, frame: dict) -> bool:
         op = frame.get("op")
         if op == "save":
             # The blob always follows the control frame — receive it
@@ -281,7 +289,7 @@ class ArtifactStoreServer:
     # -- maintenance (server-side mirrors of the disk store's) ----------
     def _namespace_dirs(self, namespace: Optional[str]):
         if namespace is not None:
-            return [os.path.basename(str(namespace))]
+            return [_component(namespace)]
         try:
             return [
                 n
@@ -339,6 +347,23 @@ class ArtifactStoreServer:
                     1 for n in os.listdir(directory) if n.endswith(".npz")
                 )
         return total
+
+
+class _BadName(ValueError):
+    """A namespace or digest that is not one plain path component."""
+
+
+def _component(name) -> str:
+    """*name* when it is one plain path component; else :class:`_BadName`."""
+    if (
+        not isinstance(name, str)
+        or name in ("", ".", "..")
+        or os.sep in name
+        or (os.altsep and os.altsep in name)
+        or "\0" in name
+    ):
+        raise _BadName(f"invalid namespace or digest {name!r}")
+    return name
 
 
 # ---------------------------------------------------------------------------

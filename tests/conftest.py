@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api.shm import shm_available
 from repro.graph import TaskGraph, cage_like, rgg_like
 from repro.hypergraph import Hypergraph
 from repro.kernels.backend import numba_available, use_backend
@@ -34,27 +33,6 @@ def kernel_backend(request):
     installed), restoring the process-wide backend afterwards."""
     with use_backend(request.param):
         yield request.param
-
-
-#: The store-tier axis: tests parametrized with this run per artifact
-#: store tier.  The disk leg always runs; shm and auto skip (visibly)
-#: on hosts without a working shared-memory filesystem, where auto
-#: would just resolve to the disk leg anyway.
-_SHM_SKIP = pytest.mark.skipif(
-    not shm_available(),
-    reason="shared-memory store tier unavailable on this host",
-)
-STORE_TIER_PARAMS = [
-    pytest.param("disk"),
-    pytest.param("shm", marks=_SHM_SKIP),
-    pytest.param("auto", marks=_SHM_SKIP),
-]
-
-
-@pytest.fixture(params=STORE_TIER_PARAMS)
-def store_tier(request):
-    """Run the test under each artifact store tier."""
-    return request.param
 
 
 @pytest.fixture(scope="session")

@@ -99,7 +99,6 @@ def cluster(tmp_path):
         host = HostServer(
             store_remote=remote,
             store_dir=str(tmp_path / f"host{i}"),
-            store_tier="disk",
             capacity=1,
         )
         host.start()
@@ -215,6 +214,29 @@ class TestShardedExecution:
         plan = build_plan(requests)
         nodes_run = sum(h.stats()["nodes_run"] for h in hosts)
         assert nodes_run == len(plan.nodes)
+
+    def test_process_backend_host(self, tmp_path, requests, serial_responses):
+        """A host driving its own process pool submits each node with the
+        request it decoded; results match serial and the host stops
+        cleanly."""
+        store_srv = ArtifactStoreServer(str(tmp_path / "store")).start()
+        remote = "%s:%d" % store_srv.address
+        host = HostServer(
+            store_remote=remote,
+            store_dir=str(tmp_path / "host"),
+            capacity=2,
+            backend="process",
+        ).start()
+        try:
+            sharded = MappingService().map_batch(
+                requests, hosts=["%s:%d" % host.address], store_remote=remote
+            )
+            assert _fingerprints(sharded) == _fingerprints(serial_responses)
+            assert host.stats()["nodes_run"] == len(build_plan(requests).nodes)
+        finally:
+            host.stop()
+            store_srv.stop()
+        assert host.pool.closed
 
     def test_groupings_computed_exactly_once(self, cluster, requests):
         store_srv, hosts, addresses = cluster
@@ -364,7 +386,6 @@ class TestShardedExecution:
         host = HostServer(
             store_remote=remote,
             store_dir=str(tmp_path / "host"),
-            store_tier="disk",
             capacity=4,
         )
         host.start()

@@ -193,21 +193,20 @@ class TestBackendParity:
         for a, b in zip(serial, parallel):
             _assert_responses_identical(a, b)
 
-    def test_store_tiers_match_serial(self, store_tier, tmp_path):
-        """Byte-identical MapResponses whichever store tier carries the
-        artifacts: the shm segment codec and mmap disk reads must be
+    def test_disk_store_matches_serial(self, tmp_path):
+        """Byte-identical MapResponses when a disk store carries the
+        artifacts between process workers: the store codec must be
         invisible to the engine's results."""
         requests = self._sweep_requests()
         serial = MappingService().map_batch(requests, backend="serial")
-        tiered = MappingService().map_batch(
+        stored = MappingService().map_batch(
             requests,
             backend="process",
             workers=2,
-            store_dir=str(tmp_path / store_tier),
-            store_tier=store_tier,
+            store_dir=str(tmp_path / "store"),
         )
-        assert len(serial) == len(tiered)
-        for a, b in zip(serial, tiered):
+        assert len(serial) == len(stored)
+        for a, b in zip(serial, stored):
             _assert_responses_identical(a, b)
 
     def test_unknown_backend_rejected(self, setup):
@@ -757,57 +756,3 @@ class TestBatchThroughputGate:
         # And the reverse (faster) direction passes.
         ok, _ = mod.gate_batch_throughput(multi_slow, multi_fast, 1.25)
         assert ok
-
-
-class TestIpcGate:
-    """The --gate-ipc checks of benchmarks/compare_bench.py."""
-
-    def _snapshot(self, *, shm_load=0.5, disk_load=1.0, disk_reads=0, batch_files=0):
-        arts = {"grouping-64KB": None, "block-8MB": None}
-        return {
-            "ipc": {
-                "shm_available": True,
-                "tiers": {
-                    "disk": {
-                        "artifacts": {
-                            n: {"save_s": 1.0, "load_s": disk_load} for n in arts
-                        }
-                    },
-                    "shm": {
-                        "artifacts": {
-                            n: {"save_s": 1.0, "load_s": shm_load} for n in arts
-                        }
-                    },
-                },
-                "warm_process_batch": {
-                    "store_tier": "shm",
-                    "parent_disk_loads": disk_reads,
-                    "batch_disk_files": batch_files,
-                },
-            }
-        }
-
-    def test_shm_must_beat_disk_on_load_geo_mean(self):
-        mod = _load_compare_bench()
-        ok, lines = mod.gate_ipc(self._snapshot(shm_load=0.5, disk_load=1.0))
-        assert ok and any("OK" in line for line in lines)
-        ok, lines = mod.gate_ipc(self._snapshot(shm_load=2.0, disk_load=1.0))
-        assert not ok and any("REGRESSION" in line for line in lines)
-
-    def test_warm_batch_must_do_zero_disk_reads(self):
-        mod = _load_compare_bench()
-        ok, lines = mod.gate_ipc(self._snapshot(disk_reads=3))
-        assert not ok and any("must not touch disk" in line for line in lines)
-        ok, lines = mod.gate_ipc(self._snapshot(batch_files=1))
-        assert not ok
-
-    def test_shm_less_snapshots_skip_with_a_note(self):
-        mod = _load_compare_bench()
-        ok, lines = mod.gate_ipc({"ipc": {"shm_available": False}})
-        assert ok and any("skipped" in line for line in lines)
-        # A missing section or a malformed shm-available one fails: a
-        # green gate must mean the check actually ran.
-        ok, _ = mod.gate_ipc({})
-        assert not ok
-        ok, lines = mod.gate_ipc({"ipc": {"shm_available": True, "tiers": {}}})
-        assert not ok and any("MALFORMED" in line for line in lines)

@@ -291,6 +291,39 @@ class TestPoolSelfHealing:
             nxt = service.map_batch([_request(tg, machine, "next")])
             assert nxt[0].ok
 
+    def test_worker_kill_heals_over_a_store_dir(self, tmp_path, workload, injector):
+        """A worker killed mid-batch over a caller's store directory: the
+        batch heals on the respawned pool, serial-identical, and the
+        store keeps no temp files or batch entries."""
+        tg, machine = workload
+        reqs = [_request(tg, machine, f"r{i}") for i in range(4)]
+        baseline = MappingService().map_batch(reqs)
+        injector.arm("kill-worker", "r2")
+        store_dir = tmp_path / "store"
+        with ExecutorPool("process", workers=2, store_dir=str(store_dir)) as pool:
+            out = MappingService(pool=pool).map_batch(reqs, on_error="partial")
+            assert all(r.ok for r in out)
+            for a, b in zip(baseline, out):
+                _assert_same_mapping(a, b)
+            assert pool.restarts == 1
+        assert not list(store_dir.rglob("*.tmp"))
+        assert not (store_dir / "batch").exists()
+
+    def test_batch_scoped_pool_respawns_after_worker_kill(self, workload, injector):
+        """A process batch without ``pool=`` runs on a pool of its own,
+        which respawns a killed worker like a long-lived pool does."""
+        tg, machine = workload
+        reqs = [_request(tg, machine, f"r{i}") for i in range(4)]
+        baseline = MappingService().map_batch(reqs)
+        injector.arm("kill-worker", "r1")
+        out = MappingService().map_batch(
+            reqs, backend="process", workers=2, on_error="partial"
+        )
+        assert all(r.ok for r in out)
+        for a, b in zip(baseline, out):
+            _assert_same_mapping(a, b)
+        assert injector.pending("kill-worker") == 0
+
     def test_poison_request_quarantined_cleanly(self, workload, injector):
         tg, machine = workload
         injector.arm("kill-worker", "p0", count=5)

@@ -116,20 +116,18 @@ def test_family_goldens_on_every_backend(golden, backend, kernel_backend):
     _assert_matches_golden(responses, golden)
 
 
-def test_family_goldens_across_store_tiers(golden, store_tier, tmp_path):
-    """Goldens are byte-identical whichever tier carries the artifacts.
+def test_family_goldens_through_disk_store(golden, tmp_path):
+    """Goldens are byte-identical when a disk store carries the artifacts.
 
     The process backend round-trips groupings and route tables through
-    the artifact store, so this is the end-to-end proof that the
-    shared-memory segment codec and the mmap disk reads reproduce the
-    disk tier — and the pre-tier goldens — bit for bit.
+    the artifact store, so this is the end-to-end proof that the store
+    codec reproduces the goldens bit for bit.
     """
     responses = MappingService().map_batch(
         _scenario_requests(),
         backend="process",
         workers=2,
-        store_dir=str(tmp_path / store_tier),
-        store_tier=store_tier,
+        store_dir=str(tmp_path / "store"),
     )
     _assert_matches_golden(responses, golden)
 

@@ -11,14 +11,22 @@ from __future__ import annotations
 
 import io
 import json
+import multiprocessing
 import os
 import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.api import ExecutorPool, MappingService, MapRequest
+from repro.api import (
+    ArtifactCache,
+    DiskArtifactStore,
+    ExecutorPool,
+    MappingService,
+    MapRequest,
+)
 from repro.api.pool import POOL_BACKENDS
 from repro.graph.task_graph import TaskGraph
 from repro.topology.allocation import AllocationSpec, SparseAllocator
@@ -100,12 +108,43 @@ class TestPoolLifecycle:
             )
             assert pool.spawn_count == 1
 
-    def test_batch_payload_retired_after_batch(self, setup):
+    def test_process_batch_creates_no_batch_entry(self, setup):
+        """Requests travel with their nodes, not through the pool store."""
         tg, machine = setup
         with ExecutorPool("process", workers=2) as pool:
             service = MappingService(pool=pool)
             service.map_batch(_request(tg, machine, algos=("UG",)))
             assert pool.store.file_count("batch") == 0
+            assert not os.path.exists(os.path.join(pool.store.root, "batch"))
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_batch_scoped_run_leaves_no_live_executor(self, setup, backend):
+        """Without ``pool=`` the batch's pool is shut down when it ends."""
+        tg, machine = setup
+        request = _request(tg, machine, algos=("UG", "UWH"))
+        serial = MappingService().map_batch(request, backend="serial")
+        children = set(multiprocessing.active_children())
+        out = MappingService().map_batch(request, backend=backend, workers=2)
+        _assert_identical(serial, out)
+        assert set(multiprocessing.active_children()) <= children
+        assert not [
+            t for t in threading.enumerate() if t.name.startswith("repro-pool")
+        ]
+
+    def test_batch_scoped_process_run_uses_attached_store(self, setup, tmp_path):
+        """The batch's workers share the service cache's store root and
+        leave only artifacts there (no batch payloads, no warm-up
+        records of workers that are gone)."""
+        tg, machine = setup
+        store = DiskArtifactStore(str(tmp_path / "store"))
+        service = MappingService(cache=ArtifactCache(store=store))
+        out = service.map_batch(
+            _request(tg, machine, algos=("UG",)), backend="process", workers=2
+        )
+        assert out[0].ok
+        assert store.file_count("grouping") == 1
+        assert store.file_count("batch") == 0
+        assert store.file_count("runtime") == 0
 
     def test_idle_reap_and_lazy_respawn(self, setup):
         tg, machine = setup

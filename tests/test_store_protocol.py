@@ -6,10 +6,9 @@ is its single construction path.  This module runs the *same* battery
 of contract tests over every backend the engine can hand out —
 
 * ``DiskArtifactStore`` (durable ``.npz`` files),
-* ``TieredArtifactStore`` with shared memory (where POSIX shm works),
 * ``RemoteArtifactStore`` over a loopback
   :class:`~repro.dist.remote.ArtifactStoreServer`,
-* the tiered composition layered over a remote,
+* ``TieredArtifactStore``, the disk store layered over a remote,
 
 so a backend cannot drift from the contract without a test naming it.
 The battery pins: round-trips of every artifact value shape the engine
@@ -17,12 +16,16 @@ publishes, duplicate-save skipping (canonical ``save_skips`` counter),
 ``force=True`` re-publish, corruption tolerance (garbled bytes load as
 *default*, never raise), namespace isolation under one key, delete /
 contains coherence, orphan sweeping, and the canonical stats keys.
+The store server must also refuse any namespace or digest that would
+address a path outside its root, and stay up afterwards.
 """
 
 from __future__ import annotations
 
 import glob
 import os
+import socket
+import time
 
 import numpy as np
 import pytest
@@ -30,23 +33,15 @@ import pytest
 from repro.api.store import (
     ArtifactStore,
     DiskArtifactStore,
+    TieredArtifactStore,
     artifact_digest,
     make_store,
 )
-from repro.api.shm import TieredArtifactStore, shm_available
 from repro.dist.remote import ArtifactStoreServer, RemoteArtifactStore
 from repro.graph.task_graph import TaskGraph
+from repro.serve.protocol import recv_frame, send_blob, send_frame
 
-needs_shm = pytest.mark.skipif(
-    not shm_available(), reason="POSIX shared memory unavailable"
-)
-
-BACKENDS = [
-    "disk",
-    pytest.param("shm", marks=needs_shm),
-    "remote",
-    pytest.param("tiered-remote", marks=needs_shm),
-]
+BACKENDS = ["disk", "remote", "tiered-remote"]
 
 
 @pytest.fixture(scope="module")
@@ -69,15 +64,12 @@ def store(request, tmp_path, store_server):
     kind = request.param
     root = str(tmp_path / "store")
     if kind == "disk":
-        s = make_store(root, tier="disk")
-        assert isinstance(s, DiskArtifactStore)
-    elif kind == "shm":
-        s = make_store(root, tier="shm")
-        assert isinstance(s, TieredArtifactStore)
+        s = make_store(root)
+        assert type(s) is DiskArtifactStore
     elif kind == "remote":
         s = RemoteArtifactStore(_remote_address(store_server))
     else:  # tiered-remote
-        s = make_store(root, tier="shm", remote=_remote_address(store_server))
+        s = make_store(root, remote=_remote_address(store_server))
         assert isinstance(s, TieredArtifactStore)
     yield s
     try:
@@ -108,7 +100,7 @@ class TestConformance:
 
     def test_is_artifact_store(self, store):
         assert isinstance(store, ArtifactStore)
-        assert store.tier in ("disk", "shm", "remote")
+        assert store.tier in ("disk", "remote")
 
     def test_round_trip_value_shapes(self, store):
         for name, value in _sample_values().items():
@@ -180,6 +172,39 @@ class TestConformance:
         assert store.sweep_orphans(min_age_s=0.0) >= 0
 
 
+class Opaque:
+    """Module-level (hence picklable) type with no native codec kind —
+    forces the pickle-protocol-5 out-of-band path."""
+
+    def __init__(self, payload, label):
+        self.payload = payload
+        self.label = label
+
+
+class TestDiskStore:
+    def test_save_skips_existing_matching_artifact(self, tmp_path):
+        store = DiskArtifactStore(str(tmp_path))
+        path = store.save("grouping", "k", np.arange(10))
+        before = os.path.getmtime(path)
+        time.sleep(0.01)
+        again = store.save("grouping", "k", np.arange(10))
+        assert again == path
+        assert os.path.getmtime(path) == before  # untouched, not rewritten
+        assert store.stats()["save_skips"] == 1
+        # force=True rewrites (ArtifactCache.put revises DEF baselines).
+        store.save("grouping", "k", np.arange(10), force=True)
+        assert os.path.getmtime(path) >= before
+        assert store.stats()["saves"] == 2
+
+    def test_pickle5_out_of_band_roundtrip(self, tmp_path):
+        store = DiskArtifactStore(str(tmp_path))
+        obj = Opaque(np.arange(1000, dtype=np.float64), label="oob")
+        store.save("grouping", "k", obj)
+        out = store.load("grouping", "k")
+        assert isinstance(out, Opaque) and out.label == "oob"
+        np.testing.assert_array_equal(out.payload, obj.payload)
+
+
 class TestCorruptionTolerance:
     """Garbled bytes load as *default* — recompute, never wrong data."""
 
@@ -224,25 +249,14 @@ class TestCorruptionTolerance:
 class TestMakeStore:
     """``make_store`` is the single construction path."""
 
-    def test_tier_validation(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown store tier"):
-            make_store(str(tmp_path / "x"), tier="tape")
-
     def test_disk_tier(self, tmp_path):
-        store = make_store(str(tmp_path / "d"), tier="disk")
-        assert isinstance(store, DiskArtifactStore)
-        store.close()
-
-    @needs_shm
-    def test_auto_prefers_shm(self, tmp_path):
-        store = make_store(str(tmp_path / "a"), tier="auto")
-        assert isinstance(store, TieredArtifactStore)
+        store = make_store(str(tmp_path / "d"))
+        assert type(store) is DiskArtifactStore
         store.close()
 
     def test_remote_layering(self, tmp_path, store_server):
         store = make_store(
             str(tmp_path / "t"),
-            tier="disk",
             remote=_remote_address(store_server),
         )
         assert isinstance(store, TieredArtifactStore)
@@ -250,7 +264,6 @@ class TestMakeStore:
         store.save("grouping", ("repl", 1), np.arange(5))
         sibling = make_store(
             str(tmp_path / "t2"),
-            tier="disk",
             remote=_remote_address(store_server),
         )
         np.testing.assert_array_equal(
@@ -261,4 +274,63 @@ class TestMakeStore:
 
     def test_remote_connection_failure_raises(self, tmp_path):
         with pytest.raises(ConnectionError):
-            make_store(str(tmp_path / "f"), tier="disk", remote="127.0.0.1:1")
+            make_store(str(tmp_path / "f"), remote="127.0.0.1:1")
+
+
+class TestStoreServerNames:
+    """Namespaces and digests that are not one plain path component are
+    refused with a structured error; nothing outside the root changes."""
+
+    BAD_NAMES = ["..", ".", "a/b", ""]
+
+    @staticmethod
+    def _snapshot(top):
+        tree = {}
+        for dirpath, dirnames, filenames in os.walk(top):
+            tree[dirpath] = sorted(dirnames)
+            for name in filenames:
+                path = os.path.join(dirpath, name)
+                with open(path, "rb") as fh:
+                    tree[path] = (os.path.getmtime(path), fh.read())
+        return tree
+
+    @staticmethod
+    def _ops(name):
+        good = artifact_digest("grouping", "k")
+        for ns, digest in ((name, good), ("grouping", name)):
+            yield {"op": "save", "ns": ns, "digest": digest, "force": True}, b"blob"
+            yield {"op": "load", "ns": ns, "digest": digest}, None
+            yield {"op": "contains", "ns": ns, "digest": digest}, None
+            yield {"op": "delete", "ns": ns, "digest": digest}, None
+        yield {"op": "clear", "ns": name}, None
+        yield {"op": "count", "ns": name}, None
+
+    def test_bad_names_are_refused_and_touch_nothing(self, tmp_path):
+        outer = tmp_path / "outer"
+        root = outer / "root"
+        server = ArtifactStoreServer(str(root)).start()
+        try:
+            client = RemoteArtifactStore(_remote_address(server))
+            client.save("grouping", "k", np.arange(3))
+            (outer / "unrelated.npz").write_bytes(b"not the store's")
+            before = self._snapshot(str(outer))
+            # The client surface degrades to a refused (falsy) save.
+            assert not client.save("..", "k", 123)
+            assert client.clear("..") == 0
+            with socket.create_connection(server.address, timeout=10) as sock:
+                for name in self.BAD_NAMES:
+                    for frame, blob in self._ops(name):
+                        send_frame(sock, frame)
+                        if blob is not None:
+                            send_blob(sock, blob)
+                        reply = recv_frame(sock)
+                        assert reply["ok"] is False, (frame, reply)
+                        assert "invalid namespace or digest" in reply["error"]
+                # The same connection keeps serving.
+                send_frame(sock, {"op": "ping"})
+                assert recv_frame(sock)["ok"] is True
+            assert self._snapshot(str(outer)) == before
+            np.testing.assert_array_equal(client.load("grouping", "k"), np.arange(3))
+            client.close()
+        finally:
+            server.stop()

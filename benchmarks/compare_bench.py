@@ -46,14 +46,6 @@ its *structural* invariants, which hold on any hardware:
   and come from multi-core hosts, the geo-mean of the nominal/overload
   p99 ratios (new / baseline) must not exceed the threshold.
 
-With ``--gate-native`` the ``kernel_backends`` section is gated: over
-every hot kernel whose snapshot recorded *both* a NumPy and a numba
-timing, the geometric mean of the native/NumPy ratios must not exceed
-1.0 — warmed JIT kernels are allowed to tie but never to lose to the
-reference they replace.  Snapshots emitted without numba installed
-(native timings null) skip the check with a note instead of failing, so
-the gate is safe to pass unconditionally.
-
 With ``--gate-dist`` the ``dist`` section (multi-host sharding over
 loopback hosts) is gated, self-consistently within the new snapshot:
 the sharded run's mappings must be byte-identical to the serial
@@ -65,8 +57,7 @@ with a note, so the gate is safe to pass unconditionally.
 Usage::
 
     PYTHONPATH=src python benchmarks/compare_bench.py NEW.json [BASELINE.json]
-        [--threshold 1.25] [--gate-batch] [--gate-tail] [--gate-native]
-        [--gate-dist]
+        [--threshold 1.25] [--gate-batch] [--gate-tail] [--gate-dist]
 
 With no explicit baseline, the highest-numbered ``BENCH_<n>.json`` in
 the repository root that is not the new snapshot itself is used.
@@ -88,7 +79,6 @@ __all__ = [
     "compare_snapshots",
     "gate_batch_throughput",
     "gate_dist",
-    "gate_native_kernels",
     "gate_tail_latency",
     "latest_snapshot",
     "main",
@@ -355,52 +345,6 @@ def gate_tail_latency(
     return ok, lines
 
 
-def gate_native_kernels(new: dict) -> Tuple[bool, List[str]]:
-    """``(ok, report_lines)`` for the native-kernel speed gate.
-
-    Self-consistency within the *new* snapshot only (no baseline
-    needed): whenever a kernel carries both tiers' timings, warmed
-    numba must not be slower than NumPy on geo-mean.  A snapshot whose
-    native timings are all null (numba not installed where it was
-    emitted) skips with a note — the gate only arms where it can
-    actually measure.
-    """
-    import math
-
-    section = new.get("kernel_backends")
-    if not section:
-        return False, ["native gate: new snapshot has no kernel_backends section"]
-    kernels = section.get("kernels") or {}
-    pairs = {
-        name: (m["numpy_s"], m["numba_s"])
-        for name, m in kernels.items()
-        if m.get("numpy_s") and m.get("numba_s")
-    }
-    if not pairs:
-        return True, [
-            "native gate: no kernel recorded both tiers "
-            f"(numba_available={section.get('numba_available')}); skipped"
-        ]
-    lines: List[str] = []
-    log_sum = 0.0
-    for name in sorted(pairs):
-        numpy_s, numba_s = pairs[name]
-        ratio = numba_s / numpy_s
-        log_sum += math.log(ratio)
-        lines.append(
-            f"native gate: {name:>22s} numpy {numpy_s * 1e3:8.3f} ms  "
-            f"numba {numba_s * 1e3:8.3f} ms  (ratio {ratio:.3f})"
-        )
-    geo = math.exp(log_sum / len(pairs))
-    ok = geo <= 1.0
-    lines.append(
-        f"native gate: geo-mean numba/numpy ratio {geo:.3f} over "
-        f"{len(pairs)} kernels ({'OK' if ok else 'REGRESSION'}; "
-        "native must not lose to the reference)"
-    )
-    return ok, lines
-
-
 def gate_dist(new: dict) -> Tuple[bool, List[str]]:
     """``(ok, report_lines)`` for the multi-host sharding gate.
 
@@ -489,13 +433,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "multi-core snapshots gate the p99 ratio)",
     )
     parser.add_argument(
-        "--gate-native",
-        action="store_true",
-        help="also gate the kernel_backends section (warmed numba kernels "
-        "must not be slower than NumPy on geo-mean wherever both tiers "
-        "were timed; numba-less snapshots skip with a note)",
-    )
-    parser.add_argument(
         "--gate-dist",
         action="store_true",
         help="also gate the dist section (sharded mappings must be "
@@ -525,10 +462,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             tail_ok, tail_lines = gate_tail_latency(baseline, new, args.threshold)
             ok = ok and tail_ok
             lines += tail_lines
-        if args.gate_native:
-            native_ok, native_lines = gate_native_kernels(new)
-            ok = ok and native_ok
-            lines += native_lines
         if args.gate_dist:
             dist_ok, dist_lines = gate_dist(new)
             ok = ok and dist_ok

@@ -9,27 +9,6 @@ import pytest
 
 from repro.experiments.harness import WorkloadCache
 from repro.experiments.profiles import profile_from_env
-from repro.kernels.backend import numba_available, use_backend, warm_up
-
-
-@pytest.fixture(
-    params=[
-        pytest.param("numpy"),
-        pytest.param(
-            "numba",
-            marks=pytest.mark.skipif(
-                not numba_available(),
-                reason="numba is not installed (pip install -e .[native])",
-            ),
-        ),
-    ]
-)
-def kernel_backend(request):
-    """Benchmark axis over the kernel backends, pre-warmed: the numba
-    leg measures steady-state compiled code, never JIT compilation."""
-    with use_backend(request.param) as backend:
-        warm_up(backend)
-        yield request.param
 
 
 @pytest.fixture(scope="session")

@@ -66,15 +66,15 @@ import serve_load
 
 from repro.analysis.stats import geometric_mean
 from repro.api.cache import ArtifactCache
+from repro.api.config import EngineConfig
 from repro.api.executor import default_workers
 from repro.api.pool import ExecutorPool
 from repro.api.service import MappingService
 from repro.experiments.fig2 import run_fig2, sweep_requests
 from repro.experiments.harness import WorkloadCache
 from repro.experiments.profiles import profile_from_env
-from repro.kernels.backend import backend_info, numba_available, use_backend, warm_up
 from repro.mapping.pipeline import FAMILY_MAPPER_NAMES, MAPPER_NAMES
-from repro.topology.routing import RouteTable, routes_bulk
+from repro.topology.routing import RouteTable
 from repro.topology.torus import Torus3D
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -116,7 +116,9 @@ def measure_batch_throughput(profile, cache: WorkloadCache) -> dict:
     def run(backend: str, workers) -> dict:
         service = MappingService()
         t0 = time.perf_counter()
-        responses = service.map_batch(requests, backend=backend, workers=workers)
+        responses = service.map_batch(
+            requests, config=EngineConfig(backend=backend, workers=workers)
+        )
         elapsed = time.perf_counter() - t0
         assert len(responses) == len(requests) * len(BENCH_MAPPERS)
         return {
@@ -165,118 +167,8 @@ def measure_batch_throughput(profile, cache: WorkloadCache) -> dict:
     return out
 
 
-#: Timing repetitions per kernel; the minimum is reported (the standard
-#: microbenchmark estimator: least-interfered-with run).
-KERNEL_REPS = 20
-
 #: Dead-link fractions of the degraded-machine routing sweep.
 DEGRADED_FRACTIONS = (0.0, 0.01, 0.05)
-
-
-def _kernel_workloads() -> dict:
-    """``name -> zero-arg callable`` over each escalated hot kernel.
-
-    Workload shapes mirror ``benchmarks/test_perf_kernels.py`` (960-node
-    torus, 256-task graphs, Δ=8 candidate batches).  The callables
-    dispatch through :func:`repro.kernels.backend.get_backend` at call
-    time, so one workload set serves every backend measurement.
-    """
-    from repro.graph.csr import expand_frontier
-    from repro.graph.task_graph import TaskGraph
-    from repro.kernels import batched_swap_gains, hop_table_for, task_whops_many
-    from repro.kernels.congestion import CongestionModel
-
-    rng = np.random.default_rng(7)
-    torus = Torus3D((12, 10, 8))
-    table = hop_table_for(torus)
-    a = rng.integers(0, torus.num_nodes, size=10_000)
-    b = rng.integers(0, torus.num_nodes, size=10_000)
-
-    gm = torus.graph()
-    frontier = np.arange(0, torus.num_nodes, 97, dtype=np.int64)
-
-    n = 256
-    src = rng.integers(0, n, size=2500)
-    dst = rng.integers(0, n, size=2500)
-    keep = src != dst
-    vol = rng.integers(1, 20, size=2500).astype(np.float64)
-    tg = TaskGraph.from_edges(n, src[keep], dst[keep], vol[keep])
-    sym = tg.symmetrized()
-    gamma = rng.choice(torus.num_nodes, size=n, replace=False).astype(np.int64)
-    partners = np.asarray([3, 17, 42, 88, 101, 150, 199, 230], dtype=np.int64)
-    whops0 = float(
-        task_whops_many(sym, table, gamma, np.asarray([0], dtype=np.int64))[0]
-    )
-    src_t, dst_t, vols = tg.graph.edge_list()
-    model = CongestionModel(torus, src_t, dst_t, vols, gamma)
-
-    m = 2500
-    rsrc = rng.integers(0, torus.num_nodes, size=m)
-    rdst = rng.integers(0, torus.num_nodes, size=m)
-    rtable = RouteTable.build(torus, rsrc, rdst)
-    volumes = rng.integers(1, 20, size=m).astype(np.float64)
-    pairs = np.unique(rng.integers(0, m, size=64))
-    links, msg = routes_bulk(torus, rdst[pairs], rsrc[pairs])
-    order = np.argsort(msg, kind="stable")
-    counts = np.bincount(msg, minlength=pairs.size)
-    new_links, new_counts = links[order], counts
-
-    def one_level():
-        seen = np.zeros(gm.num_vertices, dtype=bool)
-        seen[frontier] = True
-        return expand_frontier(gm, frontier, seen)
-
-    return {
-        "pairwise_hops": lambda: table.pairwise_hops(a, b),
-        "expand_frontier": one_level,
-        "swap_gains": lambda: batched_swap_gains(
-            sym, table, gamma, 0, partners, whops_t1=whops0
-        ),
-        "evaluate_swaps": lambda: model.evaluate_swaps(0, partners),
-        "comm_index_refresh": model._refresh_comm_index,
-        "accumulate_loads": lambda: rtable.accumulate(volumes),
-        "splice_routes": lambda: rtable.replace_routes(pairs, new_links, new_counts),
-    }
-
-
-def measure_kernel_backends() -> dict:
-    """Per-kernel NumPy-vs-numba timings (the ``kernel_backends`` section).
-
-    Each backend is installed process-wide and warmed first, so the
-    numba column times steady-state compiled code — the latency a
-    pre-warmed pool worker pays — never JIT compilation.  Without numba
-    the native column stays null and ``compare_bench.py --gate-native``
-    skips; PERFORMANCE.md documents that case.
-    """
-    workloads = _kernel_workloads()
-    out = {
-        "numba_available": numba_available(),
-        "active": backend_info(),
-        "kernels": {name: {"numpy_s": None, "numba_s": None} for name in workloads},
-        "warmup": None,
-    }
-    backends = ["numpy"] + (["numba"] if numba_available() else [])
-    for backend in backends:
-        with use_backend(backend) as be:
-            record = warm_up(be)
-            if backend == "numba":
-                out["warmup"] = record
-            for name, fn in workloads.items():
-                best = min(
-                    _timed(fn) for _ in range(KERNEL_REPS)
-                )
-                out["kernels"][name][f"{backend}_s"] = best
-    for m in out["kernels"].values():
-        m["speedup"] = (
-            m["numpy_s"] / m["numba_s"] if m["numpy_s"] and m["numba_s"] else None
-        )
-    return out
-
-
-def _timed(fn) -> float:
-    t0 = time.perf_counter()
-    fn()
-    return time.perf_counter() - t0
 
 
 def measure_degraded_sweep() -> dict:
@@ -420,7 +312,6 @@ def main(argv) -> str:
         result = run_fig2(profile, cache, mappers=BENCH_MAPPERS)
         throughput = measure_batch_throughput(profile, cache)
         serving = serve_load.measure_serving()
-        kernel_backends = measure_kernel_backends()
         degraded = measure_degraded_sweep()
         dist = measure_dist()
     except BaseException:
@@ -452,9 +343,6 @@ def main(argv) -> str:
         # Network front end: tail latency under nominal/overload load
         # plus the coalescing burst (benchmarks/serve_load.py).
         "serving": serving,
-        # Per-kernel NumPy-vs-numba timings (null native entries mean
-        # numba was not installed where this snapshot was emitted).
-        "kernel_backends": kernel_backends,
         # Fault-avoiding router overhead vs dead-link fraction.
         "degraded": degraded,
         # Multi-host sharding over loopback hosts: dispatch overhead
@@ -494,16 +382,6 @@ def main(argv) -> str:
             )
     print("  serving:")
     serve_load._print_summary(serving)
-    print(
-        f"  kernels (numba_available={kernel_backends['numba_available']}):"
-    )
-    for name, m in sorted(kernel_backends["kernels"].items()):
-        native = (
-            f"{m['numba_s'] * 1e3:8.3f} ms ({m['speedup']:.2f}x)"
-            if m["numba_s"]
-            else "    (no numba)"
-        )
-        print(f"    {name:>18s}: numpy {m['numpy_s'] * 1e3:8.3f} ms  numba {native}")
     print("  degraded routing:")
     for frac, m in degraded["fractions"].items():
         print(

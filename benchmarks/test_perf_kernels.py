@@ -12,12 +12,6 @@ Tracks the primitives the mapping hot paths are built from:
 * ``RouteTable.accumulate`` / ``replace_routes`` — the congestion
   model's per-commit route maintenance.
 
-Every benchmark that sits on a dispatching call site takes the
-``kernel_backend`` axis (``benchmarks/conftest.py``), so with numba
-installed the table shows each kernel's numpy and (pre-warmed) native
-timings side by side — the per-kernel comparison behind the
-``kernel_backends`` section of the committed snapshots.
-
 Run with ``PYTHONPATH=src python -m pytest benchmarks/test_perf_kernels.py``;
 pytest-benchmark prints the comparison table.
 """
@@ -53,7 +47,7 @@ def test_hop_formula_baseline(benchmark, torus, pairs):
     benchmark(lambda: torus.hop_distance(a, b))
 
 
-def test_hop_table_pairwise(benchmark, torus, pairs, kernel_backend):
+def test_hop_table_pairwise(benchmark, torus, pairs):
     a, b = pairs
     table = hop_table_for(torus)
     assert table.has_matrix
@@ -74,7 +68,7 @@ def test_hop_table_cross(benchmark, torus):
     benchmark(lambda: table.cross_hops(cands, nbrs))
 
 
-def test_frontier_expansion(benchmark, torus, kernel_backend):
+def test_frontier_expansion(benchmark, torus):
     gm = torus.graph()
     assert gm.padded_neighbors() is not None
     frontier0 = np.arange(0, torus.num_nodes, 97, dtype=np.int64)
@@ -111,7 +105,7 @@ def test_swap_gain_scalar_baseline(benchmark, torus, swap_workload):
     benchmark(scalar)
 
 
-def test_swap_gain_batched(benchmark, torus, swap_workload, kernel_backend):
+def test_swap_gain_batched(benchmark, torus, swap_workload):
     sym, gamma, partners = swap_workload
     table = hop_table_for(torus)
     whops0 = _task_whops(0, sym, torus, gamma)
@@ -151,7 +145,7 @@ def test_congestion_probe_scalar_baseline(benchmark, congestion_workload):
     benchmark(scalar)
 
 
-def test_congestion_probe_batched(benchmark, congestion_workload, kernel_backend):
+def test_congestion_probe_batched(benchmark, congestion_workload):
     model, partners = congestion_workload
 
     def batched():
@@ -177,12 +171,12 @@ def route_workload(torus):
     return table, volumes, pairs, links[order], counts
 
 
-def test_route_accumulate(benchmark, route_workload, kernel_backend):
+def test_route_accumulate(benchmark, route_workload):
     table, volumes, _, _, _ = route_workload
     benchmark(lambda: table.accumulate(volumes))
 
 
-def test_route_splice(benchmark, route_workload, kernel_backend):
+def test_route_splice(benchmark, route_workload):
     table, _, pairs, new_links, new_counts = route_workload
 
     def splice():

@@ -37,13 +37,6 @@ setup(
             "pytest-timeout",
             "ruff",
         ],
-        # Optional JIT acceleration tier: repro.kernels.native compiles
-        # the hottest kernels with numba when present.  Strictly
-        # optional — everything falls back to the bit-identical NumPy
-        # reference paths without it (see repro.kernels.backend).
-        "native": [
-            "numba>=0.57",
-        ],
     },
     entry_points={
         "console_scripts": [

@@ -41,10 +41,11 @@ artifact store alive across calls::
         async with AsyncMappingService(pool=pool) as aio:  # or awaitable
             ...
 
-Serving is fault tolerant: ``map_batch(..., retry=RetryPolicy(...),
-node_timeout=..., on_error="partial")`` retries transient node
-failures with backoff, bounds per-node wall time, and returns partial
-batch results (failed requests carry a structured
+Serving is fault tolerant: a batch config
+``EngineConfig(retry=RetryPolicy(...), node_timeout=...,
+on_error="partial")``, passed as ``map_batch(requests, config=...)``,
+retries transient node failures with backoff, bounds per-node wall
+time, and returns partial batch results (failed requests carry a structured
 :class:`~repro.api.fault.PlanError` on ``response.error``); a crashed
 process pool self-heals (:meth:`ExecutorPool.respawn`), re-running
 only the lost nodes and quarantining poison requests.  Degraded

@@ -37,6 +37,7 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Iterable, List, Optional, Union
 
+from repro.api.config import EngineConfig
 from repro.api.request import MapRequest, MapResponse
 from repro.api.service import MappingService
 
@@ -104,7 +105,7 @@ class AsyncMappingService:
     async def map(self, request: MapRequest, **kwargs) -> MapResponse:
         """Awaitable :meth:`MappingService.map` (exactly one algorithm).
 
-        Accepts the same ``timeout=`` / engine fault kwargs as
+        Accepts the same ``timeout=`` / ``config=`` keywords as
         :meth:`map_batch`.
         """
         if len(request.algorithms) != 1:
@@ -120,17 +121,18 @@ class AsyncMappingService:
         requests: Union[MapRequest, Iterable[MapRequest]],
         *,
         timeout: Optional[float] = None,
-        **kwargs,
+        config: Optional[EngineConfig] = None,
     ) -> List[MapResponse]:
-        """Awaitable :meth:`MappingService.map_batch`; same kwargs.
+        """Awaitable :meth:`MappingService.map_batch`.
 
         The plan builds and executes on a driver thread, so the event
         loop never blocks; at most ``max_in_flight`` plans run at once.
 
         *timeout* bounds this batch's wall time: past it the await
-        fails with :class:`asyncio.TimeoutError`.  Engine-level fault
-        handling (``retry=``, ``node_timeout=``, ``on_error=``) passes
-        straight through to :meth:`MappingService.map_batch`.
+        fails with :class:`asyncio.TimeoutError`.  *config* (an
+        :class:`~repro.api.config.EngineConfig`, e.g. with engine-level
+        fault handling) passes straight through to
+        :meth:`MappingService.map_batch`.
 
         Cancellation is safe at any point: a cancelled (or timed-out)
         awaiter releases its ``max_in_flight`` slot immediately and the
@@ -152,7 +154,7 @@ class AsyncMappingService:
             try:
                 future = loop.run_in_executor(
                     self._drivers,
-                    partial(self.service.map_batch, requests, **kwargs),
+                    partial(self.service.map_batch, requests, config=config),
                 )
                 if timeout is not None:
                     return await asyncio.wait_for(future, timeout)

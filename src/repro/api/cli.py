@@ -81,6 +81,7 @@ import json
 import sys
 import time
 from collections import OrderedDict
+from dataclasses import replace
 from typing import List, Optional
 
 from repro.api.cache import ArtifactCache
@@ -90,12 +91,6 @@ from repro.api.request import MapRequest
 from repro.api.service import MappingService
 from repro.api.store import make_store
 from repro.data.corpus import CORPUS
-from repro.kernels.backend import (
-    ENV_VAR as KERNEL_ENV_VAR,
-    KERNEL_BACKENDS,
-    backend_info,
-    set_backend,
-)
 from repro.partition.toolbox import PARTITIONER_NAMES
 from repro.serve.protocol import (
     ProtocolError,
@@ -365,7 +360,7 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="pool width for the thread/process backends (default: CPUs)",
@@ -404,7 +399,7 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--retries",
-        type=int,
+        type=_nonnegative_int,
         default=None,
         metavar="N",
         help="retry a failing plan node up to N extra times with "
@@ -412,7 +407,7 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--node-timeout",
-        type=float,
+        type=_positive_float,
         default=None,
         metavar="SEC",
         help="per-node deadline on the thread/process backends; a node "
@@ -425,30 +420,27 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         "structured error entry instead of aborting the whole batch "
         "(--follow mode always serves partial results)",
     )
-    parser.add_argument(
-        "--kernel-backend",
-        default=None,
-        choices=("auto",) + KERNEL_BACKENDS,
-        help="kernel implementation tier: numba (JIT-compiled hot paths), "
-        "numpy (always-available reference), or auto-detect (default; "
-        "numba when installed).  An unsatisfiable numba request falls "
-        "back to numpy with the reason reported",
-    )
 
 
-def _install_kernel_backend(args: argparse.Namespace) -> None:
-    """Install the requested kernel backend for this process and its pools.
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
-    An explicit ``--kernel-backend`` is mirrored into the environment so
-    process-pool workers — one-shot engine pools and persistent
-    ``ExecutorPool`` workers alike — resolve the same choice on spawn.
-    """
-    choice = getattr(args, "kernel_backend", None)
-    if choice is not None:
-        import os
 
-        os.environ[KERNEL_ENV_VAR] = choice
-    set_backend(choice)
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -461,7 +453,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
             }
             for name in names
         }
-        payload["kernel_backend"] = backend_info()
         print(json.dumps(payload, indent=1))
         return 0
     print(f"{'mapper':>8s}  {'stages':<40s} description")
@@ -470,12 +461,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
         spec = get_spec(name)
         chain = " → ".join(spec.stage_names())
         print(f"{name:>8s}  {chain:<40s} {spec.description}")
-    info = backend_info()
-    note = f" — {info['fallback_reason']}" if info["fallback_reason"] else ""
-    print(
-        f"\nkernel backend: {info['backend']} "
-        f"(requested {info['requested']}){note}"
-    )
     return 0
 
 
@@ -486,44 +471,37 @@ def _parse_hosts(value: Optional[str]) -> tuple:
     return tuple(h.strip() for h in value.split(",") if h.strip())
 
 
-def _engine_config(args: argparse.Namespace):
-    """The CLI's :class:`~repro.api.config.EngineConfig` from its flags."""
-    from repro.api.config import EngineConfig
+def _fault_fields(args: argparse.Namespace, *, partial: bool = False) -> dict:
+    """The :class:`~repro.api.config.EngineConfig` fault fields of the flags."""
+    from repro.api.fault import RetryPolicy
 
-    return EngineConfig(
-        backend=args.backend,
-        workers=args.workers,
-        store_dir=args.store_dir,
-        store_remote=getattr(args, "store_remote", None),
-        kernel_backend=getattr(args, "kernel_backend", None),
-        cache_entries=args.cache_entries,
-        cache_bytes=args.cache_bytes,
-        hosts=_parse_hosts(getattr(args, "hosts", None)),
-        steal_threshold=getattr(args, "steal_threshold", 2),
-    )
+    return {
+        "retry": RetryPolicy(max_attempts=args.retries + 1) if args.retries else None,
+        "node_timeout": args.node_timeout,
+        "on_error": "partial" if partial or args.partial else "raise",
+    }
 
 
 def _build_service(args: argparse.Namespace) -> MappingService:
-    """Service wired to the CLI's cache bounds, store and backend flags."""
-    return MappingService(config=_engine_config(args))
+    """Service whose config holds the CLI's engine, cache and fault flags."""
+    from repro.api.config import EngineConfig
 
-
-def _fault_kwargs(args: argparse.Namespace, *, partial: bool = False) -> dict:
-    """``map_batch`` fault-tolerance kwargs from the CLI flags."""
-    from repro.api.fault import RetryPolicy
-
-    kwargs: dict = {}
-    if getattr(args, "retries", None):
-        kwargs["retry"] = RetryPolicy(max_attempts=args.retries + 1)
-    if getattr(args, "node_timeout", None) is not None:
-        kwargs["node_timeout"] = args.node_timeout
-    if partial or getattr(args, "partial", False):
-        kwargs["on_error"] = "partial"
-    return kwargs
+    return MappingService(
+        config=EngineConfig(
+            backend=args.backend,
+            workers=args.workers,
+            store_dir=args.store_dir,
+            store_remote=args.store_remote,
+            cache_entries=args.cache_entries,
+            cache_bytes=args.cache_bytes,
+            hosts=_parse_hosts(args.hosts),
+            steal_threshold=args.steal_threshold,
+            **_fault_fields(args),
+        )
+    )
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
-    _install_kernel_backend(args)
     algos = tuple(a.strip() for a in args.algos.split(",") if a.strip())
     if not algos:
         raise ValueError("--algos needs at least one mapper name")
@@ -548,8 +526,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
             seed=args.seed,
             delta=args.delta,
             evaluate=True,
-        ),
-        **_fault_kwargs(args),
+        )
     )
 
     if args.json:
@@ -640,16 +617,15 @@ def _manifest_requests(args: argparse.Namespace) -> List[MapRequest]:
 
 
 def _cmd_map_batch(args: argparse.Namespace) -> int:
-    _install_kernel_backend(args)
     if args.follow:
         return _cmd_follow(args)
     requests = _manifest_requests(args)
     service = _build_service(args)
     t0 = time.perf_counter()
-    responses = service.map_batch(requests, **_fault_kwargs(args))
+    responses = service.map_batch(requests)
     elapsed = time.perf_counter() - t0
     errors = sum(1 for r in responses if not r.ok)
-    hosts = _parse_hosts(getattr(args, "hosts", None))
+    hosts = service.config.hosts
     summary = {
         "backend": "sharded" if hosts else args.backend,
         "workers": args.workers,
@@ -726,7 +702,6 @@ def _cmd_follow(args: argparse.Namespace) -> int:
             workers=args.workers,
             store_dir=args.store_dir,
             idle_timeout=args.idle_timeout,
-            kernel_backend=args.kernel_backend,
             store_remote=args.store_remote,
         )
     service = MappingService(
@@ -749,7 +724,7 @@ def _cmd_follow(args: argparse.Namespace) -> int:
     defaults: dict = {}
     batches = served = failed = 0
     store_counts = {}
-    fault_kwargs = _fault_kwargs(args, partial=True)
+    batch_config = replace(service.config, **_fault_fields(args, partial=True))
 
     # Graceful drain: a signal arriving mid-batch merely sets the flag —
     # the batch finishes and its result line is emitted before the loop
@@ -784,7 +759,7 @@ def _cmd_follow(args: argparse.Namespace) -> int:
                 state["in_batch"] = True
                 try:
                     t0 = time.perf_counter()
-                    responses = service.map_batch(requests, **fault_kwargs)
+                    responses = service.map_batch(requests, config=batch_config)
                     elapsed = time.perf_counter() - t0
                 finally:
                     state["in_batch"] = False
@@ -883,11 +858,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
 
+    from repro.api.config import EngineConfig
     from repro.api.pool import POOL_BACKENDS, ExecutorPool
     from repro.serve.protocol import parse_address
     from repro.serve.server import MappingServer
 
-    _install_kernel_backend(args)
     host, port = parse_address(args.listen)
     weights = {}
     for item in args.tenant_weight:
@@ -895,7 +870,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if not sep or not name:
             raise ValueError(f"--tenant-weight {item!r} is not NAME=WEIGHT")
         weights[name] = float(value)
-    fault = _fault_kwargs(args)
+    config = EngineConfig(
+        backend=args.backend, workers=args.workers, **_fault_fields(args)
+    )
 
     pool = None
     if args.backend in POOL_BACKENDS:
@@ -904,7 +881,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             workers=args.workers,
             store_dir=args.store_dir,
             idle_timeout=args.idle_timeout,
-            kernel_backend=args.kernel_backend,
             store_remote=args.store_remote,
         )
     store = pool.store if pool is not None else (
@@ -924,16 +900,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_batch=args.max_batch,
             tenant_weights=weights or None,
             default_tenant_weight=args.default_tenant_weight,
-            retry=fault.get("retry"),
-            node_timeout=fault.get("node_timeout"),
             max_in_flight=args.max_in_flight,
             cache=ArtifactCache(
                 max_entries=args.cache_entries,
                 max_bytes=args.cache_bytes,
                 store=store,
             ),
-            backend=args.backend,
-            workers=args.workers,
+            config=config,
         )
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()
@@ -1032,7 +1005,6 @@ def _cmd_shard_serve(args: argparse.Namespace) -> int:
     from repro.dist.host import HostServer
     from repro.serve.protocol import parse_address
 
-    _install_kernel_backend(args)
     server = HostServer(
         parse_address(args.listen),
         store_remote=args.store_remote,
@@ -1042,7 +1014,6 @@ def _cmd_shard_serve(args: argparse.Namespace) -> int:
         host_id=args.host_id,
         cache_entries=args.cache_entries,
         cache_bytes=args.cache_bytes,
-        kernel_backend=args.kernel_backend,
     )
     _serve_until_signal(server, what=f"shard host {server.host_id}")
     stats = server.stats()
@@ -1123,27 +1094,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             f"restarts={pool['restarts']} "
             f"healthy={'yes' if pool['healthy'] else 'NO'}"
         )
-        kb = pool.get("kernel_backend")
-        if kb:
-            note = (
-                f" — {kb['fallback_reason']}" if kb.get("fallback_reason") else ""
-            )
-            warm = kb.get("warmup")
-            workers = kb.get("workers") or {}
-            warmed = [w for w in workers.values() if w]
-            if warmed:
-                extra = (
-                    f" warmed_workers={len(warmed)} "
-                    f"warmup_max={max(w['warmup_s'] for w in warmed) * 1e3:.1f} ms"
-                )
-            elif warm:
-                extra = f" warmup={warm['warmup_s'] * 1e3:.1f} ms"
-            else:
-                extra = ""
-            print(
-                f"kernels: backend={kb['backend']} "
-                f"(requested {kb['requested']}){note}{extra}"
-            )
     cache = snapshot.get("cache") or {}
     busy = {
         ns: s for ns, s in cache.items() if s["hits"] or s["misses"] or s["size"]

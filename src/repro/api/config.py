@@ -1,30 +1,28 @@
 """EngineConfig — one object for the engine's execution knobs.
 
-The per-call kwargs the engine grew PR over PR (``backend``,
-``workers``, ``store_dir``, ``store_remote``, ``kernel_backend``, cache
-bounds, retry/timeout knobs, and now the sharding fields) live in one
-frozen dataclass threaded through :class:`~repro.api.service.
-MappingService`, :class:`~repro.api.pool.ExecutorPool`, the CLI and the
-network server.  Every legacy kwarg keeps working — call sites pass
-explicit kwargs, those override the config, and omitted ones fall back
-to it — so the config is a consolidation, not a migration.
+A :class:`~repro.api.service.MappingService` holds one config; its
+``map_batch(requests, config=...)`` takes another for one batch, which
+stands in for the service's (a ``None`` ``backend`` or ``workers`` there
+means the service's).  Derive a per-batch config with
+:func:`dataclasses.replace`::
+
+    service.map_batch(requests, config=replace(service.config, on_error="partial"))
+
+The CLI builds one from its flags, and the network server derives each
+dispatched batch's config from its service's the same way.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-__all__ = ["EngineConfig", "DEFAULT_WORKER_CACHE_BYTES"]
-
-#: Per-worker artifact-cache byte budget (mirrors ExecutorPool's).
-DEFAULT_WORKER_CACHE_BYTES = 256 << 20
+__all__ = ["EngineConfig"]
 
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Execution knobs for one service / pool / serve deployment.
+    """Execution knobs for one service, batch or serve deployment.
 
     Every field has the engine's historical default, so
     ``EngineConfig()`` reproduces the pre-config behavior exactly.
@@ -33,34 +31,30 @@ class EngineConfig:
     ----------
     backend:
         Plan execution backend (``serial`` / ``thread`` / ``process``);
-        ``None`` keeps each component's own default.
+        ``None`` = the service's default (its pool's backend, else
+        ``serial``).
     workers:
-        Worker count for parallel backends (``None`` = auto).
+        Worker count for parallel backends (``None`` = the service's,
+        else auto; on an attached pool, the pool's width).  At least 1.
     store_dir:
         Root directory of the artifact store (``None`` = in-memory
         cache only, or a pool-managed temp root).
     store_remote:
         ``host:port`` of a ``repro-map store-serve`` process to layer
         under the disk store (replicated writes, promoted reads).
-    kernel_backend:
-        Kernel tier (``numpy`` / ``numba``; ``None`` = auto-detect).
     cache_entries / cache_bytes:
         LRU bounds of the service-level :class:`~repro.api.cache.
         ArtifactCache` (``None`` = unbounded).
-    worker_cache_bytes:
-        Per-process-pool-worker cache byte budget.
     retry:
         :class:`~repro.api.fault.RetryPolicy` for plan nodes (``None``
         = no retries).
     node_timeout:
-        Per-node deadline in seconds (``None`` = none; the serial
-        backend ignores it).  On local executors every ready node is
-        handed off at once, so the deadline also counts time a node
-        spends queued behind busy workers.
+        Per-node deadline in seconds, positive (``None`` = none; the
+        serial backend ignores it).  On local executors every ready
+        node is handed off at once, so the deadline also counts time a
+        node spends queued behind busy workers.
     on_error:
         ``"raise"`` or ``"partial"`` (structured per-request errors).
-    idle_timeout:
-        Pool worker idle reap timeout (``None`` = keep forever).
     hosts:
         Shard-host addresses (``host:port`` of ``repro-map
         shard-serve`` processes); non-empty routes ``map_batch``
@@ -74,14 +68,11 @@ class EngineConfig:
     workers: Optional[int] = None
     store_dir: Optional[str] = None
     store_remote: Optional[str] = None
-    kernel_backend: Optional[str] = None
     cache_entries: Optional[int] = None
     cache_bytes: Optional[int] = None
-    worker_cache_bytes: int = DEFAULT_WORKER_CACHE_BYTES
     retry: Optional[object] = None
     node_timeout: Optional[float] = None
     on_error: str = "raise"
-    idle_timeout: Optional[float] = None
     hosts: Tuple[str, ...] = field(default_factory=tuple)
     steal_threshold: int = 2
 
@@ -90,17 +81,10 @@ class EngineConfig:
             raise ValueError(
                 f"on_error must be 'raise' or 'partial', got {self.on_error!r}"
             )
+        if self.workers is not None and self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers!r}")
+        if self.node_timeout is not None and not self.node_timeout > 0:
+            raise ValueError(
+                f"node_timeout must be positive, got {self.node_timeout!r}"
+            )
         object.__setattr__(self, "hosts", tuple(self.hosts))
-
-    def merged(self, **overrides) -> "EngineConfig":
-        """A copy with the non-``None`` *overrides* applied.
-
-        This is the deprecation shim's core: legacy per-call kwargs
-        arrive here and win over the config's fields, so existing call
-        sites behave identically with or without a config present.
-        """
-        changes = {k: v for k, v in overrides.items() if v is not None}
-        return dataclasses.replace(self, **changes) if changes else self
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)

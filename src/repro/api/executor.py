@@ -613,12 +613,10 @@ def _batch_pool(
     Process workers share the service cache's attached store (its root
     and namespaces) unless *store_dir* names another root; with neither
     the pool's own temporary root lives for the batch.  Worker caches
-    are unbounded, as nothing outlives the batch, and the pool keeps
-    the kernel backend this process has installed.
+    are unbounded, as nothing outlives the batch.
     """
     from repro.api.pool import ExecutorPool
     from repro.api.store import DEFAULT_PERSIST_NAMESPACES
-    from repro.kernels.backend import get_backend
 
     namespaces = DEFAULT_PERSIST_NAMESPACES
     attached = getattr(service.cache, "store", None) if store_dir is None else None
@@ -630,7 +628,6 @@ def _batch_pool(
         store_dir=store_dir,
         worker_cache_bytes=None,
         namespaces=namespaces,
-        kernel_backend=get_backend().requested,
         store_remote=store_remote,
     )
 

@@ -12,9 +12,10 @@ Three pieces live here, shared by every backend and the serving layer:
     comparison.
 
 :class:`PlanError`
-    The structured outcome of a failed plan node.  ``map_batch(...,
-    on_error="partial")`` surfaces it on :attr:`MapResponse.error`
-    instead of aborting the batch — unaffected requests still succeed.
+    The structured outcome of a failed plan node.  A batch run with
+    ``EngineConfig(on_error="partial")`` surfaces it on
+    :attr:`MapResponse.error` instead of aborting the batch — unaffected
+    requests still succeed.
 
 :class:`FaultInjector`
     A deterministic chaos harness for tests: arm a bounded number of

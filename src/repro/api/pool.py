@@ -36,7 +36,6 @@ store per batch.
 from __future__ import annotations
 
 import atexit
-import os
 import tempfile
 import threading
 import time
@@ -73,16 +72,6 @@ class ExecutorPool:
         Byte budget of each process worker's in-memory artifact cache
         (LRU-evicted; ``None`` = unbounded).  Long-lived workers need a
         bound or their caches grow with every distinct workload served.
-    kernel_backend:
-        Kernel-backend request forwarded to the workers (``"numpy"``,
-        ``"numba"``, ``"auto"``; ``None`` = environment/auto).  Worker
-        initializers resolve it and :func:`~repro.kernels.backend.
-        warm_up` the native kernel set exactly once per worker
-        lifetime, so batches never pay JIT compile latency; the thread
-        backend warms in-process on the first spawn.  Warm-up records
-        surface through :meth:`stats` (process workers publish theirs
-        into the pool store's ``runtime`` namespace and delete them
-        when the executor stops).
     store_remote:
         ``host:port`` of a remote artifact store layered under the pool
         store (sharded deployments; workers rebuild the same layering).
@@ -104,15 +93,8 @@ class ExecutorPool:
         idle_timeout: Optional[float] = None,
         worker_cache_bytes: Optional[int] = 256 << 20,
         namespaces: frozenset = DEFAULT_PERSIST_NAMESPACES,
-        kernel_backend: Optional[str] = None,
         store_remote: Optional[str] = None,
     ) -> None:
-        if kernel_backend is not None:
-            # Fail fast on a typo; unsatisfiable requests (numba absent)
-            # still degrade gracefully at resolve time.
-            from repro.kernels.backend import resolve_backend
-
-            resolve_backend(kernel_backend)
         if backend not in POOL_BACKENDS:
             raise ValueError(
                 f"unknown pool backend {backend!r}; choose from {POOL_BACKENDS}"
@@ -125,12 +107,7 @@ class ExecutorPool:
         self.idle_timeout = idle_timeout
         self.worker_cache_bytes = worker_cache_bytes
         self.namespaces = frozenset(namespaces)
-        self.kernel_backend = kernel_backend
         self.store_remote = store_remote
-        #: Parent-side warm-up record (thread backend; None until the
-        #: first executor spawn).  Process workers publish their records
-        #: into the store's ``runtime`` namespace instead.
-        self._kernel_warmup: Optional[dict] = None
         #: Executor spawns over the pool's lifetime (lazy spawn + reap
         #: + reconfigure make this observable; tests pin it).
         self.spawn_count = 0
@@ -301,8 +278,8 @@ class ExecutorPool:
         """Replace a crashed (or merely suspect) executor with a fresh one.
 
         The artifact store — and with it every warm artifact — survives,
-        and each re-submitted node carries its own request.  Bumps :attr:`restarts` (and, via the spawn,
-        :attr:`spawn_count`).
+        and each re-submitted node carries its own request.  Bumps
+        :attr:`restarts` (and, via the spawn, :attr:`spawn_count`).
         """
         with self._lock:
             if self._closed:
@@ -331,36 +308,8 @@ class ExecutorPool:
                 and (executor is None or not getattr(executor, "_broken", False)),
                 "active_batches": self._active,
                 "closed": self._closed,
-                "kernel_backend": self.kernel_stats(),
                 "store": self._store.stats() if self._store is not None else None,
             }
-
-    def kernel_stats(self) -> dict:
-        """Resolved kernel backend + per-worker warm-up records.
-
-        The thread backend carries one in-process record; process
-        workers each publish theirs (keyed by pid) into the pool
-        store's ``runtime`` namespace at initializer time, where the
-        parent collects them — a serve ``stats`` op can therefore
-        confirm what a running worker actually compiled, and that it
-        compiled exactly once per worker lifetime.
-        """
-        from repro.kernels.backend import backend_info
-
-        info = backend_info(self.kernel_backend)
-        with self._lock:
-            parent = self._kernel_warmup
-            store = self._store
-        if parent is not None:
-            info["warmup"] = parent
-        if self.backend == "process" and store is not None:
-            workers = {}
-            for pid in self.worker_pids():
-                record = store.load("runtime", f"kernel-warmup-{pid}")
-                if record is not None:
-                    workers[str(pid)] = record
-            info["workers"] = workers
-        return info
 
     # ------------------------------------------------------------------
     # internals (all called under self._lock)
@@ -388,13 +337,6 @@ class ExecutorPool:
 
             width = self.workers if self.workers is not None else default_workers()
             if self.backend == "thread":
-                # Thread workers share this process; warm the kernel set
-                # here, once per pool lifetime — the process's JIT state
-                # survives executor reaps and respawns.
-                if self._kernel_warmup is None:
-                    from repro.kernels.backend import set_backend, warm_up
-
-                    self._kernel_warmup = warm_up(set_backend(self.kernel_backend))
                 self._executor = ThreadPoolExecutor(
                     max_workers=width, thread_name_prefix="repro-pool"
                 )
@@ -407,7 +349,6 @@ class ExecutorPool:
                         store.root,
                         sorted(store.namespaces),
                         self.worker_cache_bytes,
-                        self.kernel_backend,
                         self.store_remote,
                     ),
                 )
@@ -417,12 +358,8 @@ class ExecutorPool:
     def _stop_executor(self, *, wait: bool) -> None:
         self._cancel_reap()
         if self._executor is not None:
-            pids = self.worker_pids()
             self._executor.shutdown(wait=wait)
             self._executor = None
-            # A stopped worker's warm-up record describes nothing live.
-            for pid in pids:
-                self._store.delete("runtime", f"kernel-warmup-{pid}")
 
     def _drop_store(self) -> None:
         if self._store is not None:
@@ -474,21 +411,12 @@ def _worker_init(
     store_root: str,
     namespaces: Sequence[str],
     cache_bytes: Optional[int],
-    kernel_backend: Optional[str] = None,
     store_remote: Optional[str] = None,
 ) -> None:
-    """Build this worker's long-lived service over the pool's store.
-
-    Also resolves the kernel backend and pre-compiles the native kernel
-    set — once per worker lifetime, so no batch this worker ever serves
-    pays JIT latency — and publishes the warm-up record (keyed by pid)
-    into the store's ``runtime`` namespace for the parent's
-    :meth:`ExecutorPool.kernel_stats`.
-    """
+    """Build this worker's long-lived service over the pool's store."""
     global _WORKER_SERVICE
     from repro.api.cache import ArtifactCache
     from repro.api.service import MappingService
-    from repro.kernels.backend import set_backend, warm_up
 
     store = make_store(
         store_root, namespaces=frozenset(namespaces), remote=store_remote
@@ -496,13 +424,6 @@ def _worker_init(
     _WORKER_SERVICE = MappingService(
         cache=ArtifactCache(store=store, max_bytes=cache_bytes)
     )
-    record = warm_up(set_backend(kernel_backend))
-    record["pid"] = os.getpid()
-    record["warmed_at"] = time.time()
-    try:
-        store.save("runtime", f"kernel-warmup-{os.getpid()}", record)
-    except OSError:
-        pass  # observability only — never fail a worker over it
 
 
 def _worker_run_node(request, kind: str, algorithm: Optional[str]):

@@ -114,8 +114,8 @@ class MapResponse:
     down per declared stage (``"placement:greedy"``, ``"refine:wh"``,
     …), which the monolithic pipeline could never report.
 
-    Under ``map_batch(..., on_error="partial")`` a failed run comes
-    back with ``result=None`` and a structured
+    In a batch run with ``EngineConfig(on_error="partial")`` a failed
+    run comes back with ``result=None`` and a structured
     :class:`~repro.api.fault.PlanError` on ``error`` instead of
     aborting the batch; check :attr:`ok` before touching the mapping
     accessors.

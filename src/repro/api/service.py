@@ -35,6 +35,7 @@ grouping to ``map_time``.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -73,13 +74,11 @@ class MappingService:
         :class:`~repro.api.store.DiskArtifactStore`
         (``ArtifactCache(store=...)``) to persist artifacts across
         processes and batches.
-    backend:
-        Default execution backend of :meth:`map_batch` — ``"serial"``
-        (reference), ``"thread"`` or ``"process"``.  Overridable per
-        call.
-    workers:
-        Default pool width for the parallel backends (``None`` = CPU
-        count).
+    backend / workers:
+        Shorthand for the same fields of *config*, which they override:
+        the execution backend of :meth:`map_batch` (``"serial"``
+        reference, ``"thread"`` or ``"process"``) and the pool width
+        (``None`` = CPU count).
     pool:
         Optional long-lived :class:`~repro.api.pool.ExecutorPool`.
         When attached, :meth:`map_batch` reuses the pool's workers and
@@ -88,19 +87,17 @@ class MappingService:
         the service default unless *backend* is given explicitly
         (``MappingService(backend="serial", pool=pool)`` keeps the
         serial reference path as the default while the pool stays
-        available to per-call overrides); per-call ``backend=``/
-        ``workers=`` overrides *reconfigure the pool* (its next batch
+        available to per-batch configs); a batch config naming another
+        backend or width *reconfigures the pool* (its next batch
         respawns with the new shape), and ``backend="serial"`` bypasses
         it.  The pool is shared, not owned: shut it down where it was
         created.
     config:
-        Optional :class:`~repro.api.config.EngineConfig` supplying the
-        defaults for everything above plus :meth:`map_batch`'s fault
-        and sharding knobs.  Explicit constructor/call kwargs always
-        win; with no config every historical default applies unchanged.
-        A config naming ``store_dir`` (and no explicit *cache*) builds
-        the service cache over that store, with ``cache_entries``/
-        ``cache_bytes`` as its LRU bounds.
+        Optional :class:`~repro.api.config.EngineConfig`: the service's
+        defaults for :meth:`map_batch`, kept (with the resolved
+        backend) as :attr:`config`.  A config naming ``store_dir`` (and
+        no explicit *cache*) builds the service cache over that store,
+        with ``cache_entries``/``cache_bytes`` as its LRU bounds.
     """
 
     def __init__(
@@ -114,8 +111,10 @@ class MappingService:
     ) -> None:
         from repro.api.executor import BACKENDS
 
-        config = (config or EngineConfig()).merged(backend=backend, workers=workers)
-        backend = config.backend
+        config = config or EngineConfig()
+        if workers is not None:
+            config = replace(config, workers=workers)
+        backend = backend or config.backend
         if backend is None:
             backend = pool.backend if pool is not None else "serial"
         if backend not in BACKENDS:
@@ -134,10 +133,8 @@ class MappingService:
                 store=store,
             )
         self.cache = cache
-        self.backend = backend
-        self.workers = config.workers
         self.pool = pool
-        self.config = config
+        self.config = replace(config, backend=backend)
 
     # ------------------------------------------------------------------
     # Public API
@@ -155,16 +152,6 @@ class MappingService:
         self,
         requests: Union[MapRequest, Iterable[MapRequest]],
         *,
-        backend: Optional[str] = None,
-        workers: Optional[int] = None,
-        store_dir: Optional[str] = None,
-        pool=None,
-        retry=None,
-        node_timeout: Optional[float] = None,
-        on_error: Optional[str] = None,
-        store_remote: Optional[str] = None,
-        hosts: Optional[Iterable[str]] = None,
-        steal_threshold: Optional[int] = None,
         config: Optional[EngineConfig] = None,
     ) -> List[MapResponse]:
         """Run one or many requests, all algorithms, sharing the cache.
@@ -176,54 +163,40 @@ class MappingService:
         (:func:`repro.api.plan.build_plan`) — each workload's grouping
         is computed exactly once across its algorithms and across
         requests hitting the same workload/machine/seed — and executed
-        on *backend* (:func:`repro.api.executor.execute_plan`):
-        ``"serial"`` preserves the legacy loop bit for bit, ``"thread"``
-        and ``"process"`` fan ready nodes out over *workers* while
-        producing byte-identical mappings.  ``store_dir`` points the
-        process backend at a persistent cross-process artifact
-        directory (default: the cache's attached store, else a
-        temporary one).
+        by :func:`repro.api.executor.execute_plan`: ``"serial"``
+        preserves the legacy loop bit for bit, ``"thread"`` and
+        ``"process"`` fan ready nodes out over the workers while
+        producing byte-identical mappings.
 
-        With a *pool* (argument or service-attached
-        :class:`~repro.api.pool.ExecutorPool`), the batch runs on the
-        pool's long-lived workers: explicit ``backend=``/``workers=``
-        overrides reconfigure the pool, ``store_dir`` is ignored (the
-        pool owns its store), and ``backend="serial"`` falls back to
-        the in-line reference path.
+        *config* (an :class:`~repro.api.config.EngineConfig`) shapes
+        this one batch in place of :attr:`config`; derive it with
+        ``dataclasses.replace(service.config, ...)`` to change a few
+        fields.  Every field is taken from it except the execution
+        shape: a ``None`` ``backend`` or ``workers`` means the service's.
 
-        Fault tolerance is opt-in and passed straight to the engine:
-        *retry* (a :class:`~repro.api.fault.RetryPolicy`) retries nodes
-        that raise with exponential backoff, *node_timeout* bounds each
-        node's wall time on the parallel backends, and
-        ``on_error="partial"`` turns permanent failures into structured
-        :attr:`MapResponse.error` outcomes instead of aborting the
-        batch — the unaffected requests still return real mappings.
-        The defaults reproduce the pre-fault-tolerance behaviour (and
-        byte-identical results) exactly.
-
-        *hosts* (or a service/call :class:`~repro.api.config.
-        EngineConfig` naming them) runs the batch on the distributed
-        coordinator instead: the plan shards across the ``repro-map
-        shard-serve`` processes at those addresses, with the batch
-        payload replicated through *store_remote* (a ``repro-map
-        store-serve`` address).  Every per-call kwarg overrides the
-        config; omitted ones fall back to it, then to the historical
-        defaults.
+        * With an attached pool, a non-serial batch runs on the pool's
+          long-lived workers (a different backend or width reconfigures
+          the pool; ``store_dir`` is the pool's concern).  Without one,
+          ``store_dir`` points the process backend at a persistent
+          cross-process artifact directory (default: the cache's
+          attached store, else a temporary one).
+        * Fault tolerance: ``retry`` (a :class:`~repro.api.fault.
+          RetryPolicy`) retries nodes that raise with exponential
+          backoff, ``node_timeout`` bounds each node's wall time on the
+          parallel backends, and ``on_error="partial"`` turns permanent
+          failures into structured :attr:`MapResponse.error` outcomes
+          instead of aborting the batch.  The defaults reproduce the
+          pre-fault-tolerance behaviour (and byte-identical results).
+        * Non-empty ``hosts`` runs the batch on the distributed
+          coordinator instead: the plan shards across the ``repro-map
+          shard-serve`` processes at those addresses, with the batch
+          payload replicated through ``store_remote`` (a ``repro-map
+          store-serve`` address).
         """
         from repro.api.executor import execute_plan
 
         plan = build_plan(requests)
-        cfg = (config if config is not None else self.config).merged(
-            backend=backend,
-            workers=workers,
-            store_dir=store_dir,
-            retry=retry,
-            node_timeout=node_timeout,
-            on_error=on_error,
-            store_remote=store_remote,
-            hosts=tuple(hosts) if hosts else None,
-            steal_threshold=steal_threshold,
-        )
+        cfg = config if config is not None else self.config
         fault_kw = {
             "retry": cfg.retry,
             "node_timeout": cfg.node_timeout,
@@ -239,22 +212,16 @@ class MappingService:
                 steal_threshold=cfg.steal_threshold,
                 **fault_kw,
             )
-        pool = pool if pool is not None else self.pool
-        # self.backend already defaulted to the pool's backend at
-        # construction, so an explicit constructor backend= (e.g. the
-        # serial reference path next to an attached pool) stays honored.
-        resolved = cfg.backend if cfg.backend is not None else self.backend
-        if pool is not None and resolved != "serial":
-            pool.configure(
-                backend=resolved,
-                workers=cfg.workers if cfg.workers is not None else self.workers,
-            )
-            return execute_plan(plan, self, pool=pool, **fault_kw)
+        backend = cfg.backend or self.config.backend
+        workers = cfg.workers if cfg.workers is not None else self.config.workers
+        if self.pool is not None and backend != "serial":
+            self.pool.configure(backend=backend, workers=workers)
+            return execute_plan(plan, self, pool=self.pool, **fault_kw)
         return execute_plan(
             plan,
             self,
-            backend=resolved,
-            workers=cfg.workers if cfg.workers is not None else self.workers,
+            backend=backend,
+            workers=workers,
             store_dir=cfg.store_dir,
             **fault_kw,
         )

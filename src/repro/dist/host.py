@@ -157,7 +157,6 @@ class HostServer:
         host_id: Optional[str] = None,
         cache_entries: Optional[int] = None,
         cache_bytes: Optional[int] = None,
-        kernel_backend: Optional[str] = None,
     ) -> None:
         from repro.api.cache import ArtifactCache
         from repro.api.executor import default_workers
@@ -182,7 +181,6 @@ class HostServer:
                 workers=self.capacity,
                 store_dir=store_dir,
                 store_remote=store_remote,
-                kernel_backend=kernel_backend,
             )
             self.store = self.pool.store
             self.service = None

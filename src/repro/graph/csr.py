@@ -445,27 +445,10 @@ def expand_frontier(
     callers guarantee this for their seeds); low-degree graphs then take
     a padded-matrix gather that skips the ragged-row machinery.
     """
-    # Deferred import: the kernel-backend layer lives inside the
-    # ``repro.kernels`` package, whose __init__ transitively imports
-    # this module — a top-level import here would cycle.
-    from repro.kernels.backend import get_backend
-
-    backend = get_backend()
     pad = graph.padded_neighbors()
     if pad is not None:
-        if backend.expand_frontier_padded is not None:
-            return backend.expand_frontier_padded(
-                pad, np.asarray(frontier, dtype=np.int64), seen
-            )
         nbrs = pad[frontier].ravel()
     else:
-        if backend.expand_frontier_csr is not None:
-            return backend.expand_frontier_csr(
-                graph.indptr,
-                graph.indices,
-                np.asarray(frontier, dtype=np.int64),
-                seen,
-            )
         indptr, indices = graph.indptr, graph.indices
         starts = indptr[frontier]
         counts = indptr[frontier + 1] - starts

@@ -6,27 +6,8 @@ algorithm modules stay readable while the arithmetic stays in contiguous
 arrays.  Everything in this package is *behaviour-preserving*: the
 kernels reproduce the scalar reference paths bit for bit (see
 ``tests/test_kernels.py`` and ``tests/test_kernels_golden.py``).
-
-:mod:`repro.kernels.backend` adds a second implementation tier: the
-hottest kernels dispatch to Numba-compiled variants
-(:mod:`repro.kernels.native`) when the optional ``numba`` dependency is
-installed (or explicitly requested via ``REPRO_KERNEL_BACKEND`` /
-``--kernel-backend``), with the NumPy paths remaining the
-always-available bit-identical reference.
 """
 
-# Backend first: it has no intra-package dependencies, and the sibling
-# modules below import it at module scope.
-from repro.kernels.backend import (
-    KERNEL_BACKENDS,
-    backend_info,
-    get_backend,
-    numba_available,
-    resolve_backend,
-    set_backend,
-    use_backend,
-    warm_up,
-)
 from repro.kernels.congestion import CongestionModel
 from repro.kernels.hoptable import DEFAULT_MATRIX_MAX_NODES, HopTable, hop_table_for
 from repro.kernels.swapgain import (
@@ -41,18 +22,10 @@ __all__ = [
     "CongestionModel",
     "DEFAULT_MATRIX_MAX_NODES",
     "HopTable",
-    "KERNEL_BACKENDS",
     "hop_table_for",
     "all_task_whops",
-    "backend_info",
     "batched_swap_gains",
-    "get_backend",
-    "numba_available",
     "refresh_whops_around",
-    "resolve_backend",
-    "set_backend",
     "task_whops_many",
     "total_weighted_hops",
-    "use_backend",
-    "warm_up",
 ]

@@ -40,7 +40,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.kernels.backend import get_backend
 from repro.topology.routing import RouteTable, _ranges, routes_bulk
 from repro.topology.torus import Torus3D
 
@@ -157,12 +156,6 @@ class CongestionModel:
         self.msgs, self.vols = self.routes.accumulate(self.vol)
         edge_of_entry = self.routes.pair_of_entry()
         links = self.routes.links
-        fn = get_backend().comm_index
-        if fn is not None:
-            self._comm_ptr, self._comm_tasks = fn(
-                links, edge_of_entry, self.src_t, self.dst_t, self.torus.num_links
-            )
-            return
         order = np.argsort(links, kind="stable")
         links_final = links[order]
         edges_final = edge_of_entry[order]
@@ -380,30 +373,10 @@ class CongestionModel:
 
         The single dispatch point of the accept rule: the scalar probe
         (:meth:`swap_improves`, K=1) and the batched Δ-kernel
-        (:meth:`evaluate_swaps`) both land here, so within one process
-        the two paths always share the exact same arithmetic — native
-        when the kernel backend carries a compiled ``verdicts``, the
-        per-candidate :meth:`_verdict` reference otherwise.
+        (:meth:`evaluate_swaps`) both land here, so the two paths
+        always share the exact same arithmetic: the per-candidate
+        :meth:`_verdict` rule.
         """
-        fn = get_backend().verdicts
-        if fn is not None:
-            return fn(
-                ul,
-                dm,
-                dv,
-                bounds,
-                self.vols,
-                self.msgs,
-                self._inv_bw,
-                load,
-                float(mc),
-                float(ac),
-                int(top),
-                float(total_base),
-                int(base_used),
-                self.metric == "volume",
-                _EPS,
-            )
         K = bounds.shape[0] - 1
         out = np.zeros(K, dtype=bool)
         for k in range(K):

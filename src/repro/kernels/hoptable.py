@@ -24,8 +24,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.kernels.backend import get_backend
-
 __all__ = ["HopTable", "hop_table_for", "DEFAULT_MATRIX_MAX_NODES"]
 
 #: Largest node count for which the dense pairwise matrix is built
@@ -100,10 +98,6 @@ class HopTable:
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if self._matrix is not None:
-            if a.ndim == 1 and a.shape == b.shape:
-                fn = get_backend().hops_gather
-                if fn is not None:
-                    return fn(self._matrix, a, b)
             return self._matrix[a, b]
         ca = self._coords[a]
         cb = self._coords[b]
@@ -119,10 +113,6 @@ class HopTable:
         """Hop counts from one *node* to every id in *others* (1-D)."""
         others = np.asarray(others, dtype=np.int64)
         if self._matrix is not None:
-            if others.ndim == 1:
-                fn = get_backend().hops_row
-                if fn is not None:
-                    return fn(self._matrix[int(node)], others)
             return self._matrix[int(node)][others]
         return self.pairwise_hops(np.int64(node), others)
 

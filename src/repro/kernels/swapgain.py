@@ -27,7 +27,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.csr import CSRGraph, _ranges
-from repro.kernels.backend import get_backend
 from repro.kernels.hoptable import HopTable
 
 __all__ = [
@@ -134,21 +133,6 @@ def batched_swap_gains(
     k = partners.size
     if k == 0:
         return np.zeros(0, dtype=np.float64)
-    if table._matrix is not None:
-        fn = get_backend().swap_gains
-        if fn is not None:
-            gamma = np.asarray(gamma, dtype=np.int64)
-            return fn(
-                sym.indptr,
-                sym.indices,
-                sym.weights,
-                gamma,
-                table._matrix,
-                int(t1),
-                int(gamma[t1]),
-                partners,
-                float(whops_t1),
-            )
     nbrs1 = sym.neighbors(t1)
     w1 = sym.neighbor_weights(t1)
     n1 = int(gamma[t1])

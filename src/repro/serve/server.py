@@ -44,13 +44,14 @@ the payload the tail-latency CI gate and the load generator read.
 from __future__ import annotations
 
 import asyncio
+import math
 import threading
 import time
 from collections import OrderedDict, deque
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.api.aio import AsyncMappingService
-from repro.kernels.backend import backend_info
 from repro.serve.metrics import LatencyHistogram, RollingWindow
 from repro.serve.protocol import (
     ProtocolError,
@@ -209,9 +210,6 @@ class MappingServer:
         Most tickets folded into one ``map_batch`` call.
     tenant_weights / default_tenant_weight:
         Weighted-fair-queuing weights (higher = more service).
-    retry / node_timeout:
-        Engine fault knobs applied to every dispatched batch; a
-        ticket's own deadline tightens *node_timeout* further.
     max_in_flight:
         Concurrent plans (forwarded to the built aio service).
     **service_kwargs:
@@ -219,7 +217,10 @@ class MappingServer:
         MappingService` — including ``config=`` (an
         :class:`~repro.api.config.EngineConfig`), so one config object
         can shape a whole serve deployment's cache, store and engine
-        defaults.
+        defaults.  Every dispatched batch runs with
+        ``replace(service.config, node_timeout=..., on_error="partial")``:
+        the config's ``retry`` applies as is, and a ticket's own deadline
+        tightens its ``node_timeout``.
     """
 
     def __init__(
@@ -234,8 +235,6 @@ class MappingServer:
         max_batch: int = 16,
         tenant_weights: Optional[Dict[str, float]] = None,
         default_tenant_weight: float = 1.0,
-        retry=None,
-        node_timeout: Optional[float] = None,
         max_in_flight: int = 2,
         workload_limit: int = WORKLOAD_LIMIT,
         **service_kwargs,
@@ -264,8 +263,6 @@ class MappingServer:
         self.max_pending = max_pending
         self.coalesce_window = coalesce_window
         self.max_batch = max_batch
-        self.retry = retry
-        self.node_timeout = node_timeout
         self.workload_limit = workload_limit
 
         self._fair = FairQueue(tenant_weights, default_tenant_weight)
@@ -453,6 +450,8 @@ class MappingServer:
         if deadline is not None:
             try:
                 deadline = float(deadline)
+                if not math.isfinite(deadline):
+                    raise ValueError(deadline)
             except (TypeError, ValueError):
                 self.counters["bad_request"] += 1
                 await self._safe_reply(
@@ -462,7 +461,7 @@ class MappingServer:
                         "id": request_id,
                         "ok": False,
                         "error": error_payload(
-                            "bad_request", "'deadline_s' must be a number"
+                            "bad_request", "'deadline_s' must be a finite number"
                         ),
                     },
                 )
@@ -586,7 +585,8 @@ class MappingServer:
         # The merged batch runs under the tightest member deadline; the
         # window is short, so co-batched slack rarely differs by much —
         # PERFORMANCE.md documents the trade-off.
-        timeouts = [self.node_timeout] + [t.remaining(now) for t in ready]
+        timeouts = [self.aio.service.config.node_timeout]
+        timeouts += [t.remaining(now) for t in ready]
         effective = min((t for t in timeouts if t is not None), default=None)
         # Execute as a task so the dispatcher keeps draining the queue;
         # the aio service's max_in_flight semaphore bounds concurrency.
@@ -602,14 +602,15 @@ class MappingServer:
         merged = [req for ticket in group for req in ticket.requests]
         t0 = time.monotonic()
         try:
-            responses = await self.aio.map_batch(
-                merged,
-                retry=self.retry,
-                node_timeout=node_timeout,
-                on_error="partial",
+            config = replace(
+                self.aio.service.config, node_timeout=node_timeout, on_error="partial"
             )
-        except RuntimeError as exc:  # service closed under us
-            err = error_payload("shutdown", str(exc), exception=type(exc).__name__)
+            responses = await self.aio.map_batch(merged, config=config)
+        except Exception as exc:
+            # Every ticket of the group is answered whatever went wrong:
+            # an unanswered ticket would hold its admission slot forever.
+            kind = "shutdown" if isinstance(exc, RuntimeError) else "error"
+            err = error_payload(kind, str(exc), exception=type(exc).__name__)
             for ticket in group:
                 await self._finish(ticket, {"id": ticket.id, "ok": False, "error": err})
             return
@@ -705,14 +706,6 @@ class MappingServer:
             "latency": {name: h.summary() for name, h in self.latency.items()},
             "aio": self.aio.stats(),
             "pool": self.pool.stats() if self.pool is not None else None,
-            # Poolless (serial) deployments still report which kernel tier
-            # serves their requests; with a pool the richer per-worker
-            # record rides along under pool.kernel_backend.
-            "kernel_backend": (
-                self.pool.kernel_stats()
-                if self.pool is not None
-                else backend_info()
-            ),
             "cache": cache_stats,
         }
 

@@ -54,14 +54,6 @@ __all__ = [
 ]
 
 
-def _kernel_backend():
-    """The active kernel backend (deferred import breaks the package cycle:
-    ``repro.kernels.__init__`` transitively imports this module)."""
-    from repro.kernels.backend import get_backend
-
-    return get_backend()
-
-
 class DeadEndpointError(ValueError):
     """A message endpoint is a dead node — no route can exist."""
 
@@ -422,9 +414,6 @@ class RouteTable:
         the congestion metrics' and the congestion model's load arrays.
         """
         volumes = np.asarray(volumes, dtype=np.float64)
-        fn = _kernel_backend().accumulate_loads
-        if fn is not None:
-            return fn(self.ptr, self.links, volumes, self.num_links)
         msgs = np.bincount(self.links, minlength=self.num_links).astype(np.float64)
         vols = np.zeros(self.num_links, dtype=np.float64)
         if self.links.size:
@@ -449,16 +438,6 @@ class RouteTable:
         """
         pairs = np.asarray(pairs, dtype=np.int64)
         new_counts = np.asarray(new_counts, dtype=np.int64)
-        fn = _kernel_backend().splice_routes
-        if fn is not None:
-            self.ptr, self.links = fn(
-                self.ptr,
-                self.links,
-                pairs,
-                np.asarray(new_links, dtype=np.int64),
-                new_counts,
-            )
-            return
         counts = np.diff(self.ptr)
         moved = np.zeros(self.num_pairs, dtype=bool)
         moved[pairs] = True

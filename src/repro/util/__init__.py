@@ -3,9 +3,8 @@
 This subpackage hosts the small data structures and helpers every other
 layer builds on:
 
-* :mod:`repro.util.heap` -- addressable binary max-heaps used by all three
-  mapping algorithms (``conn`` in Algorithm 1, ``whHeap`` in Algorithm 2 and
-  ``congHeap`` in Algorithm 3 of the paper).
+* :mod:`repro.util.heap` -- the addressable integer-id max-heap behind
+  ``conn`` in Algorithm 1 and ``whHeap`` in Algorithm 2 of the paper.
 * :mod:`repro.util.rng` -- deterministic seeding helpers so that every
   experiment in the harness is reproducible bit-for-bit.
 * :mod:`repro.util.sfc` -- space-filling-curve orderings used by the
@@ -16,7 +15,7 @@ layer builds on:
   experiment (mapping times).
 """
 
-from repro.util.heap import AddressableMaxHeap, AddressableMinHeap, IntKeyMaxHeap
+from repro.util.heap import IntKeyMaxHeap
 from repro.util.rng import seeded_rng, spawn_seeds
 from repro.util.sfc import hilbert2d_order, snake3d_order, sfc_node_order
 from repro.util.timing import Timer
@@ -29,8 +28,6 @@ from repro.util.validation import (
 )
 
 __all__ = [
-    "AddressableMaxHeap",
-    "AddressableMinHeap",
     "IntKeyMaxHeap",
     "seeded_rng",
     "spawn_seeds",

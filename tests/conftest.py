@@ -7,32 +7,7 @@ import pytest
 
 from repro.graph import TaskGraph, cage_like, rgg_like
 from repro.hypergraph import Hypergraph
-from repro.kernels.backend import numba_available, use_backend
 from repro.topology import AllocationSpec, SparseAllocator, Torus3D
-
-#: The kernel-backend axis: tests parametrized with this run once per
-#: backend, with the numba leg skipping (with its reason visible in the
-#: -rs summary) wherever the optional dependency is absent.  The numpy
-#: leg replaces the implicit default rather than adding to it, so a
-#: numba-less run keeps its test count.
-KERNEL_BACKEND_PARAMS = [
-    pytest.param("numpy"),
-    pytest.param(
-        "numba",
-        marks=pytest.mark.skipif(
-            not numba_available(),
-            reason="numba is not installed (pip install -e .[native])",
-        ),
-    ),
-]
-
-
-@pytest.fixture(params=KERNEL_BACKEND_PARAMS)
-def kernel_backend(request):
-    """Run the test under each kernel backend (numpy always; numba when
-    installed), restoring the process-wide backend afterwards."""
-    with use_backend(request.param):
-        yield request.param
 
 
 @pytest.fixture(scope="session")

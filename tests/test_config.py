@@ -1,0 +1,178 @@
+"""EngineConfig: validation, per-batch replacement, and the CLI's flags.
+
+* ``EngineConfig`` rejects a non-positive ``node_timeout`` and a worker
+  count below 1 when it is built, before any batch runs.
+* A per-batch ``map_batch(..., config=...)`` stands in for the
+  service's config, so a ``None`` field clears what the service set;
+  only a ``None`` backend or worker count means the service's.
+* The CLI rejects the same bad values in argparse, before any workload
+  is built, and its fault flags reach the config the batch runs with.
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import replace
+
+import pytest
+
+from repro.api import EngineConfig, MappingService, MapRequest
+from repro.api.cli import build_parser, main
+from repro.api.fault import RetryPolicy
+from repro.api.registry import register_mapper, unregister_mapper
+from repro.api.stages import PLACEMENT_STAGES
+
+
+def _fingerprints(responses):
+    return [r.fingerprint() for r in responses]
+
+
+class TestValidation:
+    @pytest.mark.parametrize("timeout", [0, -1, 0.0, float("nan")])
+    def test_node_timeout_must_be_positive(self, timeout):
+        with pytest.raises(ValueError, match="node_timeout"):
+            EngineConfig(node_timeout=timeout)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_must_be_at_least_one(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            EngineConfig(workers=workers)
+
+    def test_valid_values_accepted(self):
+        cfg = EngineConfig(workers=1, node_timeout=0.5, hosts=["a:1"])
+        assert cfg.workers == 1 and cfg.node_timeout == 0.5
+        assert cfg.hosts == ("a:1",)
+
+
+class TestPerBatchConfig:
+    def test_batch_config_replaces_service_config(self, machine16, random_task_graph):
+        """A ``None`` node_timeout in the batch config clears the service's."""
+
+        @register_mapper("SLOWUG", description="sleeps, then places greedily")
+        def slow(ctx):
+            time.sleep(0.3)
+            return PLACEMENT_STAGES["greedy"](ctx)
+
+        try:
+            batch = [
+                MapRequest(
+                    task_graph=random_task_graph,
+                    machine=machine16,
+                    algorithms=("UG", "SLOWUG"),
+                    seed=1,
+                    tag="r0",
+                )
+            ]
+            serial = MappingService().map_batch(batch)
+            svc = MappingService(
+                config=EngineConfig(
+                    backend="thread", workers=2, node_timeout=0.05, on_error="partial"
+                )
+            )
+            timed_out = svc.map_batch(batch)
+            assert [r.ok for r in timed_out] == [True, False]
+            assert timed_out[1].error.kind == "timeout"
+
+            cleared = svc.map_batch(batch, config=replace(svc.config, node_timeout=None))
+            assert all(r.ok for r in cleared)
+            assert _fingerprints(cleared) == _fingerprints(serial)
+        finally:
+            unregister_mapper("SLOWUG")
+
+    def test_empty_hosts_turns_sharding_off(self, machine16, random_task_graph):
+        """``hosts=()`` in the batch config runs locally, never dialling out."""
+        batch = MapRequest(
+            task_graph=random_task_graph, machine=machine16, algorithms=("UG", "UWH")
+        )
+        serial = MappingService().map_batch(batch)
+        svc = MappingService(config=EngineConfig(hosts=("127.0.0.1:9",)))
+        local = svc.map_batch(batch, config=replace(svc.config, hosts=()))
+        assert _fingerprints(local) == _fingerprints(serial)
+
+    def test_none_backend_and_workers_mean_the_service_s(self, monkeypatch):
+        import repro.api.executor as executor
+
+        seen = []
+        monkeypatch.setattr(
+            executor, "execute_plan", lambda plan, svc, **kw: seen.append(kw) or []
+        )
+        svc = MappingService(backend="thread", workers=2)
+        svc.map_batch([], config=EngineConfig(on_error="partial"))
+        svc.map_batch([], config=EngineConfig(backend="process", workers=3))
+        inherited, explicit = seen
+        assert (inherited["backend"], inherited["workers"]) == ("thread", 2)
+        assert inherited["on_error"] == "partial"
+        assert (explicit["backend"], explicit["workers"]) == ("process", 3)
+
+    def test_service_config_holds_resolved_backend(self):
+        assert MappingService().config.backend == "serial"
+        assert MappingService(backend="thread", workers=2).config == EngineConfig(
+            backend="thread", workers=2
+        )
+
+
+class TestCliFlags:
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--node-timeout", "0"),
+            ("--node-timeout", "-1"),
+            ("--workers", "0"),
+            ("--retries", "-1"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["map", "--matrix", "cage15_like"],
+            ["map-batch", "--manifest", "unused.json"],
+            ["serve"],
+            ["shard-serve"],
+        ],
+    )
+    def test_bad_values_are_usage_errors(self, command, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(command + [flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_bad_flag_fails_before_the_workload_build(self, monkeypatch):
+        import repro.api.cli as cli
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("the workload was built")
+
+        monkeypatch.setattr(cli, "build_workload", no_build)
+        with pytest.raises(SystemExit):
+            main(["map", "--matrix", "cage15_like", "--node-timeout", "0"])
+
+    def test_removed_backend_flag_is_rejected(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["map", "--matrix", "cage15_like", "--kernel-backend", "numpy"]
+            )
+
+    def test_fault_flags_reach_the_batch_config(
+        self, monkeypatch, machine16, random_task_graph
+    ):
+        import repro.api.cli as cli
+
+        monkeypatch.setattr(
+            cli, "build_workload", lambda *a, **k: (random_task_graph, machine16)
+        )
+        seen = []
+        real = MappingService.map_batch
+
+        def recording(self, requests, *, config=None):
+            seen.append(config if config is not None else self.config)
+            return real(self, requests, config=config)
+
+        monkeypatch.setattr(MappingService, "map_batch", recording)
+        argv = ["map", "--matrix", "cage15_like", "--algos", "UG", "--json"]
+        assert main(argv + ["--retries", "2", "--node-timeout", "30", "--partial"]) == 0
+        assert main(argv) == 0
+        flagged, plain = seen
+        assert flagged.retry == RetryPolicy(max_attempts=3)
+        assert flagged.node_timeout == 30.0
+        assert flagged.on_error == "partial"
+        assert (plain.retry, plain.node_timeout, plain.on_error) == (None, None, "raise")

@@ -65,9 +65,7 @@ def random_swaps(model, n_tasks, rng, count):
 class TestDeltaUpdates:
     @pytest.mark.parametrize("metric", ["volume", "message"])
     @pytest.mark.parametrize("integer_volumes", [True, False])
-    def test_loads_and_routes_match_rebuild(
-        self, metric, integer_volumes, kernel_backend
-    ):
+    def test_loads_and_routes_match_rebuild(self, metric, integer_volumes):
         """After random swap sequences, state == from-scratch rebuild."""
         for seed in range(6):
             tg, machine, gamma = make_instance(
@@ -100,7 +98,7 @@ class TestDeltaUpdates:
                 model.host[model.gamma], np.arange(tg.num_tasks)
             )
 
-    def test_route_table_replace_matches_build(self, kernel_backend):
+    def test_route_table_replace_matches_build(self):
         """RouteTable.replace_routes == a fresh build on the new pairs."""
         rng = np.random.default_rng(3)
         torus = Torus3D((4, 3, 3))
@@ -146,7 +144,7 @@ class TestCommIndex:
         return out
 
     @pytest.mark.parametrize("metric", ["volume", "message"])
-    def test_csr_maintenance_never_goes_stale(self, metric, kernel_backend):
+    def test_csr_maintenance_never_goes_stale(self, metric):
         """With per-commit refresh the CSR always equals the reference.
 
         The refresh derives from the delta-updated route table (no route
@@ -196,7 +194,7 @@ class TestCommIndex:
 
 class TestBatchedKernel:
     @pytest.mark.parametrize("metric", ["volume", "message"])
-    def test_verdicts_match_scalar(self, metric, kernel_backend):
+    def test_verdicts_match_scalar(self, metric):
         """evaluate_swaps(t, cands) == [swap_improves(t, c) for c]."""
         for seed in range(6):
             tg, machine, gamma = make_instance(seed + 60)
@@ -269,7 +267,7 @@ class TestCommitReusesEvaluatedDeltas:
                 model.commit_swap(a, b)
 
     @pytest.mark.parametrize("metric", ["volume", "message"])
-    def test_commit_after_evaluate_matches_rebuild(self, metric, kernel_backend):
+    def test_commit_after_evaluate_matches_rebuild(self, metric):
         """Delta-reused commits leave state == a from-scratch rebuild."""
         for seed in range(5):
             tg, machine, gamma = make_instance(seed + 70)

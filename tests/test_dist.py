@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import MappingService, MapRequest
+from repro.api import EngineConfig, MappingService, MapRequest
 from repro.api.executor import _collect
 from repro.api.fault import RetryPolicy
 from repro.api.plan import build_plan
@@ -206,7 +206,7 @@ class TestShardedExecution:
         store_srv, hosts, addresses = cluster
         remote = "%s:%d" % store_srv.address
         sharded = MappingService().map_batch(
-            requests, hosts=addresses, store_remote=remote
+            requests, config=EngineConfig(hosts=addresses, store_remote=remote)
         )
         assert all(r.error is None for r in sharded)
         assert _fingerprints(sharded) == _fingerprints(serial_responses)
@@ -229,7 +229,7 @@ class TestShardedExecution:
         ).start()
         try:
             sharded = MappingService().map_batch(
-                requests, hosts=["%s:%d" % host.address], store_remote=remote
+                requests, config=EngineConfig(hosts=["%s:%d" % host.address], store_remote=remote)
             )
             assert _fingerprints(sharded) == _fingerprints(serial_responses)
             assert host.stats()["nodes_run"] == len(build_plan(requests).nodes)
@@ -242,7 +242,7 @@ class TestShardedExecution:
         store_srv, hosts, addresses = cluster
         remote = "%s:%d" % store_srv.address
         responses = MappingService().map_batch(
-            requests, hosts=addresses, store_remote=remote
+            requests, config=EngineConfig(hosts=addresses, store_remote=remote)
         )
         assert all(r.error is None for r in responses)
         plan = build_plan(requests)
@@ -284,7 +284,7 @@ class TestShardedExecution:
             ]
             assert all(router.host_of(i) == producer_host for i in consumers)
         sharded = MappingService().map_batch(
-            reqs, hosts=addresses, store_remote=remote
+            reqs, config=EngineConfig(hosts=addresses, store_remote=remote)
         )
         assert all(r.error is None for r in sharded)
         assert _fingerprints(sharded) == _fingerprints(
@@ -337,10 +337,12 @@ class TestShardedExecution:
         victim.arm_kill(poison_tag)
         responses = MappingService().map_batch(
             requests,
-            hosts=addresses,
-            store_remote=remote,
-            on_error="partial",
-            steal_threshold=100,  # keep placement exactly as predicted
+            config=EngineConfig(
+                hosts=addresses,
+                store_remote=remote,
+                on_error="partial",
+                steal_threshold=100,  # keep placement exactly as predicted
+            ),
         )
         failed = [r for r in responses if r.error is not None]
         assert [r.tag for r in failed] == [poison_tag]
@@ -393,10 +395,12 @@ class TestShardedExecution:
             host.arm_kill("req-1")
             responses = MappingService().map_batch(
                 requests,
-                hosts=["%s:%d" % host.address],
-                store_remote=remote,
-                retry=RetryPolicy(max_attempts=3, backoff=0.01),
-                on_error="partial",
+                config=EngineConfig(
+                    hosts=["%s:%d" % host.address],
+                    store_remote=remote,
+                    retry=RetryPolicy(max_attempts=3, backoff=0.01),
+                    on_error="partial",
+                ),
             )
         finally:
             host.stop()
@@ -411,9 +415,11 @@ class TestShardedExecution:
             h.stop()
         responses = MappingService().map_batch(
             requests,
-            hosts=addresses,
-            store_remote="%s:%d" % store_srv.address,
-            retry=RetryPolicy(max_attempts=2, backoff=0.01),
+            config=EngineConfig(
+                hosts=addresses,
+                store_remote="%s:%d" % store_srv.address,
+                retry=RetryPolicy(max_attempts=2, backoff=0.01),
+            ),
         )
         assert all(r.error is None for r in responses)
         assert _fingerprints(responses) == _fingerprints(serial_responses)

@@ -26,6 +26,7 @@ import pytest
 from repro.api import (
     ArtifactCache,
     DiskArtifactStore,
+    EngineConfig,
     MappingService,
     MapRequest,
     build_plan,
@@ -170,7 +171,7 @@ class TestBackendParity:
     def test_serial_matches_legacy_sequential_loop(self):
         """The engine's serial backend == the pre-planner loop, bit for bit."""
         requests = self._sweep_requests()
-        engine = MappingService().map_batch(requests, backend="serial")
+        engine = MappingService().map_batch(requests, config=EngineConfig(backend="serial"))
         reference_service = MappingService()
         reference = [
             reference_service._run_one(request, algo)
@@ -185,9 +186,9 @@ class TestBackendParity:
     def test_parallel_backends_match_serial(self, backend):
         """Byte-identical MapResponses on the Fig. 3 sweep, any backend."""
         requests = self._sweep_requests()
-        serial = MappingService().map_batch(requests, backend="serial")
+        serial = MappingService().map_batch(requests, config=EngineConfig(backend="serial"))
         parallel = MappingService().map_batch(
-            requests, backend=backend, workers=4
+            requests, config=EngineConfig(backend=backend, workers=4)
         )
         assert len(serial) == len(parallel) == len(requests) * len(MAPPER_NAMES)
         for a, b in zip(serial, parallel):
@@ -198,12 +199,14 @@ class TestBackendParity:
         artifacts between process workers: the store codec must be
         invisible to the engine's results."""
         requests = self._sweep_requests()
-        serial = MappingService().map_batch(requests, backend="serial")
+        serial = MappingService().map_batch(requests, config=EngineConfig(backend="serial"))
         stored = MappingService().map_batch(
             requests,
-            backend="process",
-            workers=2,
-            store_dir=str(tmp_path / "store"),
+            config=EngineConfig(
+                backend="process",
+                workers=2,
+                store_dir=str(tmp_path / "store"),
+            ),
         )
         assert len(serial) == len(stored)
         for a, b in zip(serial, stored):
@@ -213,7 +216,7 @@ class TestBackendParity:
         tg, machine = setup
         with pytest.raises(ValueError):
             MappingService().map_batch(
-                MapRequest(task_graph=tg, machine=machine), backend="gpu"
+                MapRequest(task_graph=tg, machine=machine), config=EngineConfig(backend="gpu")
             )
         with pytest.raises(ValueError):
             MappingService(backend="gpu")
@@ -246,8 +249,10 @@ class TestExecutionSemantics:
                     task_graph=tg, machine=machine, algorithms=("UTH",), seed=2
                 ),
             ],
-            backend="thread",
-            workers=4,
+            config=EngineConfig(
+                backend="thread",
+                workers=4,
+            ),
         )
         assert len(responses) == 6
         assert len(calls) == 1  # one shared grouping across both requests
@@ -267,7 +272,7 @@ class TestExecutionSemantics:
                     algorithms=("UG", "UWH", "SMAP"),
                     seed=3,
                 ),
-                backend=backend,
+                config=EngineConfig(backend=backend),
             )
             cached_flags = [r.grouping_cached for r in responses]
             assert cached_flags == [False, True, True]
@@ -287,7 +292,7 @@ class TestExecutionSemantics:
             with pytest.raises(RuntimeError, match="injected"):
                 MappingService().map_batch(
                     MapRequest(task_graph=tg, machine=machine, algorithms=("UG",)),
-                    backend=backend,
+                    config=EngineConfig(backend=backend),
                 )
 
     def test_serial_runs_nodes_in_plan_order(self, setup, monkeypatch):
@@ -350,7 +355,7 @@ class TestProcessStoreSharing:
             evaluate=True,
         )
         cold = MappingService().map_batch(
-            request, backend="process", workers=2, store_dir=store_dir
+            request, config=EngineConfig(backend="process", workers=2, store_dir=store_dir)
         )
         store = DiskArtifactStore(store_dir)
         assert store.file_count("grouping") == 1
@@ -368,7 +373,7 @@ class TestProcessStoreSharing:
 
         monkeypatch.setattr(pipeline_mod, "prepare_groups", counting)
         warm_service = MappingService(cache=ArtifactCache(store=store))
-        warm = warm_service.map_batch(request, backend="serial")
+        warm = warm_service.map_batch(request, config=EngineConfig(backend="serial"))
         assert len(calls) == 0
         stats = warm_service.cache.stats("grouping")
         assert stats.misses == 0 and stats.store_hits >= 1
@@ -382,8 +387,10 @@ class TestProcessStoreSharing:
         tg, machine = setup
         responses = MappingService().map_batch(
             MapRequest(task_graph=tg, machine=machine, algorithms=("UG", "UWH")),
-            backend="process",
-            workers=2,
+            config=EngineConfig(
+                backend="process",
+                workers=2,
+            ),
         )
         assert [r.algorithm for r in responses] == ["UG", "UWH"]
 

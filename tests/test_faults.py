@@ -36,6 +36,7 @@ import pytest
 from repro.api import (
     AsyncMappingService,
     DiskArtifactStore,
+    EngineConfig,
     ExecutorPool,
     FaultInjector,
     MappingService,
@@ -126,7 +127,7 @@ class TestPartialResults:
         )
         injector.arm("raise", "r1")
         out = MappingService().map_batch(
-            reqs, backend=backend, workers=2, on_error="partial"
+            reqs, config=EngineConfig(backend=backend, workers=2, on_error="partial")
         )
         assert [r.ok for r in out] == [True, False, True]
         err = out[1].error
@@ -149,7 +150,7 @@ class TestPartialResults:
         # All three requests share one grouping node, tagged with the
         # first request that needs it; its failure fails every consumer.
         injector.arm("raise", "r0", node="grouping")
-        out = MappingService().map_batch(reqs, on_error="partial")
+        out = MappingService().map_batch(reqs, config=EngineConfig(on_error="partial"))
         assert all(not r.ok for r in out)
         assert all(r.error.kind == "upstream" for r in out)
 
@@ -169,9 +170,11 @@ class TestPartialResults:
         injector.arm("raise", "r1")
         out = MappingService().map_batch(
             reqs,
-            backend=backend,
-            workers=2,
-            retry=RetryPolicy(max_attempts=3, backoff=0.01),
+            config=EngineConfig(
+                backend=backend,
+                workers=2,
+                retry=RetryPolicy(max_attempts=3, backoff=0.01),
+            ),
         )
         assert all(r.ok for r in out)
         for a, b in zip(baseline, out):
@@ -182,8 +185,10 @@ class TestPartialResults:
         injector.arm("raise", "r0", count=3)
         out = MappingService().map_batch(
             [_request(tg, machine, "r0")],
-            retry=RetryPolicy(max_attempts=3, backoff=0.01),
-            on_error="partial",
+            config=EngineConfig(
+                retry=RetryPolicy(max_attempts=3, backoff=0.01),
+                on_error="partial",
+            ),
         )
         assert not out[0].ok
         assert out[0].error.attempts == 3
@@ -199,11 +204,13 @@ class TestPartialResults:
         for backend in ("serial", "thread"):
             out = MappingService().map_batch(
                 reqs(),
-                backend=backend,
-                workers=2,
-                retry=RetryPolicy(max_attempts=3, backoff=0.01),
-                node_timeout=120.0,
-                on_error="partial",
+                config=EngineConfig(
+                    backend=backend,
+                    workers=2,
+                    retry=RetryPolicy(max_attempts=3, backoff=0.01),
+                    node_timeout=120.0,
+                    on_error="partial",
+                ),
             )
             assert all(r.ok for r in out)
             for a, b in zip(baseline, out):
@@ -214,7 +221,7 @@ class TestPartialResults:
         tg, machine = workload
         with pytest.raises(ValueError):
             MappingService().map_batch(
-                [_request(tg, machine, "r0")], on_error="ignore"
+                [_request(tg, machine, "r0")], config=EngineConfig(on_error="ignore")
             )
 
 
@@ -233,10 +240,12 @@ class TestNodeTimeout:
                     _request(tg, machine, "slow", algos=("SLEEPY",)),
                     _request(tg, machine, "fast", algos=("UG",)),
                 ],
-                backend="thread",
-                workers=2,
-                node_timeout=0.3,
-                on_error="partial",
+                config=EngineConfig(
+                    backend="thread",
+                    workers=2,
+                    node_timeout=0.3,
+                    on_error="partial",
+                ),
             )
         finally:
             unregister_mapper("SLEEPY")
@@ -258,8 +267,10 @@ class TestNodeTimeout:
             with pytest.raises(TimeoutError):
                 MappingService().map_batch(
                     [_request(tg, machine, "slow", algos=("SLEEPY2",))],
-                    backend="thread",
-                    node_timeout=0.3,
+                    config=EngineConfig(
+                        backend="thread",
+                        node_timeout=0.3,
+                    ),
                 )
         finally:
             unregister_mapper("SLEEPY2")
@@ -275,7 +286,7 @@ class TestPoolSelfHealing:
         injector.arm("kill-worker", "r2")
         with ExecutorPool("process", workers=2) as pool:
             service = MappingService(pool=pool)
-            out = service.map_batch(reqs, on_error="partial")
+            out = service.map_batch(reqs, config=EngineConfig(on_error="partial"))
             # One kill: the node is a first-time crash suspect, so it is
             # re-submitted to the respawned pool and succeeds (the
             # injection token was claimed by the dead worker).
@@ -301,7 +312,8 @@ class TestPoolSelfHealing:
         injector.arm("kill-worker", "r2")
         store_dir = tmp_path / "store"
         with ExecutorPool("process", workers=2, store_dir=str(store_dir)) as pool:
-            out = MappingService(pool=pool).map_batch(reqs, on_error="partial")
+            service = MappingService(pool=pool)
+            out = service.map_batch(reqs, config=EngineConfig(on_error="partial"))
             assert all(r.ok for r in out)
             for a, b in zip(baseline, out):
                 _assert_same_mapping(a, b)
@@ -317,7 +329,7 @@ class TestPoolSelfHealing:
         baseline = MappingService().map_batch(reqs)
         injector.arm("kill-worker", "r1")
         out = MappingService().map_batch(
-            reqs, backend="process", workers=2, on_error="partial"
+            reqs, config=EngineConfig(backend="process", workers=2, on_error="partial")
         )
         assert all(r.ok for r in out)
         for a, b in zip(baseline, out):
@@ -331,8 +343,10 @@ class TestPoolSelfHealing:
             service = MappingService(pool=pool)
             out = service.map_batch(
                 [_request(tg, machine, "p0"), _request(tg, machine, "p1")],
-                on_error="partial",
-                retry=RetryPolicy(max_crashes=2),
+                config=EngineConfig(
+                    on_error="partial",
+                    retry=RetryPolicy(max_crashes=2),
+                ),
             )
             by_tag = {r.tag: r for r in out}
             assert not by_tag["p0"].ok
@@ -356,8 +370,10 @@ class TestPoolSelfHealing:
             service = MappingService(pool=pool)
             out = service.map_batch(
                 [_request(tg, machine, "p0"), _request(tg, machine, "p1")],
-                on_error="partial",
-                retry=RetryPolicy(max_crashes=2, poison="serial"),
+                config=EngineConfig(
+                    on_error="partial",
+                    retry=RetryPolicy(max_crashes=2, poison="serial"),
+                ),
             )
             assert all(r.ok for r in out)
             for a, b in zip(baseline, out):
@@ -413,7 +429,7 @@ class TestPoolSelfHealing:
             with pytest.raises(Exception):
                 service.map_batch(
                     [_request(tg, machine, "k0")],
-                    retry=RetryPolicy(max_crashes=1),
+                    config=EngineConfig(retry=RetryPolicy(max_crashes=1)),
                 )
             assert pool.healthy
             assert pool.restarts == 1
@@ -448,7 +464,7 @@ class TestChaosAcceptance:
         with ExecutorPool("process", workers=2) as pool:
             service = MappingService(pool=pool)
             out = service.map_batch(
-                reqs, on_error="partial", retry=RetryPolicy(max_crashes=2)
+                reqs, config=EngineConfig(on_error="partial", retry=RetryPolicy(max_crashes=2))
             )
             by_tag = {r.tag: r for r in out}
             # N-1 byte-identical successes + 1 structured error.
@@ -694,7 +710,7 @@ class TestAioCancellation:
                         _request(tg, machine, "a0"),
                         _request(tg, machine, "a1"),
                     ],
-                    on_error="partial",
+                    config=EngineConfig(on_error="partial"),
                 )
                 by_tag = {r.tag: r for r in out}
                 assert not by_tag["a0"].ok

@@ -123,13 +123,8 @@ def golden():
 
 
 @pytest.mark.parametrize("scenario_idx", range(3))
-def test_golden_equivalence(golden, scenario_idx, kernel_backend):
-    """Bit-identical goldens on every kernel backend (numpy + numba).
-
-    The ``kernel_backend`` axis makes each scenario run once per
-    backend; the numba leg (CI's native job) proves the JIT kernels
-    reproduce the scalar-reference goldens bit for bit.
-    """
+def test_golden_equivalence(golden, scenario_idx):
+    """The batched kernels reproduce the scalar-reference goldens bit for bit."""
     name, tg, machine, mapper_names = scenarios()[scenario_idx]
     for algo in mapper_names:
         key = f"{name}/{algo}"

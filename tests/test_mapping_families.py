@@ -30,7 +30,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import test_kernels_golden as scenarios_mod  # noqa: E402
 
-from repro.api import MapRequest, MappingService, build_plan, get_spec  # noqa: E402
+from repro.api import EngineConfig, MapRequest, MappingService, build_plan, get_spec  # noqa: E402
 from repro.mapping.hier import hierarchical_map  # noqa: E402
 from repro.mapping.pipeline import FAMILY_MAPPER_NAMES, prepare_groups  # noqa: E402
 from repro.mapping.sfc import sfc_map  # noqa: E402
@@ -102,16 +102,10 @@ def _assert_matches_golden(responses, golden):
 
 
 @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-def test_family_goldens_on_every_backend(golden, backend, kernel_backend):
-    """HIER/SFC goldens are byte-identical on all execution backends.
-
-    Crossed with the kernel-backend axis: the numba kernels must
-    reproduce the goldens bit for bit on every execution backend too
-    (``use_backend`` mirrors the choice into the environment, so the
-    process backend's workers inherit it).
-    """
+def test_family_goldens_on_every_backend(golden, backend):
+    """HIER/SFC goldens are byte-identical on all execution backends."""
     responses = MappingService().map_batch(
-        _scenario_requests(), backend=backend, workers=2
+        _scenario_requests(), config=EngineConfig(backend=backend, workers=2)
     )
     _assert_matches_golden(responses, golden)
 
@@ -125,9 +119,11 @@ def test_family_goldens_through_disk_store(golden, tmp_path):
     """
     responses = MappingService().map_batch(
         _scenario_requests(),
-        backend="process",
-        workers=2,
-        store_dir=str(tmp_path / "store"),
+        config=EngineConfig(
+            backend="process",
+            workers=2,
+            store_dir=str(tmp_path / "store"),
+        ),
     )
     _assert_matches_golden(responses, golden)
 

@@ -23,6 +23,7 @@ import pytest
 from repro.api import (
     ArtifactCache,
     DiskArtifactStore,
+    EngineConfig,
     ExecutorPool,
     MappingService,
     MapRequest,
@@ -76,7 +77,7 @@ class TestPoolLifecycle:
         """No workers until the first batch; one spawn serves many."""
         tg, machine = setup
         request = _request(tg, machine)
-        serial = MappingService().map_batch(request, backend="serial")
+        serial = MappingService().map_batch(request, config=EngineConfig(backend="serial"))
         with ExecutorPool("thread", workers=2) as pool:
             service = MappingService(pool=pool)
             assert pool.spawn_count == 0 and not pool.executor_alive
@@ -90,7 +91,7 @@ class TestPoolLifecycle:
         """Persistent process workers share one store across batches."""
         tg, machine = setup
         request = _request(tg, machine)
-        serial = MappingService().map_batch(request, backend="serial")
+        serial = MappingService().map_batch(request, config=EngineConfig(backend="serial"))
         with ExecutorPool("process", workers=2) as pool:
             service = MappingService(pool=pool)
             cold = service.map_batch(request)
@@ -122,9 +123,9 @@ class TestPoolLifecycle:
         """Without ``pool=`` the batch's pool is shut down when it ends."""
         tg, machine = setup
         request = _request(tg, machine, algos=("UG", "UWH"))
-        serial = MappingService().map_batch(request, backend="serial")
+        serial = MappingService().map_batch(request, config=EngineConfig(backend="serial"))
         children = set(multiprocessing.active_children())
-        out = MappingService().map_batch(request, backend=backend, workers=2)
+        out = MappingService().map_batch(request, config=EngineConfig(backend=backend, workers=2))
         _assert_identical(serial, out)
         assert set(multiprocessing.active_children()) <= children
         assert not [
@@ -133,13 +134,13 @@ class TestPoolLifecycle:
 
     def test_batch_scoped_process_run_uses_attached_store(self, setup, tmp_path):
         """The batch's workers share the service cache's store root and
-        leave only artifacts there (no batch payloads, no warm-up
-        records of workers that are gone)."""
+        leave only artifacts there (no batch payloads, no runtime
+        records)."""
         tg, machine = setup
         store = DiskArtifactStore(str(tmp_path / "store"))
         service = MappingService(cache=ArtifactCache(store=store))
         out = service.map_batch(
-            _request(tg, machine, algos=("UG",)), backend="process", workers=2
+            _request(tg, machine, algos=("UG",)), config=EngineConfig(backend="process", workers=2)
         )
         assert out[0].ok
         assert store.file_count("grouping") == 1
@@ -191,8 +192,9 @@ class TestPoolLifecycle:
             service = MappingService(backend="serial", pool=pool)
             service.map_batch(_request(tg, machine, algos=("UG",)))
             assert pool.spawn_count == 0
-            # The pool remains available to explicit per-call overrides.
-            service.map_batch(_request(tg, machine, algos=("UG",)), backend="thread")
+            # The pool remains available to a per-batch config.
+            request = _request(tg, machine, algos=("UG",))
+            service.map_batch(request, config=EngineConfig(backend="thread"))
             assert pool.spawn_count == 1
 
     def test_per_call_override_reconfigures_pool(self, setup):
@@ -200,10 +202,10 @@ class TestPoolLifecycle:
         request = _request(tg, machine, algos=("UG",))
         with ExecutorPool("thread", workers=2) as pool:
             service = MappingService(pool=pool)
-            service.map_batch(request, workers=1)
+            service.map_batch(request, config=EngineConfig(workers=1))
             assert pool.workers == 1
             # backend="serial" bypasses the pool entirely.
-            service.map_batch(request, backend="serial")
+            service.map_batch(request, config=EngineConfig(backend="serial"))
             assert pool.spawn_count == 1
 
     def test_service_level_workers_reach_the_pool(self, setup):

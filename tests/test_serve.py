@@ -31,8 +31,8 @@ from collections import OrderedDict
 
 import pytest
 
-from repro.api import MappingService
-from repro.api.fault import PlanError
+from repro.api import EngineConfig, MappingService
+from repro.api.fault import PlanError, RetryPolicy
 from repro.api.registry import register_mapper, unregister_mapper
 from repro.api.stages import PLACEMENT_STAGES
 from repro.serve import (
@@ -360,7 +360,7 @@ class TestFairQueue:
 def _direct_reference(entries, defaults=None):
     """Canonical results of the same entries through the sync service."""
     reqs = requests_from_entries(list(entries), defaults or {}, OrderedDict())
-    responses = MappingService().map_batch(reqs, on_error="partial")
+    responses = MappingService().map_batch(reqs, config=EngineConfig(on_error="partial"))
     return [canonical_result(response_payload(r)) for r in responses]
 
 
@@ -612,6 +612,106 @@ class TestServerIntegration:
         assert stats["aio"]["max_in_flight"] == 2
         assert stats["pool"] is None  # no ExecutorPool in this config
         assert "grouping" in stats["cache"]
+
+
+class TestDispatchConfig:
+    """Every dispatched batch runs with ``replace(service.config, ...)``:
+    the config's retry as is, its node_timeout tightened by the tickets'
+    deadlines; whatever a dispatch raises, every ticket is answered."""
+
+    @staticmethod
+    def _spy(ts, fail=False):
+        configs = []
+        aio = ts.server.aio
+        original = aio.map_batch
+
+        async def spy(requests, *, timeout=None, config=None):
+            configs.append(config)
+            if fail:
+                raise ValueError("dispatch blew up")
+            return await original(requests, timeout=timeout, config=config)
+
+        aio.map_batch = spy
+        return configs
+
+    def test_service_config_shapes_every_dispatch(self):
+        retry = RetryPolicy(max_attempts=2)
+        config = EngineConfig(retry=retry, node_timeout=30.0)
+        with ThreadedServer(backend="thread", workers=2, config=config) as ts:
+            configs = self._spy(ts)
+            with ServeClient(*ts.address) as client:
+                assert client.map([dict(ENTRY)])["ok"]
+                assert client.map([dict(ENTRY)], deadline_s=10.0)["ok"]
+        plain, tight = configs
+        assert plain.retry is retry and tight.retry is retry
+        assert plain.on_error == tight.on_error == "partial"
+        assert plain.node_timeout == 30.0
+        assert 0 < tight.node_timeout <= 10.0
+        assert plain.backend == tight.backend == "thread"
+        assert plain.workers == tight.workers == 2
+
+    @pytest.mark.parametrize("deadline", [float("nan"), "nan", float("inf"), "-inf"])
+    def test_non_finite_deadline_is_a_bad_request(self, deadline):
+        replies = {}
+        with ThreadedServer(backend="serial", coalesce_window=0.3) as ts:
+
+            def send(tag, frame):
+                with ServeClient(*ts.address) as client:
+                    replies[tag] = client.request(frame, reply_timeout=30)
+
+            threads = [
+                threading.Thread(
+                    target=send,
+                    args=(
+                        "bad",
+                        {"op": "map", "entries": [dict(ENTRY)], "deadline_s": deadline},
+                    ),
+                ),
+                threading.Thread(
+                    target=send, args=("good", {"op": "map", "entries": [dict(ENTRY)]})
+                ),
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            with ServeClient(*ts.address) as client:
+                stats = client.stats()
+        assert replies["bad"]["ok"] is False
+        assert replies["bad"]["error"]["kind"] == "bad_request"
+        assert "finite" in replies["bad"]["error"]["message"]
+        assert replies["good"]["ok"] is True
+        assert all(r["ok"] for r in replies["good"]["results"])
+        assert stats["queue"]["pending"] == 0
+        assert stats["counters"]["bad_request"] == 1
+
+    def test_failed_dispatch_answers_every_coalesced_ticket(self):
+        n = 2
+        replies = [None] * n
+        with ThreadedServer(backend="serial", coalesce_window=0.4) as ts:
+            self._spy(ts, fail=True)
+            barrier = threading.Barrier(n)
+
+            def worker(i):
+                with ServeClient(*ts.address, tenant=f"c{i}") as client:
+                    barrier.wait(timeout=30)
+                    replies[i] = client.map([dict(ENTRY)], reply_timeout=30)
+
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            with ServeClient(*ts.address) as client:
+                stats = client.stats()
+                assert client.ping()
+        assert stats["counters"]["dispatches"] == 1
+        for reply in replies:
+            assert reply["ok"] is False
+            assert reply["error"]["kind"] == "error"
+            assert reply["error"]["exception"] == "ValueError"
+        assert stats["queue"]["pending"] == 0
+        assert stats["counters"]["completed"] == n
 
 
 class TestServerConstruction:

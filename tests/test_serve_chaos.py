@@ -16,6 +16,7 @@ from collections import OrderedDict
 import pytest
 
 from repro.api import (
+    EngineConfig,
     ExecutorPool,
     FaultInjector,
     MappingService,
@@ -87,7 +88,7 @@ class TestServerChaos:
         with ExecutorPool("process", workers=2) as pool:
             with ThreadedServer(
                 pool=pool,
-                retry=RetryPolicy(max_crashes=2),
+                config=EngineConfig(retry=RetryPolicy(max_crashes=2)),
                 coalesce_window=0.5,
                 max_in_flight=1,
             ) as ts:
@@ -126,7 +127,7 @@ class TestServerChaos:
         with ExecutorPool("process", workers=2) as pool:
             with ThreadedServer(
                 pool=pool,
-                retry=RetryPolicy(max_crashes=2),
+                config=EngineConfig(retry=RetryPolicy(max_crashes=2)),
                 coalesce_window=0.5,
                 max_in_flight=1,
             ) as ts:

@@ -8,7 +8,9 @@ Tracks the primitives the mapping hot paths are built from:
 * one ``batched_swap_gains`` call (Δ=8 candidates) vs Δ scalar
   ``_swap_gain`` invocations;
 * one ``CongestionModel.evaluate_swaps`` call (Δ=8 candidates) vs Δ
-  scalar ``swap_improves`` probes — Algorithm 3's inner loop;
+  scalar ``swap_improves`` probes — Algorithm 3's inner loop — and a
+  model's construction plus its first, cold probe (the pair-route
+  memo's fill cost);
 * ``RouteTable.accumulate`` / ``replace_routes`` — the congestion
   model's per-commit route maintenance.
 
@@ -22,6 +24,7 @@ import pytest
 from repro.graph.csr import expand_frontier
 from repro.graph.task_graph import TaskGraph
 from repro.kernels import HopTable, batched_swap_gains, hop_table_for
+from repro.kernels.congestion import CongestionModel
 from repro.mapping.refine_wh import _swap_gain, _task_whops
 from repro.topology.routing import RouteTable, routes_bulk
 from repro.topology.torus import Torus3D
@@ -119,9 +122,7 @@ def test_swap_gain_batched(benchmark, torus, swap_workload):
 
 
 @pytest.fixture(scope="module")
-def congestion_workload(torus):
-    from repro.kernels.congestion import CongestionModel
-
+def congestion_inputs(torus):
     rng = np.random.default_rng(13)
     n = 256
     src = rng.integers(0, n, size=2500)
@@ -131,9 +132,27 @@ def congestion_workload(torus):
     tg = TaskGraph.from_edges(n, src[keep], dst[keep], vol[keep])
     gamma = rng.choice(torus.num_nodes, size=n, replace=False).astype(np.int64)
     src_t, dst_t, vols = tg.graph.edge_list()
-    model = CongestionModel(torus, src_t, dst_t, vols, gamma)
     partners = np.asarray([3, 17, 42, 88, 101, 150, 199, 230], dtype=np.int64)
-    return model, partners
+    return (src_t, dst_t, vols, gamma), partners
+
+
+@pytest.fixture(scope="module")
+def congestion_workload(torus, congestion_inputs):
+    (src_t, dst_t, vols, gamma), partners = congestion_inputs
+    return CongestionModel(torus, src_t, dst_t, vols, gamma), partners
+
+
+def test_congestion_build_and_first_probe(benchmark, torus, congestion_inputs):
+    """Model construction plus one cold probe: the pair-route memo's fill cost."""
+    (src_t, dst_t, vols, gamma), partners = congestion_inputs
+
+    def cold():
+        model = CongestionModel(torus, src_t, dst_t, vols, gamma.copy())
+        return model.evaluate_swaps(0, partners)
+
+    got = benchmark(cold)
+    warm = CongestionModel(torus, src_t, dst_t, vols, gamma.copy())
+    assert got.tolist() == [warm.swap_improves(0, int(t)) for t in partners]
 
 
 def test_congestion_probe_scalar_baseline(benchmark, congestion_workload):

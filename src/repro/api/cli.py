@@ -139,7 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"one of {', '.join(PARTITIONER_NAMES)}",
     )
     p_map.add_argument("--seed", type=int, default=0)
-    p_map.add_argument("--delta", type=int, default=8, help="refinement budget Δ")
+    p_map.add_argument(
+        "--delta", type=_positive_int, default=8, help="refinement budget Δ (>= 1)"
+    )
     p_map.add_argument(
         "--fragmentation",
         type=float,

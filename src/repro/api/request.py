@@ -79,6 +79,8 @@ class MapRequest:
             self.algorithms = tuple(self.algorithms)
         if not self.algorithms:
             raise ValueError("MapRequest needs at least one algorithm name")
+        if self.delta < 1:
+            raise ValueError(f"refinement budget delta must be >= 1, got {self.delta}")
         self._content_keys: Optional[Tuple[int, int]] = None
 
     @property

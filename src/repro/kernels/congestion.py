@@ -12,17 +12,26 @@ other congestion consumer) needs about the network state of a mapping:
   deltas in O(deg·D) per commit (D = torus diameter) — never rebuilt;
 * the ``commTasks`` search index (link → tasks routed through it) as a
   CSR pair, re-derived from the cached route segments on the paper's
-  refresh cadence instead of re-enumerating every route.
+  refresh cadence instead of re-enumerating every route;
+* a **pair-route memo**.  A swap permutes Γ but never changes the set U
+  of nodes Γ uses, so every route a probe or a commit can need joins two
+  nodes of U.  The memo keeps those routes keyed by their node pair and
+  fills lazily: the pairs a call needs that are not memoized yet are
+  routed together in one ``routes_bulk`` call.  After the first few
+  probes neither probes nor commits enumerate a route.  A route depends
+  only on its own endpoints, detours on a degraded torus included, so
+  the memo is exact; its memory is bounded by the pairs actually probed.
 
-The batched-candidate kernel :meth:`CongestionModel.evaluate_swaps` is
-the performance headline: it scores all ≤Δ BFS-ordered swap partners of
-a task in one shot — old-route deltas gathered from the table, new
-routes for *all* candidates enumerated in a single ``routes_bulk``
-call — instead of two route enumerations per candidate.  The accept /
-reject verdicts reproduce the scalar :meth:`swap_improves` arithmetic
-exactly (same unique-link deltas, same MC/AC comparisons, same
-epsilons), so refinement trajectories are unchanged; with the repo's
-integer communication volumes the equality is bit-exact.
+The batched-candidate kernel :meth:`CongestionModel.evaluate_swaps`
+scores all ≤Δ BFS-ordered swap partners of a task in one shot: old-route
+deltas gathered from the table, new routes gathered from the memo, the
+per-(candidate, link) deltas summed by one ``bincount`` over dense
+keys, and the accept rule decided for all candidates by array
+operations (:meth:`CongestionModel._verdicts`).  The verdicts reproduce
+the scalar :meth:`swap_improves` arithmetic exactly (same unique-link
+deltas, same MC/AC comparisons, same epsilons), so refinement
+trajectories are unchanged; with the repo's integer communication
+volumes the equality is bit-exact.
 
 Staleness contract: the route table and the load arrays are *never*
 stale — they are updated on every commit.  The ``commTasks`` index is
@@ -109,6 +118,12 @@ class CongestionModel:
         self.host = np.full(torus.num_nodes, -1, dtype=np.int64)
         self.host[self.gamma] = np.arange(n)
 
+        # Pair-route memo: sorted node-pair keys (a·num_nodes + b) with
+        # each route's segment in ``_memo_links``.
+        empty = np.empty(0, dtype=np.int64)
+        self._memo_keys = self._memo_start = self._memo_count = empty
+        self._memo_links = empty
+
         # Per-task incident edge ids (both directions), precomputed once:
         # swap evaluation is then O(deg·D) instead of scanning all edges.
         m = self.src_t.shape[0]
@@ -127,11 +142,6 @@ class CongestionModel:
         else:
             route_table = route_table.copy()
         self.routes = route_table
-        #: Per-candidate deltas stashed by the last ``evaluate_swaps``
-        #: batch so the winning candidate's commit can reuse them
-        #: instead of re-deriving (one ``routes_bulk`` saved per
-        #: commit); invalidated by every committed swap.
-        self._eval_stash = None
         self._refresh_comm_index()  # also accumulates msgs/vols
 
     # ------------------------------------------------------------------
@@ -184,6 +194,41 @@ class CongestionModel:
         return uniq[np.argsort(first, kind="stable")].tolist()
 
     # ------------------------------------------------------------------
+    # pair-route memo
+    # ------------------------------------------------------------------
+    def _pair_routes(
+        self, src: np.ndarray, dst: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(links, counts)`` of the routes ``src[i] → dst[i]``.
+
+        ``links`` concatenates the routes in pair order, each in
+        traversal order — what a stable sort by message of
+        ``routes_bulk(torus, src, dst)`` yields.  Pairs missing from the
+        memo are routed in one ``routes_bulk`` call and memoized first.
+        """
+        size = self.torus.num_nodes
+        keys = src * size + dst
+        pos = np.searchsorted(self._memo_keys, keys)
+        hit = pos < self._memo_keys.shape[0]
+        hit[hit] = self._memo_keys[pos[hit]] == keys[hit]
+        if not hit.all():
+            new = np.unique(keys[~hit])
+            links, msg = routes_bulk(self.torus, new // size, new % size)
+            counts = np.bincount(msg, minlength=new.shape[0])
+            starts = self._memo_links.shape[0] + np.cumsum(counts) - counts
+            self._memo_links = np.concatenate(
+                [self._memo_links, links[np.argsort(msg, kind="stable")]]
+            )
+            keys_all = np.concatenate([self._memo_keys, new])
+            order = np.argsort(keys_all)
+            self._memo_keys = keys_all[order]
+            self._memo_start = np.concatenate([self._memo_start, starts])[order]
+            self._memo_count = np.concatenate([self._memo_count, counts])[order]
+            pos = np.searchsorted(self._memo_keys, keys)
+        counts = self._memo_count[pos]
+        return _gather_segments(self._memo_links, self._memo_start[pos], counts), counts
+
+    # ------------------------------------------------------------------
     # metric views
     # ------------------------------------------------------------------
     def _load(self) -> np.ndarray:
@@ -198,13 +243,8 @@ class CongestionModel:
             return self.vols * self._inv_bw
         return self.vols
 
-    def most_congested_link(self) -> int:
-        load = self._load()
-        top = int(np.argmax(load))
-        return top if load[top] > _EPS else -1
-
     def current_mc_ac(self) -> Tuple[float, float]:
-        _, mc, ac, _, _, _ = self._probe_context()
+        mc, ac, _ = self._probe_context()
         return mc, ac
 
     # ------------------------------------------------------------------
@@ -222,8 +262,8 @@ class CongestionModel:
         Returns ``(links, d_msgs, d_vols, edges, new_links, new_counts)``
         where the first three are the unique-link sparse load deltas and
         the last three feed :meth:`RouteTable.replace_routes`.  Old
-        routes come from the cached table; only the new positions of the
-        incident edges are enumerated.
+        routes come from the cached table, new ones from the pair-route
+        memo.
         """
         edges = self._incident_edges(t1, t2)
         n1, n2 = int(self.gamma[t1]), int(self.gamma[t2])
@@ -245,31 +285,27 @@ class CongestionModel:
         new_src = translate(src_tasks)
         new_dst = translate(dst_tasks)
         keep_new = new_src != new_dst
-        links_n, msg_n = routes_bulk(self.torus, new_src[keep_new], new_dst[keep_new])
-
-        # Replacement CSR segments, pair-major (stable sort keeps the
-        # traversal order within each route).
-        order = np.argsort(msg_n, kind="stable")
-        new_links = links_n[order]
-        kept_counts = np.bincount(msg_n, minlength=int(keep_new.sum()))
+        new_links, kept_counts = self._pair_routes(new_src[keep_new], new_dst[keep_new])
         new_counts = np.zeros(edges.shape[0], dtype=np.int64)
         new_counts[keep_new] = kept_counts
 
-        all_links = np.concatenate([old_links, links_n])
-        if all_links.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty, edges, new_links, new_counts
         d_msg = np.concatenate(
             [
                 -np.ones_like(old_links, dtype=np.float64),
-                np.ones_like(links_n, dtype=np.float64),
+                np.ones_like(new_links, dtype=np.float64),
             ]
         )
-        d_vol = np.concatenate([-old_vol, self.vol[edges][keep_new][msg_n]])
-        uniq, inv = np.unique(all_links, return_inverse=True)
-        dm = np.bincount(inv, weights=d_msg, minlength=uniq.shape[0])
-        dv = np.bincount(inv, weights=d_vol, minlength=uniq.shape[0])
-        return uniq, dm, dv, edges, new_links, new_counts
+        d_vol = np.concatenate(
+            [-old_vol, np.repeat(self.vol[edges][keep_new], kept_counts)]
+        )
+        # Per-link sums: each bin adds its entries in input order, as
+        # the batched kernel's bincount does, so both derive equal deltas.
+        keys = np.concatenate([old_links, new_links])
+        nl = self.torus.num_links
+        links = np.flatnonzero(np.bincount(keys, minlength=nl))
+        dm = np.bincount(keys, weights=d_msg, minlength=nl)[links]
+        dv = np.bincount(keys, weights=d_vol, minlength=nl)[links]
+        return links, dm, dv, edges, new_links, new_counts
 
     def _swap_deltas(
         self, t1: int, t2: int
@@ -278,112 +314,67 @@ class CongestionModel:
         links, dm, dv, _, _, _ = self._swap_route_delta(t1, t2)
         return links, dm, dv
 
-    def _probe_context(self):
-        """Per-probe global state, computed once per candidate batch.
+    def _probe_context(self) -> Tuple[float, float, float]:
+        """``(mc, ac, total)`` of the current loads, once per probe.
 
-        One pass over the load array serves every comparison the accept
-        rule makes: ``load.sum()`` doubles as the AC numerator and the
-        volume-metric base total (``load`` *is* ``vols * inv_bw`` there,
-        and plain ``vols`` in message mode).
+        ``total`` is ``load.sum()``, the AC numerator (``load`` *is*
+        ``vols * inv_bw`` in volume mode and plain ``vols`` in message
+        mode).
         """
         load = self._load()
         n_used = int(np.count_nonzero(self.msgs > 0))
-        total_base = load.sum()
+        total = load.sum()
         mc = float(load.max()) if n_used else 0.0
-        ac = float(total_base / n_used) if n_used else 0.0
-        top = int(np.argmax(load))
-        base_used = int(np.count_nonzero(self.msgs > _EPS))
-        return load, mc, ac, top, float(total_base), base_used
+        ac = float(total / n_used) if n_used else 0.0
+        return mc, ac, float(total)
 
     def swap_improves(self, t1: int, t2: int) -> bool:
         """Virtual swap: does MC improve — or AC at equal MC?"""
         links, dm, dv = self._swap_deltas(t1, t2)
-        if links.size == 0:
-            return False
-        load, mc, ac, top, total_base, base_used = self._probe_context()
-        bounds = np.asarray([0, links.shape[0]], dtype=np.int64)
-        return bool(
-            self._verdicts(
-                links, dm, dv, bounds, load, mc, ac, top, total_base, base_used
-            )[0]
-        )
-
-    def _verdict(
-        self,
-        links: np.ndarray,
-        dm: np.ndarray,
-        dv: np.ndarray,
-        load: np.ndarray,
-        mc: float,
-        ac: float,
-        top: int,
-        total_base: float,
-        base_used: int,
-    ) -> bool:
-        """The scalar accept rule on precomputed deltas (Algorithm 3)."""
-        if links.size == 0:
-            return False
-        new_changed = (
-            (self.vols[links] + dv) * self._inv_bw[links]
-            if self.metric == "volume"
-            else self.vols[links] + dv
-        )
-        # Max over unchanged links: cheap when the argmax is untouched.
-        if top in set(links.tolist()):
-            mask = np.ones(load.shape[0], dtype=bool)
-            mask[links] = False
-            max_unchanged = float(load[mask].max()) if mask.any() else 0.0
-        else:
-            max_unchanged = float(load[top])
-        new_mc = max(
-            max_unchanged, float(new_changed.max()) if new_changed.size else 0.0
-        )
-        if new_mc < mc - _EPS:
-            return True
-        if new_mc > mc + _EPS:
-            return False
-        # Equal MC: accept on AC improvement.  The used-link count only
-        # changes on the touched links, so adjust the global count by
-        # their before/after difference.
-        seg = self.msgs[links]
-        used_new = base_used + int(
-            np.count_nonzero(seg + dm > _EPS) - np.count_nonzero(seg > _EPS)
-        )
-        if self.metric == "volume":
-            total_new = total_base + float((dv * self._inv_bw[links]).sum())
-        else:
-            total_new = total_base + float(dv.sum())
-        new_ac = total_new / used_new if used_new else 0.0
-        return new_ac < ac - _EPS
+        return bool(self._verdicts(links, dm, dv, 1)[0])
 
     def _verdicts(
-        self,
-        ul: np.ndarray,
-        dm: np.ndarray,
-        dv: np.ndarray,
-        bounds: np.ndarray,
-        load: np.ndarray,
-        mc: float,
-        ac: float,
-        top: int,
-        total_base: float,
-        base_used: int,
+        self, keys: np.ndarray, d_msg: np.ndarray, d_vol: np.ndarray, K: int
     ) -> np.ndarray:
-        """Accept verdicts of many candidates (``bounds`` slices ul/dm/dv).
+        """Accept verdicts (Algorithm 3) of K candidates at once.
 
-        The single dispatch point of the accept rule: the scalar probe
-        (:meth:`swap_improves`, K=1) and the batched Δ-kernel
-        (:meth:`evaluate_swaps`) both land here, so the two paths
-        always share the exact same arithmetic: the per-candidate
-        :meth:`_verdict` rule.
+        Entry *i* changes link ``keys[i] % L`` of candidate
+        ``keys[i] // L`` (L = number of links) by ``d_msg[i]`` messages
+        and ``d_vol[i]`` volume.  The deltas are summed per (candidate,
+        link) by a ``bincount`` over the dense ``K·L`` key range, which
+        adds each bin's entries in input order, and each candidate's
+        new loads become one row of a ``K × L`` array.  A candidate
+        changing no link is rejected.
+
+        * New MC is the row max: the unchanged loads are reproduced
+          exactly (``vols + 0.0``) and max is order-free.
+        * At equal MC the candidate is accepted on AC improvement.  The
+          used-link count is a row count; the AC total needs a float
+          sum, taken per tied candidate over its changed links in link
+          order, the same ``.sum()`` a one-candidate probe takes.
+
+        The scalar probe (:meth:`swap_improves`, K=1) and the batched
+        Δ-kernel (:meth:`evaluate_swaps`) both land here.
         """
-        K = bounds.shape[0] - 1
-        out = np.zeros(K, dtype=bool)
-        for k in range(K):
-            s, e = bounds[k], bounds[k + 1]
-            out[k] = self._verdict(
-                ul[s:e], dm[s:e], dv[s:e], load, mc, ac, top, total_base, base_used
-            )
+        size = K * self.torus.num_links
+        changed = np.bincount(keys, minlength=size).reshape(K, -1) > 0
+        dm = np.bincount(keys, weights=d_msg, minlength=size).reshape(K, -1)
+        dv = np.bincount(keys, weights=d_vol, minlength=size).reshape(K, -1)
+        new_load = self.vols + dv
+        if self.metric == "volume":
+            dv = dv * self._inv_bw
+            new_load *= self._inv_bw
+        new_mc = new_load.max(axis=1)
+        mc, ac, total = self._probe_context()
+        live = changed.any(axis=1)
+        out = live & (new_mc < mc - _EPS)
+        tied = np.flatnonzero(live & ~out & ~(new_mc > mc + _EPS))
+        if tied.size:
+            used = np.count_nonzero(self.msgs + dm[tied] > _EPS, axis=1)
+            for k, used_new in zip(tied.tolist(), used.tolist()):
+                total_new = total + float(dv[k][changed[k]].sum())
+                new_ac = total_new / used_new if used_new else 0.0
+                out[k] = new_ac < ac - _EPS
         return out
 
     # ------------------------------------------------------------------
@@ -393,24 +384,19 @@ class CongestionModel:
         """Score swapping *t1* against every candidate in one shot.
 
         Returns ``bool[K]`` — candidate *k*'s verdict equals
-        ``swap_improves(t1, cands[k])`` — with one ``routes_bulk`` call
-        for all candidates' moved edges (old-route deltas are gathered
-        from the cached table) instead of two enumerations per
-        candidate.  The per-candidate deltas and replacement segments
-        are stashed so a following :meth:`commit_swap` of any candidate
-        reuses them instead of re-deriving (zero routing work per
-        commit).
+        ``swap_improves(t1, cands[k])``.  Old-route deltas are gathered
+        from the cached table and new routes from the pair-route memo,
+        which the following :meth:`commit_swap` of any candidate reads
+        too (zero routing work per commit).
         """
-        self._eval_stash = None
         cands = np.asarray(cands, dtype=np.int64)
         K = cands.shape[0]
-        out = np.zeros(K, dtype=bool)
         if K == 0:
-            return out
+            return np.zeros(0, dtype=bool)
         m = self.src_t.shape[0]
         nl = self.torus.num_links
 
-        # -- per-candidate unique incident edge sets (composite keys) --
+        # -- per-candidate unique incident edge sets (dense k·m keys) --
         e1 = self._inc_ids[self._inc_ptr[t1] : self._inc_ptr[t1 + 1]]
         lo2 = self._inc_ptr[cands]
         cnt2 = self._inc_ptr[cands + 1] - lo2
@@ -422,7 +408,7 @@ class CongestionModel:
                 np.repeat(ks, cnt2) * m + e2,
             ]
         )
-        comp = np.unique(comp)
+        comp = np.flatnonzero(np.bincount(comp, minlength=K * m))
         k_of = comp // m
         e_of = comp % m
 
@@ -433,7 +419,7 @@ class CongestionModel:
         old_k = np.repeat(k_of, r_cnt)
         old_vol = np.repeat(self.vol[e_of], r_cnt)
 
-        # -- new routes: one bulk enumeration over all candidates ------
+        # -- new routes, gathered from the pair-route memo -------------
         n1 = int(self.gamma[t1])
         n2 = self.gamma[cands]  # per candidate
         s_tasks = self.src_t[e_of]
@@ -446,118 +432,35 @@ class CongestionModel:
             d_tasks == t1, n2[k_of], np.where(d_tasks == c_k, n1, self.gamma[d_tasks])
         )
         keep = new_src != new_dst
-        links_n, msg_n = routes_bulk(self.torus, new_src[keep], new_dst[keep])
-        new_k = k_of[keep][msg_n]
-        new_vol = self.vol[e_of][keep][msg_n]
+        new_links, new_counts = self._pair_routes(new_src[keep], new_dst[keep])
+        new_k = np.repeat(k_of[keep], new_counts)
+        new_vol = np.repeat(self.vol[e_of][keep], new_counts)
 
-        # -- per-(candidate, link) sparse deltas -----------------------
-        comp_links = np.concatenate([old_k * nl + old_links, new_k * nl + links_n])
-        if comp_links.size == 0:
-            return out
+        # -- per-(candidate, link) deltas, keyed k·L + link ------------
+        keys = np.concatenate([old_k * nl + old_links, new_k * nl + new_links])
         d_msg = np.concatenate(
             [
                 -np.ones_like(old_links, dtype=np.float64),
-                np.ones_like(links_n, dtype=np.float64),
+                np.ones_like(new_links, dtype=np.float64),
             ]
         )
         d_vol = np.concatenate([-old_vol, new_vol])
-        uniq, inv = np.unique(comp_links, return_inverse=True)
-        dm = np.bincount(inv, weights=d_msg, minlength=uniq.shape[0])
-        dv = np.bincount(inv, weights=d_vol, minlength=uniq.shape[0])
-        uk = uniq // nl
-        ul = uniq % nl
-        bounds = np.searchsorted(uk, np.arange(K + 1))
-
-        # -- stash per-candidate commit payloads -----------------------
-        # Everything a commit needs is already here: the unique-link
-        # deltas per candidate (``ul``/``dm``/``dv`` sliced by
-        # ``bounds``) and the replacement CSR segments, reordered
-        # pair-major exactly like ``_swap_route_delta`` builds them.
-        # The slices reproduce the scalar derivation bit for bit — same
-        # unique-link order, same bincount accumulation order.
-        order_n = np.argsort(msg_n, kind="stable")
-        kept_total = int(keep.sum())
-        kept_counts = np.bincount(msg_n, minlength=kept_total)
-        msg_ptr = np.zeros(kept_total + 1, dtype=np.int64)
-        np.cumsum(kept_counts, out=msg_ptr[1:])
-        kept_k = k_of[keep]
-        self._eval_stash = {
-            "t1": int(t1),
-            "cands": cands,
-            "ul": ul,
-            "dm": dm,
-            "dv": dv,
-            "bounds": bounds,
-            "e_of": e_of,
-            "edge_bounds": np.searchsorted(k_of, np.arange(K + 1)),
-            "kept_e": e_of[keep],
-            "kept_counts": kept_counts,
-            "msg_bounds": np.searchsorted(kept_k, np.arange(K + 1)),
-            "msg_ptr": msg_ptr,
-            "sorted_new_links": links_n[order_n],
-        }
-
-        # -- verdicts (accept rule per candidate; K ≤ Δ) ---------------
-        load, mc, ac, top, total_base, base_used = self._probe_context()
-        return self._verdicts(
-            ul, dm, dv, bounds, load, mc, ac, top, total_base, base_used
-        )
+        return self._verdicts(keys, d_msg, d_vol, K)
 
     # ------------------------------------------------------------------
     # commits
     # ------------------------------------------------------------------
-    def _stashed_commit_payload(self, t1: int, t2: int):
-        """The last ``evaluate_swaps`` batch's payload for (t1, t2), if any.
-
-        Returns the same six-tuple ``_swap_route_delta`` derives —
-        unique-link deltas plus replacement CSR segments — sliced out of
-        the stashed batch, or ``None`` when the pair was not in the
-        batch (the scalar probe path, or a foreign swap).
-        """
-        stash = self._eval_stash
-        if stash is None or stash["t1"] != int(t1):
-            return None
-        hit = np.flatnonzero(stash["cands"] == int(t2))
-        if hit.size == 0:
-            return None
-        k = int(hit[0])
-        s, e = int(stash["bounds"][k]), int(stash["bounds"][k + 1])
-        es, ee = int(stash["edge_bounds"][k]), int(stash["edge_bounds"][k + 1])
-        edges = stash["e_of"][es:ee]
-        ms, me = int(stash["msg_bounds"][k]), int(stash["msg_bounds"][k + 1])
-        new_links = stash["sorted_new_links"][
-            stash["msg_ptr"][ms] : stash["msg_ptr"][me]
-        ]
-        new_counts = np.zeros(edges.shape[0], dtype=np.int64)
-        if me > ms:
-            pos = np.searchsorted(edges, stash["kept_e"][ms:me])
-            new_counts[pos] = stash["kept_counts"][ms:me]
-        return (
-            stash["ul"][s:e],
-            stash["dm"][s:e],
-            stash["dv"][s:e],
-            edges,
-            new_links,
-            new_counts,
-        )
-
     def commit_swap(self, t1: int, t2: int) -> None:
         """Apply the swap: exact sparse load deltas + route-table splice.
 
         The per-link deltas are exact (see the delta-vs-rebuild property
         test), so the load arrays update in O(deg·D); the incident
-        edges' new routes are spliced into the shared table and the
-        ``commTasks`` index refreshes on its cadence — nothing is ever
-        re-enumerated from scratch.  When the swap was scored by the
-        preceding :meth:`evaluate_swaps` batch, the winning candidate's
-        deltas and replacement segments are reused verbatim, eliding
-        even the single ``routes_bulk`` pass ``_swap_route_delta`` would
-        spend.
+        edges' new routes come from the pair-route memo (a swap scored
+        by :meth:`evaluate_swaps` finds them all there) and are spliced
+        into the shared table, and the ``commTasks`` index refreshes on
+        its cadence — nothing is ever re-enumerated from scratch.
         """
-        payload = self._stashed_commit_payload(t1, t2)
-        if payload is None:
-            payload = self._swap_route_delta(t1, t2)
-        links, dm, dv, edges, new_links, new_counts = payload
+        links, dm, dv, edges, new_links, new_counts = self._swap_route_delta(t1, t2)
         if links.size:
             self.msgs[links] += dm
             self.vols[links] += dv
@@ -569,7 +472,6 @@ class CongestionModel:
         self.host[n1] = t2
         self.host[n2] = t1
         self.routes.replace_routes(edges, new_links, new_counts)
-        self._eval_stash = None  # Γ changed: stale candidate deltas
         self._commits_since_refresh += 1
         if self._commits_since_refresh >= self.refresh_interval:
             self._refresh_comm_index()

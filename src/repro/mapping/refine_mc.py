@@ -18,8 +18,9 @@ route table, per-link loads, ``commTasks`` CSR — everything incremental);
 this module keeps only the search policy of Algorithm 3: pop order,
 candidate ordering, acceptance rule and early exits follow the paper
 exactly.  The ≤Δ candidates of one search are scored in a single batched
-kernel call (:meth:`CongestionModel.evaluate_swaps`) rather than one
-route enumeration pair per candidate.
+kernel call (:meth:`CongestionModel.evaluate_swaps`) that reads every new
+route from the model's pair-route memo, and a task whose search found no
+partner is not searched again until the next commit changes the state.
 """
 
 from __future__ import annotations
@@ -123,16 +124,23 @@ class MCRefiner:
             if order.size == 0:
                 break
             improved = False
+            # _find_swap is a pure function of (task, model state), so a
+            # task that found no partner stays partnerless until a commit.
+            failed = set()
             for emc in order.tolist():
                 for tmc in state.tasks_through(emc):
+                    if tmc in failed:
+                        continue
                     partner = self._find_swap(
                         tmc, state, sym, weights, gm, alloc_mask
                     )
-                    if partner is not None:
-                        state.commit_swap(tmc, partner)
-                        swaps += 1
-                        improved = True
-                        break  # restart from the (new) most congested link
+                    if partner is None:
+                        failed.add(tmc)
+                        continue
+                    state.commit_swap(tmc, partner)
+                    swaps += 1
+                    improved = True
+                    break  # restart from the (new) most congested link
                 if improved:
                     break
             if not improved:

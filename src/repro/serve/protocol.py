@@ -400,6 +400,8 @@ def requests_from_entries(
             delta = int(spec["delta"])
         except (TypeError, ValueError) as exc:
             raise ProtocolError(f"request #{i} has a malformed 'delta': {exc}") from exc
+        if delta < 1:
+            raise ProtocolError(f"request #{i} has 'delta' {delta}; it must be >= 1")
         requests.append(
             MapRequest(
                 task_graph=tg,

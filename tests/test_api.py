@@ -171,6 +171,12 @@ class TestMapRequest:
         with pytest.raises(ValueError):
             MapRequest(task_graph=tg, machine=machine, algorithms=())
 
+    @pytest.mark.parametrize("delta", [0, -1, -5])
+    def test_nonpositive_delta_rejected(self, setup, delta):
+        tg, machine = setup
+        with pytest.raises(ValueError, match="delta"):
+            MapRequest(task_graph=tg, machine=machine, delta=delta)
+
     def test_grouping_seed_defaults_to_seed(self, setup):
         tg, machine = setup
         req = MapRequest(task_graph=tg, machine=machine, seed=9)
@@ -485,6 +491,15 @@ class TestCli:
 
         assert main(["map", "--matrix", "cage15_like", "--algos", "NOPE"]) == 2
         assert "unknown mapper" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("delta", ["0", "-1"])
+    def test_cli_map_rejects_nonpositive_delta(self, capsys, delta):
+        from repro.api.cli import main
+
+        with pytest.raises(SystemExit) as info:
+            main(["map", "--matrix", "cage15_like", "--algos", "UMC", "--delta", delta])
+        assert info.value.code == 2
+        assert "--delta" in capsys.readouterr().err
 
     def test_cli_map_unknown_matrix_errors(self, capsys):
         from repro.api.cli import main

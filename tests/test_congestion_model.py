@@ -12,7 +12,12 @@ The contract of :class:`repro.kernels.congestion.CongestionModel`
   ``routes_bulk`` rebuild (content *and* task pop order);
 * the batched Δ-candidate kernel returns exactly the scalar
   ``swap_improves`` verdicts, so both refiner paths commit identical
-  swap sequences.
+  swap sequences, and both equal an independent oracle of the accept
+  rule that rebuilds the loads from scratch;
+* the pair-route memo holds exactly the routes ``routes_bulk`` gives
+  each pair alone (detours on degraded tori included), and once a pair
+  is memoized no probe or commit routes it again;
+* the refiner never probes a task twice between two commits.
 """
 
 import numpy as np
@@ -54,6 +59,29 @@ def model_for(tg, machine, gamma, metric, **kw):
     return CongestionModel(
         machine.torus, src_t, dst_t, vol, gamma.copy(), metric=metric, **kw
     )
+
+
+def make_degraded_instance(seed, dead=4):
+    """``make_instance`` with *dead* failed links on the initial routes."""
+    tg, machine, gamma = make_instance(seed)
+    src, dst, _ = tg.graph.edge_list()
+    used = np.unique(
+        RouteTable.build(
+            machine.torus, gamma[src.astype(np.int64)], gamma[dst.astype(np.int64)]
+        ).links
+    )
+    rng = np.random.default_rng(seed + 10_000)
+    dead_links = rng.choice(used, size=min(dead, used.size), replace=False)
+    return tg, machine.degrade(dead_links=dead_links.tolist()), gamma
+
+
+def memoize_all_pairs(model):
+    """Put every ordered pair of Γ's distinct nodes in the model's memo."""
+    a, b = np.meshgrid(model.gamma, model.gamma, indexing="ij")
+    off = a != b
+    src, dst = a[off].astype(np.int64), b[off].astype(np.int64)
+    model._pair_routes(src, dst)
+    return src, dst
 
 
 def random_swaps(model, n_tasks, rng, count):
@@ -236,39 +264,47 @@ class TestBatchedKernel:
             assert np.array_equal(g_batched, g_scalar)
 
 
-class TestCommitReusesEvaluatedDeltas:
-    """commit_swap reuses the winning candidate's ``evaluate_swaps`` deltas."""
-
+class TestNoReprobe:
     @pytest.mark.parametrize("metric", ["volume", "message"])
-    @pytest.mark.parametrize("integer_volumes", [True, False])
-    def test_stashed_payload_equals_scalar_derivation(
-        self, metric, integer_volumes
-    ):
-        """The stash slices reproduce ``_swap_route_delta`` bit for bit."""
+    def test_no_task_probed_twice_between_commits(self, monkeypatch, metric):
+        """A task that found no partner is not probed again before a commit."""
+        events = []
+        real_eval = CongestionModel.evaluate_swaps
+        real_commit = CongestionModel.commit_swap
+
+        def evaluate(self, t1, cands):
+            events.append(("probe", int(t1)))
+            return real_eval(self, t1, cands)
+
+        def commit(self, t1, t2):
+            events.append(("commit", None))
+            return real_commit(self, t1, t2)
+
+        monkeypatch.setattr(CongestionModel, "evaluate_swaps", evaluate)
+        monkeypatch.setattr(CongestionModel, "commit_swap", commit)
+        commits = 0
         for seed in range(5):
-            tg, machine, gamma = make_instance(
-                seed + 40, integer_volumes=integer_volumes
-            )
-            model = model_for(tg, machine, gamma, metric)
-            rng = np.random.default_rng(seed + 4000)
-            for _ in range(8):
-                t1 = int(rng.integers(0, tg.num_tasks))
-                others = np.setdiff1d(np.arange(tg.num_tasks), [t1])
-                cands = rng.choice(
-                    others, size=min(8, others.size), replace=False
-                ).astype(np.int64)
-                model.evaluate_swaps(t1, cands)
-                for c in cands.tolist():
-                    stashed = model._stashed_commit_payload(t1, c)
-                    derived = model._swap_route_delta(t1, c)
-                    for a, b in zip(stashed, derived):
-                        assert np.array_equal(np.asarray(a), np.asarray(b))
-                a, b = (int(x) for x in rng.choice(tg.num_tasks, 2, replace=False))
-                model.commit_swap(a, b)
+            tg, machine, gamma = make_instance(seed + 200)
+            work = tg if metric == "volume" else tg.unit_cost()
+            events.clear()
+            MCRefiner(metric=metric).refine(work, Mapping(gamma.copy(), machine))
+            probed = set()
+            for kind, task in events:
+                if kind == "commit":
+                    commits += 1
+                    probed = set()
+                else:
+                    assert task not in probed
+                    probed.add(task)
+        assert commits > 0
+
+
+class TestCommitReusesEvaluatedDeltas:
+    """commit_swap reads the routes ``evaluate_swaps`` put in the memo."""
 
     @pytest.mark.parametrize("metric", ["volume", "message"])
     def test_commit_after_evaluate_matches_rebuild(self, metric):
-        """Delta-reused commits leave state == a from-scratch rebuild."""
+        """Commits after batched probes leave state == a from-scratch rebuild."""
         for seed in range(5):
             tg, machine, gamma = make_instance(seed + 70)
             model = model_for(tg, machine, gamma, metric)
@@ -288,11 +324,13 @@ class TestCommitReusesEvaluatedDeltas:
             assert np.array_equal(model.routes.links, fresh.routes.links)
 
     def test_commit_after_evaluate_enumerates_no_routes(self, monkeypatch):
-        """The winning candidate's commit performs zero ``routes_bulk`` calls."""
+        """With every pair memoized, probes and commits route nothing.
+
+        Holds for batched probes, the scalar probe, the batch winner's
+        commit and a foreign commit, on a healthy and a degraded torus.
+        """
         import repro.kernels.congestion as congestion_mod
 
-        tg, machine, gamma = make_instance(90)
-        model = model_for(tg, machine, gamma, "volume")
         calls = []
         real = congestion_mod.routes_bulk
 
@@ -300,33 +338,118 @@ class TestCommitReusesEvaluatedDeltas:
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(congestion_mod, "routes_bulk", counting)
-        rng = np.random.default_rng(900)
-        t1 = int(rng.integers(0, tg.num_tasks))
-        others = np.setdiff1d(np.arange(tg.num_tasks), [t1])
-        cands = rng.choice(others, size=6, replace=False).astype(np.int64)
-        model.evaluate_swaps(t1, cands)  # one bulk enumeration
-        assert len(calls) == 1
-        model.commit_swap(t1, int(cands[2]))  # reuses the stashed deltas
-        assert len(calls) == 1
-        # A swap outside the evaluated batch still derives its own.
-        a, b = (int(x) for x in rng.choice(tg.num_tasks, 2, replace=False))
-        model.commit_swap(a, b)
-        assert len(calls) == 2
+        for tg, machine, gamma in (make_instance(90), make_degraded_instance(90)):
+            model = model_for(tg, machine, gamma, "volume")
+            memoize_all_pairs(model)
+            monkeypatch.setattr(congestion_mod, "routes_bulk", counting)
+            rng = np.random.default_rng(900)
+            for _ in range(6):
+                t1 = int(rng.integers(0, tg.num_tasks))
+                others = np.setdiff1d(np.arange(tg.num_tasks), [t1])
+                cands = rng.choice(others, size=6, replace=False).astype(np.int64)
+                model.evaluate_swaps(t1, cands)
+                model.swap_improves(t1, int(cands[0]))
+                model.commit_swap(t1, int(cands[2]))
+                a, b = (int(x) for x in rng.choice(tg.num_tasks, 2, replace=False))
+                model.commit_swap(a, b)
+            monkeypatch.setattr(congestion_mod, "routes_bulk", real)
+            assert calls == []
+            fresh = model_for(tg, machine, model.gamma, "volume")
+            assert np.array_equal(model.routes.links, fresh.routes.links)
 
-    def test_stash_invalidated_by_commit(self):
-        tg, machine, gamma = make_instance(91)
+
+class TestPairRouteMemo:
+    def test_memo_routes_equal_single_pair_routes_on_faulted_torus(self):
+        """Every memoized route == ``routes_bulk`` of that pair alone."""
+        detours = 0
+        for seed in range(4):
+            tg, machine, gamma = make_degraded_instance(seed + 30)
+            model = model_for(tg, machine, gamma, "volume")
+            src, dst = memoize_all_pairs(model)
+            links, counts = model._pair_routes(src, dst)
+            starts = np.cumsum(counts) - counts
+            healthy = Torus3D(machine.torus.dims)
+            for i in range(src.size):
+                a = np.asarray([src[i]], dtype=np.int64)
+                b = np.asarray([dst[i]], dtype=np.int64)
+                alone, _ = routes_bulk(machine.torus, a, b)
+                got = links[starts[i] : starts[i] + counts[i]]
+                assert np.array_equal(got, alone)
+                detours += not np.array_equal(got, routes_bulk(healthy, a, b)[0])
+        assert detours > 0  # the faults really reroute some memoized pairs
+
+    def test_memo_fills_only_missing_pairs(self, monkeypatch):
+        import repro.kernels.congestion as congestion_mod
+
+        tg, machine, gamma = make_instance(5)
         model = model_for(tg, machine, gamma, "volume")
-        rng = np.random.default_rng(910)
-        t1 = int(rng.integers(0, tg.num_tasks))
-        others = np.setdiff1d(np.arange(tg.num_tasks), [t1])
-        cands = rng.choice(others, size=4, replace=False).astype(np.int64)
-        model.evaluate_swaps(t1, cands)
-        assert model._stashed_commit_payload(t1, int(cands[0])) is not None
-        model.commit_swap(t1, int(cands[0]))
-        # Γ changed: the remaining candidates' deltas are stale.
-        assert model._eval_stash is None
-        assert model._stashed_commit_payload(t1, int(cands[1])) is None
+        routed = []
+        real = congestion_mod.routes_bulk
+
+        def recording(torus, src, dst):
+            routed.append(np.asarray(src).size)
+            return real(torus, src, dst)
+
+        monkeypatch.setattr(congestion_mod, "routes_bulk", recording)
+        u = model.gamma
+        model._pair_routes(u[[0, 1, 0]], u[[1, 2, 1]])
+        model._pair_routes(u[[1, 0, 2]], u[[2, 1, 3]])
+        assert routed == [2, 1]  # duplicates routed once, hits never
+
+
+class TestAcceptRuleOracle:
+    """evaluate_swaps against the paper's definitions, computed from scratch."""
+
+    @staticmethod
+    def mc_ac(machine, tg, gamma, metric):
+        """MC and AC of Γ: max and mean over used links of a fresh rebuild."""
+        src, dst, vol = tg.graph.edge_list()
+        src, dst = src.astype(np.int64), dst.astype(np.int64)
+        table = RouteTable.build(machine.torus, gamma[src], gamma[dst])
+        msgs, vols = table.accumulate(vol)
+        load = vols
+        if metric == "volume":
+            bw = machine.torus.link_bandwidths()
+            load = np.divide(vols, bw, out=np.zeros_like(vols), where=bw > 0)
+        used = msgs > 0
+        if not used.any():
+            return 0.0, 0.0
+        return float(load.max()), float(load[used].mean())
+
+    def oracle(self, machine, tg, gamma, metric, t1, t2):
+        """Algorithm 3's rule: MC improves, or AC improves at equal MC."""
+        eps = 1e-9
+        mc, ac = self.mc_ac(machine, tg, gamma, metric)
+        swapped = gamma.copy()
+        swapped[[t1, t2]] = gamma[[t2, t1]]
+        new_mc, new_ac = self.mc_ac(machine, tg, swapped, metric)
+        return new_mc < mc - eps or (abs(new_mc - mc) <= eps and new_ac < ac - eps)
+
+    @pytest.mark.parametrize("metric", ["volume", "message"])
+    @pytest.mark.parametrize("degraded", [False, True])
+    def test_evaluate_swaps_matches_oracle(self, metric, degraded):
+        accepted = 0
+        for seed in range(5):
+            maker = make_degraded_instance if degraded else make_instance
+            tg, machine, gamma = maker(seed + 110)
+            model = model_for(tg, machine, gamma, metric)
+            rng = np.random.default_rng(seed + 1100)
+            for _ in range(8):
+                t1 = int(rng.integers(0, tg.num_tasks))
+                others = np.setdiff1d(np.arange(tg.num_tasks), [t1])
+                cands = rng.choice(
+                    others, size=min(8, others.size), replace=False
+                ).astype(np.int64)
+                got = model.evaluate_swaps(t1, cands).tolist()
+                want = [
+                    self.oracle(machine, tg, model.gamma, metric, t1, int(c))
+                    for c in cands
+                ]
+                assert got == want
+                accepted += sum(want)
+                a, b = (int(x) for x in rng.choice(tg.num_tasks, 2, replace=False))
+                model.commit_swap(a, b)
+        assert accepted > 0  # the rule's accepting branch is exercised
 
 
 class TestSharedRouteTable:

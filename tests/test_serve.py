@@ -252,6 +252,14 @@ class TestParseLayer:
         assert d["kind"] == "bad_request"
         assert d["message"]
 
+    @pytest.mark.parametrize("delta", [0, -1, "-5"])
+    def test_nonpositive_delta_is_a_protocol_error(self, delta):
+        with pytest.raises(ProtocolError, match="delta") as info:
+            requests_from_entries([{**ENTRY, "delta": delta}], {}, OrderedDict())
+        assert info.value.as_dict()["kind"] == "bad_request"
+        with pytest.raises(ProtocolError, match="delta"):
+            requests_from_entries([dict(ENTRY)], {"delta": delta}, OrderedDict())
+
     def test_defaults_layering_and_workload_reuse(self):
         workloads = OrderedDict()
         reqs = requests_from_entries(
@@ -557,6 +565,19 @@ class TestServerIntegration:
         assert r2["error"]["kind"] == "bad_request"
         assert r3["error"]["kind"] == "bad_request"
         assert stats["counters"]["bad_request"] == 3
+
+    def test_nonpositive_delta_frame_is_a_bad_request(self):
+        with ThreadedServer(backend="serial") as ts:
+            with ServeClient(*ts.address) as client:
+                bad = client.map([{**ENTRY, "algos": "UMC", "delta": 0}])
+                good = client.map([{**ENTRY, "algos": "UMC"}])
+                stats = client.stats()
+        assert bad["ok"] is False
+        assert bad["error"]["kind"] == "bad_request"
+        assert "delta" in bad["error"]["message"]
+        assert good["ok"] is True
+        assert all(r["ok"] for r in good["results"])
+        assert stats["counters"]["bad_request"] == 1
 
     def test_garbage_bytes_reject_and_close_connection(self):
         with ThreadedServer(backend="serial") as ts:

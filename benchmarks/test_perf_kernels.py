@@ -12,7 +12,11 @@ Tracks the primitives the mapping hot paths are built from:
   model's construction plus its first, cold probe (the pair-route
   memo's fill cost);
 * ``RouteTable.accumulate`` / ``replace_routes`` — the congestion
-  model's per-commit route maintenance.
+  model's per-commit route maintenance;
+* the partitioner in the regime the mapping pipeline drives it: a
+  grouping-shaped ``partition_graph`` (64 unit-weight tasks → 16 four-proc
+  nodes) and a batch of 4-vertex ``multilevel_bisect`` calls, the median
+  size recursive bisection reaches during a sweep.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/test_perf_kernels.py``;
 pytest-benchmark prints the comparison table.
@@ -21,11 +25,12 @@ pytest-benchmark prints the comparison table.
 import numpy as np
 import pytest
 
-from repro.graph.csr import expand_frontier
+from repro.graph.csr import CSRGraph, expand_frontier
 from repro.graph.task_graph import TaskGraph
 from repro.kernels import HopTable, batched_swap_gains, hop_table_for
 from repro.kernels.congestion import CongestionModel
 from repro.mapping.refine_wh import _swap_gain, _task_whops
+from repro.partition.driver import PartitionConfig, multilevel_bisect, partition_graph
 from repro.topology.routing import RouteTable, routes_bulk
 from repro.topology.torus import Torus3D
 
@@ -202,3 +207,57 @@ def test_route_splice(benchmark, route_workload):
         table.replace_routes(pairs, new_links, new_counts)
 
     benchmark(splice)
+
+
+@pytest.fixture(scope="module")
+def grouping_graph():
+    """A 64-task communication graph with unit task weights (the input
+    ``prepare_groups`` hands the partitioner for a 64-proc job)."""
+    rng = np.random.default_rng(17)
+    n = 64
+    src = rng.integers(0, n, size=400)
+    dst = rng.integers(0, n, size=400)
+    keep = src != dst
+    vol = rng.integers(1, 20, size=400).astype(np.float64)
+    sym = TaskGraph.from_edges(n, src[keep], dst[keep], vol[keep]).symmetrized()
+    return CSRGraph(sym.indptr, sym.indices, sym.weights, np.ones(n), sorted_indices=True)
+
+
+def test_partition_grouping_64_to_16(benchmark, grouping_graph):
+    targets = np.full(16, 4.0)
+    config = PartitionConfig(fm_passes=3, initial_attempts=4)
+
+    def group():
+        return partition_graph(
+            grouping_graph, 16, target_weights=targets, seed=3, config=config
+        ).part
+
+    part = benchmark(group)
+    assert part.shape == (64,) and set(part.tolist()) == set(range(16))
+
+
+@pytest.fixture(scope="module")
+def tiny_bisections():
+    """200 four-vertex graphs with tie-prone weights, as recursion leaves see."""
+    rng = np.random.default_rng(19)
+    out = []
+    for _ in range(200):
+        iu, ju = np.triu_indices(4, k=1)
+        keep = rng.random(iu.size) < 0.7
+        keep[0] = True
+        w = rng.choice([1.0, 2.0, 3.0, 5.0], size=int(keep.sum()))
+        s, d = iu[keep], ju[keep]
+        g = CSRGraph.from_edges(4, np.r_[s, d], np.r_[d, s], np.r_[w, w])
+        out.append(g)
+    return out
+
+
+def test_multilevel_bisect_tiny_batch(benchmark, tiny_bisections):
+    def batch():
+        return [
+            multilevel_bisect(g, 2.0, seed=i, slack=0.5)
+            for i, g in enumerate(tiny_bisections)
+        ]
+
+    sides = benchmark(batch)
+    assert all(side.shape == (4,) and set(side.tolist()) <= {0, 1} for side in sides)

@@ -70,7 +70,7 @@ class CSRGraph:
             raise ValueError(
                 f"indptr[-1]={int(self.indptr[-1])} != len(indices)={self.indices.shape[0]}"
             )
-        if np.any(np.diff(self.indptr) < 0):
+        if (self.indptr[1:] < self.indptr[:-1]).any():
             raise ValueError("indptr must be non-decreasing")
         if weights is None:
             weights = np.ones(self.indices.shape[0], dtype=np.float64)
@@ -324,21 +324,36 @@ class CSRGraph:
     def subgraph(self, vertices: np.ndarray) -> Tuple["CSRGraph", np.ndarray]:
         """Induced subgraph on *vertices*.
 
-        Returns ``(graph, mapping)`` where ``mapping[i]`` is the original id
-        of new vertex ``i``.
+        *vertices* must be unique, non-negative ids, in any order; new
+        vertex ``i`` is ``vertices[i]``.  Returns ``(graph, mapping)`` where
+        ``mapping[i]`` is the original id of new vertex ``i``.  The selected rows are
+        gathered directly: an induced subgraph of a graph without parallel
+        edges has none either, so nothing is re-accumulated, and the
+        constructor re-sorts the rows when the ids were not ascending.
+
+        Raises :class:`ValueError` on a repeated or negative id.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
-        n = self.num_vertices
-        new_id = np.full(n, -1, dtype=np.int64)
-        new_id[vertices] = np.arange(vertices.shape[0])
-        s, d, w = self.edge_list()
-        keep = (new_id[s] >= 0) & (new_id[d] >= 0)
-        g = CSRGraph.from_edges(
-            vertices.shape[0],
-            new_id[s[keep]],
-            new_id[d[keep]],
-            w[keep],
-            self.vertex_weights[vertices].copy(),
+        k = vertices.shape[0]
+        new_id = np.full(self.num_vertices, -1, dtype=np.int64)
+        positions = np.arange(k, dtype=np.int64)
+        new_id[vertices] = positions
+        if (k and vertices.min() < 0) or not np.array_equal(new_id[vertices], positions):
+            raise ValueError("subgraph vertex ids must be unique and non-negative")
+        starts = self.indptr[vertices]
+        counts = self.indptr[vertices + 1] - starts
+        gather = np.repeat(starts, counts) + _ranges(counts)
+        dst = new_id[self.indices[gather]]
+        keep = dst >= 0
+        indptr = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(np.repeat(positions, counts)[keep], minlength=k), out=indptr[1:]
+        )
+        g = CSRGraph(
+            indptr,
+            dst[keep],
+            self.weights[gather[keep]],
+            self.vertex_weights[vertices],
         )
         return g, vertices
 

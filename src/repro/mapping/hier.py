@@ -26,6 +26,8 @@ heterogeneous machines.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import List
 
 import numpy as np
@@ -133,11 +135,13 @@ def _fix_counts(sub, part: np.ndarray, counts: List[int]) -> np.ndarray:
     if np.array_equal(have, np.asarray(counts)):
         return part
 
+    # A left fold, not builtin sum(): from Python 3.12 sum() compensates
+    # float rounding, which would break attachment ties per interpreter.
     def attachment(g: int, side: int) -> float:
         nbrs = sub.neighbors(g)
         wts = sub.neighbor_weights(g)
-        return float(
-            sum(w for u, w in zip(nbrs.tolist(), wts.tolist()) if part[u] == side)
+        return reduce(
+            add, (w for u, w in zip(nbrs.tolist(), wts.tolist()) if part[u] == side), 0.0
         )
 
     while True:

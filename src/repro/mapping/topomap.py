@@ -19,6 +19,8 @@ multilevel graph bisection of matching size, and recurse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Optional
 
 import numpy as np
@@ -188,10 +190,14 @@ def _fix_cardinality(sub, left_ids: np.ndarray, right_ids: np.ndarray, k0: int):
     side_of = {t: 0 for t in left}
     side_of.update({t: 1 for t in right})
 
+    # A left fold, not builtin sum(): from Python 3.12 sum() compensates
+    # float rounding, which would break attachment ties per interpreter.
     def attachment(t: int, side: int) -> float:
         nbrs = sub.neighbors(t)
         wts = sub.neighbor_weights(t)
-        return float(sum(w for u, w in zip(nbrs.tolist(), wts.tolist()) if side_of[u] == side))
+        return reduce(
+            add, (w for u, w in zip(nbrs.tolist(), wts.tolist()) if side_of[u] == side), 0.0
+        )
 
     while len(left) > k0:
         t = min(left, key=lambda x: (attachment(x, 0) - attachment(x, 1), x))

@@ -3,8 +3,13 @@
 The multilevel engine shrinks the graph with rounds of *propose–accept*
 heavy-edge matching (each unmatched vertex proposes its heaviest unmatched
 neighbour; mutual proposals become pairs), the standard parallel
-formulation of HEM that vectorizes cleanly over CSR arrays — no Python
-loop touches an edge.  Contraction reuses :meth:`CSRGraph.quotient`.
+formulation of HEM that vectorizes cleanly over CSR arrays.  A round is
+O(m): each source's proposal is picked over its contiguous CSR block with
+``np.maximum.reduceat`` (the last entry reaching the block maximum, which
+with sorted rows is the heaviest and then highest-id neighbour), so no
+sort runs.  A sequential mop-up on Python lists then pairs leftover
+vertices.  Contraction reuses :meth:`CSRGraph.quotient`; a graph already
+at its target size is returned as the single identity level.
 """
 
 from __future__ import annotations
@@ -50,28 +55,20 @@ def heavy_edge_matching(
     dst = graph.indices.astype(np.int64)
     w = graph.weights
     vw = graph.vertex_weights
+    allowed = src != dst
+    if max_vertex_weight is not None:
+        allowed &= (vw[src] + vw[dst]) <= max_vertex_weight
+    jitter_scale = 1.0 + np.abs(w)
 
     for _ in range(rounds):
-        un_src = mate[src] < 0
-        un_dst = mate[dst] < 0
-        ok = un_src & un_dst & (src != dst)
-        if max_vertex_weight is not None:
-            ok &= (vw[src] + vw[dst]) <= max_vertex_weight
+        ok = allowed & (mate[src] < 0) & (mate[dst] < 0)
         if not np.any(ok):
             break
         # Fresh tie-breaking jitter every round: on equal-weight graphs the
         # proposal is effectively a random neighbour, and re-rolling it is
         # what lets unmatched vertices find new mutual partners.
-        jitter = rng.random(w.shape[0]) * 1e-9 * (1.0 + np.abs(w))
-        s, d, ww = src[ok], dst[ok], w[ok] + jitter[ok]
-        # Per-source argmax: sort by (source, weight) and take the last
-        # entry of each source block.
-        order = np.lexsort((d, ww, s))
-        s_sorted = s[order]
-        last_of_block = np.ones(s_sorted.shape[0], dtype=bool)
-        last_of_block[:-1] = s_sorted[1:] != s_sorted[:-1]
-        prop_src = s_sorted[last_of_block]
-        prop_dst = d[order][last_of_block]
+        jitter = rng.random(w.shape[0]) * 1e-9 * jitter_scale
+        prop_src, prop_dst = _proposals(src[ok], dst[ok], w[ok] + jitter[ok])
         proposal = np.full(n, -1, dtype=np.int64)
         proposal[prop_src] = prop_dst
         # Mutual proposals become matches.
@@ -88,26 +85,44 @@ def heavy_edge_matching(
     # (heaviest incident edge first).  Runs in O(unmatched · degree) and
     # guarantees a near-maximal matching even on equal-weight graphs where
     # the propose–accept rounds converge slowly.
-    unmatched = np.flatnonzero(mate < 0)
-    for v in unmatched.tolist():
-        if mate[v] >= 0:
+    mates = mate.tolist()
+    ptr, ind, wts = graph.indptr.tolist(), graph.indices.tolist(), w.tolist()
+    vwl = vw.tolist()
+    for v in np.flatnonzero(mate < 0).tolist():
+        if mates[v] >= 0:
             continue
-        nbrs = graph.neighbors(v)
-        wts = graph.neighbor_weights(v)
         best_u = -1
         best_w = -np.inf
-        for u, wt in zip(nbrs.tolist(), wts.tolist()):
-            if u == v or mate[u] >= 0:
+        for u, wt in zip(ind[ptr[v] : ptr[v + 1]], wts[ptr[v] : ptr[v + 1]]):
+            if u == v or mates[u] >= 0:
                 continue
-            if max_vertex_weight is not None and vw[v] + vw[u] > max_vertex_weight:
+            if max_vertex_weight is not None and vwl[v] + vwl[u] > max_vertex_weight:
                 continue
             if wt > best_w:
                 best_w = wt
                 best_u = u
         if best_u >= 0:
-            mate[v] = best_u
-            mate[best_u] = v
-    return mate
+            mates[v] = best_u
+            mates[best_u] = v
+    return np.array(mates, dtype=np.int64)
+
+
+def _proposals(s: np.ndarray, d: np.ndarray, ww: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each source's heaviest edge: ``(sources, chosen targets)``.
+
+    ``s`` must be non-decreasing and ``d`` ascending within each source's
+    block (a filtered CSR edge list).  The pick is the last entry reaching
+    its block's maximum — the heaviest and then highest-id target, what
+    the last entry of each block of ``np.lexsort((d, ww, s))`` would be —
+    found in O(m) with two ``np.maximum.reduceat`` over the blocks.
+    """
+    first = np.ones(s.shape[0], dtype=bool)
+    first[1:] = s[1:] != s[:-1]
+    starts = np.flatnonzero(first)
+    block_max = np.maximum.reduceat(ww, starts)
+    at_max = ww == block_max[np.cumsum(first) - 1]
+    pick = np.maximum.reduceat(np.where(at_max, np.arange(s.shape[0]), -1), starts)
+    return s[starts], d[pick]
 
 
 def contract(graph: CSRGraph, mate: np.ndarray) -> Tuple[CSRGraph, np.ndarray]:
@@ -153,8 +168,10 @@ def coarsen_graph(
     Returns levels from finest (index 0 = the input graph, identity map)
     to coarsest.
     """
-    rng = seeded_rng(seed)
     levels = [CoarseLevel(graph=graph, fine_to_coarse=np.arange(graph.num_vertices))]
+    if graph.num_vertices <= target_vertices:
+        return levels
+    rng = seeded_rng(seed)
     total_w = float(graph.vertex_weights.sum())
     cap = balance_cap_factor * total_w / max(1, target_vertices)
     cur = graph

@@ -115,7 +115,9 @@ def partition_graph(
         Optional float64[K] targets (default: uniform).  The recursion
         splits the target list in half, so part ``i`` receives weight
         ``targets[i]`` — exactly what "target part weights are the number
-        of available processors on each node" requires.
+        of available processors on each node" requires.  Each target must
+        be finite and non-negative, and their sum positive
+        (:class:`ValueError` otherwise).
     """
     if num_parts <= 0:
         raise ValueError("num_parts must be positive")
@@ -127,6 +129,10 @@ def partition_graph(
         targets = np.asarray(target_weights, dtype=np.float64)
         if targets.shape[0] != num_parts:
             raise ValueError("target_weights length must equal num_parts")
+        if not np.all(np.isfinite(targets)) or np.any(targets < 0):
+            raise ValueError(f"target_weights must be finite and non-negative, got {targets}")
+        if not targets.sum() > 0:
+            raise ValueError("target_weights must have a positive sum")
     part = np.zeros(n, dtype=np.int64)
     # Split the global imbalance budget across the recursion depth so the
     # final parts respect config.tolerance: per-bisection slack is measured
@@ -177,10 +183,12 @@ def _recurse(
         split = min(max(split, 1), graph.num_vertices - 1) if graph.num_vertices > 1 else 0
         left_ids = np.sort(order[:split])
         right_ids = np.sort(order[split:])
-    left_graph, _ = graph.subgraph(left_ids)
-    right_graph, _ = graph.subgraph(right_ids)
-    for sub, ids, sub_targets, first in (
-        (left_graph, left_ids, targets[:k0], first_part),
-        (right_graph, right_ids, targets[k0:], first_part + k0),
+    for ids, sub_targets, first in (
+        (left_ids, targets[:k0], first_part),
+        (right_ids, targets[k0:], first_part + k0),
     ):
+        if sub_targets.shape[0] == 1:
+            out[vertex_ids[ids]] = first  # a leaf part needs no subgraph
+            continue
+        sub, _ = graph.subgraph(ids)
         _recurse(sub, vertex_ids[ids], sub_targets, first, out, seed, config, level_slack)

@@ -132,6 +132,7 @@ def _exact_sum(values: List[float]) -> float:
     interleaved accumulators up to 128 terms, and by recursive halving
     above that (left to NumPy here).  On non-integral weights another
     order can change the last bit of a gain, and with it FM's move order.
+    The accumulators are eight locals fed one 8-term block at a time.
     """
     n = len(values)
     if n > 128:
@@ -139,8 +140,18 @@ def _exact_sum(values: List[float]) -> float:
     if n < 8:
         return reduce(add, values, 0.0)
     m = n - n % 8
-    r = [reduce(add, values[j + 8 : m : 8], values[j]) for j in range(8)]
-    head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+    for i in range(8, m, 8):
+        a0, a1, a2, a3, a4, a5, a6, a7 = values[i : i + 8]
+        r0 += a0
+        r1 += a1
+        r2 += a2
+        r3 += a3
+        r4 += a4
+        r5 += a5
+        r6 += a6
+        r7 += a7
+    head = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
     return 0.0 + reduce(add, values[m:], head)
 
 
@@ -184,6 +195,15 @@ def fm_bisection_refine(
         """External minus internal edge weight of *u*, as NumPy sums it."""
         su = sd[u]
         lo, hi = ptr[u], ptr[u + 1]
+        if hi - lo < 8:
+            # Below 8 terms NumPy's sum is a left fold: fold both at once.
+            ext = same = 0.0
+            for x, wx in zip(ind[lo:hi], wts[lo:hi]):
+                if sd[x] == su:
+                    same += wx
+                else:
+                    ext += wx
+            return ext - same
         same, ext = [], []
         for x, wx in zip(ind[lo:hi], wts[lo:hi]):
             (same if sd[x] == su else ext).append(wx)

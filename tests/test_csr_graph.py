@@ -115,6 +115,27 @@ class TestTransforms:
         assert sub.edge_weight(0, 1) == 2.0
         assert sub.num_edges == 1
 
+    def test_subgraph_rejects_duplicate_ids(self):
+        n = 6
+        g = CSRGraph.from_edges(n, list(range(n - 1)) + list(range(1, n)),
+                                list(range(1, n)) + list(range(n - 1)))
+        with pytest.raises(ValueError, match="unique"):
+            g.subgraph(np.array([1, 2, 2]))
+
+    @pytest.mark.parametrize("ids", [[-1], [0, -2], [3, -6]])
+    def test_subgraph_rejects_negative_ids(self, ids):
+        g = CSRGraph.from_edges(6, [0, 1, 2, 3, 4], [1, 2, 3, 4, 5]).symmetrized()
+        with pytest.raises(ValueError, match="non-negative"):
+            g.subgraph(np.array(ids))
+
+    def test_subgraph_unsorted_ids_sort_rows(self):
+        g = CSRGraph.from_edges(4, [0, 1, 2, 3], [1, 2, 3, 0], [1.0, 2.0, 3.0, 4.0])
+        sub, ids = g.subgraph(np.array([3, 0, 1]))
+        assert list(ids) == [3, 0, 1]
+        assert sub.edge_weight(0, 1) == 4.0 and sub.edge_weight(1, 2) == 1.0
+        assert list(sub.indices) == [1, 2]
+        assert list(sub.vertex_weights) == [1.0, 1.0, 1.0]
+
     def test_reversed(self):
         g = CSRGraph.from_edges(3, [0], [2], [4.0])
         r = g.reversed()
@@ -203,3 +224,40 @@ def test_property_quotient_preserves_cross_weight(data, k):
     cross = sum(wt for a, b, wt in zip(s, d, w) if part[a] != part[b])
     assert q.total_edge_weight() == pytest.approx(cross)
     assert q.vertex_weights.sum() == pytest.approx(g.vertex_weights.sum())
+
+
+def _edge_list_subgraph(g: CSRGraph, vertices: np.ndarray) -> CSRGraph:
+    """Reference induced subgraph: filter the full edge list, rebuild."""
+    new_id = np.full(g.num_vertices, -1, dtype=np.int64)
+    new_id[vertices] = np.arange(vertices.shape[0])
+    s, d, w = g.edge_list()
+    keep = (new_id[s] >= 0) & (new_id[d] >= 0)
+    return CSRGraph.from_edges(
+        vertices.shape[0], new_id[s[keep]], new_id[d[keep]], w[keep],
+        g.vertex_weights[vertices].copy(),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(edges_strategy(), st.randoms(use_true_random=False))
+def test_property_subgraph_matches_edge_list_construction(data, rnd):
+    """Row-gathered subgraphs equal the edge-list construction, for sorted
+    and unsorted ids, array for array and bit for bit."""
+    n, triples = data
+    s, d, w = zip(*triples) if triples else ((), (), ())
+    vw = np.arange(1.0, n + 1.0) / 3.0
+    g = CSRGraph.from_edges(n, list(s), list(d), list(w), vw)
+    ids = list(range(n))
+    rnd.shuffle(ids)
+    ids = np.asarray(ids[: rnd.randint(0, n)], dtype=np.int64)
+    for vertices in (ids, np.sort(ids)):
+        got, mapping = g.subgraph(vertices)
+        want = _edge_list_subgraph(g, vertices)
+        assert np.array_equal(mapping, vertices)
+        for a, b in (
+            (got.indptr, want.indptr),
+            (got.indices, want.indices),
+            (got.weights, want.weights),
+            (got.vertex_weights, want.vertex_weights),
+        ):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -11,7 +11,9 @@ from repro.mapping.pipeline import (
     get_mapper,
     prepare_groups,
 )
-from repro.mapping.topomap import dual_recursive_map
+from repro.graph.csr import CSRGraph
+from repro.mapping.hier import _fix_counts
+from repro.mapping.topomap import _fix_cardinality, dual_recursive_map
 from repro.metrics.mapping import evaluate_mapping
 from repro.topology.allocation import AllocationSpec, SparseAllocator
 from repro.topology.torus import Torus3D
@@ -125,3 +127,35 @@ class TestPipeline:
         groups = prepare_groups(fine_tg, machine12, seed=1)
         res = get_mapper("SMAP", seed=1).map(fine_tg, machine12, groups=groups)
         assert np.unique(res.coarse_gamma).shape[0] == 12
+
+
+class TestCardinalityFixupsFoldLeft:
+    """The fix-ups compare attachment sums that must not depend on the
+    interpreter: builtin ``sum()`` compensates float rounding from Python
+    3.12 on, so ten 0.1-edges (0.9999999999999999 as a left fold) would tie
+    with one 1.0-edge there and break the tie the other way."""
+
+    @staticmethod
+    def _graph(n, edges):
+        src = [a for a, b, _ in edges] + [b for a, b, _ in edges]
+        dst = [b for a, b, _ in edges] + [a for a, b, _ in edges]
+        w = [x for _, _, x in edges] * 2
+        return CSRGraph.from_edges(n, src, dst, w)
+
+    def test_hier_fix_counts_moves_the_strictly_stronger_group(self):
+        # Groups 0 and 1 sit in part 0, which must shrink to one group.
+        # Group 0 has ten 0.1-edges into part 1, group 1 one 1.0-edge.
+        edges = [(0, v, 0.1) for v in range(2, 12)] + [(1, 2, 1.0)]
+        sub = self._graph(12, edges)
+        part = np.array([0, 0] + [1] * 10)
+        fixed = _fix_counts(sub, part, [1, 11])
+        assert list(fixed[:2]) == [0, 1]
+
+    def test_topomap_fix_cardinality_moves_the_weakest_task(self):
+        # Task 1 has ten 0.1-edges inside the left side, task 0 one
+        # 1.0-edge; tasks 2..11 form a heavy ring.  One task must move.
+        edges = [(1, v, 0.1) for v in range(2, 12)] + [(0, 2, 1.0)]
+        edges += [(v, 2 + (v - 1) % 10, 5.0) for v in range(2, 12)]
+        sub = self._graph(13, edges)
+        left, right = _fix_cardinality(sub, np.arange(12), np.array([12]), 11)
+        assert list(right) == [1, 12]

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import cage_like, rgg_like
-from repro.partition.coarsen import coarsen_graph, contract, heavy_edge_matching
+from repro.partition.coarsen import _proposals, coarsen_graph, contract, heavy_edge_matching
 from repro.partition.driver import partition_graph
 from repro.partition.fm import balance_fixup, fm_bisection_refine, greedy_bisection_refine
 from repro.partition.initial import best_bisection, greedy_grow_bisection
@@ -47,6 +49,29 @@ class TestMatching:
         )
         mate = heavy_edge_matching(g, seeded_rng(0))
         assert mate[0] == 1 and mate[1] == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_proposals_match_lexsort_reference(self, data):
+        """The O(m) block-max pick equals the last entry of each source
+        block of ``lexsort((d, ww, s))``, ties in weight included."""
+        n = data.draw(st.integers(2, 10))
+        m = data.draw(st.integers(1, 40))
+        ends = data.draw(st.lists(st.integers(0, n - 1), min_size=2 * m, max_size=2 * m))
+        g = CSRGraph.from_edges(n, ends[:m], ends[m:])
+        src = np.repeat(np.arange(n), np.diff(g.indptr))
+        ok = np.asarray(data.draw(st.lists(st.booleans(), min_size=g.num_edges,
+                                           max_size=g.num_edges)), dtype=bool)
+        if not ok.any():
+            return
+        ww = np.asarray(data.draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]),
+                                           min_size=int(ok.sum()), max_size=int(ok.sum()))))
+        s, d = src[ok], g.indices[ok].astype(np.int64)
+        order = np.lexsort((d, ww, s))
+        last = np.append(s[order][1:] != s[order][:-1], True)
+        got_src, got_dst = _proposals(s, d, ww)
+        assert got_src.tolist() == s[order][last].tolist()
+        assert got_dst.tolist() == d[order][last].tolist()
 
     def test_contract_preserves_total_vertex_weight(self):
         g = cage_like(150, seed=1).structure_graph()
@@ -184,6 +209,26 @@ class TestDriver:
     def test_target_length_mismatch(self):
         with pytest.raises(ValueError):
             partition_graph(path_graph(4), 2, target_weights=[1.0])
+
+    @pytest.mark.parametrize(
+        "targets",
+        [[np.nan, 6.0], [np.inf, 6.0], [6.0, -np.inf], [-1.0, 7.0], [0.0, -0.5]],
+    )
+    def test_rejects_non_finite_or_negative_targets(self, targets):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            partition_graph(path_graph(6), 2, target_weights=targets)
+
+    def test_rejects_non_positive_target_sum(self):
+        with pytest.raises(ValueError, match="positive sum"):
+            partition_graph(path_graph(6), 2, target_weights=[0.0, 0.0])
+
+    def test_zero_target_part_stays_valid(self):
+        res = partition_graph(path_graph(6), 2, target_weights=[0.0, 6.0])
+        assert res.part.shape == (6,) and res.part.max() <= 1
+
+    def test_best_bisection_rejects_non_finite_target(self):
+        with pytest.raises(ValueError, match="no finite bisection score"):
+            best_bisection(path_graph(6), np.nan)
 
     def test_deterministic_given_seed(self):
         g = rgg_like(300, seed=0).structure_graph()

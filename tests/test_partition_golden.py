@@ -10,7 +10,11 @@ The goldens in ``tests/data/golden_partition.json`` were generated from
 the reference implementation that predates the heap and adjacency-list
 rewrite (``python tests/test_partition_golden.py`` regenerates them; do
 NOT regenerate after touching partition code unless a behaviour change
-is intended and reviewed).
+is intended and reviewed).  The ``tiny/``, ``group/``, ``hem/`` and
+``sub/`` keys pin the regime the mapping pipeline actually runs in —
+bisections of 2–16 vertices, a 64-task → 16-node grouping — plus the
+heavy-edge matching and induced-subgraph steps on their own; they were
+generated from the code before the list-view / row-gather rewrite.
 
 Unlike the mapping goldens, the graphs here carry *non-integral* edge
 weights drawn from a small value set, so FM gains tie often and their
@@ -31,11 +35,13 @@ from hypothesis import strategies as st
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import cage_like, rgg_like
 from repro.hypergraph.model import Hypergraph
-from repro.partition.driver import multilevel_bisect, partition_graph
-from repro.partition.fm import _exact_sum, fm_bisection_refine
+from repro.partition.coarsen import heavy_edge_matching
+from repro.partition.driver import PartitionConfig, multilevel_bisect, partition_graph
+from repro.partition.fm import _exact_sum, balance_fixup, fm_bisection_refine
 from repro.partition.initial import best_bisection, greedy_grow_bisection
 from repro.partition.kway_refine import OBJECTIVES, refine_kway
 from repro.partition.toolbox import PARTITIONER_NAMES, get_partitioner
+from repro.util.rng import seeded_rng
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_partition.json")
 
@@ -110,6 +116,37 @@ def graphs():
     ]
 
 
+def _dense_tie_graph(n: int, seed: int) -> CSRGraph:
+    """Tiny graph keeping each vertex pair with probability 0.6; tie-prone
+    non-integral weights and mixed vertex weights (the sizes most
+    recursive-bisection calls of a mapping run see)."""
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n, k=1)
+    keep = rng.random(iu.size) < 0.6
+    vw = rng.choice([1.0, 1.5, 2.0], size=n)
+    return _sym_graph(n, iu[keep], ju[keep], rng.choice(TIE_WEIGHTS, size=int(keep.sum())), vw)
+
+
+def _task_graph64(weights: np.ndarray) -> CSRGraph:
+    """64 unit-weight tasks with ring, stride-8 and random edges — the
+    shape of a 64-proc task graph before grouping onto 16 four-proc nodes."""
+    rng = np.random.default_rng(12)
+    ring = np.arange(64)
+    src = np.concatenate([ring, ring, rng.integers(0, 64, size=60)])
+    dst = np.concatenate([(ring + 1) % 64, (ring + 8) % 64, rng.integers(0, 64, size=60)])
+    pairs = np.unique(np.stack([np.minimum(src, dst), np.maximum(src, dst)]), axis=1)
+    pairs = pairs[:, pairs[0] != pairs[1]]
+    return _sym_graph(64, pairs[0], pairs[1], rng.choice(weights, size=pairs.shape[1]))
+
+
+def _graph_words(g: CSRGraph) -> np.ndarray:
+    """A graph's four arrays as one int64 vector (floats by their bits)."""
+    return np.concatenate([
+        g.indptr, g.indices.astype(np.int64),
+        g.weights.view(np.int64), g.vertex_weights.view(np.int64),
+    ])
+
+
 def _big_graph() -> CSRGraph:
     """Above the engine's strict-FM limit, so every level type runs."""
     return _tie_graph(900, 2700, seed=7)
@@ -169,6 +206,51 @@ def _cases():
             yield f"kway/{objective}/h{hseed}", lambda h=h, start=start, o=objective: (
                 refine_kway(h, start, 5, o, passes=2, tolerance=0.15, candidate_limit=6)
             )
+    yield from _small_cases()
+
+
+def _small_cases():
+    """Tiny bisections, a grouping-shaped k-way run, matching, subgraphs."""
+    for n in range(2, 17):
+        g = _dense_tie_graph(n, seed=100 + n)
+        total = float(g.vertex_weights.sum())
+        for frac in (0.5, 0.35):
+            yield f"tiny/ml/n{n}/{frac}", lambda g=g, t0=total * frac, n=n: (
+                multilevel_bisect(g, t0, seed=n)
+            )
+        for k in (2, 3, 4):
+            yield f"tiny/pg/n{n}/k{k}", lambda g=g, k=k, n=n: partition_graph(
+                g, k, seed=n + k
+            ).part
+    config = PartitionConfig(fm_passes=3, initial_attempts=4)
+    uniform = np.full(16, 4.0)
+    mixed = np.array([4.0] * 12 + [2.0, 6.0, 3.0, 5.0])  # heterogeneous nodes
+    for name, weights, targets in (
+        ("int64", np.arange(1.0, 9.0), uniform),
+        ("ties64", TIE_WEIGHTS, mixed),
+    ):
+        g = _task_graph64(weights)
+        yield f"group/{name}/pg", lambda g=g, targets=targets: partition_graph(
+            g, 16, target_weights=targets, seed=6, config=config
+        ).part
+        yield f"group/{name}/fixup", lambda g=g, targets=targets: balance_fixup(
+            g,
+            partition_graph(g, 16, target_weights=targets, seed=6, config=config).part,
+            16,
+            targets,
+        )
+    for name, g in graphs():
+        cap = 1.5 * float(g.vertex_weights.sum()) / 48
+        yield f"hem/{name}/free", lambda g=g: heavy_edge_matching(g, seeded_rng(3))
+        yield f"hem/{name}/cap", lambda g=g, cap=cap: heavy_edge_matching(
+            g, seeded_rng(4), max_vertex_weight=cap
+        )
+        rng = np.random.default_rng(13)
+        ids = rng.permutation(g.num_vertices)[: (3 * g.num_vertices) // 5]
+        yield f"sub/{name}/sorted", lambda g=g, ids=np.sort(ids): _graph_words(
+            g.subgraph(ids)[0]
+        )
+        yield f"sub/{name}/shuffled", lambda g=g, ids=ids: _graph_words(g.subgraph(ids)[0])
 
 
 def _run_all():
@@ -190,7 +272,10 @@ def test_golden_covers_every_case(golden):
     assert sorted(golden) == sorted(key for key, _ in _cases())
 
 
-@pytest.mark.parametrize("prefix", ["fm/", "grow/", "best/", "ml/", "pg/", "tool/", "kway/"])
+@pytest.mark.parametrize(
+    "prefix",
+    ["fm/", "grow/", "best/", "ml/", "pg/", "tool/", "kway/", "tiny/", "group/", "hem/", "sub/"],
+)
 def test_partition_golden(golden, prefix):
     for key, thunk in _cases():
         if not key.startswith(prefix):

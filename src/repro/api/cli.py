@@ -85,6 +85,7 @@ from dataclasses import replace
 from typing import List, Optional
 
 from repro.api.cache import ArtifactCache
+from repro.api.config import EngineConfig
 from repro.api.executor import BACKENDS
 from repro.api.registry import UnknownMapperError, get_spec, registered_mappers
 from repro.api.request import MapRequest
@@ -394,10 +395,10 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--steal-threshold",
         type=int,
-        default=2,
+        default=EngineConfig.steal_threshold,
         metavar="N",
         help="sharded runs: ready-backlog depth above which an idle "
-        "host steals unpinned nodes from a hot shard (default 2)",
+        "host steals unpinned nodes from a hot shard (default %(default)s)",
     )
     parser.add_argument(
         "--retries",
@@ -486,8 +487,6 @@ def _fault_fields(args: argparse.Namespace, *, partial: bool = False) -> dict:
 
 def _build_service(args: argparse.Namespace) -> MappingService:
     """Service whose config holds the CLI's engine, cache and fault flags."""
-    from repro.api.config import EngineConfig
-
     return MappingService(
         config=EngineConfig(
             backend=args.backend,
@@ -860,7 +859,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
 
-    from repro.api.config import EngineConfig
     from repro.api.pool import POOL_BACKENDS, ExecutorPool
     from repro.serve.protocol import parse_address
     from repro.serve.server import MappingServer

@@ -33,10 +33,10 @@ Without ``pool=`` the pool lives for one batch: it uses the service
 cache's store root when one is attached (else a temporary directory)
 and is shut down when the batch ends.  Passing ``pool=`` runs the batch
 on a long-lived pool instead.  Either way a pool respawns its executor
-when a worker dies (see :mod:`repro.api.pool`).  Passing ``hosts=``
-runs the batch on shard hosts (:mod:`repro.dist.coordinator`), whose
-worker set places nodes by workload and treats a lost host as a lost
-worker.  When a mode runs out of workers — an executor that cannot be
+when a worker dies (see :mod:`repro.api.pool`).  A config naming
+``hosts`` runs the batch on shard hosts (:mod:`repro.dist.coordinator`),
+whose worker set places nodes by workload and treats a lost host as a
+lost worker.  When a mode runs out of workers — an executor that cannot be
 respawned, every shard host gone — the scheduler finishes the batch on
 the in-process worker set.
 
@@ -60,8 +60,9 @@ from concurrent.futures import (
     Future,
     wait,
 )
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
+from repro.api.config import EngineConfig
 from repro.api.fault import NO_RETRY, PlanError, RetryPolicy, maybe_inject
 from repro.api.plan import Plan, PlanNode
 from repro.api.request import MapRequest, MapResponse
@@ -86,107 +87,39 @@ def default_workers() -> int:
 
 
 def execute_plan(
-    plan: Plan,
-    service,
-    *,
-    backend: str = "serial",
-    workers: Optional[int] = None,
-    store_dir: Optional[str] = None,
-    pool=None,
-    retry: Optional[RetryPolicy] = None,
-    node_timeout: Optional[float] = None,
-    on_error: str = "raise",
-    store_remote: Optional[str] = None,
-    hosts: Sequence[str] = (),
-    steal_threshold: int = 2,
+    plan: Plan, service, config: EngineConfig, *, pool=None
 ) -> List[MapResponse]:
-    """Run *plan* on *backend*; responses return in request order.
+    """Run *plan* as *config* says; responses return in request order.
 
-    Parameters
-    ----------
-    plan:
-        Output of :func:`repro.api.plan.build_plan`.
-    service:
-        The :class:`~repro.api.service.MappingService` owning the cache
-        (serial/thread backends run nodes directly against it; the
-        process backend only reads its store configuration).
-    backend:
-        One of :data:`BACKENDS`.
-    workers:
-        Pool width for thread/process (default: CPU count).  Ignored by
-        ``serial``.
-    store_dir:
-        Cross-process artifact directory for the ``process`` backend.
-        Defaults to the service cache's attached store (if any), else a
-        temporary directory scoped to this batch.
-    pool:
-        Optional :class:`~repro.api.pool.ExecutorPool`.  When given, the
-        plan runs on the pool's long-lived workers (the pool's backend
-        wins; *workers*/*store_dir* are the pool's concern) instead of a
-        pool that lives for this batch.
-    retry:
-        Optional :class:`~repro.api.fault.RetryPolicy` — bounded retries
-        with exponential backoff for nodes that raise.  ``None`` keeps
-        the healthy path untouched (no retries; worker-crash quarantine
-        still applies on process runs).  Retries only run on
-        failure, so results on healthy machines are byte-identical with
-        or without a policy.
-    node_timeout:
-        Per-node deadline in seconds for the thread/process backends.  A
-        node past its deadline is cancelled (or abandoned when already
-        running — pools cannot interrupt a running callable) and fails
-        with a ``timeout`` outcome.  The clock starts when the node is
-        handed to the executor, and local executors receive every ready
-        node at once, so the deadline also counts time the node spends
-        queued behind busy workers.  Ignored by ``serial``, which cannot
-        preempt the calling thread.
-    on_error:
-        ``"raise"`` (default) aborts the batch on the first permanent
-        node failure, exactly like the pre-fault-tolerance engine.
-        ``"partial"`` converts failures into structured
-        :class:`~repro.api.fault.PlanError` outcomes: affected responses
-        come back with :attr:`MapResponse.error` set, every other
-        request still succeeds.
-    store_remote:
-        ``host:port`` of a remote artifact store (``repro-map
-        store-serve``) layered under the batch's store — required for
-        sharded runs whose hosts do not share a filesystem.
-    hosts:
-        Shard-host addresses (``repro-map shard-serve`` processes).
-        Non-empty runs the plan on the shard hosts' worker set
-        (:func:`repro.dist.coordinator.run_sharded`) instead of a local
-        backend; *backend*/*workers*/*pool* are ignored there.
-    steal_threshold:
-        Sharded runs only: ready-backlog depth above which an idle host
-        steals unpinned nodes from a hot shard.
+    *service* is the :class:`~repro.api.service.MappingService` owning
+    the cache: serial/thread backends run nodes directly against it, the
+    process backend only reads its store configuration.  *config*
+    supplies every execution knob (see
+    :class:`~repro.api.config.EngineConfig`; a ``None`` backend means
+    ``serial``).  Non-empty ``config.hosts`` runs the plan on the shard
+    hosts' worker set (:func:`repro.dist.coordinator.run_sharded`).
+    Otherwise, with *pool* (an :class:`~repro.api.pool.ExecutorPool`)
+    the plan runs on the pool's long-lived workers, whose backend and
+    width are the pool's concern; without one, a parallel backend gets
+    a pool that lives for this batch.
     """
-    if on_error not in ("raise", "partial"):
-        raise ValueError("on_error must be 'raise' or 'partial'")
-    fault_kw = {
-        "retry": retry,
-        "node_timeout": node_timeout,
-        "partial": on_error == "partial",
-    }
-    if hosts:
+    if config.hosts:
         from repro.dist.coordinator import run_sharded
 
-        outcomes = run_sharded(
-            plan,
-            service,
-            hosts,
-            store_remote=store_remote,
-            store_dir=store_dir,
-            steal_threshold=steal_threshold,
-            **fault_kw,
-        )
-        return _collect(plan, outcomes)
+        return _collect(plan, run_sharded(plan, service, config))
+    fault_kw = {
+        "retry": config.retry,
+        "node_timeout": config.node_timeout,
+        "partial": config.on_error == "partial",
+    }
     if pool is not None:
         return _collect(plan, _run_pooled(plan, service, pool, fault_kw))
+    backend = config.backend or "serial"
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
     if backend == "serial":
         return _collect(plan, drive_plan(plan, service, **fault_kw))
-    with _batch_pool(service, backend, workers, store_dir, store_remote) as pool:
+    with _batch_pool(service, backend, config) as pool:
         return _collect(plan, _run_pooled(plan, service, pool, fault_kw))
 
 
@@ -601,34 +534,28 @@ def drive_plan(
 # ---------------------------------------------------------------------------
 
 
-def _batch_pool(
-    service,
-    backend: str,
-    workers: Optional[int],
-    store_dir: Optional[str],
-    store_remote: Optional[str],
-):
+def _batch_pool(service, backend: str, config: EngineConfig):
     """An :class:`~repro.api.pool.ExecutorPool` that lives for one batch.
 
     Process workers share the service cache's attached store (its root
-    and namespaces) unless *store_dir* names another root; with neither
-    the pool's own temporary root lives for the batch.  Worker caches
-    are unbounded, as nothing outlives the batch.
+    and namespaces) unless ``config.store_dir`` names another root; with
+    neither the pool's own temporary root lives for the batch.  Worker
+    caches are unbounded, as nothing outlives the batch.
     """
     from repro.api.pool import ExecutorPool
     from repro.api.store import DEFAULT_PERSIST_NAMESPACES
 
-    namespaces = DEFAULT_PERSIST_NAMESPACES
+    store_dir, namespaces = config.store_dir, DEFAULT_PERSIST_NAMESPACES
     attached = getattr(service.cache, "store", None) if store_dir is None else None
     if attached is not None:
         store_dir, namespaces = attached.root, attached.namespaces
     return ExecutorPool(
         backend,
-        workers=workers,
+        workers=config.workers,
         store_dir=store_dir,
         worker_cache_bytes=None,
         namespaces=namespaces,
-        store_remote=store_remote,
+        store_remote=config.store_remote,
     )
 
 

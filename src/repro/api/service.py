@@ -197,34 +197,16 @@ class MappingService:
 
         plan = build_plan(requests)
         cfg = config if config is not None else self.config
-        fault_kw = {
-            "retry": cfg.retry,
-            "node_timeout": cfg.node_timeout,
-            "on_error": cfg.on_error,
-        }
-        if cfg.hosts:
-            return execute_plan(
-                plan,
-                self,
-                hosts=cfg.hosts,
-                store_remote=cfg.store_remote,
-                store_dir=cfg.store_dir,
-                steal_threshold=cfg.steal_threshold,
-                **fault_kw,
-            )
-        backend = cfg.backend or self.config.backend
-        workers = cfg.workers if cfg.workers is not None else self.config.workers
-        if self.pool is not None and backend != "serial":
-            self.pool.configure(backend=backend, workers=workers)
-            return execute_plan(plan, self, pool=self.pool, **fault_kw)
-        return execute_plan(
-            plan,
-            self,
-            backend=backend,
-            workers=workers,
-            store_dir=cfg.store_dir,
-            **fault_kw,
+        cfg = replace(
+            cfg,
+            backend=cfg.backend or self.config.backend,
+            workers=cfg.workers if cfg.workers is not None else self.config.workers,
         )
+        pool = None
+        if self.pool is not None and cfg.backend != "serial" and not cfg.hosts:
+            self.pool.configure(backend=cfg.backend, workers=cfg.workers)
+            pool = self.pool
+        return execute_plan(plan, self, cfg, pool=pool)
 
     def grouping(
         self,
@@ -240,7 +222,7 @@ class MappingService:
         ``grouping_seed`` (and workload/machine content) matches, so the
         harness can pre-warm groupings and ``map_batch`` will reuse them.
         """
-        key = self._grouping_key(
+        key = grouping_artifact_key(
             task_graph_key(task_graph), machine_key(machine), seed, config
         )
         return self.cache.get_or_compute(
@@ -271,6 +253,29 @@ class MappingService:
         here — False on a memory or disk-store hit — which is what
         decides whether the first consumer gets billed ``prep_time``.
         """
+        t0 = time.perf_counter()
+        _, computed = self._request_grouping(request)
+        return time.perf_counter() - t0, computed
+
+    # ------------------------------------------------------------------
+    # Internals
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _compute_grouping(task_graph, machine, seed, config):
+        from repro.mapping.pipeline import prepare_groups
+
+        return prepare_groups(task_graph, machine, seed=seed, config=config)
+
+    def _request_grouping(self, request: MapRequest):
+        """*request*'s shared grouping from the cache: ``(grouping, computed)``.
+
+        ``computed`` is True only when the grouping was built here, not
+        read from memory or the disk store.  Plan grouping nodes
+        (:meth:`warm_grouping`) and stage execution (:meth:`_execute`)
+        both look groupings up here; every grouping key, pre-warmed
+        entries (:meth:`grouping`) included, comes from
+        :func:`repro.api.plan.grouping_artifact_key`.
+        """
         tg_key, m_key = request.content_keys()
         key = grouping_artifact_key(
             tg_key, m_key, request.effective_grouping_seed, request.group_config
@@ -286,24 +291,7 @@ class MappingService:
                 request.group_config,
             )
 
-        t0 = time.perf_counter()
-        self.cache.get_or_compute("grouping", key, compute)
-        return time.perf_counter() - t0, bool(ran)
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _compute_grouping(task_graph, machine, seed, config):
-        from repro.mapping.pipeline import prepare_groups
-
-        return prepare_groups(task_graph, machine, seed=seed, config=config)
-
-    # The single authority on grouping cache-key shape lives in
-    # repro.api.plan.grouping_artifact_key — pre-warmed entries
-    # (``grouping()``), plan nodes and stage execution (``_execute``)
-    # all key through it.
-    _grouping_key = staticmethod(grouping_artifact_key)
+        return self.cache.get_or_compute("grouping", key, compute), bool(ran)
 
     def _baseline_def(self, request: MapRequest, *, need_metrics: bool) -> dict:
         """DEF's cached baseline: ``{"result", "stage_times", "metrics"}``.
@@ -404,31 +392,13 @@ class MappingService:
                 ctx.group_of_task, ctx.coarse = request.groups
                 grouping_cached = True
             else:
-                tg_key, m_key = request.content_keys()
-                key = grouping_artifact_key(
-                    tg_key,
-                    m_key,
-                    request.effective_grouping_seed,
-                    request.group_config,
-                )
-                ran: List[bool] = []
-
-                def compute():
-                    ran.append(True)
-                    return self._compute_grouping(
-                        request.task_graph,
-                        request.machine,
-                        request.effective_grouping_seed,
-                        request.group_config,
-                    )
-
-                ctx.group_of_task, ctx.coarse = self.cache.get_or_compute(
-                    "grouping", key, compute
+                (ctx.group_of_task, ctx.coarse), computed = self._request_grouping(
+                    request
                 )
                 # A disk-store read counts as cached: nothing was
                 # recomputed, so Figure 3's prep accounting bills 0.
-                grouping_cached = not ran
-                if not grouping_cached:
+                grouping_cached = not computed
+                if computed:
                     prep_time = time.perf_counter() - t0
             stage_times["grouping"] = time.perf_counter() - t0
 

@@ -34,14 +34,14 @@ import os
 import tempfile
 import uuid
 from collections import Counter, deque
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Deque, Dict, List, Optional
 
+from repro.api.config import EngineConfig
 from repro.api.executor import HandOff, WorkerSet, drive_plan
-from repro.api.fault import RetryPolicy
 from repro.api.plan import Plan
 from repro.api.store import make_store
 from repro.dist.host import HostClient, HostLostError
-from repro.dist.router import DEFAULT_STEAL_THRESHOLD, ShardRouter
+from repro.dist.router import ShardRouter
 
 __all__ = ["run_sharded"]
 
@@ -49,50 +49,42 @@ __all__ = ["run_sharded"]
 def run_sharded(
     plan: Plan,
     service,
-    hosts: Sequence[str],
+    config: EngineConfig,
     *,
-    store_remote: Optional[str] = None,
-    store_dir: Optional[str] = None,
-    retry: Optional[RetryPolicy] = None,
-    node_timeout: Optional[float] = None,
-    partial: bool = False,
-    steal_threshold: int = DEFAULT_STEAL_THRESHOLD,
     stats_out: Optional[dict] = None,
 ) -> List:
-    """Run *plan* across *hosts*; returns ``_collect``-ready outcomes.
+    """Run *plan* across ``config.hosts``; returns ``_collect``-ready outcomes.
 
-    Parameters
-    ----------
-    plan / service:
-        As in :func:`repro.api.executor.execute_plan`; the service only
-        runs nodes here once every host is lost.
-    hosts:
-        ``host:port`` addresses of ``repro-map shard-serve`` processes.
-    store_remote:
-        ``host:port`` of the shared ``store-serve`` process the batch
-        payload replicates through.  Without it the hosts can only find
-        the payload if they share *store_dir*'s filesystem.
-    retry / node_timeout / partial:
-        The engine's standard fault knobs.  Retry attempts also cover
-        host loss: a node whose host died is rerouted to a survivor
-        while attempts remain.  A node past its deadline fails with a
-        ``timeout`` outcome (the host may still finish it; the reply is
-        discarded).
-    stats_out:
-        Optional dict that receives router + per-host dispatch stats.
+    *plan*, *service* and *config* are as in
+    :func:`repro.api.executor.execute_plan`; the service only runs nodes
+    here once every host is lost.  Of *config*:
+
+    * ``hosts`` are the ``host:port`` addresses of ``repro-map
+      shard-serve`` processes;
+    * ``store_remote`` is the shared ``store-serve`` process the batch
+      payload replicates through.  Without it the hosts can only find
+      the payload if they share ``store_dir``'s filesystem;
+    * ``retry`` attempts also cover host loss: a node whose host died
+      is rerouted to a survivor while attempts remain.  A node past its
+      ``node_timeout`` fails with a ``timeout`` outcome (the host may
+      still finish it; the reply is discarded).
+
+    *stats_out* is an optional dict that receives router + per-host
+    dispatch stats.
     """
+    store_dir = config.store_dir
     tmp: Optional[tempfile.TemporaryDirectory] = None
     if store_dir is None:
         tmp = tempfile.TemporaryDirectory(prefix="repro-coord-")
         store_dir = tmp.name
-    store = make_store(store_dir, remote=store_remote)
+    store = make_store(store_dir, remote=config.store_remote)
     batch_key = f"coord-{os.getpid()}-{uuid.uuid4().hex[:8]}"
 
     clients: Dict[str, HostClient] = {}
     try:
         store.save("batch", batch_key, plan.requests)
 
-        for address in hosts:
+        for address in config.hosts:
             client = HostClient(address)
             try:
                 client.hello()
@@ -100,14 +92,14 @@ def run_sharded(
                 client.close()
                 continue
             clients[client.name] = client
-        workers = _HostWorkers(plan, clients, batch_key, steal_threshold)
+        workers = _HostWorkers(plan, clients, batch_key, config.steal_threshold)
         outcomes = drive_plan(
             plan,
             service,
             workers,
-            retry=retry,
-            node_timeout=node_timeout,
-            partial=partial,
+            retry=config.retry,
+            node_timeout=config.node_timeout,
+            partial=config.on_error == "partial",
         )
         if stats_out is not None:
             stats_out.update(

@@ -31,12 +31,10 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.api.config import EngineConfig
 from repro.api.plan import Plan
 
-__all__ = ["ShardRouter", "DEFAULT_STEAL_THRESHOLD"]
-
-#: Ready-backlog depth above which an idle host may steal.
-DEFAULT_STEAL_THRESHOLD = 2
+__all__ = ["ShardRouter"]
 
 
 def _score(host: str, workload: Tuple[int, int]) -> int:
@@ -69,7 +67,7 @@ class ShardRouter:
         plan: Plan,
         hosts: Sequence[str],
         *,
-        steal_threshold: int = DEFAULT_STEAL_THRESHOLD,
+        steal_threshold: int = EngineConfig.steal_threshold,
     ) -> None:
         if not hosts:
             raise ValueError("ShardRouter needs at least one host")

@@ -59,11 +59,11 @@ def sweep_requests(
 
     The single authority on the sweep's request construction — per-run
     seed formula, shared grouping seed, evaluation flag — used both by
-    :func:`run_fig2` and by ``benchmarks/emit_bench.py``'s
-    batch-throughput section, so the two always measure the same sweep.
+    :func:`run_fig2` and by the benchmark's ``sweep`` workload
+    (``perfbench/sweep.py``), so the two always measure the same sweep.
     Each request is tagged ``procs`` for aggregation.  *mappers*
-    defaults to the paper's seven algorithms; the perf snapshot passes
-    an extended list so new families get Fig. 3 entries too.
+    defaults to the paper's seven algorithms; the benchmark passes an
+    extended list so the HIER/SFC families get Fig. 3 entries too.
     """
     requests: List[MapRequest] = []
     for procs in profile.proc_counts:

@@ -166,23 +166,30 @@ def _recurse(
     total = float(graph.vertex_weights.sum())
     ideal = float(targets.sum())
     scale = total / ideal if ideal > 0 else 1.0
-    target0 = float(targets[:k0].sum()) * scale
-    sub_seed = mix_seed(seed, first_part * 2_000_003 + k)
-    side = multilevel_bisect(
-        graph, target0, seed=sub_seed, slack=level_slack * (k / 2.0), config=config
-    )
-    left_mask = side == 0
-    left_ids = np.flatnonzero(left_mask)
-    right_ids = np.flatnonzero(~left_mask)
-    # Degenerate splits (empty side) still must recurse on both target
-    # halves; fall back to a weight-ordered split.
-    if left_ids.size == 0 or right_ids.size == 0:
-        order = np.argsort(-graph.vertex_weights, kind="stable")
-        acc = np.cumsum(graph.vertex_weights[order])
-        split = int(np.searchsorted(acc, target0, side="left")) + 1
-        split = min(max(split, 1), graph.num_vertices - 1) if graph.num_vertices > 1 else 0
-        left_ids = np.sort(order[:split])
-        right_ids = np.sort(order[split:])
+    left_sum, right_sum = float(targets[:k0].sum()), float(targets[k0:].sum())
+    target0 = left_sum * scale
+    if left_sum == 0.0 < right_sum or right_sum == 0.0 < left_sum:
+        # A half whose parts all have target weight 0 gets no vertex.
+        everything = np.arange(graph.num_vertices)
+        empty = everything[:0]
+        left_ids, right_ids = (empty, everything) if left_sum == 0.0 else (everything, empty)
+    else:
+        sub_seed = mix_seed(seed, first_part * 2_000_003 + k)
+        side = multilevel_bisect(
+            graph, target0, seed=sub_seed, slack=level_slack * (k / 2.0), config=config
+        )
+        left_mask = side == 0
+        left_ids = np.flatnonzero(left_mask)
+        right_ids = np.flatnonzero(~left_mask)
+        # Degenerate splits (empty side) still must recurse on both target
+        # halves; fall back to a weight-ordered split.
+        if left_ids.size == 0 or right_ids.size == 0:
+            order = np.argsort(-graph.vertex_weights, kind="stable")
+            acc = np.cumsum(graph.vertex_weights[order])
+            split = int(np.searchsorted(acc, target0, side="left")) + 1
+            split = min(max(split, 1), graph.num_vertices - 1) if graph.num_vertices > 1 else 0
+            left_ids = np.sort(order[:split])
+            right_ids = np.sort(order[split:])
     for ids, sub_targets, first in (
         (left_ids, targets[:k0], first_part),
         (right_ids, targets[k0:], first_part + k0),

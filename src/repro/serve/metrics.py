@@ -3,16 +3,15 @@
 A mapping *service* is judged by its tail: the ROADMAP's
 network-latency references (and the serving literature generally) show
 that geo-mean throughput hides exactly the behaviour users feel, so the
-server, the load generator and the CI gate all need the same cheap,
-mergeable latency summary.  Two primitives live here:
+server and its ``stats`` op need a cheap, mergeable latency summary.
+Two primitives live here:
 
 :class:`LatencyHistogram`
     Log-bucketed counts over a fixed range.  ``observe`` is O(1)
     (a ``bisect`` into precomputed bounds), percentiles are estimated
     by linear interpolation inside the covering bucket, and two
-    histograms with the same layout :meth:`merge` exactly — which is
-    how per-thread client histograms in ``benchmarks/serve_load.py``
-    combine into one phase summary.
+    histograms with the same layout :meth:`merge` exactly, so
+    per-thread client histograms combine into one summary.
 
 :class:`RollingWindow`
     Timestamped event deque bounded by age, for "recent rate" gauges

@@ -94,15 +94,17 @@ class TestPerBatchConfig:
 
         seen = []
         monkeypatch.setattr(
-            executor, "execute_plan", lambda plan, svc, **kw: seen.append(kw) or []
+            executor,
+            "execute_plan",
+            lambda plan, svc, config, **kw: seen.append(config) or [],
         )
         svc = MappingService(backend="thread", workers=2)
         svc.map_batch([], config=EngineConfig(on_error="partial"))
         svc.map_batch([], config=EngineConfig(backend="process", workers=3))
         inherited, explicit = seen
-        assert (inherited["backend"], inherited["workers"]) == ("thread", 2)
-        assert inherited["on_error"] == "partial"
-        assert (explicit["backend"], explicit["workers"]) == ("process", 3)
+        assert (inherited.backend, inherited.workers) == ("thread", 2)
+        assert inherited.on_error == "partial"
+        assert (explicit.backend, explicit.workers) == ("process", 3)
 
     def test_service_config_holds_resolved_backend(self):
         assert MappingService().config.backend == "serial"

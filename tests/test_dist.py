@@ -311,9 +311,7 @@ class TestShardedExecution:
         outcomes = run_sharded(
             plan,
             service,
-            addresses,
-            store_remote=remote,
-            steal_threshold=1,
+            EngineConfig(hosts=addresses, store_remote=remote, steal_threshold=1),
             stats_out=stats,
         )
         responses = _collect(plan, outcomes)
@@ -366,10 +364,12 @@ class TestShardedExecution:
         outcomes = run_sharded(
             plan,
             service,
-            addresses,
-            store_remote=remote,
-            retry=RetryPolicy(max_attempts=3, backoff=0.01),
-            steal_threshold=100,
+            EngineConfig(
+                hosts=addresses,
+                store_remote=remote,
+                retry=RetryPolicy(max_attempts=3, backoff=0.01),
+                steal_threshold=100,
+            ),
             stats_out=stats,
         )
         responses = _collect(plan, outcomes)

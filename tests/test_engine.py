@@ -322,7 +322,7 @@ class TestExecutionSemantics:
             return real(service, request, kind, algorithm)
 
         monkeypatch.setattr(executor_mod, "run_plan_node", recording)
-        execute_plan(plan, MappingService(), backend="serial")
+        execute_plan(plan, MappingService(), EngineConfig(backend="serial"))
         assert ran == [(n.kind, n.request_index, n.algorithm) for n in plan.nodes]
 
     def test_execute_plan_collects_in_request_order(self, setup):
@@ -335,7 +335,9 @@ class TestExecutionSemantics:
                 task_graph=tg, machine=machine, algorithms=("UG",), seed=1, tag="b"
             ),
         ]
-        responses = execute_plan(build_plan(reqs), MappingService(), backend="thread")
+        responses = execute_plan(
+            build_plan(reqs), MappingService(), EngineConfig(backend="thread")
+        )
         assert [(r.tag, r.algorithm) for r in responses] == [
             ("a", "UWH"),
             ("b", "UG"),
@@ -654,112 +656,3 @@ class TestMapBatchCli:
         assert main(["map-batch", "--manifest", manifest]) == 2
         manifest = self._manifest(tmp_path, [{"matrix": "cage15_like", "algos": "NOPE"}])
         assert main(["map-batch", "--manifest", manifest]) == 2
-
-
-def _load_compare_bench():
-    import importlib.util
-    import os
-
-    spec = importlib.util.spec_from_file_location(
-        "compare_bench",
-        os.path.join(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            "benchmarks",
-            "compare_bench.py",
-        ),
-    )
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
-class TestCompareBench:
-    def _payload(self, times):
-        return {"geo_mean_map_time_s": times}
-
-    def test_detects_regression_and_ok(self):
-        mod = _load_compare_bench()
-
-        base = self._payload({"UG": 0.010, "UWH": 0.020})
-        same = self._payload({"UG": 0.010, "UWH": 0.020})
-        ok, ratio, _ = mod.compare_snapshots(base, same)
-        assert ok and ratio == pytest.approx(1.0)
-
-        slower = self._payload({"UG": 0.015, "UWH": 0.030})
-        ok, ratio, lines = mod.compare_snapshots(base, slower, threshold=1.25)
-        assert not ok and ratio == pytest.approx(1.5)
-        assert "REGRESSION" in lines[-1]
-
-        # New algorithms are ignored; missing overlap raises.
-        extra = self._payload({"UG": 0.010, "UWH": 0.020, "NEW": 1.0})
-        ok, _, _ = mod.compare_snapshots(base, extra)
-        assert ok
-        with pytest.raises(ValueError):
-            mod.compare_snapshots(base, self._payload({"OTHER": 1.0}))
-
-
-class TestBatchThroughputGate:
-    """The --gate-batch checks of benchmarks/compare_bench.py."""
-
-    def _snapshot(self, *, cpus, amortized, spawn, rps=10.0):
-        return {
-            "cpus": cpus,
-            "batch_throughput": {
-                "serial": {"elapsed_s": 10.0, "requests_per_s": rps},
-                "thread": {
-                    "2": {"elapsed_s": spawn, "requests_per_s": rps},
-                },
-                "process": {
-                    "2": {"elapsed_s": spawn, "requests_per_s": rps},
-                },
-                "persistent": {
-                    "thread": {
-                        "2": {
-                            "amortized_elapsed_s": amortized,
-                            "requests_per_s": 10.0 * spawn / amortized,
-                        }
-                    },
-                    "process": {
-                        "2": {
-                            "amortized_elapsed_s": amortized,
-                            "requests_per_s": 10.0 * spawn / amortized,
-                        }
-                    },
-                },
-            },
-        }
-
-    def test_persistent_must_beat_spawn_per_call(self):
-        mod = _load_compare_bench()
-        base = self._snapshot(cpus=1, amortized=5.0, spawn=10.0)
-        good = self._snapshot(cpus=1, amortized=5.0, spawn=10.0)
-        ok, lines = mod.gate_batch_throughput(base, good)
-        assert ok and any("OK" in line for line in lines)
-
-        bad = self._snapshot(cpus=1, amortized=12.0, spawn=10.0)
-        ok, lines = mod.gate_batch_throughput(base, bad)
-        assert not ok and any("REGRESSION" in line for line in lines)
-
-    def test_missing_sections_fail_or_skip(self):
-        mod = _load_compare_bench()
-        new = self._snapshot(cpus=4, amortized=5.0, spawn=10.0)
-        ok, lines = mod.gate_batch_throughput({}, {})
-        assert not ok
-        # Baseline without the section: self-gate runs, cross-check skips.
-        ok, lines = mod.gate_batch_throughput({}, new)
-        assert ok and any("skipped" in line for line in lines)
-
-    def test_cross_check_only_arms_on_multicore_pairs(self):
-        mod = _load_compare_bench()
-        single = self._snapshot(cpus=1, amortized=5.0, spawn=10.0)
-        multi_fast = self._snapshot(cpus=4, amortized=5.0, spawn=10.0, rps=10.0)
-        ok, lines = mod.gate_batch_throughput(single, multi_fast)
-        assert ok and any("cross-check skipped" in line for line in lines)
-
-        # Both multi-core: a 2x requests/sec collapse fails the gate.
-        multi_slow = self._snapshot(cpus=4, amortized=5.0, spawn=10.0, rps=5.0)
-        ok, lines = mod.gate_batch_throughput(multi_fast, multi_slow, 1.25)
-        assert not ok and any("geo-mean throughput" in line for line in lines)
-        # And the reverse (faster) direction passes.
-        ok, _ = mod.gate_batch_throughput(multi_slow, multi_fast, 1.25)
-        assert ok

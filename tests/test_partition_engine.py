@@ -224,7 +224,10 @@ class TestDriver:
 
     def test_zero_target_part_stays_valid(self):
         res = partition_graph(path_graph(6), 2, target_weights=[0.0, 6.0])
-        assert res.part.shape == (6,) and res.part.max() <= 1
+        assert res.part.tolist() == [1] * 6  # part 0 is empty
+        res = partition_graph(path_graph(6), 3, target_weights=[3.0, 0.0, 3.0])
+        assert res.part.shape == (6,)
+        assert np.bincount(res.part, minlength=3).tolist() == [3, 0, 3]
 
     def test_best_bisection_rejects_non_finite_target(self):
         with pytest.raises(ValueError, match="no finite bisection score"):

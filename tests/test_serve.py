@@ -464,6 +464,54 @@ class TestServerIntegration:
         assert stats["counters"]["shed"] == len(shed)
         assert stats["counters"]["completed"] == len(served)
 
+    def test_shed_reply_does_not_wait_for_the_running_batch(self):
+        """Admission control answers "no" while a dispatched batch is
+        still blocked: a shed reply never waits on execution."""
+        started, release = threading.Event(), threading.Event()
+
+        @register_mapper("HELDSRV", description="blocks until released")
+        def held(ctx):
+            started.set()
+            assert release.wait(timeout=60), "held batch was never released"
+            return PLACEMENT_STAGES["greedy"](ctx)
+
+        held_reply = []
+        try:
+            with ThreadedServer(
+                backend="thread",
+                workers=2,
+                max_pending=1,
+                coalesce_window=0.0,
+                max_in_flight=1,
+            ) as ts:
+
+                def send_held():
+                    with ServeClient(*ts.address, tenant="held", timeout=60) as client:
+                        held_reply.append(client.map([{**ENTRY, "algos": "HELDSRV"}]))
+
+                holder = threading.Thread(target=send_held)
+                holder.start()
+                assert started.wait(timeout=30), "held batch never started"
+                overflow = []
+                for i in range(3):
+                    with ServeClient(*ts.address, tenant=f"o{i}", timeout=30) as client:
+                        overflow.append(client.map([dict(ENTRY)]))
+                # Every overflow reply arrived while the batch was held.
+                assert not release.is_set() and holder.is_alive()
+                assert not held_reply
+                release.set()
+                holder.join(timeout=60)
+                with ServeClient(*ts.address) as client:
+                    stats = client.stats()
+        finally:
+            release.set()
+            unregister_mapper("HELDSRV")
+        assert [r["error"]["kind"] for r in overflow] == ["overloaded"] * 3
+        assert held_reply and held_reply[0]["ok"] is True
+        assert held_reply[0]["results"][0]["ok"] is True
+        assert stats["counters"]["shed"] == 3
+        assert stats["counters"]["completed"] == 1
+
     def test_queued_deadline_expires_without_execution(self):
         with ThreadedServer(
             backend="thread",

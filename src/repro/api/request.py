@@ -81,6 +81,7 @@ class MapRequest:
             raise ValueError("MapRequest needs at least one algorithm name")
         if self.delta < 1:
             raise ValueError(f"refinement budget delta must be >= 1, got {self.delta}")
+        _check_task_graph(self.task_graph)
         self._content_keys: Optional[Tuple[int, int]] = None
 
     @property
@@ -104,6 +105,22 @@ class MapRequest:
                 machine_key(self.machine),
             )
         return self._content_keys
+
+
+def _check_task_graph(task_graph: TaskGraph) -> None:
+    """Reject volumes or loads that are NaN, infinite or negative.
+
+    Such a graph has no meaningful mapping: an infinite volume turns WH
+    into NaN, a NaN stops the partitioner, a negative one maps silently.
+    """
+    for name, values in (("volumes", task_graph.graph.weights), ("loads", task_graph.loads)):
+        bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0)))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(
+                f"task_graph {name} must be finite and non-negative; {bad.size} "
+                f"are not, the first at index {i} is {float(values[i])!r}"
+            )
 
 
 @dataclass

@@ -155,6 +155,21 @@ def _exact_sum(values: List[float]) -> float:
     return 0.0 + reduce(add, values[m:], head)
 
 
+def _integral_weights(weights: np.ndarray) -> bool:
+    """True if every weight is an integer and ``Σ|w| ≤ 2**52``.
+
+    Then every edge-weight sum FM forms — a row's external or internal
+    weight, a gain, a gain plus or minus ``2w`` — is an integer of
+    magnitude below ``2**53``, which float64 holds exactly, so every
+    summation order gives the same bits.  NaN fails the integer test and
+    ±inf the magnitude test.  The float sum of non-negative integers can
+    only read ``≤ 2**52`` when it is exact, so the test is never loose.
+    """
+    return bool(np.all(np.floor(weights) == weights)) and float(
+        np.abs(weights).sum()
+    ) <= 2.0**52
+
+
 def fm_bisection_refine(
     graph: CSRGraph,
     side: np.ndarray,
@@ -174,7 +189,27 @@ def fm_bisection_refine(
     The gain queue is a :mod:`heapq` of ``(-gain, seq, v)`` with lazy
     deletion: ``seq`` is the vertex's insertion number, kept by gain
     updates and renewed on re-insertion, so among equal gains the
-    earliest-inserted vertex pops first.
+    earliest-inserted vertex pops first.  A popped vertex whose move is
+    infeasible leaves the queue; a later neighbour move re-inserts it.
+
+    Gains are external minus internal edge weight, as NumPy sums them,
+    and come from one of two paths, chosen once per call from the edge
+    weights alone (:func:`_integral_weights`):
+
+    * **integral weights** (every weight an integer, ``Σ|w| ≤ 2**52``):
+      each pass starts from one vectorized gain computation, and every
+      move adds ``±2w`` to the gain of each unlocked neighbour, queued or
+      not, so every unlocked vertex's gain stays current.  All those
+      values are integers below ``2**53``, exact in any order, so they
+      equal the fresh row sums bit for bit;
+    * **otherwise**: a vertex's gain is re-summed from its row in NumPy's
+      pairwise order (:func:`_exact_sum`) whenever it enters the queue,
+      and ``±2w`` is applied only to queued neighbours.  On non-integral
+      weights another order can change a gain's last bit, and with it
+      the move order, so this is the only exact path there.
+
+    The graph is symmetric without parallel edges, as every working graph
+    of the partitioner is.
     """
     side = np.asarray(side, dtype=np.int64).copy()
     n = graph.num_vertices
@@ -186,10 +221,13 @@ def fm_bisection_refine(
     if slack is None:
         slack = tolerance * total
     slack = max(float(slack), float(vw.max()) * 1.001)
+    cap = [target[0] + slack, target[1] + slack]
     vwl = vw.tolist()
     ptr, ind, wts = graph.indptr.tolist(), graph.indices.tolist(), graph.weights.tolist()
     src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
     sd = side.tolist()
+    integral = _integral_weights(graph.weights)
+    heappush, heappop = heapq.heappush, heapq.heappop
 
     def fresh_gain(u: int) -> float:
         """External minus internal edge weight of *u*, as NumPy sums it."""
@@ -220,8 +258,12 @@ def fm_bisection_refine(
         on_boundary = np.zeros(n, dtype=bool)
         on_boundary[src[side[src] != side[graph.indices]]] = True
         boundary = np.flatnonzero(on_boundary).tolist()
+        if integral:
+            gain = _bisection_gains(graph, side, src).tolist()
+        else:
+            for v in boundary:
+                gain[v] = fresh_gain(v)
         for v in boundary:
-            gain[v] = fresh_gain(v)
             seq[v] = next(order)
         heap = [(-gain[v], seq[v], v) for v in boundary]
         heapq.heapify(heap)
@@ -233,7 +275,7 @@ def fm_bisection_refine(
         imb0 = max(abs(weights[0] - target[0]), abs(weights[1] - target[1]))
         best_imb = imb0
         while heap:
-            neg, s, v = heapq.heappop(heap)
+            neg, s, v = heappop(heap)
             if seq[v] != s or -neg != gain[v]:
                 continue  # superseded entry
             seq[v] = -1
@@ -241,11 +283,11 @@ def fm_bisection_refine(
             b = 1 - a
             new_wb = weights[b] + vwl[v]
             new_wa = weights[a] - vwl[v]
-            new_imb = max(abs(new_wa - target[a]), abs(new_wb - target[b]))
-            if new_wb > target[b] + slack and new_imb >= max(
-                abs(weights[a] - target[a]), abs(weights[b] - target[b])
-            ):
-                continue  # infeasible and not balance-improving
+            new_imb = None  # computed only where it is read
+            if new_wb > cap[b]:
+                new_imb = max(abs(new_wa - target[a]), abs(new_wb - target[b]))
+                if new_imb >= max(abs(weights[a] - target[a]), abs(weights[b] - target[b])):
+                    continue  # infeasible and not balance-improving
             # Tentatively move.
             sd[v] = b
             weights[a] = new_wa
@@ -255,25 +297,28 @@ def fm_bisection_refine(
             moves.append(v)
             # A strictly better cut, or equal cut with better balance,
             # advances the rollback point.
-            if cur_gain > best_gain or (cur_gain == best_gain and new_imb < best_imb):
-                best_gain = cur_gain
-                best_len = len(moves)
-                best_imb = new_imb
-            # Update neighbour gains (insert fresh boundary vertices).
+            if cur_gain >= best_gain:
+                if new_imb is None:
+                    new_imb = max(abs(new_wa - target[a]), abs(new_wb - target[b]))
+                if cur_gain > best_gain or new_imb < best_imb:
+                    best_gain = cur_gain
+                    best_len = len(moves)
+                    best_imb = new_imb
+            # Update neighbour gains: v moved a -> b, so v joining u's side
+            # turns an external edge internal (gain -= 2w) and v leaving
+            # turns an internal one external (gain += 2w).
             lo, hi = ptr[v], ptr[v + 1]
             for u, wu in zip(ind[lo:hi], wts[lo:hi]):
                 if locked[u]:
                     continue
-                if seq[u] >= 0:
-                    # v moved a -> b: v joining u's side turns an external
-                    # edge internal (gain -= 2w); v leaving turns internal
-                    # external (gain += 2w).
+                if integral or seq[u] >= 0:
                     g = gain[u] - (2.0 * wu if sd[u] == b else -2.0 * wu)
                 else:
                     g = fresh_gain(u)
-                    seq[u] = next(order)
+                if seq[u] < 0:
+                    seq[u] = next(order)  # (re-)insert a fresh boundary vertex
                 gain[u] = g
-                heapq.heappush(heap, (-g, seq[u], u))
+                heappush(heap, (-g, seq[u], u))
         # Roll back the tail beyond the best prefix.
         for v in moves[best_len:]:
             sd[v] = 1 - sd[v]

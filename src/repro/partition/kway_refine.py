@@ -42,13 +42,18 @@ OBJECTIVES: Dict[str, Objective] = {
 
 
 class KWayState:
-    """Incrementally maintained communication state of a k-way partition."""
+    """Incrementally maintained communication state of a k-way partition.
+
+    Every per-vertex and per-part quantity the move loops read — ``part``,
+    ``loads``, ``sendvol``, ``sendmsg``, ``cnt`` and each vertex's net
+    list — is a plain Python list, so a move evaluation indexes no array.
+    """
 
     def __init__(self, h: Hypergraph, part: np.ndarray, num_parts: int) -> None:
         self.h = h
         self.k = int(num_parts)
-        self.part = np.asarray(part, dtype=np.int64).copy()
-        if self.part.shape[0] != h.num_vertices:
+        part = np.asarray(part, dtype=np.int64)
+        if part.shape[0] != h.num_vertices:
             raise ValueError("part vector length mismatch")
         if h.num_nets != h.num_vertices:
             raise ValueError(
@@ -61,39 +66,43 @@ class KWayState:
         rows = np.repeat(np.arange(h.num_vertices), np.diff(net_ptr))
         if np.unique(rows[net_ids == rows]).size != h.num_vertices:
             raise ValueError("net j must pin vertex j (missing structural diagonal)")
-        self.costs = h.net_costs
-        self._costs: List[float] = self.costs.tolist()  # for the per-move loops
+        ids, ptr = net_ids.tolist(), net_ptr.tolist()
+        self._nets: List[List[int]] = [ids[ptr[v] : ptr[v + 1]] for v in range(h.num_vertices)]
+        self._costs: List[float] = h.net_costs.tolist()
+        self._vloads: List[float] = h.loads.tolist()
+        self.part: List[int] = part.tolist()
         # σ(j, ·) as one small dict per net.
-        pin_parts = self.part[h.pin_ids].tolist()
+        pin_parts = part[h.pin_ids].tolist()
         pin_ptr = h.pin_ptr.tolist()
         self.sigma: List[Dict[int, int]] = [
             Counter(pin_parts[pin_ptr[j] : pin_ptr[j + 1]]) for j in range(h.num_nets)
         ]
         self.lam: List[int] = [len(d) for d in self.sigma]
         lam = np.array(self.lam, dtype=np.int64)
-        self.tv = float(np.sum(self.costs * np.maximum(lam - 1, 0)))
+        costs = h.net_costs
+        self.tv = float(np.sum(costs * np.maximum(lam - 1, 0)))
         # Owner-side aggregates (net j is owned by row j's part).
-        self.sendvol = np.bincount(self.part, weights=self.costs * (lam - 1), minlength=self.k)
-        nets, parts = h.net_part_pairs(self.part, self.k)
-        owners = self.part[nets]
+        self.sendvol: List[float] = np.bincount(
+            part, weights=costs * (lam - 1), minlength=self.k
+        ).tolist()
+        nets, parts = h.net_part_pairs(part, self.k)
+        owners = part[nets]
         off = parts != owners
-        self.cnt = np.bincount(
-            owners[off] * self.k + parts[off], minlength=self.k * self.k
-        ).reshape(self.k, self.k).astype(np.int32)
-        self.sendmsg = (self.cnt > 0).sum(axis=1).astype(np.int64)
-        self.tm = int(self.sendmsg.sum())
-        self.loads = np.bincount(self.part, weights=h.loads, minlength=self.k).astype(
-            np.float64
-        )
+        cnt = np.bincount(owners[off] * self.k + parts[off], minlength=self.k * self.k)
+        cnt = cnt.reshape(self.k, self.k)
+        self.cnt: List[List[int]] = cnt.tolist()
+        self.sendmsg: List[int] = (cnt > 0).sum(axis=1).tolist()
+        self.tm = sum(self.sendmsg)
+        self.loads: List[float] = np.bincount(part, weights=h.loads, minlength=self.k).tolist()
 
     # ------------------------------------------------------------------
     @property
     def msv(self) -> float:
-        return float(self.sendvol.max()) if self.k else 0.0
+        return float(max(self.sendvol)) if self.k else 0.0
 
     @property
     def msm(self) -> int:
-        return int(self.sendmsg.max()) if self.k else 0
+        return int(max(self.sendmsg)) if self.k else 0
 
     def metrics(self) -> Dict[str, float]:
         return {"TV": self.tv, "MSV": self.msv, "TM": float(self.tm), "MSM": float(self.msm)}
@@ -101,17 +110,17 @@ class KWayState:
     def candidate_parts(self, v: int, limit: int = 6) -> List[int]:
         """Parts connected to *v* through its nets, strongest first."""
         conn: Dict[int, float] = {}
-        a = int(self.part[v])
-        lam = self.lam
-        for j in self.h.nets_of(v).tolist():
+        a = self.part[v]
+        lam, sigma, costs = self.lam, self.sigma, self._costs
+        for j in self._nets[v]:
             if lam[j] == 1:
                 continue  # uncut: net j's only part is v's own
-            c = self._costs[j]
-            for p in self.sigma[j]:
+            c = costs[j]
+            for p in sigma[j]:
                 if p != a:
                     conn[p] = conn.get(p, 0.0) + c
-        ranked = sorted(conn.items(), key=lambda kv: (-kv[1], kv[0]))
-        return [p for p, _ in ranked[:limit]]
+        ranked = sorted([(-c, p) for p, c in conn.items()])
+        return [p for _, p in ranked[:limit]]
 
     # ------------------------------------------------------------------
     def eval_move(
@@ -125,7 +134,8 @@ class KWayState:
         only the affected parts, then fall back to a full scan when the
         current argmax decreases (exactness over speed; K is at most ~1k).
         """
-        a = int(self.part[v])
+        part = self.part
+        a = part[v]
         if b == a:
             return (0.0, 0.0, 0, 0)
         want_msv = _MSV in priorities
@@ -133,7 +143,7 @@ class KWayState:
         d_tv = 0.0
         d_sendvol: Dict[int, float] = {}
         d_cnt: Dict[Tuple[int, int], int] = {}
-        for j in self.h.nets_of(v).tolist():
+        for j in self._nets[v]:
             c = self._costs[j]
             s = self.sigma[j]
             a_left = s[a] == 1
@@ -144,7 +154,7 @@ class KWayState:
                 d_tv += c
             if not (want_msv or want_cnt):
                 continue
-            o = int(self.part[j])
+            o = part[j]
             if j == v:
                 # Owner relocation: retract a's contributions, grant b's.
                 lam_new = self.lam[j] - (1 if a_left else 0) + (1 if b_new else 0)
@@ -180,7 +190,7 @@ class KWayState:
         for (p, q), dv in d_cnt.items():
             if dv == 0:
                 continue
-            old = int(self.cnt[p, q])
+            old = self.cnt[p][q]
             new = old + dv
             if old == 0 and new > 0:
                 d_tm += 1
@@ -189,11 +199,11 @@ class KWayState:
                 d_tm -= 1
                 d_sendmsg[p] = d_sendmsg.get(p, 0) - 1
 
-        d_msm = self._max_delta(self.sendmsg.astype(np.float64), d_sendmsg, float(self.msm))
+        d_msm = self._max_delta(self.sendmsg, d_sendmsg, float(self.msm))
         return (d_tv, d_msv, d_tm, int(round(d_msm)))
 
     @staticmethod
-    def _max_delta(values: np.ndarray, deltas: Dict[int, float], cur_max: float) -> float:
+    def _max_delta(values: List[float], deltas: Dict[int, float], cur_max: float) -> float:
         if not deltas:
             return 0.0
         affected_new = max(values[p] + dv for p, dv in deltas.items())
@@ -202,28 +212,27 @@ class KWayState:
             return affected_new - cur_max
         # Otherwise the max can only drop if *all* current argmaxes were
         # affected; recompute exactly.
-        argmax_affected = all(
-            (p in deltas) for p in np.flatnonzero(values >= cur_max - 1e-12)
-        )
-        if not argmax_affected:
+        floor = cur_max - 1e-12
+        if not all(p in deltas for p, x in enumerate(values) if x >= floor):
             return 0.0
-        tmp = values.copy()
+        tmp = list(values)
         for p, dv in deltas.items():
             tmp[p] += dv
-        return float(tmp.max()) - cur_max
+        return float(max(tmp)) - cur_max
 
     # ------------------------------------------------------------------
     def apply_move(self, v: int, b: int) -> None:
         """Commit the move of *v* to part *b*, updating all aggregates."""
-        a = int(self.part[v])
+        part, sendvol = self.part, self.sendvol
+        a = part[v]
         if b == a:
             return
-        for j in self.h.nets_of(v).tolist():
+        for j in self._nets[v]:
             c = self._costs[j]
             s = self.sigma[j]
-            o = int(self.part[j])
+            o = part[j]
             if j == v:
-                self.sendvol[a] -= c * (self.lam[j] - 1)
+                sendvol[a] -= c * (self.lam[j] - 1)
                 for q in s:
                     if q != a:
                         self._dec_cnt(a, q)
@@ -242,45 +251,47 @@ class KWayState:
                 self.tv += c
                 b_new = True
             if j == v:
-                self.sendvol[b] += c * (self.lam[j] - 1)
+                sendvol[b] += c * (self.lam[j] - 1)
                 for q in s:
                     if q != b:
                         self._inc_cnt(b, q)
             else:
                 if a_left:
                     self._dec_cnt(o, a)
-                    self.sendvol[o] -= c
+                    sendvol[o] -= c
                 if b_new and o != b:
                     self._inc_cnt(o, b)
-                    self.sendvol[o] += c
-        self.loads[a] -= self.h.loads[v]
-        self.loads[b] += self.h.loads[v]
-        self.part[v] = b
+                    sendvol[o] += c
+        self.loads[a] -= self._vloads[v]
+        self.loads[b] += self._vloads[v]
+        part[v] = b
 
     def _inc_cnt(self, p: int, q: int) -> None:
-        if self.cnt[p, q] == 0:
+        row = self.cnt[p]
+        if row[q] == 0:
             self.sendmsg[p] += 1
             self.tm += 1
-        self.cnt[p, q] += 1
+        row[q] += 1
 
     def _dec_cnt(self, p: int, q: int) -> None:
-        self.cnt[p, q] -= 1
-        if self.cnt[p, q] == 0:
+        row = self.cnt[p]
+        row[q] -= 1
+        if row[q] == 0:
             self.sendmsg[p] -= 1
             self.tm -= 1
-        if self.cnt[p, q] < 0:  # pragma: no cover - invariant guard
+        if row[q] < 0:  # pragma: no cover - invariant guard
             raise AssertionError("cnt went negative; incremental update bug")
 
     # ------------------------------------------------------------------
     def validate(self) -> bool:
         """Recompute everything from scratch and compare (for tests)."""
-        fresh = KWayState(self.h, self.part, self.k)
+        fresh = KWayState(self.h, np.asarray(self.part), self.k)
         return (
             abs(fresh.tv - self.tv) < 1e-6
             and np.allclose(fresh.sendvol, self.sendvol)
-            and np.array_equal(fresh.cnt, self.cnt)
+            and fresh.cnt == self.cnt
             and fresh.tm == self.tm
-            and np.array_equal(fresh.sendmsg, self.sendmsg)
+            and fresh.sendmsg == self.sendmsg
             and np.allclose(fresh.loads, self.loads)
         )
 
@@ -320,7 +331,8 @@ def refine_kway(
     state = KWayState(h, part, num_parts)
     if targets is None:
         targets = np.full(num_parts, h.loads.sum() / num_parts)
-    limits = np.asarray(targets, dtype=np.float64) * (1.0 + tolerance)
+    limits = (np.asarray(targets, dtype=np.float64) * (1.0 + tolerance)).tolist()
+    loads, vloads = state.loads, state._vloads
 
     for _ in range(passes):
         moved = 0
@@ -329,7 +341,7 @@ def refine_kway(
             best_b = -1
             best_deltas: Optional[Tuple[float, float, int, int]] = None
             for b in state.candidate_parts(v, candidate_limit):
-                if state.loads[b] + h.loads[v] > limits[b]:
+                if loads[b] + vloads[v] > limits[b]:
                     continue
                 deltas = state.eval_move(v, b, priorities)
                 if not _lex_better(deltas, priorities):
@@ -344,4 +356,4 @@ def refine_kway(
                 moved += 1
         if moved == 0:
             break
-    return state.part
+    return np.array(state.part, dtype=np.int64)

@@ -25,7 +25,7 @@ a server; ``repro-map stats --connect 127.0.0.1:8765`` queries one.
 """
 
 from repro.serve.client import ServeClient, ServerClosedError
-from repro.serve.metrics import LatencyHistogram, RollingWindow, summarize_latencies
+from repro.serve.metrics import LatencyHistogram, RollingWindow
 from repro.serve.protocol import (
     MANIFEST_DEFAULTS,
     ProtocolError,
@@ -58,5 +58,4 @@ __all__ = [
     "parse_address",
     "requests_from_entries",
     "response_payload",
-    "summarize_latencies",
 ]

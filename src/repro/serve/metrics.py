@@ -3,15 +3,13 @@
 A mapping *service* is judged by its tail: the ROADMAP's
 network-latency references (and the serving literature generally) show
 that geo-mean throughput hides exactly the behaviour users feel, so the
-server and its ``stats`` op need a cheap, mergeable latency summary.
+server and its ``stats`` op need a cheap latency summary.
 Two primitives live here:
 
 :class:`LatencyHistogram`
     Log-bucketed counts over a fixed range.  ``observe`` is O(1)
     (a ``bisect`` into precomputed bounds), percentiles are estimated
-    by linear interpolation inside the covering bucket, and two
-    histograms with the same layout :meth:`merge` exactly, so
-    per-thread client histograms combine into one summary.
+    by linear interpolation inside the covering bucket.
 
 :class:`RollingWindow`
     Timestamped event deque bounded by age, for "recent rate" gauges
@@ -19,8 +17,7 @@ Two primitives live here:
     would flatten bursts.
 
 Both are thread-safe: the server observes from the event loop while
-``GET stats`` snapshots from driver threads, and the load generator
-observes from many client threads at once.
+``GET stats`` snapshots from driver threads.
 """
 
 from __future__ import annotations
@@ -29,9 +26,9 @@ import math
 import threading
 import time
 from bisect import bisect_right
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
-__all__ = ["LatencyHistogram", "RollingWindow", "summarize_latencies"]
+__all__ = ["LatencyHistogram", "RollingWindow"]
 
 
 class LatencyHistogram:
@@ -84,24 +81,6 @@ class LatencyHistogram:
             self.min_seen = s if self.min_seen is None else min(self.min_seen, s)
             self.max_seen = s if self.max_seen is None else max(self.max_seen, s)
 
-    def merge(self, other: "LatencyHistogram") -> None:
-        """Fold *other*'s samples into this histogram (same layout only)."""
-        if other.bounds != self.bounds:
-            raise ValueError("cannot merge histograms with different bucket layouts")
-        with other._lock:
-            counts = list(other.counts)
-            count, total = other.count, other.total_s
-            mn, mx = other.min_seen, other.max_seen
-        with self._lock:
-            for i, c in enumerate(counts):
-                self.counts[i] += c
-            self.count += count
-            self.total_s += total
-            if mn is not None:
-                self.min_seen = mn if self.min_seen is None else min(self.min_seen, mn)
-            if mx is not None:
-                self.max_seen = mx if self.max_seen is None else max(self.max_seen, mx)
-
     # ------------------------------------------------------------------
     def percentile(self, q: float) -> float:
         """Estimated latency (seconds) at quantile ``q`` in (0, 1]."""
@@ -148,32 +127,6 @@ class LatencyHistogram:
             "p99_ms": 1e3 * self.percentile(0.99),
             "max_ms": 1e3 * (max_seen or 0.0),
         }
-
-
-def summarize_latencies(samples: Sequence[float]) -> Dict[str, float]:
-    """Exact percentile summary of a finite sample list (benchmarks).
-
-    Same keys as :meth:`LatencyHistogram.summary`, but computed from
-    the sorted samples directly — the load generator keeps every
-    latency anyway, so its committed snapshot numbers are exact rather
-    than bucket-interpolated.
-    """
-    if not samples:
-        return {"count": 0}
-    ordered = sorted(float(s) for s in samples)
-    n = len(ordered)
-
-    def pct(q: float) -> float:
-        return ordered[min(n - 1, max(0, math.ceil(q * n) - 1))]
-
-    return {
-        "count": n,
-        "mean_ms": 1e3 * sum(ordered) / n,
-        "p50_ms": 1e3 * pct(0.50),
-        "p95_ms": 1e3 * pct(0.95),
-        "p99_ms": 1e3 * pct(0.99),
-        "max_ms": 1e3 * ordered[-1],
-    }
 
 
 class RollingWindow:

@@ -29,6 +29,7 @@ from repro.api import (
     unregister_mapper,
 )
 from repro.api.stages import PLACEMENT_STAGES
+from repro.graph.csr import CSRGraph
 from repro.graph.task_graph import TaskGraph
 from repro.mapping.pipeline import (
     EXTENDED_MAPPER_NAMES,
@@ -176,6 +177,37 @@ class TestMapRequest:
         tg, machine = setup
         with pytest.raises(ValueError, match="delta"):
             MapRequest(task_graph=tg, machine=machine, delta=delta)
+
+    @staticmethod
+    def _with(tg, field, index, value):
+        """*tg* with one volume or load replaced by *value*."""
+        g = tg.graph
+        weights, loads = g.weights.copy(), g.vertex_weights.copy()
+        (weights if field == "volumes" else loads)[index] = value
+        return TaskGraph(CSRGraph(g.indptr, g.indices, weights, loads, sorted_indices=True))
+
+    @pytest.mark.parametrize("field", ["volumes", "loads"])
+    def test_infinite_value_rejected(self, setup, field):
+        tg, machine = setup
+        with pytest.raises(ValueError, match=f"task_graph {field} .*inf"):
+            MapRequest(task_graph=self._with(tg, field, 3, np.inf), machine=machine)
+
+    @pytest.mark.parametrize("field", ["volumes", "loads"])
+    def test_negative_value_rejected(self, setup, field):
+        tg, machine = setup
+        with pytest.raises(ValueError, match=f"task_graph {field} .*-1.5"):
+            MapRequest(task_graph=self._with(tg, field, 3, -1.5), machine=machine)
+
+    @pytest.mark.parametrize("field", ["volumes", "loads"])
+    def test_nan_value_rejected(self, setup, field):
+        tg, machine = setup
+        with pytest.raises(ValueError, match=f"task_graph {field} .*nan"):
+            MapRequest(task_graph=self._with(tg, field, 3, np.nan), machine=machine)
+
+    def test_zero_volume_and_load_accepted(self, setup):
+        tg, machine = setup
+        tg = self._with(self._with(tg, "volumes", 3, 0.0), "loads", 3, 0.0)
+        assert MapRequest(task_graph=tg, machine=machine).algorithms == ("UG",)
 
     def test_grouping_seed_defaults_to_seed(self, setup):
         tg, machine = setup

@@ -8,15 +8,19 @@ loops must keep every partition vector bit-identical.
 
 The goldens in ``tests/data/golden_partition.json`` were generated from
 the reference implementation that predates the heap and adjacency-list
-rewrite (``python tests/test_partition_golden.py`` regenerates them; do
-NOT regenerate after touching partition code unless a behaviour change
-is intended and reviewed).  The ``tiny/``, ``group/``, ``hem/`` and
-``sub/`` keys pin the regime the mapping pipeline actually runs in —
-bisections of 2–16 vertices, a 64-task → 16-node grouping — plus the
-heavy-edge matching and induced-subgraph steps on their own; they were
-generated from the code before the list-view / row-gather rewrite.
+rewrite.  ``python tests/test_partition_golden.py`` only *adds* the
+vector of every case the file lacks; when an existing key's vector
+would change it writes nothing, lists those keys and exits 1.  Generate
+new keys with the code before the change they are meant to pin.  The
+``tiny/``, ``group/``, ``hem/`` and ``sub/`` keys pin the regime the
+mapping pipeline actually runs in — bisections of 2–16 vertices, a
+64-task → 16-node grouping — plus the heavy-edge matching and
+induced-subgraph steps on their own; they were generated from the code
+before the list-view / row-gather rewrite.  The ``inthub320`` keys (an
+integral-weight hub graph) were generated from the FM that re-summed
+every gain, before it kept integral gains current by ±2w updates.
 
-Unlike the mapping goldens, the graphs here carry *non-integral* edge
+Unlike the mapping goldens, most graphs here carry *non-integral* edge
 weights drawn from a small value set, so FM gains tie often and their
 floating-point sums depend on summation order — a change in either the
 heap's tie order or the order gains are summed shows up as a diff.
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -37,7 +42,8 @@ from repro.graph.generators import cage_like, rgg_like
 from repro.hypergraph.model import Hypergraph
 from repro.partition.coarsen import heavy_edge_matching
 from repro.partition.driver import PartitionConfig, multilevel_bisect, partition_graph
-from repro.partition.fm import _exact_sum, balance_fixup, fm_bisection_refine
+from repro.partition import fm as fm_module
+from repro.partition.fm import _exact_sum, _integral_weights, balance_fixup, fm_bisection_refine
 from repro.partition.initial import best_bisection, greedy_grow_bisection
 from repro.partition.kway_refine import OBJECTIVES, refine_kway
 from repro.partition.toolbox import PARTITIONER_NAMES, get_partitioner
@@ -75,9 +81,10 @@ def _continuous_graph(n: int, m: int, seed: int) -> CSRGraph:
     return _sym_graph(n, src, dst, 10.0 ** rng.uniform(-3, 3, size=m))
 
 
-def _hub_graph(n: int, seed: int) -> CSRGraph:
+def _hub_graph(n: int, seed: int, weights: np.ndarray = TIE_WEIGHTS) -> CSRGraph:
     """Sparse ring plus three hubs of degree > 128 (numpy's pairwise-sum
-    regime), all with tie-prone non-integral weights."""
+    regime), all with edge weights drawn from *weights* (by default the
+    tie-prone non-integral ones)."""
     rng = np.random.default_rng(seed)
     ring = np.arange(n)
     src, dst = [ring], [(ring + 1) % n]
@@ -89,7 +96,7 @@ def _hub_graph(n: int, seed: int) -> CSRGraph:
     # Duplicate (hub, spoke) pairs accumulate in from_edges; dedupe first
     # so the adjacency keeps one entry per neighbour.
     pairs = np.unique(np.stack([np.minimum(src, dst), np.maximum(src, dst)]), axis=1)
-    return _sym_graph(n, pairs[0], pairs[1], rng.choice(TIE_WEIGHTS, size=pairs.shape[1]))
+    return _sym_graph(n, pairs[0], pairs[1], rng.choice(weights, size=pairs.shape[1]))
 
 
 def _grid_graph(side: int, w: float) -> CSRGraph:
@@ -188,6 +195,19 @@ def _cases():
                 g, t0, attempts=4, seed=5
             )
             yield f"ml/{name}/{frac}", lambda g=g, t0=t0: multilevel_bisect(g, t0, seed=9)
+    # Integral hub weights: FM keeps gains current by ±2w updates here
+    # instead of re-summing rows, so these keys pin that path on hubs.
+    g = _hub_graph(320, seed=4, weights=np.arange(1.0, 9.0))
+    total = float(g.vertex_weights.sum())
+    for frac in (0.5, 0.35):
+        t0 = total * frac
+        yield f"fm/inthub320/{frac}/random", lambda t0=t0: fm_bisection_refine(
+            g, _side(g, 11), t0, max_passes=4
+        )
+        yield f"fm/inthub320/{frac}/grown", lambda t0=t0: fm_bisection_refine(
+            g, greedy_grow_bisection(g, t0, 0), t0, slack=0.01 * total, max_passes=3
+        )
+        yield f"ml/inthub320/{frac}", lambda t0=t0: multilevel_bisect(g, t0, seed=9)
     big = _big_graph()
     half = 0.5 * float(big.vertex_weights.sum())
     yield "ml/big900", lambda: multilevel_bisect(big, half, seed=2)
@@ -253,8 +273,35 @@ def _small_cases():
         yield f"sub/{name}/shuffled", lambda g=g, ids=ids: _graph_words(g.subgraph(ids)[0])
 
 
-def _run_all():
-    return {key: np.asarray(thunk(), dtype=np.int64).tolist() for key, thunk in _cases()}
+def _run_all(cases=None):
+    return {
+        key: np.asarray(thunk(), dtype=np.int64).tolist()
+        for key, thunk in (_cases() if cases is None else cases)
+    }
+
+
+def add_missing_goldens(path=GOLDEN_PATH, cases=None):
+    """Add the golden vector of every case *path* lacks; rewrite nothing.
+
+    Returns ``(added, changed)``.  When some existing key's vector would
+    change, *changed* lists those keys and the file is left untouched, so
+    adding cases can never silently rewrite a reference.
+    """
+    existing = {}
+    if os.path.exists(path):
+        with open(path) as fh:
+            existing = json.load(fh)
+    fresh = _run_all(cases)
+    changed = sorted(k for k in fresh if k in existing and existing[k] != fresh[k])
+    added = sorted(k for k in fresh if k not in existing)
+    if changed or not added:
+        return added, changed
+    existing.update((k, fresh[k]) for k in added)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(existing, fh, separators=(",", ":"), sort_keys=True)
+        fh.write("\n")
+    return added, changed
 
 
 @pytest.fixture(scope="module")
@@ -306,10 +353,130 @@ def test_exact_sum_block_boundaries(n):
     assert _exact_sum(values).hex() == float(np.asarray(values, dtype=np.float64).sum()).hex()
 
 
+def _scaled(g: CSRGraph, factor: float) -> CSRGraph:
+    return CSRGraph(g.indptr, g.indices, g.weights * factor, g.vertex_weights, sorted_indices=True)
+
+
+#: A power of two: scaling by it keeps every sum exact, and it makes
+#: small integral weights non-integral, so FM takes the fresh-sum path.
+SCALE = 2.0**-10
+
+
+@st.composite
+def _integral_fm_case(draw):
+    """(graph, side, target0, slack) with integral, signed edge weights;
+    with ``hub`` one vertex has degree > 128 (NumPy's pairwise regime)."""
+    hub = draw(st.booleans())
+    n = draw(st.integers(140, 200) if hub else st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = int(rng.integers(1, 3 * n + 1))
+    src, dst = rng.integers(0, n, size=m), rng.integers(0, n, size=m)
+    if hub:
+        spokes = rng.choice(np.arange(1, n), size=130, replace=False)
+        src, dst = np.concatenate([src, np.zeros(130, dtype=np.int64)]), np.concatenate([dst, spokes])
+    pairs = np.unique(np.stack([np.minimum(src, dst), np.maximum(src, dst)]), axis=1)
+    w = rng.integers(1, 10, size=pairs.shape[1]) * rng.choice([-1, 1], size=pairs.shape[1], p=[0.2, 0.8])
+    g = _sym_graph(n, pairs[0], pairs[1], w.astype(np.float64), rng.choice([1.0, 2.0, 3.0], size=n))
+    total = float(g.vertex_weights.sum())
+    frac = draw(st.sampled_from([0.5, 0.35]))
+    slack = draw(st.sampled_from([None, 0.01 * total]))
+    return g, rng.integers(0, 2, size=n), total * frac, slack
+
+
+@settings(max_examples=60, deadline=None)
+@given(_integral_fm_case())
+def test_fm_integral_path_matches_fresh_sums(case):
+    """Gains kept current by ±2w updates (integral weights) pick the same
+    moves as gains re-summed from rows (the same graph scaled by 2**-10)."""
+    g, side, t0, slack = case
+    scaled = _scaled(g, SCALE)
+    if g.num_edges:
+        assert _integral_weights(g.weights) and not _integral_weights(scaled.weights)
+    np.testing.assert_array_equal(
+        fm_bisection_refine(g, side, t0, slack=slack),
+        fm_bisection_refine(scaled, side, t0, slack=slack),
+    )
+
+
+def _heavy_graph(heavy: float) -> CSRGraph:
+    """The integral hub graph with one edge reweighted to *heavy*."""
+    g = _hub_graph(320, seed=4, weights=np.arange(1.0, 9.0))
+    w = g.weights.copy()
+    i = int(g.indptr[1])  # vertex 1's first edge (1, u) and its mirror (u, 1)
+    u = int(g.indices[i])
+    j = int(g.indptr[u]) + int(np.flatnonzero(g.indices[g.indptr[u] : g.indptr[u + 1]] == 1)[0])
+    w[i] = w[j] = heavy
+    return CSRGraph(g.indptr, g.indices, w, g.vertex_weights, sorted_indices=True)
+
+
+def _heavy_at_limit() -> float:
+    """The heavy weight that makes the graph's Σ|w| exactly 2**52."""
+    return (2.0**52 - float(np.abs(_heavy_graph(0.0).weights).sum())) / 2
+
+
+def test_integral_guard_boundary():
+    """Σ|w| ≤ 2**52 of integers admits the ±2w path; one unit past it, a
+    fraction, NaN or ±inf does not."""
+    at = np.array([2.0**51, 2.0**51])
+    assert _integral_weights(at)
+    assert not _integral_weights(at + np.array([0.0, 1.0]))
+    for bad in (0.5, np.nan, np.inf, -np.inf):
+        assert not _integral_weights(np.array([1.0, bad]))
+    assert _integral_weights(_heavy_graph(_heavy_at_limit()).weights)
+    assert not _integral_weights(_heavy_graph(_heavy_at_limit() + 1).weights)
+
+
+@pytest.mark.parametrize("heavy", ["at", "above", "inf", "-inf"])
+def test_fm_guard_edges_match_scaled(heavy):
+    """At the guard's limit, one unit past it and at ±inf, FM on the graph
+    and on its ×2**-10 copy agree."""
+    limit = _heavy_at_limit()
+    g = _heavy_graph({"at": limit, "above": limit + 1, "inf": np.inf, "-inf": -np.inf}[heavy])
+    t0 = 0.5 * float(g.vertex_weights.sum())
+    side = _side(g, 11)
+    np.testing.assert_array_equal(
+        fm_bisection_refine(g, side, t0), fm_bisection_refine(_scaled(g, SCALE), side, t0)
+    )
+
+
+def test_fresh_sums_run_only_on_non_integral_weights(monkeypatch):
+    calls = []
+
+    def counting(values):
+        calls.append(len(values))
+        return _exact_sum(values)
+
+    monkeypatch.setattr(fm_module, "_exact_sum", counting)
+    g = _hub_graph(320, seed=4, weights=np.arange(1.0, 9.0))
+    t0 = 0.5 * float(g.vertex_weights.sum())
+    fm_bisection_refine(g, _side(g, 11), t0)
+    assert calls == []
+    fm_bisection_refine(_scaled(g, SCALE), _side(g, 11), t0)
+    assert calls
+
+
+def test_add_missing_goldens_adds_but_never_rewrites(tmp_path):
+    cases = [("a", lambda: [0, 1]), ("b", lambda: [1, 0])]
+    path = str(tmp_path / "golden.json")
+    with open(path, "w") as fh:
+        json.dump({"a": [0, 1]}, fh)
+    assert add_missing_goldens(path, cases) == (["b"], [])
+    with open(path) as fh:
+        assert json.load(fh) == {"a": [0, 1], "b": [1, 0]}
+    with open(path, "w") as fh:
+        json.dump({"a": [1, 1]}, fh)
+    assert add_missing_goldens(path, cases) == (["b"], ["a"])
+    with open(path) as fh:
+        assert json.load(fh) == {"a": [1, 1]}
+
+
 if __name__ == "__main__":
-    os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
-    data = _run_all()
-    with open(GOLDEN_PATH, "w") as fh:
-        json.dump(data, fh, separators=(",", ":"), sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {len(data)} golden entries to {GOLDEN_PATH}")
+    added, changed = add_missing_goldens()
+    if changed:
+        print(f"refusing to write {GOLDEN_PATH}: {len(changed)} existing key(s) would change:")
+        for key in changed:
+            print(f"  {key}")
+        sys.exit(1)
+    print(f"added {len(added)} golden entries to {GOLDEN_PATH}")
+    for key in added:
+        print(f"  {key}")

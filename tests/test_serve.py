@@ -48,7 +48,6 @@ from repro.serve import (
     parse_address,
     requests_from_entries,
     response_payload,
-    summarize_latencies,
 )
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
@@ -113,27 +112,6 @@ class TestLatencyHistogram:
         h.observe(50.0)  # overflow bucket
         assert h.count == 2
         assert h.percentile(1.0) == pytest.approx(50.0)
-
-    def test_merge_requires_same_layout_and_is_exact(self):
-        a, b = LatencyHistogram(), LatencyHistogram()
-        for s in (0.01, 0.02):
-            a.observe(s)
-        for s in (0.03, 0.04):
-            b.observe(s)
-        a.merge(b)
-        assert a.count == 4
-        assert a.max_seen == pytest.approx(0.04)
-        with pytest.raises(ValueError):
-            a.merge(LatencyHistogram(buckets_per_decade=5))
-
-    def test_exact_summary_matches_histogram_keys(self):
-        exact = summarize_latencies([0.01, 0.02, 0.03])
-        h = LatencyHistogram()
-        for s in (0.01, 0.02, 0.03):
-            h.observe(s)
-        assert set(exact) == set(h.summary())
-        assert exact["p99_ms"] == pytest.approx(30.0)
-        assert summarize_latencies([]) == {"count": 0}
 
 
 class TestRollingWindow:

@@ -4,7 +4,8 @@ Tracks the primitives the mapping hot paths are built from:
 
 * hop-table lookup (``pairwise_hops`` / ``cross_hops``) vs the
   coordinate-formula ``Torus3D.hop_distance``;
-* one vectorized ``expand_frontier`` BFS level on the torus graph;
+* one ``Machine.bfs_order`` call, the BFS order of the allocated nodes
+  that GETBESTNODE and the swap-partner searches read;
 * one ``batched_swap_gains`` call (Δ=8 candidates) vs Δ scalar
   ``_swap_gain`` invocations;
 * one ``CongestionModel.evaluate_swaps`` call (Δ=8 candidates) vs Δ
@@ -25,12 +26,13 @@ pytest-benchmark prints the comparison table.
 import numpy as np
 import pytest
 
-from repro.graph.csr import CSRGraph, expand_frontier
+from repro.graph.csr import CSRGraph
 from repro.graph.task_graph import TaskGraph
 from repro.kernels import HopTable, batched_swap_gains, hop_table_for
 from repro.kernels.congestion import CongestionModel
 from repro.mapping.refine_wh import _swap_gain, _task_whops
 from repro.partition.driver import PartitionConfig, multilevel_bisect, partition_graph
+from repro.topology.machine import Machine
 from repro.topology.routing import RouteTable, routes_bulk
 from repro.topology.torus import Torus3D
 
@@ -76,18 +78,13 @@ def test_hop_table_cross(benchmark, torus):
     benchmark(lambda: table.cross_hops(cands, nbrs))
 
 
-def test_frontier_expansion(benchmark, torus):
-    gm = torus.graph()
-    assert gm.padded_neighbors() is not None
-    frontier0 = np.arange(0, torus.num_nodes, 97, dtype=np.int64)
-
-    def one_level():
-        seen = np.zeros(gm.num_vertices, dtype=bool)
-        seen[frontier0] = True
-        return expand_frontier(gm, frontier0, seen)
-
-    out = benchmark(one_level)
-    assert out.size > 0
+def test_bfs_order(benchmark, torus):
+    nodes = np.random.default_rng(5).choice(torus.num_nodes, 256, replace=False)
+    machine = Machine(torus, nodes, 4)
+    machine.alloc_hops()  # the one-off build is not what this times
+    seeds = nodes[:8]
+    order, _ = benchmark(lambda: machine.bfs_order(seeds))
+    assert order.size == 256
 
 
 @pytest.fixture(scope="module")

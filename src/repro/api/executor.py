@@ -48,6 +48,7 @@ mode's responses are byte-identical to serial (pinned by
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import heapq
 import os
@@ -66,6 +67,7 @@ from repro.api.config import EngineConfig
 from repro.api.fault import NO_RETRY, PlanError, RetryPolicy, maybe_inject
 from repro.api.plan import Plan, PlanNode
 from repro.api.request import MapRequest, MapResponse
+from repro.api.service import BATCH_PLACEMENTS
 
 __all__ = ["BACKENDS", "WorkerSet", "drive_plan", "execute_plan", "default_workers"]
 
@@ -112,15 +114,20 @@ def execute_plan(
         "node_timeout": config.node_timeout,
         "partial": config.on_error == "partial",
     }
-    if pool is not None:
-        return _collect(plan, _run_pooled(plan, service, pool, fault_kw))
     backend = config.backend or "serial"
-    if backend not in BACKENDS:
+    if pool is None and backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
-    if backend == "serial":
-        return _collect(plan, drive_plan(plan, service, **fault_kw))
-    with _batch_pool(service, backend, config) as pool:
-        return _collect(plan, _run_pooled(plan, service, pool, fault_kw))
+    # This batch's placement memo; in-process and thread nodes share it.
+    token = BATCH_PLACEMENTS.set({})
+    try:
+        if pool is not None:
+            return _collect(plan, _run_pooled(plan, service, pool, fault_kw))
+        if backend == "serial":
+            return _collect(plan, drive_plan(plan, service, **fault_kw))
+        with _batch_pool(service, backend, config) as pool:
+            return _collect(plan, _run_pooled(plan, service, pool, fault_kw))
+    finally:
+        BATCH_PLACEMENTS.reset(token)
 
 
 def run_plan_node(service, request: MapRequest, kind: str, algorithm: Optional[str]):
@@ -568,16 +575,20 @@ def _run_pooled(plan: Plan, service, pool, fault_kw: dict) -> List:
     :meth:`ExecutorPool.submit` with ``respawn=pool.respawn``, so a pool
     replaced after a worker crash is picked up mid-batch.
     """
-    if pool.backend == "thread":
+    thread = pool.backend == "thread"
+    if thread:
         service.cache.enable_concurrency()
         run = functools.partial(run_plan_node, service)
     else:
         from repro.api.pool import _worker_run_node as run
 
     def submit(node: PlanNode):
-        return pool.submit(
-            run, plan.requests[node.request_index], node.kind, node.algorithm
-        )
+        args = (run, plan.requests[node.request_index], node.kind, node.algorithm)
+        if thread:
+            # Thread nodes see the batch's placement memo through a copy
+            # of the submitting context.
+            args = (contextvars.copy_context().run,) + args
+        return pool.submit(*args)
 
     with pool.session():
         workers = _ExecutorWorkers(plan, submit, pool.respawn)

@@ -416,7 +416,11 @@ def _worker_init(
     """Build this worker's long-lived service over the pool's store."""
     global _WORKER_SERVICE
     from repro.api.cache import ArtifactCache
-    from repro.api.service import MappingService
+    from repro.api.service import BATCH_PLACEMENTS, MappingService
+
+    # A forked worker starts with the forking thread's context, which may
+    # hold that batch's placement memo; its nodes place for themselves.
+    BATCH_PLACEMENTS.set(None)
 
     store = make_store(
         store_root, namespaces=frozenset(namespaces), remote=store_remote

@@ -14,7 +14,7 @@ the synthetic matrix generators standing in for the University of Florida
 collection used in the paper's evaluation.
 """
 
-from repro.graph.csr import CSRGraph, expand_frontier
+from repro.graph.csr import CSRGraph
 from repro.graph.matrices import SparseMatrix
 from repro.graph.task_graph import TaskGraph, coarse_task_graph
 from repro.graph.generators import (
@@ -32,7 +32,6 @@ from repro.graph.generators import (
 
 __all__ = [
     "CSRGraph",
-    "expand_frontier",
     "SparseMatrix",
     "TaskGraph",
     "coarse_task_graph",

@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["CSRGraph", "expand_frontier"]
+__all__ = ["CSRGraph"]
 
 
 class CSRGraph:
@@ -50,7 +50,6 @@ class CSRGraph:
         "weights",
         "vertex_weights",
         "_undirected_cache",
-        "_padded_cache",
     )
 
     def __init__(
@@ -88,7 +87,6 @@ class CSRGraph:
         if not sorted_indices:
             self._sort_rows()
         self._undirected_cache: Optional["CSRGraph"] = None
-        self._padded_cache = None
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -202,36 +200,6 @@ class CSRGraph:
     def out_degree(self) -> np.ndarray:
         """int64[n] out-degrees."""
         return np.diff(self.indptr)
-
-    _PADDED_MAX_DEGREE = 8
-
-    def padded_neighbors(self) -> Optional[np.ndarray]:
-        """int32[n, d] neighbour matrix, or None for high-degree graphs.
-
-        Rows shorter than the maximum degree are padded with the row's
-        *own* vertex id — harmless to BFS consumers, which filter against
-        a ``seen`` array that already contains the row vertex.  Built
-        lazily and cached; only graphs whose maximum out-degree does not
-        exceed ``_PADDED_MAX_DEGREE`` qualify (the torus graph ``Gm``,
-        degree ≤ 6, is the intended customer).
-        """
-        if self._padded_cache is False:
-            return None
-        if self._padded_cache is None:
-            deg = np.diff(self.indptr)
-            n = self.num_vertices
-            if n == 0 or (deg.size and int(deg.max()) > self._PADDED_MAX_DEGREE):
-                self._padded_cache = False
-                return None
-            width = int(deg.max()) if deg.size else 0
-            pad = np.repeat(
-                np.arange(n, dtype=np.int32)[:, None], max(width, 1), axis=1
-            )
-            rows = np.repeat(np.arange(n, dtype=np.int64), deg)
-            cols = _ranges(deg)
-            pad[rows, cols] = self.indices
-            self._padded_cache = pad
-        return self._padded_cache
 
     def out_volume(self) -> np.ndarray:
         """float64[n] total outgoing edge weight per vertex."""
@@ -442,41 +410,6 @@ class CSRGraph:
 
     def total_edge_weight(self) -> float:
         return float(self.weights.sum())
-
-
-def expand_frontier(
-    graph: CSRGraph, frontier: np.ndarray, seen: np.ndarray
-) -> np.ndarray:
-    """One vectorized BFS step: the unseen neighbours of *frontier*.
-
-    Gathers every frontier adjacency in one shot (the ``indptr`` /
-    ``np.repeat`` / :func:`_ranges` idiom of :meth:`CSRGraph.bfs_levels`),
-    filters against *seen*, marks the survivors seen **in place** and
-    returns them as a sorted, duplicate-free integer array — the exact
-    level ordering the hand-rolled ``for v in frontier.tolist()`` loops
-    of the mapping algorithms used to produce.
-
-    Every *frontier* vertex must already be marked in *seen* (BFS
-    callers guarantee this for their seeds); low-degree graphs then take
-    a padded-matrix gather that skips the ragged-row machinery.
-    """
-    pad = graph.padded_neighbors()
-    if pad is not None:
-        nbrs = pad[frontier].ravel()
-    else:
-        indptr, indices = graph.indptr, graph.indices
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        if int(counts.sum()) == 0:
-            return np.empty(0, dtype=np.int64)
-        gather = np.repeat(starts, counts) + _ranges(counts)
-        nbrs = indices[gather]
-    fresh = nbrs[~seen[nbrs]]
-    if fresh.size == 0:
-        return np.empty(0, dtype=np.int64)
-    fresh = np.unique(fresh)
-    seen[fresh] = True
-    return fresh
 
 
 def _ranges(counts: np.ndarray) -> np.ndarray:

@@ -17,6 +17,12 @@ The algorithm grows a mapped region greedily:
 
 ``NBFS ∈ {0, 1}`` produces two mappings; the driver keeps the lower-WH
 one, exactly as the paper's implementation does.
+
+Hot path: GETBESTNODE only ever picks an allocated node and its seeds
+are allocated, so it reads the BFS order of the allocated nodes from the
+machine's allocation hop matrix (:meth:`Machine.bfs_order`) at a cost
+that does not grow with the torus; the order (level, then id) is the
+allocated part of a BFS of ``Gm``, so the same node wins.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from repro.graph.csr import CSRGraph
 from repro.graph.task_graph import TaskGraph
 from repro.kernels import HopTable, hop_table_for
 from repro.mapping.base import Mapping, validate_mapping, wh_of
-from repro.mapping.bfs import bfs_node_levels
 from repro.topology.machine import Machine
 from repro.util.heap import IntKeyMaxHeap
 
@@ -73,7 +78,6 @@ def greedy_map(task_graph: TaskGraph, machine: Machine, *, nbfs: int = 0) -> np.
     weights = task_graph.loads
     caps = machine.node_capacities().astype(np.float64)
     free = caps.copy()
-    gm = machine.graph()
     # Hoisted out of the per-task placement loop: allocation membership
     # and the hop table are placement-invariant.
     alloc_mask = machine.alloc_mask()
@@ -127,7 +131,7 @@ def greedy_map(task_graph: TaskGraph, machine: Machine, *, nbfs: int = 0) -> np.
 
     for t in order_first:
         node = _get_best_node(
-            t, task_graph, sym, gm, gamma, mapped_mask, free, alloc_mask, table, room
+            t, task_graph, sym, machine, gamma, mapped_mask, free, table, room
         )
         place(t, node)
 
@@ -148,7 +152,7 @@ def greedy_map(task_graph: TaskGraph, machine: Machine, *, nbfs: int = 0) -> np.
                 rest = np.flatnonzero(~mapped_mask)
                 tbest = int(rest[np.argmax(total_vol[rest])])
         node = _get_best_node(
-            tbest, task_graph, sym, gm, gamma, mapped_mask, free, alloc_mask, table, room
+            tbest, task_graph, sym, machine, gamma, mapped_mask, free, table, room
         )
         place(tbest, node)
 
@@ -190,11 +194,10 @@ def _get_best_node(
     task: int,
     task_graph: TaskGraph,
     sym: CSRGraph,
-    gm: CSRGraph,
+    machine: Machine,
     gamma: np.ndarray,
     mapped_mask: np.ndarray,
     free: np.ndarray,
-    alloc_mask: np.ndarray,
     table: HopTable,
     room: Optional[np.ndarray] = None,
 ) -> int:
@@ -205,36 +208,33 @@ def _get_best_node(
       capacity and return the one with the minimum WH increase.
     * Otherwise: BFS from all non-empty nodes and return one of the
       *farthest* allocated nodes with room (spreading unrelated tasks).
+
+    Both read the allocated nodes' BFS order from
+    :meth:`Machine.bfs_order`; ties within a level go to the lowest id.
     """
-    weight = task_graph.loads[task]
     nbrs = sym.neighbors(task)
     nbr_w = sym.neighbor_weights(task)
     mapped_nbrs = nbrs[mapped_mask[nbrs]]
-
-    alloc_ok = room if room is not None else alloc_mask & (free >= weight - 1e-9)
-
-    if mapped_nbrs.size == 0:
-        occupied = np.unique(gamma[gamma >= 0])
-        level = gm.bfs_levels(occupied.tolist())
-        cand = np.flatnonzero(alloc_ok & (level >= 0))
-        if cand.size == 0:
-            # Allocation unreachable through the torus graph cannot happen
-            # (the torus is connected); room must exist by construction.
-            raise ValueError("no free allocated node found")
-        far = level[cand].max()
-        at_far = cand[level[cand] == far]
-        return int(at_far.min())
-
-    # BFS from the neighbours' nodes, level by level, with early exit.
-    seeds = np.unique(gamma[mapped_nbrs])
+    spread = mapped_nbrs.size == 0
     mapped_nbr_nodes = gamma[mapped_nbrs]
-    costs = nbr_w[mapped_mask[nbrs]]
 
-    for level in bfs_node_levels(gm, seeds):
-        cands = level[alloc_ok[level]]
-        if cands.size:
-            # Minimum WH overhead among this level's candidates.
-            overhead = table.cross_hops(cands, mapped_nbr_nodes) @ costs
-            best = np.flatnonzero(overhead == overhead.min())
-            return int(cands[best].min())
-    raise ValueError("BFS exhausted the machine without finding a free node")
+    nodes, levels = machine.bfs_order(gamma[gamma >= 0] if spread else mapped_nbr_nodes)
+    # bfs_order yields allocated nodes only, so free capacity decides.
+    fits = room if room is not None else free >= task_graph.loads[task] - 1e-9
+    ok = fits[nodes]
+    if not ok.any():
+        # Room exists by construction, but on a degraded torus the
+        # seeds may reach none of the free nodes.
+        raise ValueError("no free allocated node found")
+    nodes, levels = nodes[ok], levels[ok]
+    if spread:
+        # The farthest level's lowest id: its first entry in BFS order.
+        return int(nodes[np.searchsorted(levels, levels[-1])])
+
+    # The nearest level holding a free node, in ascending id order.
+    cands = nodes[: np.searchsorted(levels, levels[0], side="right")]
+    costs = nbr_w[mapped_mask[nbrs]]
+    # Minimum WH overhead among this level's candidates.
+    overhead = table.cross_hops(cands, mapped_nbr_nodes) @ costs
+    best = np.flatnonzero(overhead == overhead.min())
+    return int(cands[best].min())

@@ -13,7 +13,10 @@ capacity stays exact) using the same machinery: a whHeap of per-rank WH
 contributions, BFS-ordered candidate nodes from the ranks' neighbour
 nodes, and a Δ early exit.  Because every rank on a candidate node is a
 potential partner, each BFS-visited node contributes up to
-``procs_per_node`` candidates.
+``procs_per_node`` candidates.  The BFS order of the allocated nodes
+comes from the allocation hop matrix
+(:meth:`~repro.topology.machine.Machine.bfs_order`), so a search costs
+the same on any torus size.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from repro.kernels import (
     refresh_whops_around,
     total_weighted_hops,
 )
-from repro.mapping.bfs import bfs_node_levels
 from repro.topology.machine import Machine
 from repro.util.heap import IntKeyMaxHeap
 
@@ -72,8 +74,6 @@ class FineWHRefiner:
         gamma = np.asarray(fine_gamma, dtype=np.int64).copy()
         sym = task_graph.symmetrized()
         table = hop_table_for(machine.torus)
-        gm = machine.graph()
-        alloc_mask = machine.alloc_mask()
         n = task_graph.num_tasks
 
         # node -> list of hosted ranks.
@@ -92,40 +92,36 @@ class FineWHRefiner:
                 twh, contrib = heap.pop()
                 if contrib <= 0:
                     continue  # nothing to gain from a zero-WH rank
-                gain = self._try_swap(
-                    twh, sym, table, gm, alloc_mask, gamma, hosted, heap
-                )
+                gain = self._try_swap(twh, sym, table, machine, gamma, hosted, heap)
                 wh -= gain
             if pass_start <= 0 or (pass_start - wh) / pass_start <= self.min_gain:
                 break
         return gamma
 
     # ------------------------------------------------------------------
-    def _try_swap(self, twh, sym, table, gm, alloc_mask, gamma, hosted, heap) -> float:
+    def _try_swap(self, twh, sym, table, machine, gamma, hosted, heap) -> float:
         nbrs = sym.neighbors(twh)
         if nbrs.size == 0:
             return 0.0
         na = int(gamma[twh])
-        seeds = np.unique(gamma[nbrs])
+        nodes, _ = machine.bfs_order(gamma[nbrs])
         checked = 0
-        for level in bfs_node_levels(gm, seeds.tolist()):
-            eligible = level[alloc_mask[level] & (level != na)]
-            for node in eligible.tolist():
-                for t in list(hosted.get(node, ())):
-                    if checked >= self.delta:
-                        return 0.0
-                    checked += 1
-                    gain = _fine_swap_gain(twh, t, sym, table, gamma)
-                    if gain > 1e-12:
-                        nb = int(gamma[t])
-                        gamma[twh] = nb
-                        gamma[t] = na
-                        hosted[na].remove(twh)
-                        hosted[nb].remove(t)
-                        hosted[na].append(t)
-                        hosted[nb].append(twh)
-                        refresh_whops_around(heap, sym, table, gamma, (twh, t))
-                        return gain
+        for node in nodes[nodes != na].tolist():
+            for t in list(hosted.get(node, ())):
+                if checked >= self.delta:
+                    return 0.0
+                checked += 1
+                gain = _fine_swap_gain(twh, t, sym, table, gamma)
+                if gain > 1e-12:
+                    nb = int(gamma[t])
+                    gamma[twh] = nb
+                    gamma[t] = na
+                    hosted[na].remove(twh)
+                    hosted[nb].remove(t)
+                    hosted[na].append(t)
+                    hosted[nb].append(twh)
+                    refresh_whops_around(heap, sym, table, gamma, (twh, t))
+                    return gain
         return 0.0
 
 

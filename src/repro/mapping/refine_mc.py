@@ -17,8 +17,11 @@ the shared :class:`~repro.kernels.congestion.CongestionModel` (per-edge
 route table, per-link loads, ``commTasks`` CSR — everything incremental);
 this module keeps only the search policy of Algorithm 3: pop order,
 candidate ordering, acceptance rule and early exits follow the paper
-exactly.  The ≤Δ candidates of one search are scored in a single batched
-kernel call (:meth:`CongestionModel.evaluate_swaps`) that reads every new
+exactly.  The BFS order of the candidate nodes is read from the
+allocation hop matrix (:meth:`~repro.topology.machine.Machine.bfs_order`),
+so a search costs the same on any torus size.  The ≤Δ candidates of one
+search are scored in a single batched kernel call
+(:meth:`CongestionModel.evaluate_swaps`) that reads every new
 route from the model's pair-route memo, and a task whose search found no
 partner is not searched again until the next commit changes the state.
 """
@@ -26,14 +29,13 @@ partner is not searched again until the next commit changes the state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.graph.task_graph import TaskGraph
 from repro.kernels.congestion import CongestionModel
 from repro.mapping.base import Mapping, validate_mapping
-from repro.mapping.bfs import bfs_node_levels
 from repro.topology.machine import Machine
 from repro.topology.routing import RouteTable, shared_route_table
 
@@ -111,10 +113,8 @@ class MCRefiner:
             self.metric,
             route_table=self._shared_route_table(task_graph, mapping, cache),
         )
-        gm = machine.graph()
         sym = task_graph.symmetrized()
         weights = task_graph.loads
-        alloc_mask = machine.alloc_mask()
 
         swaps = 0
         while swaps < self.max_swaps:
@@ -131,9 +131,7 @@ class MCRefiner:
                 for tmc in state.tasks_through(emc):
                     if tmc in failed:
                         continue
-                    partner = self._find_swap(
-                        tmc, state, sym, weights, gm, alloc_mask
-                    )
+                    partner = self._find_swap(tmc, state, sym, weights)
                     if partner is None:
                         failed.add(tmc)
                         continue
@@ -169,37 +167,25 @@ class MCRefiner:
         state: "_CongestionState",
         sym,
         weights: np.ndarray,
-        gm,
-        alloc_mask: np.ndarray,
     ) -> Optional[int]:
         """First MC/AC-improving partner among ≤Δ BFS-ordered candidates.
 
-        Eligibility is filtered per BFS level in one vectorized shot; the
-        first Δ surviving candidates are scored in a single batched
-        kernel call and the first improving partner (in BFS order) wins —
-        exactly the partner the scalar probe-one-by-one loop commits.
+        Eligibility is filtered over the whole BFS order in one
+        vectorized shot; the first Δ surviving candidates are scored in
+        a single batched kernel call and the first improving partner (in
+        BFS order) wins — exactly the partner the scalar
+        probe-one-by-one loop commits.
         """
         nbrs = sym.neighbors(tmc)
         if nbrs.size == 0:
             return None
-        seeds = np.unique(state.gamma[nbrs])
-        w_tmc = weights[tmc]
-        collected: List[np.ndarray] = []
-        total = 0
-        for level in bfs_node_levels(gm, seeds.tolist()):
-            hosts = state.host[level]
-            # host[Γ[tmc]] == tmc subsumes the scalar "skip our own node".
-            ok = alloc_mask[level] & (hosts >= 0) & (hosts != tmc)
-            cand = hosts[ok]
-            cand = cand[weights[cand] == w_tmc]
-            if cand.size:
-                collected.append(cand)
-                total += int(cand.size)
-                if total >= self.delta:
-                    break
-        if total == 0:
+        nodes, _ = state.machine.bfs_order(state.gamma[nbrs])
+        hosts = state.host[nodes]
+        # host[Γ[tmc]] == tmc subsumes the scalar "skip our own node".
+        cand = hosts[(hosts >= 0) & (hosts != tmc)]
+        cands = cand[weights[cand] == weights[tmc]][: self.delta]
+        if cands.size == 0:
             return None
-        cands = np.concatenate(collected)[: self.delta]
         if not self.batch_candidates:
             for t in cands.tolist():
                 if state.swap_improves(tmc, int(t)):

@@ -20,22 +20,21 @@ the paper's setting but keeps heterogeneous configurations feasible).
 
 Hot-path layout (behaviour-identical to the scalar reference, pinned by
 the golden-equivalence tests): the ≤Δ BFS-ordered candidates of a popped
-task are collected level by level with the vectorized
-:func:`repro.graph.csr.expand_frontier` kernel and scored in **one**
-:func:`repro.kernels.batched_swap_gains` call; per-task ``TASKWHOPS``
-rows are cached in a flat array and refreshed only around committed
-swaps, feeding both the bulk ``whHeap`` build of each pass and the
-post-swap heap updates.
+task are read off the allocated nodes' BFS order
+(:meth:`repro.topology.machine.Machine.bfs_order`, a lookup in the
+allocation hop matrix whose cost does not grow with the torus) and
+scored in **one** :func:`repro.kernels.batched_swap_gains` call;
+per-task ``TASKWHOPS`` rows are cached in a flat array and refreshed
+only around committed swaps, feeding both the bulk ``whHeap`` build of
+each pass and the post-swap heap updates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
-from repro.graph.csr import expand_frontier
 from repro.graph.task_graph import TaskGraph
 from repro.kernels import (
     all_task_whops,
@@ -65,9 +64,7 @@ class WHRefiner:
         machine = mapping.machine
         sym = task_graph.symmetrized()
         weights = task_graph.loads
-        gm = machine.graph()
         table = hop_table_for(machine.torus)
-        alloc_mask = machine.alloc_mask()
 
         # task currently hosted by each node (one-to-one at group level).
         host = np.full(machine.torus.num_nodes, -1, dtype=np.int64)
@@ -82,7 +79,6 @@ class WHRefiner:
         # With uniform group weights (the paper's setting) the equal-weight
         # swap restriction is vacuous; skip the per-level filter then.
         uniform = bool(np.all(weights == weights[0])) if weights.size else True
-        seen_buf = np.zeros(gm.num_vertices, dtype=bool)
         for _ in range(self.max_passes):
             pass_start_wh = wh
             heap = IntKeyMaxHeap.from_priorities(whops)
@@ -93,14 +89,12 @@ class WHRefiner:
                     sym,
                     weights,
                     table,
-                    gm,
-                    alloc_mask,
+                    machine,
                     gamma,
                     host,
                     heap,
                     whops,
                     uniform,
-                    seen_buf,
                 )
                 wh -= gain
             if pass_start_wh <= 0:
@@ -118,51 +112,35 @@ class WHRefiner:
         sym,
         weights: np.ndarray,
         table,
-        gm,
-        alloc_mask: np.ndarray,
+        machine,
         gamma: np.ndarray,
         host: np.ndarray,
         heap: IntKeyMaxHeap,
         whops: np.ndarray,
         uniform: bool,
-        seen: np.ndarray,
     ) -> float:
         """Score ≤Δ BFS-ordered candidates; commit the first improving swap.
 
         Returns the WH gain achieved (0.0 when no swap was committed).
-        The candidate *filtering* (allocation membership, hosting a task,
-        equal weights) consumes no Δ budget — only scored candidates do —
-        matching the scalar reference exactly.
+        The candidate *filtering* (hosting a task, equal weights)
+        consumes no Δ budget — only scored candidates do — matching the
+        scalar reference exactly.
         """
         nbrs = sym.neighbors(twh)
         if nbrs.size == 0:
             return 0.0
-        seeds = np.unique(gamma[nbrs])
 
-        # ---- collect the first ≤Δ eligible partners in BFS order ----
-        batches: List[np.ndarray] = []
-        budget = self.delta
-        seen[:] = False
-        frontier = seeds
-        seen[frontier] = True
-        while frontier.size and budget > 0:
-            hosts = host[frontier]
-            # host[Γ[twh]] == twh, so the "skip our own node" test of the
-            # scalar path is subsumed by hosts != twh.
-            ok = alloc_mask[frontier] & (hosts >= 0) & (hosts != twh)
-            cand = hosts[ok]
-            if not uniform:
-                cand = cand[weights[cand] == weights[twh]]
-            if cand.size:
-                take = cand[:budget]
-                batches.append(take)
-                budget -= take.size
-                if budget <= 0:
-                    break
-            frontier = expand_frontier(gm, frontier, seen)
-        if not batches:
+        # ---- the first ≤Δ eligible partners in BFS order ----
+        nodes, _ = machine.bfs_order(gamma[nbrs])
+        hosts = host[nodes]
+        # host[Γ[twh]] == twh, so the "skip our own node" test of the
+        # scalar path is subsumed by hosts != twh.
+        cand = hosts[(hosts >= 0) & (hosts != twh)]
+        if not uniform:
+            cand = cand[weights[cand] == weights[twh]]
+        partners = cand[: self.delta]
+        if partners.size == 0:
             return 0.0
-        partners = batches[0] if len(batches) == 1 else np.concatenate(batches)
         na = int(gamma[twh])
 
         # ---- one batched gain evaluation for the whole candidate set ----

@@ -5,11 +5,20 @@ allocated node set ``Va ⊆ Vm`` and per-node computation capacities
 ``w(m)`` (the number of allocated processors on each node; zero for nodes
 outside the allocation).  Mapping algorithms receive a ``Machine`` and
 never look at raw torus internals beyond distances, routes and BFS.
+
+The paper's searches (GETBESTNODE, the swap-partner loops of Algorithms
+2 and 3) visit nodes "in BFS order from Γ[nghbor(t)]" but only ever
+pick allocated nodes, and their seeds are allocated too.  So the
+machine keeps one matrix of ``Gm`` BFS hops between allocated nodes
+(:meth:`Machine.alloc_hops`), and :meth:`Machine.bfs_order` turns it into
+the allocated subsequence of a multi-source BFS: a node's level is its
+fewest hops from any seed, and a level lists its nodes by id.  A
+search then costs O(seeds × |Va|), whatever the torus size.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +50,8 @@ class Machine:
         "capacities",
         "_alloc_mask",
         "_alloc_index",
+        "_by_id",
+        "_alloc_hops",
     )
 
     def __init__(
@@ -73,6 +84,8 @@ class Machine:
         self.capacities = caps
         self._alloc_mask: Optional[np.ndarray] = None
         self._alloc_index: Optional[np.ndarray] = None
+        self._by_id: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._alloc_hops: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     @property
@@ -116,6 +129,58 @@ class Machine:
 
     def hop_distance(self, u, v) -> np.ndarray:
         return self.torus.hop_distance(u, v)
+
+    def _sorted_alloc(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(nodes, row)``: *alloc_nodes* by id, and each node's position there."""
+        if self._by_id is None:
+            nodes = np.sort(self.alloc_nodes)
+            row = np.full(self.torus.num_nodes, -1, dtype=np.int64)
+            row[nodes] = np.arange(nodes.shape[0])
+            self._by_id = (nodes, row)
+        return self._by_id
+
+    def alloc_hops(self) -> np.ndarray:
+        """``[|Va|, |Va|]`` ``Gm`` BFS hops between allocated nodes (cached).
+
+        Rows are sources and columns targets, both in ascending node id.
+        The dtype is the smallest unsigned integer holding every hop
+        count, and its maximum marks a pair with no path.  On a healthy
+        torus BFS hops equal the ring distance, so the matrix is a
+        gather from the torus' :class:`~repro.kernels.HopTable`.  With
+        faults it comes from one BFS of ``Gm`` per allocated node: a dead
+        link can fail in one direction only, and some pairs may be cut
+        off entirely.
+        """
+        if self._alloc_hops is None:
+            nodes, _ = self._sorted_alloc()
+            if self.has_faults:
+                gm = self.torus.graph()
+                hops = np.stack([gm.bfs_levels([int(s)])[nodes] for s in nodes])
+            else:
+                hops = self.torus.hop_table().cross_hops(nodes, nodes)
+            dtype = np.min_scalar_type(int(hops.max()) + 1)
+            out = hops.astype(dtype)
+            out[hops < 0] = np.iinfo(dtype).max
+            self._alloc_hops = out
+        return self._alloc_hops
+
+    def bfs_order(self, seeds) -> Tuple[np.ndarray, np.ndarray]:
+        """Allocated nodes in ``Gm`` BFS order from *seeds*: ``(nodes, levels)``.
+
+        *seeds* is an array of allocated node ids.  Nodes come
+        sorted by level (fewest hops from any seed; the seeds themselves
+        are level 0), then by id; nodes no seed reaches are left out.
+        This is exactly the allocated part of :meth:`CSRGraph.bfs_levels`
+        from the same seeds, in (level, id) order.
+        """
+        hops = self.alloc_hops()
+        nodes, row = self._sorted_alloc()
+        unreached = np.iinfo(hops.dtype).max
+        level = hops[row[seeds]].min(axis=0, initial=unreached)
+        order = np.argsort(level, kind="stable")
+        level = level[order]
+        reached = np.searchsorted(level, unreached)
+        return nodes[order[:reached]], level[:reached]
 
     def uniform_capacity(self) -> bool:
         """True if every allocated node offers the same processor count."""

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import json
 import threading
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from repro.api import (
     MappingService,
     MapRequest,
     build_plan,
+    get_spec,
 )
 from repro.api.executor import execute_plan
 from repro.api.request import MapResponse
@@ -342,6 +345,134 @@ class TestExecutionSemantics:
             ("a", "UWH"),
             ("b", "UG"),
         ]
+
+
+class TestSharedPlacement:
+    """One placement per (request, stage, coarse view) per ``map_batch``."""
+
+    ALGOS = ("UG", "UWH", "UMC", "UMMC", "HIER", "HIERWH", "SFC", "SFCWH")
+    SHARED = {"greedy": 4, "hier": 2, "sfc": 2}  # consumers per stage
+    PAUSE = 0.02  # seconds each counted placement run adds
+
+    @pytest.fixture()
+    def counted(self, monkeypatch):
+        """Count (and slow down) every run of the shared placement stages."""
+        from repro.api.stages import PLACEMENT_STAGES
+
+        runs = {name: 0 for name in self.SHARED}
+        lock = threading.Lock()
+
+        def counting(name, fn):
+            def stage(ctx):
+                with lock:
+                    runs[name] += 1
+                time.sleep(self.PAUSE)
+                return fn(ctx)
+
+            return stage
+
+        for name in self.SHARED:
+            monkeypatch.setitem(
+                PLACEMENT_STAGES, name, counting(name, PLACEMENT_STAGES[name])
+            )
+        return runs
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_each_placement_runs_once_per_batch(self, setup, counted, backend):
+        tg, machine = setup
+        request = MapRequest(task_graph=tg, machine=machine, algorithms=self.ALGOS, seed=2)
+        service = MappingService()
+        config = EngineConfig(backend=backend, workers=2)
+        first = service.map_batch(request, config=config)
+        assert counted == {name: 1 for name in self.SHARED}
+        second = service.map_batch(request, config=config)
+        assert counted == {name: 2 for name in self.SHARED}, "no reuse across batches"
+        for a, b in zip(first, second):
+            _assert_responses_identical(a, b)
+        for response in first:
+            spec = get_spec(response.algorithm)
+            seconds = response.stage_times[f"placement:{spec.placement}"]
+            assert seconds >= self.PAUSE
+            assert response.result.map_time >= seconds
+        greedy = {r.stage_times["placement:greedy"] for r in first if r.algorithm[0] == "U"}
+        assert len(greedy) == 1, "every consumer bills the one run's seconds"
+
+    def test_thread_stress_one_run_per_request(self, setup, counted):
+        """More threads than cores, tiny switch interval: still one run each."""
+        import sys
+
+        tg, machine = setup
+        requests = [
+            MapRequest(task_graph=tg, machine=machine, algorithms=self.ALGOS, seed=s)
+            for s in range(3)
+        ]
+        serial = MappingService().map_batch(requests)
+        counted.update((name, 0) for name in counted)
+        out = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(
+                target=lambda: out.extend(
+                    MappingService().map_batch(
+                        requests, config=EngineConfig(backend="thread", workers=6)
+                    )
+                )
+            )
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert counted == {name: len(requests) for name in self.SHARED}
+        assert len(out) == len(serial)
+        for a, b in zip(serial, out):
+            _assert_responses_identical(a, b)
+
+    def test_responses_equal_one_algorithm_batches(self, setup):
+        tg, machine = setup
+        request = MapRequest(
+            task_graph=tg, machine=machine, algorithms=self.ALGOS, seed=2, evaluate=True
+        )
+        shared = MappingService().map_batch(request)
+        for response in shared:
+            alone = MappingService().map_batch(
+                replace(request, algorithms=(response.algorithm,))
+            )
+            _assert_responses_identical(response, alone[0])
+
+    def test_refiners_cannot_touch_the_shared_gamma(self, setup, monkeypatch):
+        """A refiner scrambling its input in place leaves UG's Γ alone."""
+        from repro.api.stages import REFINE_STAGES
+
+        real = REFINE_STAGES["wh"]
+
+        def scrambling(ctx, mapping):
+            mapping.gamma[:] = mapping.gamma[::-1].copy()
+            return real(ctx, mapping)
+
+        monkeypatch.setitem(REFINE_STAGES, "wh", scrambling)
+        tg, machine = setup
+        request = MapRequest(task_graph=tg, machine=machine, algorithms=("UWH", "UG"), seed=2)
+        uwh, ug = MappingService().map_batch(request)
+        (alone,) = MappingService().map_batch(replace(request, algorithms=("UG",)))
+        np.testing.assert_array_equal(ug.coarse_gamma, alone.coarse_gamma)
+        assert ug.coarse_gamma.flags.writeable
+        assert not np.shares_memory(ug.coarse_gamma, uwh.coarse_gamma)
+
+    def test_process_workers_start_without_a_memo(self, tmp_path):
+        """A worker forked mid-batch must not inherit the batch's memo."""
+        import contextvars
+
+        from repro.api.pool import _worker_init
+        from repro.api.service import BATCH_PLACEMENTS
+
+        def forked_worker():
+            BATCH_PLACEMENTS.set({"stale": object()})
+            _worker_init(str(tmp_path), ["grouping"], None)
+            return BATCH_PLACEMENTS.get()
+
+        assert contextvars.copy_context().run(forked_worker) is None
 
 
 class TestProcessStoreSharing:

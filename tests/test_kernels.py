@@ -1,8 +1,7 @@
 """Unit equivalence tests for the vectorized kernel layer.
 
 Each kernel is checked against the scalar reference it replaced:
-``HopTable`` against ``Torus3D.hop_distance``, ``expand_frontier``
-against a hand-rolled Python BFS level sweep, ``IntKeyMaxHeap`` against
+``HopTable`` against ``Torus3D.hop_distance``, ``IntKeyMaxHeap`` against
 a :mod:`heapq` model with lazy deletion under a randomized operation
 stream, and
 ``batched_swap_gains`` / ``all_task_whops`` against the scalar
@@ -16,7 +15,6 @@ import heapq
 import numpy as np
 import pytest
 
-from repro.graph.csr import CSRGraph, expand_frontier
 from repro.graph.task_graph import TaskGraph
 from repro.kernels import (
     HopTable,
@@ -87,61 +85,6 @@ class TestHopTable:
         # the cached default-threshold table is untouched
         assert hop_table_for(torus) is default
         assert default.has_matrix is True
-
-
-# ----------------------------------------------------------------------
-# expand_frontier
-# ----------------------------------------------------------------------
-def _reference_expand(graph, frontier, seen):
-    """The pre-kernel hand-rolled expansion loop (scalar reference)."""
-    nxt = []
-    for v in frontier.tolist():
-        for u in graph.neighbors(v).tolist():
-            if not seen[u]:
-                seen[u] = True
-                nxt.append(u)
-    return np.asarray(sorted(set(nxt)), dtype=np.int64)
-
-
-class TestExpandFrontier:
-    @pytest.mark.parametrize("padded", [True, False])
-    def test_matches_reference_sweep(self, padded):
-        if padded:
-            g = Torus3D((4, 3, 3)).graph()  # degree <= 6: padded path
-            assert g.padded_neighbors() is not None
-        else:
-            rng = np.random.default_rng(8)
-            src = rng.integers(0, 40, size=500)
-            dst = rng.integers(0, 40, size=500)
-            keep = src != dst
-            g = CSRGraph.from_edges(40, src[keep], dst[keep])
-            assert g.padded_neighbors() is None  # degree too high
-        n = g.num_vertices
-        seen_a = np.zeros(n, dtype=bool)
-        seen_b = np.zeros(n, dtype=bool)
-        frontier = np.asarray([0, 5, 7], dtype=np.int64)
-        seen_a[frontier] = True
-        seen_b[frontier] = True
-        fa = frontier
-        fb = frontier
-        while fa.size or fb.size:
-            fa = expand_frontier(g, fa, seen_a)
-            fb = _reference_expand(g, fb, seen_b)
-            np.testing.assert_array_equal(np.asarray(fa, dtype=np.int64), fb)
-            np.testing.assert_array_equal(seen_a, seen_b)
-
-    def test_empty_when_exhausted(self):
-        g = Torus3D((2, 2, 1)).graph()
-        seen = np.ones(g.num_vertices, dtype=bool)
-        out = expand_frontier(g, np.asarray([0]), seen)
-        assert out.size == 0
-
-    def test_padded_rows_use_own_id(self):
-        g = CSRGraph.from_edges(4, [0, 1, 1], [1, 0, 2])
-        pad = g.padded_neighbors()
-        assert pad is not None
-        # vertex 3 has no neighbours: its row is all self-padding.
-        assert set(pad[3].tolist()) == {3}
 
 
 # ----------------------------------------------------------------------

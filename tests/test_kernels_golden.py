@@ -6,19 +6,23 @@ preserve *bit-identical* mappings — same Γ vectors, same tie-breaks —
 as the scalar paths it replaced.  The goldens in
 ``tests/data/golden_mappings.json`` were generated by running the
 pre-refactor scalar implementation on the seeded scenarios below
-(``python tests/test_kernels_golden.py`` regenerates them; do NOT
-regenerate after touching mapping code unless a behaviour change is
-intended and reviewed).
+(``python tests/test_kernels_golden.py`` only *adds* the keys the file
+lacks; when an existing key's value would change it writes nothing,
+lists those keys and exits 1).  New keys are generated with the mapping
+code of the commit *before* the change they are meant to pin.
 
 Scenarios cover all seven paper algorithms plus the UTH/UWHF
 extensions (``EXTENDED_MAPPER_NAMES``), a heterogeneous-capacity
-machine and a disconnected task graph, per the kernel-layer issue.
+machine, a disconnected task graph, and a degraded torus (one dead
+node, one dead link direction) whose BFS tie order only these goldens
+pin.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -82,6 +86,22 @@ def _heterogeneous_machine(seed: int) -> Machine:
     return Machine(torus, nodes, caps)
 
 
+def _degraded_machine() -> Machine:
+    """20 live nodes of a 4x4x4 torus: node 37 dead, link 1 -> 5 dead.
+
+    Only the ``1 -> 5`` direction of that cable fails (link id
+    ``1 * 6 + 2``), so BFS distances between allocated nodes are not
+    symmetric on this machine, and every degraded mapper's output differs
+    from what ring distances would give.
+    """
+    return _allocated_machine((4, 4, 4), 21, 4, seed=13).degrade(
+        dead_links=[8], dead_nodes=[37]
+    )
+
+
+DEGRADED_MAPPER_NAMES = ("UG", "UWH", "UMC", "UMMC", "UWHF")
+
+
 def scenarios():
     """(name, task_graph, machine, mapper_names) golden scenarios."""
     main_machine = _allocated_machine((5, 4, 3), 24, 4, seed=5)
@@ -94,10 +114,16 @@ def scenarios():
     ]
 
 
-def _run_all():
+def all_scenarios():
+    """:func:`scenarios` plus the degraded-torus scenario."""
+    degraded = _random_task_graph(80, 560, seed=41), _degraded_machine()
+    return scenarios() + [("degraded", *degraded, DEGRADED_MAPPER_NAMES)]
+
+
+def _run_all(cases=None):
     """Run every (scenario, mapper) pair; return the golden record dict."""
     record = {}
-    for name, tg, machine, mapper_names in scenarios():
+    for name, tg, machine, mapper_names in cases or all_scenarios():
         for algo in mapper_names:
             result = TwoPhaseMapper(algorithm=algo, seed=3).map(tg, machine)
             metrics = evaluate_mapping(tg, machine, result.fine_gamma)
@@ -111,6 +137,29 @@ def _run_all():
     return record
 
 
+def add_missing_goldens(path=GOLDEN_PATH, cases=None):
+    """Add the golden record of every key *path* lacks; rewrite nothing.
+
+    Returns ``(added, changed)``.  When some existing key's record would
+    change, *changed* lists those keys and the file is left untouched, so
+    adding scenarios can never silently rewrite a reference.
+    """
+    existing = {}
+    if os.path.exists(path):
+        with open(path) as fh:
+            existing = json.load(fh)
+    fresh = _run_all(cases)
+    changed = sorted(k for k in fresh if k in existing and existing[k] != fresh[k])
+    added = sorted(k for k in fresh if k not in existing)
+    if changed or not added:
+        return added, changed
+    existing.update((k, fresh[k]) for k in added)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(existing, fh, indent=1, sort_keys=True)
+    return added, changed
+
+
 @pytest.fixture(scope="module")
 def golden():
     if not os.path.exists(GOLDEN_PATH):
@@ -122,10 +171,10 @@ def golden():
         return json.load(fh)
 
 
-@pytest.mark.parametrize("scenario_idx", range(3))
+@pytest.mark.parametrize("scenario_idx", range(4))
 def test_golden_equivalence(golden, scenario_idx):
     """The batched kernels reproduce the scalar-reference goldens bit for bit."""
-    name, tg, machine, mapper_names = scenarios()[scenario_idx]
+    name, tg, machine, mapper_names = all_scenarios()[scenario_idx]
     for algo in mapper_names:
         key = f"{name}/{algo}"
         assert key in golden, f"missing golden entry {key}"
@@ -147,9 +196,41 @@ def test_golden_equivalence(golden, scenario_idx):
         assert metrics.mmc == want["mmc"], f"MMC diverged for {key}"
 
 
+def test_degraded_machine_is_asymmetric():
+    """The degraded scenario really exercises a one-way dead link."""
+    machine = _degraded_machine()
+    assert 37 not in machine.alloc_nodes.tolist()
+    levels_from_1 = machine.graph().bfs_levels([1])
+    levels_from_5 = machine.graph().bfs_levels([5])
+    assert levels_from_1[5] > 1 and levels_from_5[1] == 1
+
+
+def test_add_missing_goldens_adds_but_never_rewrites(tmp_path):
+    tg = _random_task_graph(12, 40, seed=1)
+    machine = _allocated_machine((2, 2, 2), 3, 4, seed=2)
+    cases = [("tiny", tg, machine, ("UG",))]
+    (want,) = _run_all(cases).values()
+    path = str(tmp_path / "golden.json")
+    with open(path, "w") as fh:
+        json.dump({"keep": 1}, fh)
+    assert add_missing_goldens(path, cases) == (["tiny/UG"], [])
+    with open(path) as fh:
+        assert json.load(fh) == {"keep": 1, "tiny/UG": want}
+    stale = dict(want, wh=want["wh"] + 1)
+    with open(path, "w") as fh:
+        json.dump({"tiny/UG": stale}, fh)
+    assert add_missing_goldens(path, cases) == ([], ["tiny/UG"])
+    with open(path) as fh:
+        assert json.load(fh) == {"tiny/UG": stale}
+
+
 if __name__ == "__main__":
-    os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
-    data = _run_all()
-    with open(GOLDEN_PATH, "w") as fh:
-        json.dump(data, fh, indent=1, sort_keys=True)
-    print(f"wrote {len(data)} golden entries to {GOLDEN_PATH}")
+    added, changed = add_missing_goldens()
+    if changed:
+        print(f"refusing to write {GOLDEN_PATH}: {len(changed)} existing key(s) would change:")
+        for key in changed:
+            print(f"  {key}")
+        sys.exit(1)
+    print(f"added {len(added)} golden entries to {GOLDEN_PATH}")
+    for key in added:
+        print(f"  {key}")

@@ -71,12 +71,7 @@ from repro.api.executor import BACKENDS, execute_plan
 from repro.api.fault import FaultInjector, InjectedFault, PlanError, RetryPolicy
 from repro.api.plan import Plan, PlanNode, build_plan
 from repro.api.pool import POOL_BACKENDS, ExecutorPool
-from repro.api.store import (
-    ArtifactStore,
-    DiskArtifactStore,
-    TieredArtifactStore,
-    make_store,
-)
+from repro.api.store import DiskArtifactStore
 from repro.api.registry import (
     MapperRegistrationError,
     MapperSpec,
@@ -102,14 +97,11 @@ from repro.api.stages import (
 
 __all__ = [
     "ArtifactCache",
-    "ArtifactStore",
     "AsyncMappingService",
     "BACKENDS",
     "CacheStats",
     "DiskArtifactStore",
     "EngineConfig",
-    "TieredArtifactStore",
-    "make_store",
     "ExecutorPool",
     "FaultInjector",
     "InjectedFault",

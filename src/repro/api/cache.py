@@ -372,15 +372,10 @@ class ArtifactCache:
     def store_stats(self) -> Optional[dict]:
         """The layered store's I/O counters (None when unlayered).
 
-        The read path is memory LRU (this cache) → disk → remote; this
-        exposes the lower tiers' side of it — load/save/skip counters
-        for disk, plus the remote's under ``"remote"`` when one is
-        layered in.
+        The read path is memory LRU (this cache) → disk; this exposes
+        the disk side of it — its load/save/skip counters.
         """
-        store = self.store
-        if store is None or not hasattr(store, "stats"):
-            return None
-        return store.stats()
+        return None if self.store is None else self.store.stats()
 
     def clear(self, namespace: Optional[str] = None) -> None:
         """Drop all in-memory artifacts, or only one namespace's.

@@ -39,14 +39,6 @@ Subcommands
     Query a running ``serve`` instance's observability snapshot:
     queue depths, shed/coalesce counters, p50/p95/p99 latencies, pool
     health and cache statistics.
-``store-serve``
-    Run a remote content-addressed artifact store: a TCP object server
-    any number of engines and shard hosts layer under their disk
-    store (``--store-remote HOST:PORT``).
-``shard-serve``
-    Run one shard host for multi-host batch execution: it executes
-    individual plan nodes for a coordinating ``map-batch --hosts ...``
-    process, sharing artifacts through the ``store-serve`` store.
 
 Examples::
 
@@ -90,7 +82,7 @@ from repro.api.executor import BACKENDS
 from repro.api.registry import UnknownMapperError, get_spec, registered_mappers
 from repro.api.request import MapRequest
 from repro.api.service import MappingService
-from repro.api.store import make_store
+from repro.api.store import DiskArtifactStore
 from repro.data.corpus import CORPUS
 from repro.partition.toolbox import PARTITIONER_NAMES
 from repro.serve.protocol import (
@@ -281,61 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_stats.add_argument("--json", action="store_true", help="emit JSON")
 
-    p_store = sub.add_parser(
-        "store-serve",
-        help="run a remote content-addressed artifact store",
-        description="Serve a content-addressed artifact store over TCP. "
-        "Engines and shard hosts layer it under their disk store via "
-        "--store-remote HOST:PORT: writes replicate in, reads promote "
-        "onto the local disk.  The on-disk layout is identical to a "
-        "local --store-dir, so an existing store directory can be served "
-        'as-is.  Prints one {"listening": [host, port]} line once bound; '
-        "SIGINT/SIGTERM shut down cleanly.",
-    )
-    p_store.add_argument(
-        "--listen",
-        default="127.0.0.1:0",
-        metavar="HOST:PORT",
-        help="bind address (default 127.0.0.1:0 = ephemeral port)",
-    )
-    p_store.add_argument(
-        "--root",
-        default=None,
-        metavar="DIR",
-        help="store root directory (default: a private temp directory)",
-    )
-
-    p_shard = sub.add_parser(
-        "shard-serve",
-        help="run one shard host for multi-host batch execution",
-        description="Serve plan-node execution for a coordinating "
-        "'map-batch --hosts ...' process.  The host's cache layers over "
-        "its disk store with the cluster's --store-remote store "
-        "underneath, so batch payloads stream in and shared artifacts "
-        "(groupings, DEF baselines) replicate out to sibling hosts.  "
-        'Prints one {"listening": [host, port]} line once bound; SIGINT/'
-        "SIGTERM drain in-flight nodes and exit.",
-    )
-    p_shard.add_argument(
-        "--listen",
-        default="127.0.0.1:0",
-        metavar="HOST:PORT",
-        help="bind address (default 127.0.0.1:0 = ephemeral port)",
-    )
-    p_shard.add_argument(
-        "--capacity",
-        type=int,
-        default=None,
-        metavar="N",
-        help="concurrent plan nodes this host advertises (default: CPUs)",
-    )
-    p_shard.add_argument(
-        "--host-id",
-        default=None,
-        metavar="ID",
-        help="stable identity reported to coordinators (default: pid-based)",
-    )
-    _add_engine_args(p_shard)
     return parser
 
 
@@ -374,31 +311,6 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         metavar="DIR",
         help="cross-process artifact store directory (persists groupings, "
         "route tables and DEF baselines across runs and pool workers)",
-    )
-    parser.add_argument(
-        "--store-remote",
-        default=None,
-        metavar="HOST:PORT",
-        help="remote artifact store (a running 'store-serve' process) "
-        "layered under the disk store: writes replicate to it, "
-        "reads promote from it — required for --hosts runs whose shard "
-        "hosts do not share a filesystem",
-    )
-    parser.add_argument(
-        "--hosts",
-        default=None,
-        metavar="H1:P1,H2:P2,...",
-        help="shard-host addresses (running 'shard-serve' processes); "
-        "when given, map-batch runs on the multi-host coordinator "
-        "instead of a local backend",
-    )
-    parser.add_argument(
-        "--steal-threshold",
-        type=int,
-        default=EngineConfig.steal_threshold,
-        metavar="N",
-        help="sharded runs: ready-backlog depth above which an idle "
-        "host steals unpinned nodes from a hot shard (default %(default)s)",
     )
     parser.add_argument(
         "--retries",
@@ -467,13 +379,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_hosts(value: Optional[str]) -> tuple:
-    """``--hosts`` comma list -> tuple of ``host:port`` strings."""
-    if not value:
-        return ()
-    return tuple(h.strip() for h in value.split(",") if h.strip())
-
-
 def _fault_fields(args: argparse.Namespace, *, partial: bool = False) -> dict:
     """The :class:`~repro.api.config.EngineConfig` fault fields of the flags."""
     from repro.api.fault import RetryPolicy
@@ -492,11 +397,8 @@ def _build_service(args: argparse.Namespace) -> MappingService:
             backend=args.backend,
             workers=args.workers,
             store_dir=args.store_dir,
-            store_remote=args.store_remote,
             cache_entries=args.cache_entries,
             cache_bytes=args.cache_bytes,
-            hosts=_parse_hosts(args.hosts),
-            steal_threshold=args.steal_threshold,
             **_fault_fields(args),
         )
     )
@@ -626,9 +528,8 @@ def _cmd_map_batch(args: argparse.Namespace) -> int:
     responses = service.map_batch(requests)
     elapsed = time.perf_counter() - t0
     errors = sum(1 for r in responses if not r.ok)
-    hosts = service.config.hosts
     summary = {
-        "backend": "sharded" if hosts else args.backend,
+        "backend": args.backend,
         "workers": args.workers,
         "requests": len(requests),
         "responses": len(responses),
@@ -636,8 +537,6 @@ def _cmd_map_batch(args: argparse.Namespace) -> int:
         "elapsed_s": elapsed,
         "requests_per_s": len(requests) / elapsed if elapsed > 0 else 0.0,
     }
-    if hosts:
-        summary["hosts"] = list(hosts)
 
     if args.json:
         payload = {
@@ -703,7 +602,6 @@ def _cmd_follow(args: argparse.Namespace) -> int:
             workers=args.workers,
             store_dir=args.store_dir,
             idle_timeout=args.idle_timeout,
-            store_remote=args.store_remote,
         )
     service = MappingService(
         # The front-end cache layers over the pool's store so the
@@ -881,12 +779,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             workers=args.workers,
             store_dir=args.store_dir,
             idle_timeout=args.idle_timeout,
-            store_remote=args.store_remote,
         )
     store = pool.store if pool is not None else (
-        make_store(args.store_dir, remote=args.store_remote)
-        if args.store_dir is not None
-        else None
+        DiskArtifactStore(args.store_dir) if args.store_dir is not None else None
     )
     snapshot: dict = {}
 
@@ -938,90 +833,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"map p50={lat.get('p50_ms', 0.0):.1f} ms "
         f"p99={lat.get('p99_ms', 0.0):.1f} ms "
         f"(backend={args.backend}, workers={args.workers or 'auto'})",
-        file=sys.stderr,
-    )
-    return 0
-
-
-def _serve_until_signal(server, *, what: str) -> None:
-    """Print the listening line, run *server* until SIGINT/SIGTERM."""
-    import signal
-    import threading
-
-    server.start()
-    print(json.dumps({"listening": list(server.address)}), flush=True)
-    stop = threading.Event()
-
-    def _request_stop(signum, frame):
-        stop.set()
-
-    previous = {}
-    try:
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            previous[sig] = signal.signal(sig, _request_stop)
-    except ValueError:
-        previous = {}  # not the main thread (in-process tests)
-    try:
-        while not stop.wait(timeout=0.5):
-            pass
-    except KeyboardInterrupt:
-        pass
-    finally:
-        for sig, handler in previous.items():
-            signal.signal(sig, handler)
-        server.stop()
-    print(f"{what} drained; shut down cleanly", file=sys.stderr)
-
-
-def _cmd_store_serve(args: argparse.Namespace) -> int:
-    import tempfile
-
-    from repro.dist.remote import ArtifactStoreServer
-    from repro.serve.protocol import parse_address
-
-    tmp = None
-    root = args.root
-    if root is None:
-        tmp = tempfile.TemporaryDirectory(prefix="repro-store-serve-")
-        root = tmp.name
-    server = ArtifactStoreServer(root, parse_address(args.listen))
-    try:
-        _serve_until_signal(server, what="artifact store")
-        stats = server.stats()
-        print(
-            f"served {stats['saves']} saves ({stats['save_skips']} skips), "
-            f"{stats['loads']} loads ({stats['load_hits']} hits), "
-            f"{stats['bytes_in']} bytes in / {stats['bytes_out']} bytes out "
-            f"from {root}",
-            file=sys.stderr,
-        )
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
-    return 0
-
-
-def _cmd_shard_serve(args: argparse.Namespace) -> int:
-    from repro.dist.host import HostServer
-    from repro.serve.protocol import parse_address
-
-    server = HostServer(
-        parse_address(args.listen),
-        store_remote=args.store_remote,
-        store_dir=args.store_dir,
-        capacity=args.capacity if args.capacity is not None else args.workers,
-        backend="process" if args.backend == "process" else "inline",
-        host_id=args.host_id,
-        cache_entries=args.cache_entries,
-        cache_bytes=args.cache_bytes,
-    )
-    _serve_until_signal(server, what=f"shard host {server.host_id}")
-    stats = server.stats()
-    print(
-        f"ran {stats['nodes_run']} nodes "
-        f"({stats['groupings_computed']} groupings computed, "
-        f"{stats['node_errors']} node errors) as {server.host_id} "
-        f"(capacity={server.capacity}, backend={server.backend})",
         file=sys.stderr,
     )
     return 0
@@ -1148,16 +959,6 @@ def _print_stats(service: MappingService, backend: str) -> None:
             ", ".join(f"{ns}: {n}" for ns, n in counts.items()) or "(empty)"
         )
         print(f"Artifact store ({store.root}): {summary}")
-        remote = store.stats().get("remote")
-        if remote:
-            print(
-                f"Remote store {remote.get('address', '?')}: "
-                f"{remote.get('saves', 0)} saves "
-                f"({remote.get('save_skips', 0)} skips), "
-                f"{remote.get('loads', 0)} loads "
-                f"({remote.get('load_hits', 0)} hits, "
-                f"{remote.get('errors', 0)} errors)"
-            )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -1170,10 +971,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_map_batch(args)
         if args.command == "serve":
             return _cmd_serve(args)
-        if args.command == "store-serve":
-            return _cmd_store_serve(args)
-        if args.command == "shard-serve":
-            return _cmd_shard_serve(args)
         if args.command == "stats":
             return _cmd_stats(args)
         return _cmd_map(args)

@@ -14,8 +14,8 @@ dispatched batch's config from its service's the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 __all__ = ["EngineConfig"]
 
@@ -39,9 +39,6 @@ class EngineConfig:
     store_dir:
         Root directory of the artifact store (``None`` = in-memory
         cache only, or a pool-managed temp root).
-    store_remote:
-        ``host:port`` of a ``repro-map store-serve`` process to layer
-        under the disk store (replicated writes, promoted reads).
     cache_entries / cache_bytes:
         LRU bounds of the service-level :class:`~repro.api.cache.
         ArtifactCache` (``None`` = unbounded).
@@ -55,26 +52,16 @@ class EngineConfig:
         node spends queued behind busy workers.
     on_error:
         ``"raise"`` or ``"partial"`` (structured per-request errors).
-    hosts:
-        Shard-host addresses (``host:port`` of ``repro-map
-        shard-serve`` processes); non-empty routes ``map_batch``
-        through the distributed coordinator.
-    steal_threshold:
-        Ready-queue backlog above which an idle host may steal
-        unpinned nodes from a hot shard.
     """
 
     backend: Optional[str] = None
     workers: Optional[int] = None
     store_dir: Optional[str] = None
-    store_remote: Optional[str] = None
     cache_entries: Optional[int] = None
     cache_bytes: Optional[int] = None
     retry: Optional[object] = None
     node_timeout: Optional[float] = None
     on_error: str = "raise"
-    hosts: Tuple[str, ...] = field(default_factory=tuple)
-    steal_threshold: int = 2
 
     def __post_init__(self) -> None:
         if self.on_error not in ("raise", "partial"):
@@ -87,4 +74,3 @@ class EngineConfig:
             raise ValueError(
                 f"node_timeout must be positive, got {self.node_timeout!r}"
             )
-        object.__setattr__(self, "hosts", tuple(self.hosts))

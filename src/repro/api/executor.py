@@ -25,7 +25,7 @@ node goes, when it is handed off, and what a lost worker means:
     An :class:`~repro.api.pool.ExecutorPool` of processes, also fed
     every ready node at once, each node shipped with its request.  Each
     worker owns a private ``MappingService`` whose read path is memory
-    LRU → disk → remote over a shared artifact store, so a grouping
+    LRU → disk over a shared artifact store, so a grouping
     computed by one worker is *read* (not recomputed) by the workers
     mapping the dependent algorithms.
 
@@ -33,17 +33,14 @@ Without ``pool=`` the pool lives for one batch: it uses the service
 cache's store root when one is attached (else a temporary directory)
 and is shut down when the batch ends.  Passing ``pool=`` runs the batch
 on a long-lived pool instead.  Either way a pool respawns its executor
-when a worker dies (see :mod:`repro.api.pool`).  A config naming
-``hosts`` runs the batch on shard hosts (:mod:`repro.dist.coordinator`),
-whose worker set places nodes by workload and treats a lost host as a
-lost worker.  When a mode runs out of workers — an executor that cannot be
-respawned, every shard host gone — the scheduler finishes the batch on
-the in-process worker set.
+when a worker dies (see :mod:`repro.api.pool`).  When a mode runs out
+of workers — an executor that cannot be respawned — the scheduler
+finishes the batch on the in-process worker set.
 
 Determinism does not rest on scheduling: each node's output is a pure
 function of its request + the declared artifacts, which is why every
 mode's responses are byte-identical to serial (pinned by
-``tests/test_engine.py`` and ``tests/test_dist.py``).
+``tests/test_engine.py``).
 """
 
 from __future__ import annotations
@@ -98,17 +95,11 @@ def execute_plan(
     process backend only reads its store configuration.  *config*
     supplies every execution knob (see
     :class:`~repro.api.config.EngineConfig`; a ``None`` backend means
-    ``serial``).  Non-empty ``config.hosts`` runs the plan on the shard
-    hosts' worker set (:func:`repro.dist.coordinator.run_sharded`).
-    Otherwise, with *pool* (an :class:`~repro.api.pool.ExecutorPool`)
+    ``serial``).  With *pool* (an :class:`~repro.api.pool.ExecutorPool`)
     the plan runs on the pool's long-lived workers, whose backend and
     width are the pool's concern; without one, a parallel backend gets
     a pool that lives for this batch.
     """
-    if config.hosts:
-        from repro.dist.coordinator import run_sharded
-
-        return _collect(plan, run_sharded(plan, service, config))
     fault_kw = {
         "retry": config.retry,
         "node_timeout": config.node_timeout,
@@ -177,10 +168,6 @@ class WorkerSet:
     #: False once no worker is left; the scheduler then moves whatever
     #: :meth:`drain` returns onto the in-process worker set.
     alive = True
-    #: True when the nodes a lost worker held are crash suspects (counted
-    #: against ``RetryPolicy.max_crashes`` and re-run via :meth:`isolate`);
-    #: False when each is one failed attempt, retried after backoff.
-    crash_suspects = False
 
     def put(self, index: int) -> None:
         raise NotImplementedError
@@ -196,7 +183,7 @@ class WorkerSet:
         return False
 
     def isolate(self, index: int) -> None:
-        """Re-run crash suspect *index* alone (``crash_suspects`` sets)."""
+        """Re-run crash suspect *index* alone (sets whose workers can die)."""
         raise NotImplementedError
 
     def drain(self) -> List[int]:
@@ -250,8 +237,6 @@ class _ExecutorWorkers(WorkerSet):
     the executor's generation, so stragglers of a replaced executor are
     never mistaken for a fresh break.
     """
-
-    crash_suspects = True
 
     def __init__(
         self,
@@ -353,15 +338,13 @@ def drive_plan(
 
     - A node that raises is retried per *retry*, after an exponential
       backoff that waits in a ready-time heap while other nodes keep
-      running.  A node out of attempts fails permanently — with the
-      ``plan_error_kind`` its exception carries (``host_lost`` for a
-      lost shard host), else ``error``.
+      running.  A node out of attempts fails permanently with an
+      ``error`` outcome.
     - A node past *node_timeout* is cancelled (abandoned when already
       running) and fails permanently with a ``timeout`` outcome.
     - A lost worker settles every future it held: finished results are
-      salvaged, the rest are lost.  A lost node is one failed attempt,
-      or, for ``crash_suspects`` sets, a crash suspect re-run in
-      isolation until ``retry.max_crashes`` crashes quarantine it —
+      salvaged, the rest are crash suspects, each re-run in isolation
+      until ``retry.max_crashes`` crashes quarantine it —
       re-run in-process when ``retry.poison == "serial"``, failed with
       a ``crash`` outcome otherwise.
     - With ``partial=False`` a permanent failure cancels everything in
@@ -414,9 +397,9 @@ def drive_plan(
             return
         error = _error(
             index,
-            getattr(exc, "plan_error_kind", "error"),
+            "error",
             str(exc) or type(exc).__name__,
-            exception=getattr(exc, "plan_error_exception", type(exc).__name__),
+            exception=type(exc).__name__,
             attempts=failures[index],
         )
         _final(index, error, exc)
@@ -443,11 +426,8 @@ def drive_plan(
             else:
                 future.cancel()
                 lost.append(held)
+        # The dead worker cannot say which node killed it.
         for held in lost:
-            if not workers.crash_suspects:
-                _failed(held, exc)
-                continue
-            # The dead worker cannot say which node killed it.
             crashes[held] += 1
             if crashes[held] < policy.max_crashes:
                 (workers.isolate if workers.alive else local.put)(held)
@@ -562,7 +542,6 @@ def _batch_pool(service, backend: str, config: EngineConfig):
         store_dir=store_dir,
         worker_cache_bytes=None,
         namespaces=namespaces,
-        store_remote=config.store_remote,
     )
 
 

@@ -122,11 +122,9 @@ class PlanError:
 
     ``kind`` is one of ``"error"`` (the node raised), ``"timeout"``
     (per-node deadline blown), ``"crash"`` (the node was in flight when
-    the worker pool died and was quarantined), ``"host_lost"`` (sharded
-    execution: the node was in flight on a shard host that died and no
-    retry attempt remained to reroute it), ``"cancelled"`` (the batch
-    was torn down around it) or ``"upstream"`` (a dependency failed
-    first, so the node never ran).
+    the worker pool died and was quarantined), ``"cancelled"`` (the
+    batch was torn down around it) or ``"upstream"`` (a dependency
+    failed first, so the node never ran).
     """
 
     kind: str

@@ -104,8 +104,7 @@ class Plan:
 
     ``baseline_producers`` records, per workload fingerprint
     ``(tg_key, m_key)``, the algo node that produces the shared DEF
-    baseline — the shard router pins these (and grouping nodes) to
-    stay host-local with their consumers.
+    baseline, which its consumers depend on.
     """
 
     requests: Tuple[MapRequest, ...]
@@ -115,15 +114,6 @@ class Plan:
     @property
     def num_slots(self) -> int:
         return sum(1 for n in self.nodes if n.kind == "algo")
-
-    def workload_of(self, index: int) -> Tuple[int, int]:
-        """Workload fingerprint ``(tg_key, m_key)`` of one node.
-
-        This is the sharding unit: every node of one workload shares
-        the fingerprint, so a router hashing it keeps a workload's
-        grouping, DEF baseline, route chains and consumers together.
-        """
-        return self.requests[self.nodes[index].request_index].content_keys()
 
     def dependents(self) -> List[List[int]]:
         """Adjacency list: node index -> indices depending on it."""
@@ -166,7 +156,6 @@ def build_plan(
     #: grouping artifact key -> producing grouping node index
     grouping_producers: Dict[Tuple, int] = {}
     #: (tg_key, m_key) -> first def_baseline-producing algo node index
-    #: (recorded on the plan for the shard router's pinning policy)
     baseline_producers = plan.baseline_producers
     #: placement-identity key -> last route_table-consuming algo node
     route_chain_tails: Dict[Tuple, int] = {}

@@ -12,11 +12,10 @@ across calls:
   async front end in :mod:`repro.api.aio`) runs on the same executor,
   and process workers keep their warm in-memory artifact caches.
 * **One store** — the pool owns an artifact store (caller-supplied
-  directory or a pool-scoped temporary one, optionally over a remote)
-  that outlives individual batches, so groupings / route tables / DEF
-  baselines computed for batch *n* are disk hits for batch *n + 1* even
-  across worker processes.  Each worker's read path is memory LRU →
-  disk → remote.
+  directory or a pool-scoped temporary one) that outlives individual
+  batches, so groupings / route tables / DEF baselines computed for
+  batch *n* are disk hits for batch *n + 1* even across worker
+  processes.  Each worker's read path is memory LRU → disk.
 * **Idle reap** — with ``idle_timeout`` set, workers are shut down after
   a quiet period and respawned lazily on the next batch; the store (and
   therefore all warm artifacts) survives the reap.
@@ -43,7 +42,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import List, Optional, Sequence, Tuple
 
-from repro.api.store import DEFAULT_PERSIST_NAMESPACES, ArtifactStore, make_store
+from repro.api.store import DEFAULT_PERSIST_NAMESPACES, DiskArtifactStore
 
 __all__ = ["ExecutorPool", "POOL_BACKENDS"]
 
@@ -72,9 +71,6 @@ class ExecutorPool:
         Byte budget of each process worker's in-memory artifact cache
         (LRU-evicted; ``None`` = unbounded).  Long-lived workers need a
         bound or their caches grow with every distinct workload served.
-    store_remote:
-        ``host:port`` of a remote artifact store layered under the pool
-        store (sharded deployments; workers rebuild the same layering).
 
     Use as a context manager, or call :meth:`shutdown` explicitly::
 
@@ -93,7 +89,6 @@ class ExecutorPool:
         idle_timeout: Optional[float] = None,
         worker_cache_bytes: Optional[int] = 256 << 20,
         namespaces: frozenset = DEFAULT_PERSIST_NAMESPACES,
-        store_remote: Optional[str] = None,
     ) -> None:
         if backend not in POOL_BACKENDS:
             raise ValueError(
@@ -107,7 +102,6 @@ class ExecutorPool:
         self.idle_timeout = idle_timeout
         self.worker_cache_bytes = worker_cache_bytes
         self.namespaces = frozenset(namespaces)
-        self.store_remote = store_remote
         #: Executor spawns over the pool's lifetime (lazy spawn + reap
         #: + reconfigure make this observable; tests pin it).
         self.spawn_count = 0
@@ -117,7 +111,7 @@ class ExecutorPool:
 
         self._lock = threading.RLock()
         self._executor = None
-        self._store: Optional[ArtifactStore] = None
+        self._store: Optional[DiskArtifactStore] = None
         self._tmp: Optional[tempfile.TemporaryDirectory] = None
         self._active = 0
         self._last_used = time.monotonic()
@@ -171,7 +165,7 @@ class ExecutorPool:
             return sorted(getattr(ex, "_processes", None) or {})
 
     @property
-    def store(self) -> ArtifactStore:
+    def store(self) -> DiskArtifactStore:
         """The pool's artifact store (created lazily, survives reaps)."""
         with self._lock:
             return self._ensure_store()
@@ -314,7 +308,7 @@ class ExecutorPool:
     # ------------------------------------------------------------------
     # internals (all called under self._lock)
     # ------------------------------------------------------------------
-    def _ensure_store(self) -> ArtifactStore:
+    def _ensure_store(self) -> DiskArtifactStore:
         if self._closed:
             # A post-shutdown access must not resurrect a temporary
             # store directory nobody would ever clean up.
@@ -324,9 +318,7 @@ class ExecutorPool:
             if root is None:
                 self._tmp = tempfile.TemporaryDirectory(prefix="repro-pool-")
                 root = self._tmp.name
-            self._store = make_store(
-                root, namespaces=self.namespaces, remote=self.store_remote
-            )
+            self._store = DiskArtifactStore(root, namespaces=self.namespaces)
         return self._store
 
     def _ensure_executor(self):
@@ -349,7 +341,6 @@ class ExecutorPool:
                         store.root,
                         sorted(store.namespaces),
                         self.worker_cache_bytes,
-                        self.store_remote,
                     ),
                 )
             self.spawn_count += 1
@@ -362,8 +353,6 @@ class ExecutorPool:
             self._executor = None
 
     def _drop_store(self) -> None:
-        if self._store is not None:
-            self._store.close()
         self._store = None
         if self._tmp is not None:
             self._tmp.cleanup()
@@ -411,7 +400,6 @@ def _worker_init(
     store_root: str,
     namespaces: Sequence[str],
     cache_bytes: Optional[int],
-    store_remote: Optional[str] = None,
 ) -> None:
     """Build this worker's long-lived service over the pool's store."""
     global _WORKER_SERVICE
@@ -422,9 +410,7 @@ def _worker_init(
     # hold that batch's placement memo; its nodes place for themselves.
     BATCH_PLACEMENTS.set(None)
 
-    store = make_store(
-        store_root, namespaces=frozenset(namespaces), remote=store_remote
-    )
+    store = DiskArtifactStore(store_root, namespaces=frozenset(namespaces))
     _WORKER_SERVICE = MappingService(
         cache=ArtifactCache(store=store, max_bytes=cache_bytes)
     )

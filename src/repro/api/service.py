@@ -152,9 +152,9 @@ class MappingService:
         if cache is None:
             store = None
             if config.store_dir is not None:
-                from repro.api.store import make_store
+                from repro.api.store import DiskArtifactStore
 
-                store = make_store(config.store_dir, remote=config.store_remote)
+                store = DiskArtifactStore(config.store_dir)
             cache = ArtifactCache(
                 max_entries=config.cache_entries,
                 max_bytes=config.cache_bytes,
@@ -215,11 +215,6 @@ class MappingService:
           failures into structured :attr:`MapResponse.error` outcomes
           instead of aborting the batch.  The defaults reproduce the
           pre-fault-tolerance behaviour (and byte-identical results).
-        * Non-empty ``hosts`` runs the batch on the distributed
-          coordinator instead: the plan shards across the ``repro-map
-          shard-serve`` processes at those addresses, with the batch
-          payload replicated through ``store_remote`` (a ``repro-map
-          store-serve`` address).
         """
         from repro.api.executor import execute_plan
 
@@ -231,7 +226,7 @@ class MappingService:
             workers=cfg.workers if cfg.workers is not None else self.config.workers,
         )
         pool = None
-        if self.pool is not None and cfg.backend != "serial" and not cfg.hosts:
+        if self.pool is not None and cfg.backend != "serial":
             self.pool.configure(backend=cfg.backend, workers=cfg.workers)
             pool = self.pool
         return execute_plan(plan, self, cfg, pool=pool)

@@ -1,17 +1,14 @@
-"""Content-addressed, ``.npz``-backed artifact stores.
+"""The content-addressed, ``.npz``-backed artifact store.
 
-The artifact system has one read path: memory LRU → disk → remote.
+The artifact system has one read path: memory LRU → disk.
 :class:`~repro.api.cache.ArtifactCache` is one process's in-memory LRU;
 :class:`DiskArtifactStore` persists selected namespaces to disk so
 *other* processes — the ``process`` backend's pool workers, a later
 batch, a sibling service — can read an artifact instead of recomputing
-it; :class:`TieredArtifactStore` adds a
-:class:`~repro.dist.remote.RemoteArtifactStore` under the disk for
-hosts that share no filesystem.  The cache layers over the store
-transparently: a memory miss falls through to :meth:`load`, a computed
-value is written through with :meth:`save` (see
-``ArtifactCache(store=...)``).  :func:`make_store` builds whichever of
-the two a root and an optional remote address call for.
+it.  The cache layers over the store transparently: a memory miss falls
+through to :meth:`~DiskArtifactStore.load`, a computed value is written
+through with :meth:`~DiskArtifactStore.save` (see
+``ArtifactCache(store=...)``).
 
 Layout and format
 -----------------
@@ -44,9 +41,7 @@ it at a directory written by untrusted parties.
 
 from __future__ import annotations
 
-import abc
 import hashlib
-import io
 import json
 import os
 import pickle
@@ -57,16 +52,7 @@ from typing import Any, Dict, Hashable, List, Optional
 
 import numpy as np
 
-__all__ = [
-    "ArtifactStore",
-    "DiskArtifactStore",
-    "DEFAULT_PERSIST_NAMESPACES",
-    "TieredArtifactStore",
-    "artifact_digest",
-    "encode_artifact_bytes",
-    "decode_artifact_bytes",
-    "make_store",
-]
+__all__ = ["DiskArtifactStore", "DEFAULT_PERSIST_NAMESPACES", "artifact_digest"]
 
 #: Namespaces worth sharing across processes by default: the expensive,
 #: deterministic artifacts the planner dedupes (groupings, initial route
@@ -80,98 +66,34 @@ _MISSING = object()
 
 
 def artifact_digest(namespace: str, key: Hashable) -> str:
-    """Content address of ``(namespace, key)`` — the filename stem.
-
-    Every store backend (disk, remote) derives its storage name
-    from this one digest, which is what lets a
-    :class:`~repro.dist.remote.RemoteArtifactStore` server and a
-    :class:`DiskArtifactStore` interoperate over the same directory.
-    """
+    """Content address of ``(namespace, key)`` — the filename stem."""
     return hashlib.sha256(repr((namespace, key)).encode()).hexdigest()[:32]
 
 
-class ArtifactStore(abc.ABC):
-    """The contract every artifact-store backend implements.
+class DiskArtifactStore:
+    """Content-addressed artifact files under one root directory.
 
-    An artifact store is a *content-addressed*, namespaced map from
-    ``(namespace, key)`` to a deterministic artifact value.  Three
-    backends implement it — :class:`DiskArtifactStore` (durable files),
-    :class:`~repro.dist.remote.RemoteArtifactStore` (the same surface
-    over a TCP object protocol) and :class:`TieredArtifactStore` (disk
-    over a remote) — and
-    :func:`make_store` is the single construction path; engine, pool
-    and serve code hold an ``ArtifactStore``, never a concrete class.
+    An artifact store is a namespaced map from ``(namespace, key)`` to a
+    deterministic artifact value.  Engine, pool and serve code all hold
+    one of these.
 
     Contract
     --------
     * **Namespaces** partition the key space ("grouping",
-      "route_table", "def_baseline", "batch", …).  :attr:`namespaces`
-      declares which of them an attached
-      :class:`~repro.api.cache.ArtifactCache` reads *and* writes
-      through; direct calls are never restricted by the set.
+      "route_table", "def_baseline", …).  :attr:`namespaces` declares
+      which of them an attached :class:`~repro.api.cache.ArtifactCache`
+      reads *and* writes through; direct calls are never restricted by
+      the set.
     * **Determinism**: a key's value is a pure function of the key, so
       a save whose target already exists may be skipped (counted as
       ``save_skips`` in :meth:`stats`); ``force=True`` overwrites
-      anyway.  The return value of :meth:`save` is backend-specific (a
-      path, a bool, …) and only meaningful as truthiness.
+      anyway.
     * **Corruption tolerance**: :meth:`load` returns *default* on any
       failure — missing entry, torn write, garbled bytes, version or
       key-hash mismatch — never an exception; the caller recomputes.
-    * **Crash hygiene**: :meth:`sweep_orphans` reclaims artifacts a
+    * **Crash hygiene**: :meth:`sweep_orphans` reclaims temp files a
       crashed writer left mid-publish, age-gated so live writers are
       never yanked.
-    """
-
-    #: Tier label reported through :meth:`stats` ("disk", "remote").
-    tier: str = "unknown"
-    #: Namespaces an attached cache persists through this store.
-    namespaces: frozenset = DEFAULT_PERSIST_NAMESPACES
-
-    @abc.abstractmethod
-    def save(
-        self, namespace: str, key: Hashable, value: Any, *, force: bool = False
-    ):
-        """Publish *value* under ``(namespace, key)``; atomic, skippable."""
-
-    @abc.abstractmethod
-    def load(self, namespace: str, key: Hashable, default: Any = None) -> Any:
-        """Read an artifact back; *default* on miss or any corruption."""
-
-    @abc.abstractmethod
-    def contains(self, namespace: str, key: Hashable) -> bool:
-        """Cheap existence probe (need not validate content)."""
-
-    @abc.abstractmethod
-    def delete(self, namespace: str, key: Hashable) -> bool:
-        """Remove one artifact; True when something was removed."""
-
-    @abc.abstractmethod
-    def stats(self) -> dict:
-        """Monitoring counters.  Every backend reports the canonical
-        ``saves`` / ``save_skips`` / ``loads`` / ``load_hits`` keys
-        plus a ``tier`` label (tier-specific extras are allowed)."""
-
-    @abc.abstractmethod
-    def sweep_orphans(self, *, min_age_s: float = 300.0) -> int:
-        """Reap artifacts a crashed writer left mid-publish; returns
-        the number removed.  Entries younger than *min_age_s* survive
-        (a live writer may own them)."""
-
-    # Optional surface with workable defaults ---------------------------
-    def close(self) -> None:
-        """Release backend resources (idempotent; no-op by default)."""
-
-    def clear(self, namespace: Optional[str] = None) -> int:
-        """Delete stored artifacts (one namespace's, or all)."""
-        raise NotImplementedError
-
-    def file_count(self, namespace: Optional[str] = None) -> int:
-        """Number of stored artifacts (one namespace's, or all)."""
-        raise NotImplementedError
-
-
-class DiskArtifactStore(ArtifactStore):
-    """Content-addressed artifact files under one root directory.
 
     Parameters
     ----------
@@ -183,8 +105,6 @@ class DiskArtifactStore(ArtifactStore):
         should persist (read *and* write through).  Direct
         :meth:`save`/:meth:`load` calls are not restricted by this set.
     """
-
-    tier = "disk"
 
     def __init__(
         self,
@@ -376,7 +296,7 @@ class DiskArtifactStore(ArtifactStore):
         not; ``bytes_read`` is file bytes behind successful loads)."""
         with self._counter_lock:
             return {
-                "tier": self.tier,
+                "tier": "disk",
                 "loads": self._loads,
                 "load_hits": self._load_hits,
                 "bytes_read": self._bytes_read,
@@ -506,33 +426,6 @@ def _manifest_arrays(key: Hashable, value: Any) -> Dict[str, np.ndarray]:
     return arrays
 
 
-def encode_artifact_bytes(key: Hashable, value: Any) -> bytes:
-    """Serialize an artifact to the store's on-disk ``.npz`` byte format.
-
-    The bytes are exactly what :meth:`DiskArtifactStore.save` would
-    write for the same key, which is what lets the remote store ship
-    artifacts over a socket and land them as regular disk-store files
-    on the far side (and vice versa).
-    """
-    buf = io.BytesIO()
-    np.savez(buf, **_manifest_arrays(key, value))
-    return buf.getvalue()
-
-
-def decode_artifact_bytes(key: Hashable, data: bytes, default: Any = None) -> Any:
-    """Inverse of :func:`encode_artifact_bytes`; *default* on any failure.
-
-    Mirrors :meth:`DiskArtifactStore.load`'s corruption tolerance:
-    truncated archives, garbled manifests, version skew and key
-    mismatches all read as a miss, never an exception.
-    """
-    try:
-        value = _decode_archive(key, io.BytesIO(data))
-    except Exception:
-        return default
-    return default if value is _MISSING else value
-
-
 def _manifest(archive) -> dict:
     return json.loads(bytes(archive["__manifest__"]).decode("utf-8"))
 
@@ -548,101 +441,3 @@ def _decode_archive(key: Hashable, source) -> Any:
         if manifest.get("version") != 1 or manifest.get("key_repr") != repr(key):
             return _MISSING
         return _decode(manifest["value"], archive)
-
-
-# ---------------------------------------------------------------------------
-# Remote layering and construction.
-# ---------------------------------------------------------------------------
-
-
-class TieredArtifactStore(DiskArtifactStore):
-    """A :class:`DiskArtifactStore` over a remote store.
-
-    Reads go disk → remote, and a remote hit is promoted onto disk so
-    the next reader on this host skips the network round trip.  Writes
-    go to disk and replicate to the remote, where sibling hosts read
-    them.  ``batch`` payloads (a sharding coordinator's requests) are
-    never promoted: they live for one batch.
-
-    The remote (a :class:`~repro.dist.remote.RemoteArtifactStore`
-    speaking to a ``repro-map store-serve`` process) is best-effort at
-    runtime: an unreachable remote reads as a miss and drops writes,
-    never raises, so the disk keeps the host correct.
-    """
-
-    def __init__(
-        self,
-        root: str,
-        *,
-        remote,
-        namespaces: frozenset = DEFAULT_PERSIST_NAMESPACES,
-    ) -> None:
-        super().__init__(root, namespaces=namespaces)
-        if isinstance(remote, str):
-            from repro.dist.remote import RemoteArtifactStore  # lazy: dist imports us
-
-            remote = RemoteArtifactStore(remote, namespaces=namespaces)
-        self.remote = remote
-
-    def save(
-        self, namespace: str, key: Hashable, value: Any, *, force: bool = False
-    ) -> str:
-        self.remote.save(namespace, key, value, force=force)
-        return super().save(namespace, key, value, force=force)
-
-    def load(self, namespace: str, key: Hashable, default: Any = None) -> Any:
-        value = super().load(namespace, key, _MISSING)
-        if value is _MISSING:
-            value = self.remote.load(namespace, key, _MISSING)
-            if value is _MISSING:
-                return default
-            if namespace != "batch":
-                super().save(namespace, key, value)
-        return value
-
-    def contains(self, namespace: str, key: Hashable) -> bool:
-        return super().contains(namespace, key) or self.remote.contains(
-            namespace, key
-        )
-
-    def delete(self, namespace: str, key: Hashable) -> bool:
-        removed = self.remote.delete(namespace, key)
-        return super().delete(namespace, key) or removed
-
-    def stats(self) -> dict:
-        # The canonical keys count this store's operations: every save
-        # and every load goes through the disk first, and a load hits at
-        # most one of the two tiers.
-        disk = super().stats()
-        remote = self.remote.stats()
-        return {
-            "tier": self.tier,
-            "saves": disk["saves"],
-            "save_skips": disk["save_skips"],
-            "loads": disk["loads"],
-            "load_hits": disk["load_hits"] + remote["load_hits"],
-            "disk": disk,
-            "remote": remote,
-        }
-
-    def close(self) -> None:
-        self.remote.close()
-
-
-def make_store(
-    root: str,
-    *,
-    namespaces: frozenset = DEFAULT_PERSIST_NAMESPACES,
-    remote: Optional[str] = None,
-) -> ArtifactStore:
-    """The artifact store for *root*: disk, or disk over *remote*.
-
-    *remote* ("host:port" of a ``repro-map store-serve`` process) layers
-    a :class:`~repro.dist.remote.RemoteArtifactStore` under the disk
-    (:class:`TieredArtifactStore`).  Connection failures at construction
-    raise immediately (fail fast); at runtime the remote degrades to a
-    miss, never an error.
-    """
-    if remote is None:
-        return DiskArtifactStore(root, namespaces=namespaces)
-    return TieredArtifactStore(root, remote=remote, namespaces=namespaces)

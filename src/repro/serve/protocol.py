@@ -7,10 +7,11 @@ its own malformed-input error shape.  Everything they share now lives
 here:
 
 * **Framing** — length-prefixed JSON: a 4-byte big-endian payload
-  length followed by UTF-8 JSON.  Symmetric async (``read_frame`` /
-  ``write_frame`` over asyncio streams) and sync (``send_frame`` /
-  ``recv_frame`` over plain sockets) halves, so the asyncio server and
-  the blocking client library speak bit-identical bytes.
+  length followed by UTF-8 JSON.  One encoder (``encode_frame``, which
+  the asyncio server writes as is and ``send_frame`` sends over a plain
+  socket) and async (``read_frame``) and sync (``recv_frame``) readers,
+  so the asyncio server and the blocking client library speak
+  bit-identical bytes.
 * **Manifest decoding** — ``requests_from_entries`` turns manifest-style
   request entries (``{"matrix": ..., "algos": ..., "procs": ...}``,
   with layered defaults) into :class:`~repro.api.request.MapRequest`
@@ -31,21 +32,17 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
     "MANIFEST_DEFAULTS",
     "MAX_FRAME_BYTES",
-    "MAX_BLOB_BYTES",
-    "send_blob",
-    "recv_blob",
     "ProtocolError",
     "error_payload",
     "encode_frame",
     "read_frame",
-    "write_frame",
     "send_frame",
     "recv_frame",
     "build_workload",
@@ -59,14 +56,7 @@ __all__ = [
 #: malformed (or hostile) and the connection is dropped.
 MAX_FRAME_BYTES = 32 << 20
 
-#: Hard bound on one *binary blob* (an encoded artifact riding behind a
-#: JSON control frame in the remote-store / shard-host protocols).
-#: Artifacts are array payloads, so the budget is larger than the JSON
-#: frame limit.
-MAX_BLOB_BYTES = 512 << 20
-
 _LENGTH = struct.Struct(">I")
-_BLOB_LENGTH = struct.Struct(">Q")
 
 #: Per-request fallbacks of the manifest entry schema (overridden by a
 #: stream/manifest ``defaults`` object, then by each request entry).
@@ -138,8 +128,8 @@ def error_payload(
 def parse_address(address) -> Tuple[str, int]:
     """``"host:port"`` (or a ``(host, port)`` pair) → ``(host, port)``.
 
-    The one address syntax of every ``--listen``/``--connect``/``--hosts``
-    flag and socket endpoint; a missing host, a non-integer port or a
+    The one address syntax of every ``--listen``/``--connect`` flag and
+    socket endpoint; a missing host, a non-integer port or a
     port outside 0–65535 raises :class:`ValueError`.
     """
     if isinstance(address, (tuple, list)) and len(address) == 2:
@@ -209,14 +199,8 @@ async def read_frame(reader) -> Optional[Any]:
     return _decode_body(body)
 
 
-async def write_frame(writer, payload: Any) -> None:
-    """Write one frame to an asyncio stream and drain."""
-    writer.write(encode_frame(payload))
-    await writer.drain()
-
-
 def send_frame(sock: socket.socket, payload: Any) -> None:
-    """Blocking counterpart of :func:`write_frame`."""
+    """Send one frame over a blocking socket."""
     sock.sendall(encode_frame(payload))
 
 
@@ -245,33 +229,6 @@ def _recv_exact(
         chunks.append(chunk)
         remaining -= len(chunk)
     return b"".join(chunks)
-
-
-def send_blob(sock: socket.socket, data: bytes) -> None:
-    """Send one length-prefixed binary blob (8-byte big-endian length).
-
-    Blobs always follow a JSON control frame that announced them (the
-    remote store's ``save``/``load`` ops, a shard host's encoded
-    :class:`~repro.api.request.MapResponse`), so the two framings never
-    need to be distinguished on the wire.
-    """
-    if len(data) > MAX_BLOB_BYTES:
-        raise ProtocolError(
-            f"blob of {len(data)} bytes exceeds the {MAX_BLOB_BYTES}-byte limit"
-        )
-    sock.sendall(_BLOB_LENGTH.pack(len(data)) + data)
-
-
-def recv_blob(sock: socket.socket) -> bytes:
-    """Blocking counterpart of :func:`send_blob`."""
-    header = _recv_exact(sock, _BLOB_LENGTH.size, allow_eof=False)
-    (length,) = _BLOB_LENGTH.unpack(header)
-    if length > MAX_BLOB_BYTES:
-        raise ProtocolError(
-            f"peer announced a {length}-byte blob "
-            f"(limit {MAX_BLOB_BYTES}); dropping connection"
-        )
-    return _recv_exact(sock, length, allow_eof=False)
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +261,8 @@ def build_workload(
         raise ProtocolError(
             f"unknown matrix {matrix_name!r}; corpus: {[e.name for e in CORPUS]}"
         )
+    if procs < 1 or ppn < 1:
+        raise ProtocolError(f"procs {procs} and ppn {ppn} must both be >= 1")
     if procs % ppn:
         raise ProtocolError(f"procs {procs} not divisible by ppn {ppn}")
     matrix = load_matrix(entry, rows_per_unit, seed)
@@ -324,6 +283,28 @@ def build_workload(
     return tg, machine
 
 
+def _str_field(spec: dict, name: str, i: int) -> str:
+    value = spec[name]
+    if not isinstance(value, str):
+        raise ProtocolError(
+            f"request #{i} '{name}' must be a string, got {type(value).__name__}"
+        )
+    return value
+
+
+def _number_field(spec: dict, name: str, i: int, kind=int):
+    """``kind(spec[name])``; any value it cannot convert (including an
+    infinite float as an integer, or an integer too large for a float)
+    is a :class:`ProtocolError`."""
+    try:
+        return kind(spec[name])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ProtocolError(
+            f"request #{i} has a malformed {name!r}: {exc}",
+            exception=type(exc).__name__,
+        ) from exc
+
+
 def requests_from_entries(
     entries: List[dict], defaults: dict, workloads
 ) -> List:
@@ -337,12 +318,19 @@ def requests_from_entries(
 
     Every validation failure raises :class:`ProtocolError`, so all
     front ends reject malformed input with the same error object.
+    Each field is type-checked before the workload build: ``matrix``,
+    ``partitioner`` and every algorithm name are strings, the integer
+    fields convert to finite integers.
     """
     from repro.api.registry import UnknownMapperError, get_spec
     from repro.api.request import MapRequest
 
     if not isinstance(entries, list) or not entries:
         raise ProtocolError("request batch must be a non-empty list of objects")
+    if not isinstance(defaults, dict):
+        raise ProtocolError(
+            f"'defaults' must be an object, got {type(defaults).__name__}"
+        )
     requests: List = []
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
@@ -350,6 +338,7 @@ def requests_from_entries(
         spec = {**MANIFEST_DEFAULTS, **defaults, **entry}
         if "matrix" not in spec:
             raise ProtocolError(f"request #{i} names no 'matrix'")
+        matrix = _str_field(spec, "matrix", i)
         algos = spec["algos"]
         if isinstance(algos, str):
             algos = tuple(a.strip() for a in algos.split(",") if a.strip())
@@ -362,33 +351,36 @@ def requests_from_entries(
         if not algos:
             raise ProtocolError(f"request #{i} names no algorithms")
         for a in algos:  # fail fast, before any workload build
+            if not isinstance(a, str):
+                raise ProtocolError(
+                    f"request #{i} algorithm names must be strings, "
+                    f"got {type(a).__name__}"
+                )
             try:
                 get_spec(a)
             except UnknownMapperError as exc:
                 raise ProtocolError(
                     f"request #{i}: {exc}", exception=type(exc).__name__
                 ) from exc
-        try:
-            key = (
-                spec["matrix"],
-                int(spec["procs"]),
-                int(spec["ppn"]),
-                int(spec["rows_per_unit"]),
-                spec["partitioner"],
-                int(spec["seed"]),
-                float(spec["fragmentation"]),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(
-                f"request #{i} has a malformed field: {exc}",
-                exception=type(exc).__name__,
-            ) from exc
+        seed = _number_field(spec, "seed", i)
+        key = (
+            matrix,
+            _number_field(spec, "procs", i),
+            _number_field(spec, "ppn", i),
+            _number_field(spec, "rows_per_unit", i),
+            _str_field(spec, "partitioner", i),
+            seed,
+            _number_field(spec, "fragmentation", i, float),
+        )
+        delta = _number_field(spec, "delta", i)
+        if delta < 1:
+            raise ProtocolError(f"request #{i} has 'delta' {delta}; it must be >= 1")
         if key not in workloads:
             try:
                 workloads[key] = build_workload(*key)
             except ProtocolError:
                 raise
-            except (KeyError, TypeError, ValueError) as exc:
+            except Exception as exc:
                 raise ProtocolError(
                     f"request #{i}: workload build failed: {exc}",
                     exception=type(exc).__name__,
@@ -396,18 +388,12 @@ def requests_from_entries(
         elif hasattr(workloads, "move_to_end"):
             workloads.move_to_end(key)  # serve modes bound by recency
         tg, machine = workloads[key]
-        try:
-            delta = int(spec["delta"])
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"request #{i} has a malformed 'delta': {exc}") from exc
-        if delta < 1:
-            raise ProtocolError(f"request #{i} has 'delta' {delta}; it must be >= 1")
         requests.append(
             MapRequest(
                 task_graph=tg,
                 machine=machine,
                 algorithms=algos,
-                seed=int(spec["seed"]),
+                seed=seed,
                 delta=delta,
                 evaluate=True,
                 tag=spec.get("tag", i),
@@ -484,17 +470,3 @@ def canonical_result(payload: dict) -> dict:
     """
     drop = {"map_time_s", "prep_time_s", "grouping_cached"}
     return {k: v for k, v in payload.items() if k not in drop}
-
-
-def entries_signature(entries: Iterable[dict], defaults: dict) -> Tuple:
-    """Hashable identity of a request batch after defaults are applied.
-
-    Coalescing uses it to recognize identical concurrent workloads
-    without building them; requests with equal signatures are the ones
-    the planner will dedupe into shared artifacts.
-    """
-    out = []
-    for entry in entries:
-        spec = {**MANIFEST_DEFAULTS, **defaults, **entry}
-        out.append(tuple(sorted((k, json.dumps(v, sort_keys=True)) for k, v in spec.items())))
-    return tuple(out)

@@ -55,11 +55,11 @@ from repro.api.aio import AsyncMappingService
 from repro.serve.metrics import LatencyHistogram, RollingWindow
 from repro.serve.protocol import (
     ProtocolError,
+    encode_frame,
     error_payload,
     read_frame,
     requests_from_entries,
     response_payload,
-    write_frame,
 )
 
 __all__ = ["MappingServer", "FairQueue", "ThreadedServer", "DEFAULT_TENANT"]
@@ -567,11 +567,18 @@ class MappingServer:
                     ticket.defaults,
                     self._workloads,
                 )
-            except ProtocolError as exc:
-                self.counters["bad_request"] += 1
-                await self._finish(
-                    ticket, {"id": ticket.id, "ok": False, "error": exc.as_dict()}
+            except Exception as exc:
+                # Whatever one ticket's entries raise, only that ticket
+                # fails: the dispatcher keeps serving the others.
+                error = (
+                    exc.as_dict()
+                    if isinstance(exc, ProtocolError)
+                    else error_payload(
+                        "bad_request", str(exc), exception=type(exc).__name__
+                    )
                 )
+                self.counters["bad_request"] += 1
+                await self._finish(ticket, {"id": ticket.id, "ok": False, "error": error})
                 continue
             ready.append(ticket)
         while len(self._workloads) > self.workload_limit:
@@ -647,10 +654,21 @@ class MappingServer:
 
     @staticmethod
     async def _safe_reply(writer, write_lock, payload) -> None:
-        """Write one frame; a vanished client must not kill the server."""
+        """Write one frame; a vanished client must not kill the server.
+
+        A reply too large for one frame (a result or error echoing a huge
+        client field) is answered with that encoding error instead.
+        """
+        try:
+            frame = encode_frame(payload)
+        except ProtocolError as exc:
+            frame = encode_frame(
+                {"id": payload.get("id"), "ok": False, "error": exc.as_dict()}
+            )
         try:
             async with write_lock:
-                await write_frame(writer, payload)
+                writer.write(frame)
+                await writer.drain()
         except (ConnectionError, OSError, RuntimeError):
             pass
 

@@ -11,8 +11,9 @@
 
 from __future__ import annotations
 
+import argparse
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -39,9 +40,20 @@ class TestValidation:
             EngineConfig(workers=workers)
 
     def test_valid_values_accepted(self):
-        cfg = EngineConfig(workers=1, node_timeout=0.5, hosts=["a:1"])
+        cfg = EngineConfig(workers=1, node_timeout=0.5)
         assert cfg.workers == 1 and cfg.node_timeout == 0.5
-        assert cfg.hosts == ("a:1",)
+
+    def test_the_eight_fields(self):
+        assert [f.name for f in fields(EngineConfig)] == [
+            "backend",
+            "workers",
+            "store_dir",
+            "cache_entries",
+            "cache_bytes",
+            "retry",
+            "node_timeout",
+            "on_error",
+        ]
 
 
 class TestPerBatchConfig:
@@ -78,16 +90,6 @@ class TestPerBatchConfig:
             assert _fingerprints(cleared) == _fingerprints(serial)
         finally:
             unregister_mapper("SLOWUG")
-
-    def test_empty_hosts_turns_sharding_off(self, machine16, random_task_graph):
-        """``hosts=()`` in the batch config runs locally, never dialling out."""
-        batch = MapRequest(
-            task_graph=random_task_graph, machine=machine16, algorithms=("UG", "UWH")
-        )
-        serial = MappingService().map_batch(batch)
-        svc = MappingService(config=EngineConfig(hosts=("127.0.0.1:9",)))
-        local = svc.map_batch(batch, config=replace(svc.config, hosts=()))
-        assert _fingerprints(local) == _fingerprints(serial)
 
     def test_none_backend_and_workers_mean_the_service_s(self, monkeypatch):
         import repro.api.executor as executor
@@ -129,7 +131,6 @@ class TestCliFlags:
             ["map", "--matrix", "cage15_like"],
             ["map-batch", "--manifest", "unused.json"],
             ["serve"],
-            ["shard-serve"],
         ],
     )
     def test_bad_values_are_usage_errors(self, command, flag, value, capsys):
@@ -153,6 +154,14 @@ class TestCliFlags:
             build_parser().parse_args(
                 ["map", "--matrix", "cage15_like", "--kernel-backend", "numpy"]
             )
+
+    def test_the_subcommands(self):
+        (sub,) = [
+            a
+            for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert sorted(sub.choices) == ["list", "map", "map-batch", "serve", "stats"]
 
     def test_fault_flags_reach_the_batch_config(
         self, monkeypatch, machine16, random_task_graph

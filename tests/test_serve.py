@@ -22,14 +22,18 @@ Pins the contracts of :mod:`repro.serve`:
 
 from __future__ import annotations
 
+import functools
 import json
 import socket
 import struct
 import threading
 import time
 from collections import OrderedDict
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import EngineConfig, MappingService
 from repro.api.fault import PlanError, RetryPolicy
@@ -194,6 +198,53 @@ class TestErrorShape:
         assert set(error_payload("x", "y")) == set(plan)
 
 
+#: Arbitrary JSON values for the manifest-entry fields: the malformed
+#: shapes a client can send, plus a few valid ones so that some entries
+#: parse all the way to requests.
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([0, -1, 10**30, 10**400]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=6),
+    st.sampled_from(["cage12_like", "UG", "UG,UWH", "PATOH", "16", 2, 16]),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+_ENTRY_FIELDS = (
+    "matrix",
+    "algos",
+    "procs",
+    "ppn",
+    "rows_per_unit",
+    "partitioner",
+    "seed",
+    "delta",
+    "fragmentation",
+    "tag",
+)
+_ENTRIES = st.fixed_dictionaries({}, optional={f: _JSON_VALUES for f in _ENTRY_FIELDS})
+
+
+@functools.lru_cache(maxsize=None)
+def _stub_workload(*key):
+    """A tiny fixed (task graph, machine) pair standing in for the build."""
+    from repro.graph.task_graph import TaskGraph
+    from repro.topology.allocation import AllocationSpec, SparseAllocator
+    from repro.topology.torus import Torus3D
+
+    machine = SparseAllocator(Torus3D((2, 2, 2))).allocate(
+        AllocationSpec(num_nodes=4, procs_per_node=1, fragmentation=0.0, seed=0)
+    )
+    return TaskGraph.from_edges(4, [0, 1, 2], [1, 2, 3], [1.0, 1.0, 1.0]), machine
+
+
 class TestParseLayer:
     def test_stream_line_variants(self):
         kind, payload = parse_stream_line('{"defaults": {"procs": 32}}')
@@ -220,6 +271,14 @@ class TestParseLayer:
             [{"matrix": "cage12_like", "algos": 7}],
             [{"matrix": "cage12_like", "procs": "many"}],
             [{"matrix": "cage12_like", "procs": 7, "ppn": 2}],  # not divisible
+            # Mistyped or out-of-range fields that used to escape as
+            # ZeroDivisionError, TypeError, AttributeError or OverflowError.
+            [{**ENTRY, "ppn": 0}],
+            [{**ENTRY, "matrix": ["x"]}],
+            [{**ENTRY, "partitioner": ["P"]}],
+            [{**ENTRY, "algos": [5]}],
+            [{**ENTRY, "procs": 1e400}],
+            [{**ENTRY, "delta": 1e400}],
         ],
     )
     def test_all_malformed_inputs_raise_protocol_error(self, entries):
@@ -229,6 +288,34 @@ class TestParseLayer:
         d = info.value.as_dict()
         assert d["kind"] == "bad_request"
         assert d["message"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        entries=st.one_of(st.lists(_ENTRIES, min_size=1, max_size=3), _JSON_VALUES),
+        defaults=st.one_of(_ENTRIES, _JSON_VALUES),
+    )
+    def test_arbitrary_json_fields_parse_or_raise_protocol_error(self, entries, defaults):
+        """Whatever JSON a client sends, the parse layer returns requests
+        or raises :class:`ProtocolError` — never any other exception."""
+        with mock.patch("repro.serve.protocol.build_workload", _stub_workload):
+            try:
+                requests = requests_from_entries(entries, defaults, OrderedDict())
+            except ProtocolError as exc:
+                assert exc.as_dict()["kind"] == "bad_request"
+            else:
+                assert len(requests) == len(entries)
+
+    def test_any_workload_build_failure_is_a_protocol_error(self, monkeypatch):
+        """``"procs": 2**40`` makes the real build raise MemoryError."""
+        import repro.serve.protocol as protocol
+
+        def out_of_memory(*key):
+            raise MemoryError("Unable to allocate 8.00 TiB")
+
+        monkeypatch.setattr(protocol, "build_workload", out_of_memory)
+        with pytest.raises(ProtocolError) as info:
+            requests_from_entries([dict(ENTRY)], {}, OrderedDict())
+        assert info.value.as_dict()["exception"] == "MemoryError"
 
     @pytest.mark.parametrize("delta", [0, -1, "-5"])
     def test_nonpositive_delta_is_a_protocol_error(self, delta):
@@ -604,6 +691,54 @@ class TestServerIntegration:
         assert good["ok"] is True
         assert all(r["ok"] for r in good["results"])
         assert stats["counters"]["bad_request"] == 1
+
+    def test_malformed_entry_does_not_stop_the_dispatcher(self):
+        with ThreadedServer(backend="serial") as ts:
+            with ServeClient(*ts.address) as client:
+                bad = client.map([{**ENTRY, "ppn": 0}], reply_timeout=10)
+                good = client.map([dict(ENTRY)], reply_timeout=10)
+                stats = client.stats()
+            assert not ts.server._dispatcher_task.done()
+        assert bad["ok"] is False
+        assert bad["error"]["kind"] == "bad_request"
+        assert good["ok"] is True
+        assert all(r["ok"] for r in good["results"])
+        assert stats["counters"]["bad_request"] == 1
+
+    def test_oversized_reply_is_answered_and_dispatch_continues(self, monkeypatch):
+        import repro.serve.protocol as protocol
+
+        # The tag fits the request frame, but the reply echoes it once
+        # per algorithm and does not fit a reply frame.
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 4096)
+        big_tag = {**ENTRY, "algos": "UG,UWH", "tag": "t" * 2500}
+        with ThreadedServer(backend="serial") as ts:
+            with ServeClient(*ts.address) as client:
+                big = client.map([big_tag], reply_timeout=10)
+                good = client.map([dict(ENTRY)], reply_timeout=10)
+        assert big["ok"] is False
+        assert "exceeds" in big["error"]["message"]
+        assert good["ok"] is True
+
+    def test_unexpected_build_error_fails_only_its_ticket(self, monkeypatch):
+        import repro.serve.server as server_module
+
+        real = server_module.requests_from_entries
+
+        def flaky(entries, defaults, workloads):
+            if entries[0].get("tag") == "boom":
+                raise ZeroDivisionError("boom")
+            return real(entries, defaults, workloads)
+
+        monkeypatch.setattr(server_module, "requests_from_entries", flaky)
+        with ThreadedServer(backend="serial") as ts:
+            with ServeClient(*ts.address) as client:
+                bad = client.map([{**ENTRY, "tag": "boom"}], reply_timeout=10)
+                good = client.map([dict(ENTRY)], reply_timeout=10)
+        assert bad["ok"] is False
+        assert bad["error"]["kind"] == "bad_request"
+        assert bad["error"]["exception"] == "ZeroDivisionError"
+        assert good["ok"] is True
 
     def test_garbage_bytes_reject_and_close_connection(self):
         with ThreadedServer(backend="serial") as ts:

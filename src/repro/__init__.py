@@ -54,7 +54,6 @@ from repro.sim import CommOnlyApp, FlowSimulator, SpMVSimulator
 from repro.analysis import nnls_regression, geometric_mean
 from repro.api import (
     ArtifactCache,
-    AsyncMappingService,
     ExecutorPool,
     MapRequest,
     MapResponse,
@@ -102,7 +101,6 @@ __all__ = [
     "geometric_mean",
     "quick_map",
     "ArtifactCache",
-    "AsyncMappingService",
     "ExecutorPool",
     "MapRequest",
     "MapResponse",

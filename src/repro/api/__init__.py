@@ -31,15 +31,19 @@ Third-party algorithms register through the public decorator::
         ...
         return gamma
 
-For serving (many batches through one process), keep the workers and
-artifact store alive across calls::
+For many batches through one process, keep the workers and artifact
+store alive across calls (a pool's backend and width are fixed when it
+is built)::
 
-    from repro.api import AsyncMappingService, ExecutorPool
+    from repro.api import ExecutorPool
 
     with ExecutorPool("process", workers=4, idle_timeout=30) as pool:
-        service = MappingService(pool=pool)       # sync front end
-        async with AsyncMappingService(pool=pool) as aio:  # or awaitable
-            ...
+        service = MappingService(pool=pool)
+        for batch in batches:
+            service.map_batch(batch)            # one spawn, many batches
+
+The network server of :mod:`repro.serve` (``repro-map serve``) is the
+long-running front end: it drives one such service from an event loop.
 
 Serving is fault tolerant: a batch config
 ``EngineConfig(retry=RetryPolicy(...), node_timeout=...,
@@ -55,10 +59,9 @@ topology layer.
 
 Also runnable as a CLI: ``python -m repro.api map --matrix cage15_like
 --algos UWH,UMC --json`` (installed as the ``repro-map`` console
-script); ``map-batch --follow`` serves a JSONL request stream.
+script); ``map-batch`` runs a JSON manifest of requests as one batch.
 """
 
-from repro.api.aio import AsyncMappingService
 from repro.api.config import EngineConfig
 from repro.api.cache import (
     ArtifactCache,
@@ -97,7 +100,6 @@ from repro.api.stages import (
 
 __all__ = [
     "ArtifactCache",
-    "AsyncMappingService",
     "BACKENDS",
     "CacheStats",
     "DiskArtifactStore",

@@ -59,7 +59,7 @@ from __future__ import annotations
 import sys
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
@@ -155,6 +155,10 @@ class CacheStats:
     @property
     def lookups(self) -> int:
         return self.hits + self.misses
+
+    def as_dict(self) -> dict:
+        """The counters as JSON-ready ``{name: int}`` (every stats payload's schema)."""
+        return asdict(self)
 
 
 class ArtifactCache:

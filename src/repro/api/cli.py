@@ -18,19 +18,13 @@ Subcommands
     ``--node-timeout SEC`` (per-node deadline) and ``--partial``
     (failed requests become structured error entries instead of
     aborting the batch).
-
-    With ``--follow``, the manifest becomes a JSONL *stream* (``-`` =
-    stdin) and the process turns into a long-running server: one
-    :class:`~repro.api.pool.ExecutorPool` and one warm artifact cache
-    serve every incoming batch, so pool spawn and cache warm-up are
-    paid once, not per batch.  Each input line is a request object, a
-    list of request objects (one batch), or ``{"defaults": {...}}`` to
-    update the stream's defaults; each served batch emits one JSON
-    line on stdout.  ``--idle-timeout`` reaps idle workers between
-    bursts (they respawn lazily).
 ``serve``
-    Run the network front end of :mod:`repro.serve`: a TCP server
-    speaking length-prefixed JSON with admission control
+    Run the network front end of :mod:`repro.serve`, the one
+    long-running front end: one warm artifact cache (and, on the
+    thread/process backends, one :class:`~repro.api.pool.ExecutorPool`)
+    serves every request, so cache warm-up and pool spawn are paid
+    once.  It is a TCP server speaking
+    length-prefixed JSON with admission control
     (``--max-pending`` load shedding), weighted-fair-queuing tenant
     isolation (``--tenant-weight``), request coalescing
     (``--coalesce-window`` / ``--max-batch``) and per-endpoint latency
@@ -48,8 +42,6 @@ Examples::
         --algos DEF,UG,UWH --stats
     python -m repro.api map-batch --manifest reqs.json --workers 4 \
         --backend process --json
-    ... | python -m repro.api map-batch --follow --manifest - \
-        --backend process --workers 4 --idle-timeout 30
     python -m repro.api serve --listen 127.0.0.1:8765 --backend process \
         --workers 4 --max-pending 64 --tenant-weight batch=1 \
         --tenant-weight interactive=4
@@ -73,7 +65,6 @@ import json
 import sys
 import time
 from collections import OrderedDict
-from dataclasses import replace
 from typing import List, Optional
 
 from repro.api.cache import ArtifactCache
@@ -85,14 +76,7 @@ from repro.api.service import MappingService
 from repro.api.store import DiskArtifactStore
 from repro.data.corpus import CORPUS
 from repro.partition.toolbox import PARTITIONER_NAMES
-from repro.serve.protocol import (
-    ProtocolError,
-    build_workload,
-    error_payload,
-    parse_stream_line,
-    requests_from_entries,
-    response_payload,
-)
+from repro.serve.protocol import build_workload, requests_from_entries, response_payload
 
 __all__ = ["main", "build_parser"]
 
@@ -159,27 +143,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument(
         "--manifest",
         required=True,
-        help="JSON file: list of requests, or {defaults, requests}; with "
-        "--follow: a JSONL stream of request objects/batches ('-' = stdin)",
+        help="JSON file: list of requests, or {defaults, requests}",
     )
     p_batch.add_argument("--json", action="store_true", help="emit JSON")
     p_batch.add_argument(
         "--stats", action="store_true", help="print artifact-cache statistics"
-    )
-    p_batch.add_argument(
-        "--follow",
-        action="store_true",
-        help="serve mode: read request batches line by line from the "
-        "manifest stream, keeping one worker pool and warm caches alive "
-        "across batches; one JSON result line per batch",
-    )
-    p_batch.add_argument(
-        "--idle-timeout",
-        type=float,
-        default=None,
-        metavar="SEC",
-        help="serve mode: reap idle pool workers after SEC seconds "
-        "(they respawn lazily on the next batch)",
     )
     _add_engine_args(p_batch)
 
@@ -230,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         metavar="N",
-        help="concurrent plans executing in the async service (default 2)",
+        help="driver threads, and so the most plans executing at once "
+        "(default 2)",
     )
     p_serve.add_argument(
         "--tenant-weight",
@@ -262,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="query a running server's observability snapshot",
         description="Connect to a running 'serve' instance and print its "
         "stats op: queue depths per tenant, shed/coalesce counters, "
-        "per-endpoint latency percentiles, async in-flight counts, "
+        "per-endpoint latency percentiles, in-flight plans, "
         "ExecutorPool health and artifact-cache statistics.",
     )
     p_stats.add_argument(
@@ -333,7 +302,7 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="return partial batch results: a failed request becomes a "
         "structured error entry instead of aborting the whole batch "
-        "(--follow mode always serves partial results)",
+        "(serve always returns partial results)",
     )
 
 
@@ -379,14 +348,14 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fault_fields(args: argparse.Namespace, *, partial: bool = False) -> dict:
+def _fault_fields(args: argparse.Namespace) -> dict:
     """The :class:`~repro.api.config.EngineConfig` fault fields of the flags."""
     from repro.api.fault import RetryPolicy
 
     return {
         "retry": RetryPolicy(max_attempts=args.retries + 1) if args.retries else None,
         "node_timeout": args.node_timeout,
-        "on_error": "partial" if partial or args.partial else "raise",
+        "on_error": "partial" if args.partial else "raise",
     }
 
 
@@ -498,11 +467,6 @@ def _cmd_map(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Built (task graph, machine) workloads a --follow server keeps warm;
-#: least-recently-used entries beyond this are dropped after each batch.
-_FOLLOW_WORKLOAD_LIMIT = 32
-
-
 def _manifest_requests(args: argparse.Namespace) -> List[MapRequest]:
     """Parse the manifest into MapRequests (workloads built once per key)."""
     with open(args.manifest) as fh:
@@ -520,8 +484,6 @@ def _manifest_requests(args: argparse.Namespace) -> List[MapRequest]:
 
 
 def _cmd_map_batch(args: argparse.Namespace) -> int:
-    if args.follow:
-        return _cmd_follow(args)
     requests = _manifest_requests(args)
     service = _build_service(args)
     t0 = time.perf_counter()
@@ -575,179 +537,13 @@ def _cmd_map_batch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_follow(args: argparse.Namespace) -> int:
-    """Serve mode: one pool + warm caches over a JSONL request stream.
-
-    Reads the manifest stream line by line (``-`` = stdin).  A line is
-    a request object, a list of request objects (one batch), or
-    ``{"defaults": {...}}`` updating the stream's defaults.  Every
-    served batch prints one JSON line; malformed lines report an error
-    line and the server keeps going.  Workloads, the artifact cache and
-    the ExecutorPool persist across batches — that is the point.
-
-    Fault behaviour: batches always run ``on_error="partial"`` (a
-    long-running server must not die on one poisoned request — the
-    failed entry becomes a structured ``error`` result), and SIGINT /
-    SIGTERM *drain*: the in-flight batch finishes and emits its result
-    line, then the server shuts down cleanly.
-    """
-    import signal
-
-    from repro.api.pool import POOL_BACKENDS, ExecutorPool
-
-    pool = None
-    if args.backend in POOL_BACKENDS:
-        pool = ExecutorPool(
-            args.backend,
-            workers=args.workers,
-            store_dir=args.store_dir,
-            idle_timeout=args.idle_timeout,
-        )
-    service = MappingService(
-        # The front-end cache layers over the pool's store so the
-        # cache bounds and --stats describe the serving configuration
-        # on every backend (process workers share the same store).
-        cache=ArtifactCache(
-            max_entries=args.cache_entries,
-            max_bytes=args.cache_bytes,
-            store=pool.store if pool is not None else None,
-        ),
-        backend=args.backend,
-        workers=args.workers,
-        pool=pool,
-    )
-    stream = sys.stdin if args.manifest == "-" else open(args.manifest)
-    # Built workloads are LRU-bounded: a long-running server fed ever-
-    # changing matrices must not accumulate task graphs without limit.
-    workloads: "OrderedDict" = OrderedDict()
-    defaults: dict = {}
-    batches = served = failed = 0
-    store_counts = {}
-    batch_config = replace(service.config, **_fault_fields(args, partial=True))
-
-    # Graceful drain: a signal arriving mid-batch merely sets the flag —
-    # the batch finishes and its result line is emitted before the loop
-    # breaks.  A signal while idle (blocked reading the stream) exits
-    # immediately via KeyboardInterrupt; there is nothing to drain.
-    state = {"in_batch": False, "stop": None}
-
-    def _request_stop(signum, frame):
-        state["stop"] = signum
-        if not state["in_batch"]:
-            raise KeyboardInterrupt
-
-    previous_handlers = {}
-    try:
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            previous_handlers[sig] = signal.signal(sig, _request_stop)
-    except ValueError:
-        previous_handlers = {}  # not the main thread (in-process tests)
-
-    t_start = time.perf_counter()
-    try:
-        for lineno, line in enumerate(stream, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                kind, payload = parse_stream_line(line)
-                if kind == "defaults":
-                    defaults = {**defaults, **payload}
-                    continue
-                requests = requests_from_entries(payload, defaults, workloads)
-                state["in_batch"] = True
-                try:
-                    t0 = time.perf_counter()
-                    responses = service.map_batch(requests, config=batch_config)
-                    elapsed = time.perf_counter() - t0
-                finally:
-                    state["in_batch"] = False
-            except (ValueError, KeyError, TypeError) as exc:
-                # ProtocolError carries the structured PlanError-shaped
-                # dict the network server emits; anything else is
-                # wrapped into the same shape so stream consumers see
-                # exactly one malformed-input schema.
-                error = (
-                    exc.as_dict()
-                    if isinstance(exc, ProtocolError)
-                    else error_payload(
-                        "bad_request", str(exc), exception=type(exc).__name__
-                    )
-                )
-                print(
-                    json.dumps({"line": lineno, "error": error}), flush=True
-                )
-                continue
-            batches += 1
-            served += len(requests)
-            errors = sum(1 for r in responses if not r.ok)
-            failed += errors
-            while len(workloads) > _FOLLOW_WORKLOAD_LIMIT:
-                workloads.popitem(last=False)
-            print(
-                json.dumps(
-                    {
-                        "batch": batches,
-                        "line": lineno,
-                        "requests": len(requests),
-                        "errors": errors,
-                        "elapsed_s": elapsed,
-                        "results": [response_payload(r) for r in responses],
-                    }
-                ),
-                flush=True,
-            )
-            if state["stop"] is not None:
-                break
-    except KeyboardInterrupt:
-        pass  # idle-time signal: nothing in flight, exit the serve loop
-    finally:
-        for sig, handler in previous_handlers.items():
-            signal.signal(sig, handler)
-        if stream is not sys.stdin:
-            stream.close()
-        if pool is not None:
-            if args.stats:
-                # Process workers keep private caches; the shared store
-                # is the observable footprint — count it before the
-                # shutdown (which may remove a temporary store).
-                store = pool.store
-                store_counts = {
-                    ns: store.file_count(ns)
-                    for ns in sorted(store.namespaces)
-                    if store.file_count(ns)
-                }
-            pool.shutdown()
-    total = time.perf_counter() - t_start
-    if state["stop"] is not None:
-        try:
-            signame = signal.Signals(state["stop"]).name
-        except ValueError:
-            signame = str(state["stop"])
-        print(f"received {signame}; drained in-flight work", file=sys.stderr)
-    print(
-        f"served {batches} batches / {served} requests "
-        f"({failed} failed) in {total:.3f} s "
-        f"(backend={args.backend}, workers={args.workers or 'auto'}, "
-        f"pool spawns={pool.spawn_count if pool is not None else 0}, "
-        f"pool restarts={pool.restarts if pool is not None else 0})",
-        file=sys.stderr,
-    )
-    if args.stats:
-        print(service.cache.format_stats(), file=sys.stderr)
-        if store_counts:
-            summary = ", ".join(f"{ns}: {n}" for ns, n in store_counts.items())
-            print(f"Pool artifact store: {summary}", file=sys.stderr)
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the network server until a signal or client ``shutdown`` op.
 
-    The serving wiring mirrors ``--follow``: one :class:`ExecutorPool`
-    (when the backend supports one) and one front-end cache layered
-    over the pool's store live for the whole run, so spawn and warm-up
-    costs are paid once.  On top sits the asyncio
+    One :class:`ExecutorPool` (when the backend supports one), built
+    with the backend and width the flags name, and one front-end cache
+    layered over the pool's store live for the whole run, so spawn and
+    warm-up costs are paid once.  On top sits the asyncio
     :class:`~repro.serve.server.MappingServer` with its admission /
     fairness / coalescing machinery.  Once bound, one
     ``{"listening": [host, port]}`` line goes to stdout (flushed — the
@@ -859,7 +655,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         f"server {addr}  up {server['uptime_s']:.1f} s  "
         f"(max_pending={server['max_pending']}, "
         f"window={server['coalesce_window_s'] * 1e3:g} ms, "
-        f"max_batch={server['max_batch']}"
+        f"max_batch={server['max_batch']}, "
+        f"in_flight={server['in_flight']}/{server['max_in_flight']}"
         f"{', draining' if server['stopping'] else ''})"
     )
     tenants = (
@@ -894,12 +691,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             f"{h['p50_ms']:8.2f} {h['p95_ms']:8.2f} {h['p99_ms']:8.2f} "
             f"{h['max_ms']:8.2f}"
         )
-    aio = snapshot["aio"]
-    print(f"\naio: in_flight {aio['in_flight']}/{aio['max_in_flight']}")
     pool = snapshot.get("pool")
     if pool:
         print(
-            f"pool: backend={pool['backend']} "
+            f"\npool: backend={pool['backend']} "
             f"workers={pool['workers'] or 'auto'} "
             f"live={pool['live_workers']} spawns={pool['spawn_count']} "
             f"restarts={pool['restarts']} "
@@ -910,27 +705,16 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         ns: s for ns, s in cache.items() if s["hits"] or s["misses"] or s["size"]
     }
     if busy:
-        summary = ", ".join(
-            f"{ns}: {s['hits']}h/{s['misses']}m ({s['size']} live)"
-            for ns, s in sorted(busy.items())
-        )
-        print(f"cache: {summary}")
+        parts = []
+        for ns, s in sorted(busy.items()):
+            failed = f", {s['store_errors']} failed writes" if s["store_errors"] else ""
+            parts.append(f"{ns}: {s['hits']}h/{s['misses']}m ({s['size']} live{failed})")
+        print(f"cache: {', '.join(parts)}")
     return 0
 
 
 def _stats_payload(cache: ArtifactCache) -> dict:
-    return {
-        ns: {
-            "hits": s.hits,
-            "misses": s.misses,
-            "size": s.size,
-            "evictions": s.evictions,
-            "bytes": s.bytes,
-            "store_hits": s.store_hits,
-            "store_errors": s.store_errors,
-        }
-        for ns, s in cache.stats().items()
-    }
+    return {ns: s.as_dict() for ns, s in cache.stats().items()}
 
 
 def _print_stats(service: MappingService, backend: str) -> None:

@@ -9,8 +9,12 @@ across calls:
 * **Lazy spawn** — constructing a pool is free; workers start on the
   first batch that needs them.
 * **Reuse** — every subsequent batch (from any thread, including the
-  async front end in :mod:`repro.api.aio`) runs on the same executor,
-  and process workers keep their warm in-memory artifact caches.
+  network server's driver threads in :mod:`repro.serve.server`) runs on
+  the same executor, and process workers keep their warm in-memory
+  artifact caches.
+* **Fixed shape** — the backend and width are set when the pool is
+  built; a batch asking for another shape is refused by
+  :meth:`MappingService.map_batch` rather than respawning the pool.
 * **One store** — the pool owns an artifact store (caller-supplied
   directory or a pool-scoped temporary one) that outlives individual
   batches, so groupings / route tables / DEF baselines computed for
@@ -19,9 +23,6 @@ across calls:
 * **Idle reap** — with ``idle_timeout`` set, workers are shut down after
   a quiet period and respawned lazily on the next batch; the store (and
   therefore all warm artifacts) survives the reap.
-* **Re-init on config change** — :meth:`configure` tears the executor
-  down when the backend / width / store directory actually change and
-  the next batch respawns with the new shape.
 * **Clean shutdown** — context-manager exit or :meth:`shutdown` joins
   the workers and removes a pool-owned temporary store; an ``atexit``
   hook covers pools the caller forgot.
@@ -102,8 +103,8 @@ class ExecutorPool:
         self.idle_timeout = idle_timeout
         self.worker_cache_bytes = worker_cache_bytes
         self.namespaces = frozenset(namespaces)
-        #: Executor spawns over the pool's lifetime (lazy spawn + reap
-        #: + reconfigure make this observable; tests pin it).
+        #: Executor spawns over the pool's lifetime (lazy spawn and reap
+        #: make this observable; tests pin it).
         self.spawn_count = 0
         #: Crash-driven executor replacements (:meth:`respawn` calls).
         #: Each one is also a spawn, so ``spawn_count`` includes them.
@@ -169,53 +170,6 @@ class ExecutorPool:
         """The pool's artifact store (created lazily, survives reaps)."""
         with self._lock:
             return self._ensure_store()
-
-    def configure(
-        self,
-        *,
-        backend: Optional[str] = None,
-        workers: Optional[int] = None,
-        store_dir: Optional[str] = None,
-        idle_timeout: Optional[float] = None,
-    ) -> bool:
-        """Apply non-``None`` settings; re-init the executor on change.
-
-        Returns True when something changed (the running executor, if
-        any, was shut down and the next batch respawns with the new
-        configuration).  Raises while batches are in flight — a live
-        DAG must not lose its workers mid-run.
-        """
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("ExecutorPool is shut down")
-            changes = (
-                (backend is not None and backend != self.backend)
-                or (workers is not None and workers != self.workers)
-                or (store_dir is not None and store_dir != self.store_dir)
-            )
-            if idle_timeout is not None and idle_timeout != self.idle_timeout:
-                self.idle_timeout = idle_timeout
-                self._schedule_reap()
-            if not changes:
-                return False
-            if self._active:
-                raise RuntimeError(
-                    "cannot reconfigure an ExecutorPool while batches are in flight"
-                )
-            if backend is not None:
-                if backend not in POOL_BACKENDS:
-                    raise ValueError(
-                        f"unknown pool backend {backend!r}; "
-                        f"choose from {POOL_BACKENDS}"
-                    )
-                self.backend = backend
-            if workers is not None:
-                self.workers = workers
-            self._stop_executor(wait=True)
-            if store_dir is not None and store_dir != self.store_dir:
-                self._drop_store()
-                self.store_dir = store_dir
-            return True
 
     def shutdown(self) -> None:
         """Join the workers and remove a pool-owned temporary store.

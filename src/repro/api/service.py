@@ -115,11 +115,10 @@ class MappingService:
         the service default unless *backend* is given explicitly
         (``MappingService(backend="serial", pool=pool)`` keeps the
         serial reference path as the default while the pool stays
-        available to per-batch configs); a batch config naming another
-        backend or width *reconfigures the pool* (its next batch
-        respawns with the new shape), and ``backend="serial"`` bypasses
-        it.  The pool is shared, not owned: shut it down where it was
-        created.
+        available to per-batch configs).  The pool's backend and width
+        are fixed: a batch naming another one raises, and
+        ``backend="serial"`` bypasses the pool.  The pool is shared,
+        not owned: shut it down where it was created.
     config:
         Optional :class:`~repro.api.config.EngineConfig`: the service's
         defaults for :meth:`map_batch`, kept (with the resolved
@@ -203,8 +202,9 @@ class MappingService:
         shape: a ``None`` ``backend`` or ``workers`` means the service's.
 
         * With an attached pool, a non-serial batch runs on the pool's
-          long-lived workers (a different backend or width reconfigures
-          the pool; ``store_dir`` is the pool's concern).  Without one,
+          long-lived workers; a batch naming a backend or width other
+          than the pool's raises :class:`ValueError` before planning
+          (the shape and ``store_dir`` are the pool's concern).  Without one,
           ``store_dir`` points the process backend at a persistent
           cross-process artifact directory (default: the cache's
           attached store, else a temporary one).
@@ -218,7 +218,6 @@ class MappingService:
         """
         from repro.api.executor import execute_plan
 
-        plan = build_plan(requests)
         cfg = config if config is not None else self.config
         cfg = replace(
             cfg,
@@ -227,9 +226,14 @@ class MappingService:
         )
         pool = None
         if self.pool is not None and cfg.backend != "serial":
-            self.pool.configure(backend=cfg.backend, workers=cfg.workers)
             pool = self.pool
-        return execute_plan(plan, self, cfg, pool=pool)
+            if cfg.backend != pool.backend or cfg.workers not in (None, pool.workers):
+                raise ValueError(
+                    f"batch asks for backend={cfg.backend!r} workers={cfg.workers}, "
+                    f"but the attached pool is backend={pool.backend!r} "
+                    f"workers={pool.workers}; a pool's shape is fixed when it is built"
+                )
+        return execute_plan(build_plan(requests), self, cfg, pool=pool)
 
     def grouping(
         self,

@@ -1,19 +1,20 @@
 """Network serving front end over the mapping service.
 
-The layers underneath (:mod:`repro.api`) already provide long-lived
-worker pools, an awaitable service and fault-tolerant plan execution;
-this package turns them into something remote clients can actually
-talk to:
+The layers underneath (:mod:`repro.api`) provide long-lived worker
+pools and fault-tolerant plan execution; this package turns them into
+the one long-running front end remote clients talk to:
 
 :mod:`repro.serve.protocol`
     Length-prefixed-JSON framing + the single request parse/validate
-    layer shared by the network server and the ``map-batch --follow``
-    JSONL front end.
+    layer shared by the network server and the CLI's one-shot
+    ``map`` / ``map-batch`` commands.
 :mod:`repro.serve.server`
-    The asyncio :class:`MappingServer`: admission control with load
-    shedding, weighted-fair-queuing tenant isolation, request
-    coalescing into planner-deduped batches, deadline propagation, and
-    a ``stats`` op exporting p50/p95/p99 per endpoint.
+    The asyncio :class:`MappingServer`, which drives one
+    :class:`~repro.api.service.MappingService` on ``max_in_flight``
+    driver threads: admission control with load shedding,
+    weighted-fair-queuing tenant isolation, request coalescing into
+    planner-deduped batches, deadline propagation, and a ``stats`` op
+    exporting p50/p95/p99 per endpoint.
 :mod:`repro.serve.client`
     Blocking :class:`ServeClient` library (one socket per thread).
 :mod:`repro.serve.metrics`

@@ -1,10 +1,8 @@
 """Wire protocol + the single request parse/validate layer.
 
-Two front ends accept mapping requests — the JSONL ``map-batch
---follow`` stream and the network server in :mod:`repro.serve.server` —
-and before this module existed each grew its own manifest decoding and
-its own malformed-input error shape.  Everything they share now lives
-here:
+Three front ends accept mapping requests — the network server in
+:mod:`repro.serve.server`, the one-shot ``map-batch`` manifest and
+``repro-map map`` — and everything they share lives here:
 
 * **Framing** — length-prefixed JSON: a 4-byte big-endian payload
   length followed by UTF-8 JSON.  One encoder (``encode_frame``, which
@@ -16,8 +14,10 @@ here:
   request entries (``{"matrix": ..., "algos": ..., "procs": ...}``,
   with layered defaults) into :class:`~repro.api.request.MapRequest`
   objects, building and LRU-caching the (task graph, machine)
-  workloads.  Both front ends call it, so "what is a valid request"
-  has exactly one answer.
+  workloads.  Every front end calls it (``map`` calls its
+  :func:`build_workload`), so "what is a valid request" has exactly
+  one answer — including the size cap: no request may ask for more
+  ranks or rows per unit than the paper's largest experiment.
 * **Error shape** — :class:`ProtocolError` carries the same
   ``{kind, message, exception, attempts, node}`` dict a
   :class:`~repro.api.fault.PlanError` serializes to, with
@@ -47,7 +47,6 @@ __all__ = [
     "recv_frame",
     "build_workload",
     "requests_from_entries",
-    "parse_stream_line",
     "response_payload",
     "parse_address",
 ]
@@ -59,7 +58,7 @@ MAX_FRAME_BYTES = 32 << 20
 _LENGTH = struct.Struct(">I")
 
 #: Per-request fallbacks of the manifest entry schema (overridden by a
-#: stream/manifest ``defaults`` object, then by each request entry).
+#: manifest's or ``map`` frame's ``defaults`` object, then by each entry).
 MANIFEST_DEFAULTS: Dict[str, Any] = {
     "algos": "UG,UWH",
     "procs": 64,
@@ -245,8 +244,15 @@ def build_workload(
     seed: int,
     fragmentation: float,
 ):
-    """Corpus matrix → partitioned task graph + allocated machine."""
+    """Corpus matrix → partitioned task graph + allocated machine.
+
+    *procs* and *rows_per_unit* are capped at the ``paper`` profile's
+    (the paper's largest experiment), checked before the matrix is
+    generated, so one request cannot make the build allocate without
+    bound.
+    """
     from repro.data.corpus import CORPUS, load_matrix
+    from repro.experiments.profiles import PROFILES
     from repro.graph.task_graph import TaskGraph
     from repro.hypergraph.model import Hypergraph
     from repro.partition.toolbox import get_partitioner
@@ -265,6 +271,15 @@ def build_workload(
         raise ProtocolError(f"procs {procs} and ppn {ppn} must both be >= 1")
     if procs % ppn:
         raise ProtocolError(f"procs {procs} not divisible by ppn {ppn}")
+    paper = PROFILES["paper"]
+    if procs > paper.largest_procs:
+        raise ProtocolError(
+            f"procs {procs} exceeds the limit of {paper.largest_procs}"
+        )
+    if rows_per_unit > paper.rows_per_unit:
+        raise ProtocolError(
+            f"rows_per_unit {rows_per_unit} exceeds the limit of {paper.rows_per_unit}"
+        )
     matrix = load_matrix(entry, rows_per_unit, seed)
     h = Hypergraph.from_matrix(matrix)
     tool = get_partitioner(partitioner)
@@ -310,11 +325,10 @@ def requests_from_entries(
 ) -> List:
     """Manifest entries → MapRequests; *workloads* caches built inputs.
 
-    Shared by the one-shot manifest path, the ``--follow`` stream and
-    the network server — the long-running front ends pass one
-    *workloads* mapping (an ``OrderedDict``; recency order is
-    maintained for their LRU bound) across all served batches, so a
-    stream hammering the same matrices builds each workload once.
+    Shared by the one-shot manifest path and the network server — the
+    server passes one *workloads* mapping (an ``OrderedDict``; recency
+    order is maintained for its LRU bound) across all served batches,
+    so clients hammering the same matrices build each workload once.
 
     Every validation failure raises :class:`ProtocolError`, so all
     front ends reject malformed input with the same error object.
@@ -386,7 +400,7 @@ def requests_from_entries(
                     exception=type(exc).__name__,
                 ) from exc
         elif hasattr(workloads, "move_to_end"):
-            workloads.move_to_end(key)  # serve modes bound by recency
+            workloads.move_to_end(key)  # the server bounds by recency
         tg, machine = workloads[key]
         requests.append(
             MapRequest(
@@ -400,28 +414,6 @@ def requests_from_entries(
             )
         )
     return requests
-
-
-def parse_stream_line(line: str) -> Tuple[str, Any]:
-    """Classify one JSONL stream line: ``("defaults", dict)`` or ``("batch", entries)``.
-
-    A line is a request object, a list of request objects (one batch),
-    or ``{"defaults": {...}}`` updating the stream's defaults.  Raises
-    :class:`ProtocolError` on anything else, so the ``--follow`` loop's
-    malformed-line handling matches the server's frame handling.
-    """
-    try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ProtocolError(
-            f"line is not valid JSON: {exc}", exception=type(exc).__name__
-        ) from exc
-    if isinstance(payload, dict) and set(payload) == {"defaults"}:
-        if not isinstance(payload["defaults"], dict):
-            raise ProtocolError("'defaults' must be an object")
-        return "defaults", payload["defaults"]
-    entries = payload if isinstance(payload, list) else [payload]
-    return "batch", entries
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
-"""MappingServer — the asyncio network front end of the serving stack.
+"""MappingServer — the network front end of the mapping service.
 
-PRs 5–6 built the machinery (long-lived :class:`ExecutorPool`, awaitable
-:class:`AsyncMappingService`, fault-tolerant ``execute_plan``) but the
-outermost interface stayed a stdin JSONL loop.  This module is the
-missing layer: a TCP server speaking the length-prefixed-JSON protocol
-of :mod:`repro.serve.protocol`, designed around the observation that a
-mapping *service* is judged by its tail latency, not its geo-mean
-throughput.  Four mechanisms shape it:
+A TCP server speaking the length-prefixed-JSON protocol of
+:mod:`repro.serve.protocol` over one :class:`~repro.api.service.
+MappingService` (optionally backed by a long-lived
+:class:`~repro.api.pool.ExecutorPool`).  It is the one long-running
+launch path, designed around the observation that a mapping *service*
+is judged by its tail latency, not its geo-mean throughput.  Five
+mechanisms shape it:
 
 **Admission control.**  ``max_pending`` bounds requests admitted but
 not yet answered.  Past the bound, new ``map`` requests are *shed*
@@ -32,13 +32,21 @@ batch's pool session.  Per-request deadlines propagate into the
 engine's ``node_timeout`` machinery; a deadline that expires while
 queued is answered with a ``timeout`` error without touching the pool.
 
+**Bounded in-flight plans.**  Each dispatched batch runs the blocking
+``MappingService.map_batch`` on one of ``max_in_flight`` driver
+threads, so the event loop keeps admitting and answering while plans
+execute.  Execute tasks are never cancelled, so the driver executor's
+width alone bounds concurrent plans; the service's cache is switched to
+its concurrent mode because several driver threads share it.
+
 **Observability.**  Every op records into
 :class:`~repro.serve.metrics.LatencyHistogram`\\ s (end-to-end, queue
 wait, execute) and a counter set; the ``stats`` op (also served to the
 ``repro-map stats`` CLI) exports p50/p95/p99 per endpoint, queue
-depths per tenant, shed/coalesce counters, cache statistics and
-:meth:`ExecutorPool.stats` pool health in one JSON object —
-the payload the tail-latency CI gate and the load generator read.
+depths per tenant, in-flight plans, shed/coalesce counters, cache
+statistics and :meth:`ExecutorPool.stats` pool health in one JSON
+object — the payload the tail-latency CI gate and the load generator
+read.
 """
 
 from __future__ import annotations
@@ -48,10 +56,12 @@ import math
 import threading
 import time
 from collections import OrderedDict, deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
-from repro.api.aio import AsyncMappingService
+from repro.api.service import MappingService
 from repro.serve.metrics import LatencyHistogram, RollingWindow
 from repro.serve.protocol import (
     ProtocolError,
@@ -186,18 +196,14 @@ class FairQueue:
 
 
 class MappingServer:
-    """TCP front end over an :class:`AsyncMappingService`.
+    """TCP front end over one :class:`~repro.api.service.MappingService`.
 
     Parameters
     ----------
-    aio:
-        A prebuilt :class:`AsyncMappingService` (tests inject one);
-        built from *pool* / *service_kwargs* when absent.  Owned either
-        way — :meth:`stop` closes it (an attached pool is shared, per
-        the aio contract).
     pool:
         Optional :class:`~repro.api.pool.ExecutorPool` backing the
-        service — the production configuration.
+        service — the production configuration.  Shared, not owned:
+        shut it down where it was created.
     host / port:
         Listen address; port 0 picks an ephemeral port (read
         :attr:`address` after :meth:`start`).
@@ -211,7 +217,7 @@ class MappingServer:
     tenant_weights / default_tenant_weight:
         Weighted-fair-queuing weights (higher = more service).
     max_in_flight:
-        Concurrent plans (forwarded to the built aio service).
+        Driver threads, and so the most plans executing at once.
     **service_kwargs:
         Forwarded to the built :class:`~repro.api.service.
         MappingService` — including ``config=`` (an
@@ -225,7 +231,6 @@ class MappingServer:
 
     def __init__(
         self,
-        aio: Optional[AsyncMappingService] = None,
         *,
         pool=None,
         host: str = "127.0.0.1",
@@ -236,7 +241,6 @@ class MappingServer:
         tenant_weights: Optional[Dict[str, float]] = None,
         default_tenant_weight: float = 1.0,
         max_in_flight: int = 2,
-        workload_limit: int = WORKLOAD_LIMIT,
         **service_kwargs,
     ) -> None:
         if max_pending < 1:
@@ -245,28 +249,25 @@ class MappingServer:
             raise ValueError("coalesce_window must be >= 0")
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if aio is not None and (pool is not None or service_kwargs):
-            raise ValueError(
-                "pass either a prebuilt aio service or constructor "
-                "arguments, not both"
-            )
-        self.aio = (
-            aio
-            if aio is not None
-            else AsyncMappingService(
-                pool=pool, max_in_flight=max_in_flight, **service_kwargs
-            )
-        )
-        self.pool = pool if pool is not None else self.aio.service.pool
+        if max_in_flight < 1:
+            raise ValueError("max_in_flight must be >= 1")
+        self.service = MappingService(pool=pool, **service_kwargs)
+        # Several driver threads may execute plans against the one
+        # service concurrently; its cache must dedupe same-key computes.
+        self.service.cache.enable_concurrency()
         self.host = host
         self.port = port
         self.max_pending = max_pending
         self.coalesce_window = coalesce_window
         self.max_batch = max_batch
-        self.workload_limit = workload_limit
+        self.max_in_flight = max_in_flight
 
         self._fair = FairQueue(tenant_weights, default_tenant_weight)
         self._pending = 0
+        self._in_flight = 0
+        self._drivers = ThreadPoolExecutor(
+            max_workers=max_in_flight, thread_name_prefix="repro-serve"
+        )
         self._workloads: "OrderedDict" = OrderedDict()
         self._server: Optional[asyncio.base_events.Server] = None
         self._dispatcher_task: Optional[asyncio.Task] = None
@@ -308,7 +309,7 @@ class MappingServer:
         return self.address
 
     async def stop(self, *, drain: bool = True, drain_timeout: float = 30.0) -> None:
-        """Stop accepting, optionally drain in-flight work, close the aio.
+        """Stop accepting, optionally drain in-flight work, stop the drivers.
 
         With ``drain`` (the default) every already-admitted ticket is
         answered before the service closes; without it, queued tickets
@@ -336,7 +337,8 @@ class MappingServer:
             self._dispatcher_task = None
         if self._execute_tasks:
             await asyncio.gather(*self._execute_tasks, return_exceptions=True)
-        await self.aio.close()
+        # Every execute task has finished, so the drivers are idle.
+        self._drivers.shutdown(wait=True)
         self._server = None
         self._stopped.set()
 
@@ -581,7 +583,7 @@ class MappingServer:
                 await self._finish(ticket, {"id": ticket.id, "ok": False, "error": error})
                 continue
             ready.append(ticket)
-        while len(self._workloads) > self.workload_limit:
+        while len(self._workloads) > WORKLOAD_LIMIT:
             self._workloads.popitem(last=False)
         if not ready:
             return
@@ -592,11 +594,11 @@ class MappingServer:
         # The merged batch runs under the tightest member deadline; the
         # window is short, so co-batched slack rarely differs by much —
         # PERFORMANCE.md documents the trade-off.
-        timeouts = [self.aio.service.config.node_timeout]
+        timeouts = [self.service.config.node_timeout]
         timeouts += [t.remaining(now) for t in ready]
         effective = min((t for t in timeouts if t is not None), default=None)
         # Execute as a task so the dispatcher keeps draining the queue;
-        # the aio service's max_in_flight semaphore bounds concurrency.
+        # the driver executor's width bounds concurrent plans.
         task = asyncio.get_running_loop().create_task(
             self._execute(ready, effective, len(ready))
         )
@@ -610,14 +612,13 @@ class MappingServer:
         t0 = time.monotonic()
         try:
             config = replace(
-                self.aio.service.config, node_timeout=node_timeout, on_error="partial"
+                self.service.config, node_timeout=node_timeout, on_error="partial"
             )
-            responses = await self.aio.map_batch(merged, config=config)
+            responses = await self._run_plan(merged, config)
         except Exception as exc:
             # Every ticket of the group is answered whatever went wrong:
             # an unanswered ticket would hold its admission slot forever.
-            kind = "shutdown" if isinstance(exc, RuntimeError) else "error"
-            err = error_payload(kind, str(exc), exception=type(exc).__name__)
+            err = error_payload("error", str(exc), exception=type(exc).__name__)
             for ticket in group:
                 await self._finish(ticket, {"id": ticket.id, "ok": False, "error": err})
             return
@@ -643,6 +644,16 @@ class MappingServer:
                     "dispatch": ticket.dispatch_seq,
                 },
             )
+
+    async def _run_plan(self, requests, config):
+        """``service.map_batch`` on a driver thread, counted in flight."""
+        self._in_flight += 1
+        try:
+            return await asyncio.get_running_loop().run_in_executor(
+                self._drivers, partial(self.service.map_batch, requests, config=config)
+            )
+        finally:
+            self._in_flight -= 1
 
     async def _finish(self, ticket: _Ticket, payload: dict) -> None:
         await self._safe_reply(ticket.writer, ticket.write_lock, payload)
@@ -682,18 +693,6 @@ class MappingServer:
         lifetime counters, per-endpoint latency percentiles, pool
         health and artifact-cache statistics.
         """
-        service = self.aio.service
-        cache_stats = {
-            ns: {
-                "hits": s.hits,
-                "misses": s.misses,
-                "size": s.size,
-                "evictions": s.evictions,
-                "bytes": s.bytes,
-                "store_hits": s.store_hits,
-            }
-            for ns, s in service.cache.stats().items()
-        }
         dispatches = self.counters["dispatches"]
         return {
             "server": {
@@ -702,6 +701,8 @@ class MappingServer:
                 "max_pending": self.max_pending,
                 "coalesce_window_s": self.coalesce_window,
                 "max_batch": self.max_batch,
+                "in_flight": self._in_flight,
+                "max_in_flight": self.max_in_flight,
                 "stopping": self._stopping,
             },
             "queue": {
@@ -722,9 +723,8 @@ class MappingServer:
                 ),
             },
             "latency": {name: h.summary() for name, h in self.latency.items()},
-            "aio": self.aio.stats(),
-            "pool": self.pool.stats() if self.pool is not None else None,
-            "cache": cache_stats,
+            "pool": self.service.pool.stats() if self.service.pool is not None else None,
+            "cache": {ns: s.as_dict() for ns, s in self.service.cache.stats().items()},
         }
 
 

@@ -1,209 +1,110 @@
-"""Tests for the async front end (repro.api.aio.AsyncMappingService).
+"""Tests for the asyncio serving path (repro.serve.MappingServer).
 
-Pins the contracts the serving layer depends on: awaitable results are
-byte-identical to the sync path, ``max_in_flight`` really bounds plan
-concurrency, ``submit`` hands out per-request futures, and the driver
-threads shut down cleanly (alone and with an attached ExecutorPool).
+:class:`~repro.serve.MappingServer` is driven here on the test's own
+event loop through its ``start`` / ``stop`` coroutines, with blocking
+clients offloaded by ``asyncio.to_thread`` — the path an embedding
+asyncio application takes, as opposed to the
+:class:`~repro.serve.ThreadedServer` wrapper the other serve tests use.
+
+Pins the contracts the async front end keeps: replies to concurrent
+clients are byte-identical to a direct sync ``map_batch``, alone and
+over an attached :class:`~repro.api.pool.ExecutorPool` (spawned once),
+and the ``max_in_flight`` driver bound is validated and reported.
 """
 
 from __future__ import annotations
 
 import asyncio
-import threading
-import time
+from collections import OrderedDict
 
-import numpy as np
 import pytest
 
-from repro.api import (
-    AsyncMappingService,
-    ExecutorPool,
-    MappingService,
-    MapRequest,
+from repro.api import EngineConfig, ExecutorPool, MappingService
+from repro.serve import (
+    MappingServer,
+    ServeClient,
+    canonical_result,
+    requests_from_entries,
+    response_payload,
 )
-from repro.graph.task_graph import TaskGraph
-from repro.topology.allocation import AllocationSpec, SparseAllocator
-from repro.topology.torus import Torus3D
+
+#: Small workload (~10 ms per algorithm); several seeds and algorithms
+#: so one reply carries many results to compare.
+ENTRY = {
+    "matrix": "cage12_like",
+    "algos": "UG,UWH,SFC",
+    "procs": 16,
+    "ppn": 2,
+    "rows_per_unit": 40,
+}
 
 
-@pytest.fixture()
-def setup():
-    torus = Torus3D((4, 4, 2))
-    machine = SparseAllocator(torus).allocate(
-        AllocationSpec(num_nodes=8, procs_per_node=3, fragmentation=0.3, seed=4)
-    )
-    rng = np.random.default_rng(7)
-    n, m = 24, 160
-    src = rng.integers(0, n, m)
-    dst = rng.integers(0, n, m)
-    keep = src != dst
-    tg = TaskGraph.from_edges(n, src[keep], dst[keep], rng.uniform(1, 5, keep.sum()))
-    return tg, machine
+def _entries(seeds):
+    return [{**ENTRY, "seed": s, "tag": f"s{s}"} for s in seeds]
 
 
-def _requests(tg, machine, count=4):
-    return [
-        MapRequest(
-            task_graph=tg,
-            machine=machine,
-            algorithms=("UG", "UWH", "SFC"),
-            seed=s,
-            evaluate=True,
-            tag=s,
+def _sync_reference(entries):
+    """Canonical results of *entries* through the sync service."""
+    reqs = requests_from_entries(list(entries), {}, OrderedDict())
+    responses = MappingService().map_batch(reqs, config=EngineConfig(on_error="partial"))
+    return [canonical_result(response_payload(r)) for r in responses]
+
+
+def _map(address, entries, tenant):
+    with ServeClient(*address, tenant=tenant) as client:
+        return client.map(entries, reply_timeout=120)
+
+
+async def _serve_concurrently(server, batches):
+    """Start *server*, map every batch from its own client at once, stop."""
+    address = await server.start()
+    try:
+        return await asyncio.gather(
+            *(
+                asyncio.to_thread(_map, address, entries, f"c{i}")
+                for i, entries in enumerate(batches)
+            )
         )
-        for s in range(count)
-    ]
+    finally:
+        await server.stop()
 
 
-def _assert_identical(serial, responses):
-    assert len(serial) == len(responses)
-    for a, b in zip(serial, responses):
-        assert (a.algorithm, a.tag) == (b.algorithm, b.tag)
-        np.testing.assert_array_equal(a.fine_gamma, b.fine_gamma)
-        assert a.metrics.as_dict() == b.metrics.as_dict()
+def _assert_matches_sync(batches, replies):
+    assert len(replies) == len(batches)
+    for entries, reply in zip(batches, replies):
+        assert reply["ok"] is True
+        assert all(r["ok"] for r in reply["results"])
+        got = [canonical_result(r) for r in reply["results"]]
+        assert got == _sync_reference(entries)
 
 
 class TestAsyncParity:
-    def test_map_batch_matches_sync(self, setup):
-        tg, machine = setup
-        requests = _requests(tg, machine)
-        serial = MappingService().map_batch(requests)
+    def test_map_batch_matches_sync(self):
+        batches = [_entries([0, 1]), _entries([2]), _entries([3, 4])]
+        server = MappingServer(backend="thread", workers=2, max_in_flight=2)
+        replies = asyncio.run(_serve_concurrently(server, batches))
+        _assert_matches_sync(batches, replies)
+        stats = server.stats_payload()
+        assert stats["server"]["in_flight"] == 0
+        assert stats["queue"]["pending"] == 0
+        assert stats["counters"]["completed"] == len(batches)
 
-        async def run():
-            async with AsyncMappingService() as svc:
-                return await svc.map_batch(requests)
-
-        _assert_identical(serial, asyncio.run(run()))
-
-    def test_submit_per_request_futures(self, setup):
-        """Futures resolve per request; gather order is the caller's."""
-        tg, machine = setup
-        requests = _requests(tg, machine)
-        serial = MappingService().map_batch(requests)
-
-        async def run():
-            async with AsyncMappingService(max_in_flight=2) as svc:
-                tasks = [svc.submit(r) for r in requests]
-                # Await in reverse to prove completion order is free.
-                for task in reversed(tasks):
-                    await task
-                return [r for task in tasks for r in task.result()]
-
-        _assert_identical(serial, asyncio.run(run()))
-
-    def test_map_single_algorithm(self, setup):
-        tg, machine = setup
-        request = MapRequest(
-            task_graph=tg, machine=machine, algorithms=("UWH",), seed=1
-        )
-
-        async def run():
-            async with AsyncMappingService() as svc:
-                return await svc.map(request)
-
-        response = asyncio.run(run())
-        reference = MappingService().map(request)
-        assert response.algorithm == "UWH"
-        np.testing.assert_array_equal(response.fine_gamma, reference.fine_gamma)
-
-    def test_map_rejects_multi_algorithm(self, setup):
-        tg, machine = setup
-        request = MapRequest(
-            task_graph=tg, machine=machine, algorithms=("UG", "UWH")
-        )
-
-        async def run():
-            async with AsyncMappingService() as svc:
-                with pytest.raises(ValueError):
-                    await svc.map(request)
-
-        asyncio.run(run())
-
-    def test_pooled_async_parity(self, setup):
-        tg, machine = setup
-        requests = _requests(tg, machine)
-        serial = MappingService().map_batch(requests)
-
-        async def run():
-            with ExecutorPool("thread", workers=2) as pool:
-                async with AsyncMappingService(pool=pool) as svc:
-                    out = await svc.map_batch(requests)
-                    assert pool.spawn_count == 1
-                    return out
-
-        _assert_identical(serial, asyncio.run(run()))
+    def test_pooled_async_parity(self):
+        batches = [_entries([0, 1]), _entries([2, 3])]
+        with ExecutorPool("thread", workers=2) as pool:
+            server = MappingServer(pool=pool, max_in_flight=2)
+            replies = asyncio.run(_serve_concurrently(server, batches))
+            # Every dispatch ran on the one attached executor.
+            assert pool.spawn_count == 1
+        _assert_matches_sync(batches, replies)
 
 
 class TestInFlightBound:
-    def test_semaphore_bounds_concurrent_plans(self, setup):
-        """max_in_flight=2: never more than two plans execute at once."""
-        tg, machine = setup
-        svc = AsyncMappingService(max_in_flight=2)
-        lock = threading.Lock()
-        running = [0]
-        peak = [0]
-
-        def slow_map_batch(requests, **kwargs):
-            with lock:
-                running[0] += 1
-                peak[0] = max(peak[0], running[0])
-            time.sleep(0.05)
-            with lock:
-                running[0] -= 1
-            return ["ok"]
-
-        svc.service.map_batch = slow_map_batch  # type: ignore[assignment]
-
-        async def run():
-            requests = _requests(tg, machine, count=6)
-            results = await asyncio.gather(
-                *[svc.map_batch(r) for r in requests]
-            )
-            await svc.close()
-            return results
-
-        results = asyncio.run(run())
-        assert results == [["ok"]] * 6
-        assert peak[0] <= 2
-        assert svc.in_flight == 0
-
     def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            AsyncMappingService(max_in_flight=0)
-        with pytest.raises(ValueError):
-            AsyncMappingService(MappingService(), backend="thread")
-
-    def test_closed_service_rejects_work(self, setup):
-        tg, machine = setup
-
-        async def run():
-            svc = AsyncMappingService()
-            await svc.close()
-            with pytest.raises(RuntimeError):
-                await svc.map_batch(_requests(tg, machine, count=1))
-
-        asyncio.run(run())
-
-    def test_plan_queued_behind_close_rejected_cleanly(self, setup):
-        """close() lets the running plan finish; queued ones get a
-        RuntimeError, not the driver pool's shutdown error."""
-        tg, machine = setup
-        svc = AsyncMappingService(max_in_flight=1)
-
-        def slow_map_batch(requests, **kwargs):
-            time.sleep(0.1)
-            return ["done"]
-
-        svc.service.map_batch = slow_map_batch  # type: ignore[assignment]
-
-        async def run():
-            requests = _requests(tg, machine, count=1)
-            first = asyncio.ensure_future(svc.map_batch(requests))
-            queued = asyncio.ensure_future(svc.map_batch(requests))
-            await asyncio.sleep(0.02)  # let `first` occupy the slot
-            await svc.close()  # waits for `first`; `queued` still pending
-            assert await first == ["done"]
-            with pytest.raises(RuntimeError, match="closed"):
-                await queued
-
-        asyncio.run(run())
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="max_in_flight"):
+                MappingServer(max_in_flight=bad)
+        server = MappingServer(max_in_flight=3)
+        assert server.max_in_flight == 3
+        assert server.stats_payload()["server"]["max_in_flight"] == 3
+        assert server.stats_payload()["server"]["in_flight"] == 0

@@ -155,6 +155,14 @@ class TestCliFlags:
                 ["map", "--matrix", "cage15_like", "--kernel-backend", "numpy"]
             )
 
+    @pytest.mark.parametrize("flags", [["--follow"], ["--idle-timeout", "5"]])
+    def test_removed_follow_flags_are_usage_errors(self, flags):
+        """``serve`` is the one long-running front end: ``map-batch`` has
+        no stream mode left."""
+        with pytest.raises(SystemExit) as exc:
+            main(["map-batch", "--manifest", "-"] + flags)
+        assert exc.value.code == 2
+
     def test_the_subcommands(self):
         (sub,) = [
             a

@@ -34,7 +34,6 @@ import numpy as np
 import pytest
 
 from repro.api import (
-    AsyncMappingService,
     DiskArtifactStore,
     EngineConfig,
     ExecutorPool,
@@ -653,68 +652,44 @@ class TestDegradedMachines:
 
 
 class TestAioCancellation:
-    def test_cancel_releases_slot_pool_stays_serviceable(self, workload):
-        tg, machine = workload
+    """Faults inside a batch dispatched by the asyncio server stay
+    per-request, and the server's engine config (retry) shapes them."""
+
+    def test_fault_kwargs_flow_through_async(self, injector):
+        from repro.serve import MappingServer, ServeClient
+
+        entry = {"matrix": "cage12_like", "algos": "UG", "procs": 16, "ppn": 2,
+                 "rows_per_unit": 40, "seed": 0}
+        # a0 raises on every attempt the retry policy allows; b0 once.
+        injector.arm("raise", "a0", count=2)
+        injector.arm("raise", "b0")
+
+        def map_entries(address):
+            with ServeClient(*address) as client:
+                return client.map(
+                    [{**entry, "tag": t} for t in ("a0", "b0", "c0")],
+                    reply_timeout=120,
+                )
 
         async def run():
-            async with AsyncMappingService(max_in_flight=1) as svc:
-                task = svc.submit(_request(tg, machine, "victim"))
-                await asyncio.sleep(0)  # let it reach the semaphore
-                task.cancel()
-                with pytest.raises(asyncio.CancelledError):
-                    await task
-                # The slot must be free again: this await would hang
-                # forever (max_in_flight=1) if cancellation leaked it.
-                out = await asyncio.wait_for(
-                    svc.map_batch(_request(tg, machine, "after")), timeout=60
-                )
-                assert out[0].ok
-                assert svc.in_flight == 0
+            server = MappingServer(
+                backend="thread",
+                workers=2,
+                config=EngineConfig(retry=RetryPolicy(max_attempts=2, backoff=0.01)),
+            )
+            address = await server.start()
+            try:
+                return await asyncio.to_thread(map_entries, address)
+            finally:
+                await server.stop()
 
-        asyncio.run(run())
-
-    def test_timeout_releases_slot(self, workload):
-        tg, machine = workload
-
-        @register_mapper("SLEEPY3", description="sleeps, then places greedily")
-        def sleepy(ctx):
-            time.sleep(2.0)
-            return PLACEMENT_STAGES["greedy"](ctx)
-
-        try:
-
-            async def run():
-                async with AsyncMappingService(max_in_flight=1) as svc:
-                    with pytest.raises(asyncio.TimeoutError):
-                        await svc.map(
-                            _request(tg, machine, "slow", algos=("SLEEPY3",)),
-                            timeout=0.2,
-                        )
-                    out = await asyncio.wait_for(
-                        svc.map_batch(_request(tg, machine, "after")), timeout=60
-                    )
-                    assert out[0].ok
-
-            asyncio.run(run())
-        finally:
-            unregister_mapper("SLEEPY3")
-
-    def test_fault_kwargs_flow_through_async(self, workload, injector):
-        tg, machine = workload
-        injector.arm("raise", "a0")
-
-        async def run():
-            async with AsyncMappingService() as svc:
-                out = await svc.map_batch(
-                    [
-                        _request(tg, machine, "a0"),
-                        _request(tg, machine, "a1"),
-                    ],
-                    config=EngineConfig(on_error="partial"),
-                )
-                by_tag = {r.tag: r for r in out}
-                assert not by_tag["a0"].ok
-                assert by_tag["a0"].error.kind == "error"
-                assert by_tag["a1"].ok
-
-        asyncio.run(run())
+        reply = asyncio.run(run())
+        assert reply["ok"] is True  # transport ok; results carry the faults
+        by_tag = {r["tag"]: r for r in reply["results"]}
+        assert by_tag["a0"]["ok"] is False
+        assert by_tag["a0"]["error"]["kind"] == "error"
+        assert by_tag["a0"]["error"]["attempts"] == 2
+        assert by_tag["b0"]["ok"] is True  # healed by the retry
+        assert by_tag["c0"]["ok"] is True
+        assert by_tag["b0"]["mapping_fp"] == by_tag["c0"]["mapping_fp"]
+        assert injector.pending("raise") == 0

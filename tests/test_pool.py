@@ -1,19 +1,16 @@
-"""Tests for the serving layer's ExecutorPool and the --follow CLI mode.
+"""Tests for the serving layer's ExecutorPool.
 
-Pins the pool lifecycle contracts the ISSUE names: lazy spawn, reuse
-across batches (byte-identical to serial), idle reap + lazy respawn,
-re-init on config change, and a shutdown that leaves no stray worker
-processes.  The follow-mode tests drive the long-running serve loop of
-``python -m repro.api map-batch --follow`` over an in-memory stdin.
+Pins the pool lifecycle contracts: lazy spawn, reuse across batches
+(byte-identical to serial), idle reap + lazy respawn, a shape fixed at
+construction (a batch asking for another backend or width is refused,
+a serial batch bypasses the pool), and a shutdown that leaves no stray
+worker processes.
 """
 
 from __future__ import annotations
 
-import io
-import json
 import multiprocessing
 import os
-import sys
 import threading
 import time
 
@@ -163,28 +160,6 @@ class TestPoolLifecycle:
             assert pool.executor_alive
             assert pool.spawn_count == 2
 
-    def test_configure_reinit_on_change_only(self, setup):
-        tg, machine = setup
-        request = _request(tg, machine, algos=("UG",))
-        with ExecutorPool("thread", workers=2) as pool:
-            service = MappingService(pool=pool)
-            service.map_batch(request)
-            assert pool.spawn_count == 1
-            assert pool.configure(workers=2) is False  # no-op keeps workers
-            assert pool.executor_alive
-            assert pool.configure(workers=3) is True  # change tears down
-            assert not pool.executor_alive
-            service.map_batch(request)
-            assert pool.spawn_count == 2 and pool.workers == 3
-            with pytest.raises(ValueError):
-                pool.configure(backend="gpu")
-
-    def test_configure_rejected_mid_batch(self, setup):
-        with ExecutorPool("thread", workers=1) as pool:
-            with pool.session():
-                with pytest.raises(RuntimeError):
-                    pool.configure(workers=4)
-
     def test_constructor_serial_default_bypasses_pool(self, setup):
         """An explicit backend="serial" beside a pool stays honored."""
         tg, machine = setup
@@ -197,24 +172,33 @@ class TestPoolLifecycle:
             service.map_batch(request, config=EngineConfig(backend="thread"))
             assert pool.spawn_count == 1
 
-    def test_per_call_override_reconfigures_pool(self, setup):
+    def test_batch_of_another_shape_is_refused(self, setup):
+        """A pool's backend and width are fixed: a batch naming another
+        one raises before planning, and the pool never spawns for it."""
         tg, machine = setup
         request = _request(tg, machine, algos=("UG",))
         with ExecutorPool("thread", workers=2) as pool:
             service = MappingService(pool=pool)
-            service.map_batch(request, config=EngineConfig(workers=1))
-            assert pool.workers == 1
-            # backend="serial" bypasses the pool entirely.
-            service.map_batch(request, config=EngineConfig(backend="serial"))
-            assert pool.spawn_count == 1
+            for config in (EngineConfig(workers=1), EngineConfig(backend="process")):
+                with pytest.raises(ValueError, match="fixed"):
+                    service.map_batch(request, config=config)
+            with pytest.raises(ValueError, match="fixed"):
+                MappingService(pool=pool, workers=3).map_batch(request)
+            assert pool.spawn_count == 0
+            # The pool's own shape, named or not, runs on it.
+            service.map_batch(request, config=EngineConfig(workers=2))
+            service.map_batch(request)
+            assert pool.spawn_count == 1 and pool.workers == 2
 
-    def test_service_level_workers_reach_the_pool(self, setup):
-        """MappingService(workers=) means the same with or without a pool."""
+    def test_serial_batch_beside_a_pool_spawns_nothing(self, setup):
         tg, machine = setup
-        with ExecutorPool("thread") as pool:
-            service = MappingService(pool=pool, workers=3)
-            service.map_batch(_request(tg, machine, algos=("UG",)))
-            assert pool.workers == 3
+        request = _request(tg, machine, algos=("UG",))
+        with ExecutorPool("thread", workers=2) as pool:
+            out = MappingService(pool=pool).map_batch(
+                request, config=EngineConfig(backend="serial", workers=5)
+            )
+            assert out[0].ok
+            assert pool.spawn_count == 0 and not pool.executor_alive
 
     def test_store_access_after_shutdown_rejected(self):
         pool = ExecutorPool("thread")
@@ -263,77 +247,3 @@ class TestPoolLifecycle:
                 _request(tg, machine, algos=("UG",))
             )
             assert all(r.grouping_cached for r in responses)
-
-
-class TestFollowCli:
-    def _run(self, monkeypatch, lines, argv):
-        from repro.api.cli import main
-
-        monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
-        return main(argv)
-
-    def test_stream_serves_batches_with_warm_caches(self, monkeypatch, capsys):
-        lines = [
-            '{"defaults": {"procs": 32, "ppn": 4, "algos": "UG,SFC"}}',
-            '{"matrix": "cage15_like", "tag": "a"}',
-            "",
-            '[{"matrix": "cage15_like", "algos": "UWH", "tag": "b"},'
-            ' {"matrix": "cage15_like", "seed": 3, "tag": "c"}]',
-        ]
-        rc = self._run(
-            monkeypatch,
-            lines,
-            [
-                "map-batch",
-                "--follow",
-                "--manifest",
-                "-",
-                "--backend",
-                "thread",
-                "--workers",
-                "2",
-            ],
-        )
-        assert rc == 0
-        out_lines = [
-            json.loads(line)
-            for line in capsys.readouterr().out.strip().splitlines()
-        ]
-        assert [o["batch"] for o in out_lines] == [1, 2]
-        assert [r["algorithm"] for r in out_lines[0]["results"]] == ["UG", "SFC"]
-        tags = [r["tag"] for r in out_lines[1]["results"]]
-        assert tags == ["b", "c", "c"]
-        # Batch 2's UWH rides batch 1's cached grouping — the serve
-        # loop's whole point.
-        uwh = out_lines[1]["results"][0]
-        assert uwh["grouping_cached"] is True
-
-    def test_bad_lines_do_not_kill_the_server(self, monkeypatch, capsys):
-        lines = [
-            "this is not json",
-            '{"algos": "UG"}',
-            '{"matrix": "cage15_like", "procs": 32, "ppn": 4, "algos": "UG"}',
-        ]
-        rc = self._run(
-            monkeypatch, lines, ["map-batch", "--follow", "--manifest", "-"]
-        )
-        assert rc == 0
-        out_lines = [
-            json.loads(line)
-            for line in capsys.readouterr().out.strip().splitlines()
-        ]
-        assert "error" in out_lines[0] and out_lines[0]["line"] == 1
-        assert "error" in out_lines[1] and out_lines[1]["line"] == 2
-        assert out_lines[2]["batch"] == 1
-
-    def test_follow_reads_manifest_file(self, tmp_path, capsys):
-        from repro.api.cli import main
-
-        stream = tmp_path / "stream.jsonl"
-        stream.write_text(
-            '{"matrix": "cage15_like", "procs": 32, "ppn": 4, "algos": "UG"}\n'
-        )
-        rc = main(["map-batch", "--follow", "--manifest", str(stream)])
-        assert rc == 0
-        payload = json.loads(capsys.readouterr().out.strip())
-        assert payload["requests"] == 1

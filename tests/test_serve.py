@@ -5,8 +5,9 @@ Pins the contracts of :mod:`repro.serve`:
 * the length-prefixed-JSON protocol round-trips frames and rejects
   malformed/oversized input with the one PlanError-shaped error object;
 * ``requests_from_entries`` is the single parse/validate layer — the
-  ``map-batch --follow`` CLI and the network server reject identical
-  garbage with identical error dicts;
+  one-shot CLI and the network server reject identical garbage
+  (including requests larger than the paper's largest experiment) with
+  identical error dicts;
 * :class:`FairQueue` implements weighted fair queuing: a flooding
   tenant cannot starve a quiet one, weights skew service proportionally,
   idle tenants earn no retroactive credit;
@@ -16,7 +17,8 @@ Pins the contracts of :mod:`repro.serve`:
   with exactly one grouping-stage computation, sheds load with
   structured ``overloaded`` errors when the admission queue is full,
   expires queued deadlines without touching the engine, and propagates
-  in-flight deadlines into per-node timeouts;
+  in-flight deadlines into per-node timeouts, and never runs more than
+  ``max_in_flight`` plans at once;
 * the ``serve`` / ``stats`` CLI subcommands drive a real server.
 """
 
@@ -35,7 +37,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import EngineConfig, MappingService
+from repro.api import (
+    ArtifactCache,
+    CacheStats,
+    DiskArtifactStore,
+    EngineConfig,
+    MappingService,
+)
 from repro.api.fault import PlanError, RetryPolicy
 from repro.api.registry import register_mapper, unregister_mapper
 from repro.api.stages import PLACEMENT_STAGES
@@ -56,7 +64,6 @@ from repro.serve import (
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     encode_frame,
-    parse_stream_line,
     recv_frame,
     send_frame,
 )
@@ -246,18 +253,6 @@ def _stub_workload(*key):
 
 
 class TestParseLayer:
-    def test_stream_line_variants(self):
-        kind, payload = parse_stream_line('{"defaults": {"procs": 32}}')
-        assert kind == "defaults" and payload == {"procs": 32}
-        kind, payload = parse_stream_line('{"matrix": "m"}')
-        assert kind == "batch" and payload == [{"matrix": "m"}]
-        kind, payload = parse_stream_line('[{"matrix": "a"}, {"matrix": "b"}]')
-        assert kind == "batch" and len(payload) == 2
-        with pytest.raises(ProtocolError):
-            parse_stream_line("not json")
-        with pytest.raises(ProtocolError):
-            parse_stream_line('{"defaults": 3}')
-
     @pytest.mark.parametrize(
         "entries",
         [
@@ -279,6 +274,10 @@ class TestParseLayer:
             [{**ENTRY, "algos": [5]}],
             [{**ENTRY, "procs": 1e400}],
             [{**ENTRY, "delta": 1e400}],
+            # Larger than the paper's largest experiment (16,384 ranks,
+            # 40,000 rows per unit): refused before the matrix is built.
+            [{**ENTRY, "procs": 1048576}],
+            [{**ENTRY, "rows_per_unit": 40001}],
         ],
     )
     def test_all_malformed_inputs_raise_protocol_error(self, entries):
@@ -791,9 +790,71 @@ class TestServerIntegration:
         assert stats["counters"]["accepted"] == 1
         assert stats["latency"]["map"]["count"] == 1
         assert stats["latency"]["map"]["p50_ms"] <= stats["latency"]["map"]["p99_ms"]
-        assert stats["aio"]["max_in_flight"] == 2
+        assert stats["server"]["max_in_flight"] == 2
+        assert stats["server"]["in_flight"] == 0
         assert stats["pool"] is None  # no ExecutorPool in this config
         assert "grouping" in stats["cache"]
+
+    def test_stats_report_failed_store_writes(self, tmp_path, monkeypatch):
+        """Every cache namespace carries ``store_errors``; a store whose
+        writes fail shows them instead of looking healthy."""
+        store = DiskArtifactStore(str(tmp_path / "store"))
+
+        def failing_save(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(store, "save", failing_save)
+        with ThreadedServer(backend="serial", cache=ArtifactCache(store=store)) as ts:
+            with ServeClient(*ts.address) as client:
+                assert client.map([dict(ENTRY)])["ok"]
+                stats = client.stats()
+        for ns, block in stats["cache"].items():
+            assert set(block) == set(CacheStats().as_dict()), ns
+        assert stats["cache"]["grouping"]["store_errors"] >= 1
+
+    def test_driver_threads_bound_concurrent_plans(self):
+        """max_in_flight=1: concurrent clients' plans never overlap, and
+        ``in_flight`` is back to 0 once every reply is out."""
+        n = 4
+        lock = threading.Lock()
+        running, peak = [0], [0]
+        replies = [None] * n
+        with ThreadedServer(
+            backend="serial", max_in_flight=1, coalesce_window=0, max_batch=1
+        ) as ts:
+            service = ts.server.service
+            original = service.map_batch
+
+            def sleeping(requests, *, config=None):
+                with lock:
+                    running[0] += 1
+                    peak[0] = max(peak[0], running[0])
+                try:
+                    time.sleep(0.1)
+                    return original(requests, config=config)
+                finally:
+                    with lock:
+                        running[0] -= 1
+
+            service.map_batch = sleeping
+            barrier = threading.Barrier(n)
+
+            def worker(i):
+                with ServeClient(*ts.address, tenant=f"c{i}") as client:
+                    barrier.wait(timeout=30)
+                    replies[i] = client.map([dict(ENTRY)], reply_timeout=60)
+
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            with ServeClient(*ts.address) as client:
+                stats = client.stats()
+        assert all(r["ok"] for r in replies)
+        assert stats["counters"]["dispatches"] == n
+        assert peak[0] == 1
+        assert stats["server"]["in_flight"] == 0
 
 
 class TestDispatchConfig:
@@ -804,16 +865,16 @@ class TestDispatchConfig:
     @staticmethod
     def _spy(ts, fail=False):
         configs = []
-        aio = ts.server.aio
-        original = aio.map_batch
+        service = ts.server.service
+        original = service.map_batch
 
-        async def spy(requests, *, timeout=None, config=None):
+        def spy(requests, *, config=None):
             configs.append(config)
             if fail:
                 raise ValueError("dispatch blew up")
-            return await original(requests, timeout=timeout, config=config)
+            return original(requests, config=config)
 
-        aio.map_batch = spy
+        service.map_batch = spy
         return configs
 
     def test_service_config_shapes_every_dispatch(self):
@@ -904,6 +965,8 @@ class TestServerConstruction:
             MappingServer(coalesce_window=-1)
         with pytest.raises(ValueError):
             MappingServer(max_batch=0)
+        with pytest.raises(ValueError):
+            MappingServer(max_in_flight=0)
 
 
 # ---------------------------------------------------------------------------

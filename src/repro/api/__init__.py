@@ -31,9 +31,10 @@ Third-party algorithms register through the public decorator::
         ...
         return gamma
 
-For many batches through one process, keep the workers and artifact
-store alive across calls (a pool's backend and width are fixed when it
-is built)::
+Batches run on one of two backends, ``serial`` (the reference) or
+``process``.  For many process batches, keep the worker processes and
+artifact store alive across calls (a pool's width is fixed when it is
+built)::
 
     from repro.api import ExecutorPool
 
@@ -73,7 +74,7 @@ from repro.api.cache import (
 from repro.api.executor import BACKENDS, execute_plan
 from repro.api.fault import FaultInjector, InjectedFault, PlanError, RetryPolicy
 from repro.api.plan import Plan, PlanNode, build_plan
-from repro.api.pool import POOL_BACKENDS, ExecutorPool
+from repro.api.pool import ExecutorPool
 from repro.api.store import DiskArtifactStore
 from repro.api.registry import (
     MapperRegistrationError,
@@ -107,7 +108,6 @@ __all__ = [
     "ExecutorPool",
     "FaultInjector",
     "InjectedFault",
-    "POOL_BACKENDS",
     "PlanError",
     "RetryPolicy",
     "Plan",

@@ -31,12 +31,11 @@ the big entries.  Per-namespace hit/miss/eviction/byte statistics are
 exported by :meth:`ArtifactCache.stats` and surfaced by the
 ``python -m repro.api`` CLI (``--stats``).
 
-Two orthogonal extensions serve the parallel execution engine
-(:mod:`repro.api.executor`):
+Two properties serve the execution engine (:mod:`repro.api.executor`)
+and the network server, whose driver threads share one cache:
 
-* **Concurrent mode** (:meth:`enable_concurrency`, used by the
-  ``thread`` backend): all bookkeeping — stats counters, the LRU
-  order, byte accounting — happens under one short-lived mutex, so
+* **Thread safety**: all bookkeeping — stats counters, the LRU order,
+  byte accounting — happens under one short-lived mutex, so
   hits/misses/evictions stay exact under concurrent callers, and a
   bank of *striped* locks serializes top-level computes of the same
   key (two threads asking for one grouping run one compute).  Nested
@@ -60,7 +59,7 @@ import sys
 import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
@@ -76,7 +75,7 @@ __all__ = [
 
 _MISSING = object()
 
-#: Stripe count of the concurrent mode's per-key compute locks.
+#: Stripe count of the per-key compute locks.
 _NUM_STRIPES = 64
 
 
@@ -179,8 +178,6 @@ class ArtifactCache:
         under the LRU: memory misses in the store's declared namespaces
         fall through to disk, and computed values are written through
         atomically, making the artifact shareable across processes.
-    concurrent:
-        Start in concurrent mode (see :meth:`enable_concurrency`).
     """
 
     def __init__(
@@ -189,7 +186,6 @@ class ArtifactCache:
         max_entries: Optional[int] = None,
         max_bytes: Optional[int] = None,
         store=None,
-        concurrent: bool = False,
     ) -> None:
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be >= 1")
@@ -204,30 +200,10 @@ class ArtifactCache:
         self._stats: Dict[str, CacheStats] = {}
         # The mutex guards every bookkeeping structure above; it is held
         # only for dict/counter updates, never across a compute or disk
-        # I/O, so the serial path pays one uncontended acquire per call.
+        # I/O, so a single caller pays one uncontended acquire per call.
         self._mutex = threading.RLock()
-        self._stripes: Optional[List[threading.Lock]] = None
+        self._stripes = [threading.Lock() for _ in range(_NUM_STRIPES)]
         self._in_compute = threading.local()
-        if concurrent:
-            self.enable_concurrency()
-
-    # ------------------------------------------------------------------
-    # concurrency
-    # ------------------------------------------------------------------
-    @property
-    def concurrent(self) -> bool:
-        """Whether striped compute locks are installed."""
-        return self._stripes is not None
-
-    def enable_concurrency(self) -> None:
-        """Install the striped compute locks (idempotent).
-
-        Called by the ``thread`` execution backend before fanning out.
-        Bookkeeping is mutex-protected regardless of this mode; the
-        stripes only add same-key compute dedup for top-level calls.
-        """
-        if self._stripes is None:
-            self._stripes = [threading.Lock() for _ in range(_NUM_STRIPES)]
 
     # ------------------------------------------------------------------
     def get_or_compute(
@@ -238,12 +214,13 @@ class ArtifactCache:
         A hit marks the entry most-recently-used; a memory miss falls
         through to the disk store (when layered), then to *compute*; a
         computed value is inserted, written through to disk, and LRU
-        entries past the configured budgets are evicted.
+        entries past the configured budgets are evicted.  Top-level calls
+        for one key from several threads run one compute (see the module
+        docstring's thread-safety note).
         """
-        stripes = self._stripes
-        if stripes is None or getattr(self._in_compute, "held", False):
+        if getattr(self._in_compute, "held", False):
             return self._get_or_compute_inner(namespace, key, compute)
-        stripe = stripes[hash((namespace, key)) % len(stripes)]
+        stripe = self._stripes[hash((namespace, key)) % _NUM_STRIPES]
         self._in_compute.held = True
         try:
             with stripe:

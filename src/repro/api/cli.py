@@ -11,7 +11,7 @@ Subcommands
     print the fine-level metrics — as a table or as JSON.
 ``map-batch``
     Run many requests from a JSON manifest through the parallel
-    execution engine (``--backend serial|thread|process``,
+    execution engine (``--backend serial|process``,
     ``--workers N``, ``--store-dir`` for the cross-process artifact
     store) and report per-request results plus batch throughput.
     Fault-tolerance knobs: ``--retries N`` (exponential backoff),
@@ -21,7 +21,7 @@ Subcommands
 ``serve``
     Run the network front end of :mod:`repro.serve`, the one
     long-running front end: one warm artifact cache (and, on the
-    thread/process backends, one :class:`~repro.api.pool.ExecutorPool`)
+    process backend, one :class:`~repro.api.pool.ExecutorPool`)
     serves every request, so cache warm-up and pool spawn are paid
     once.  It is a TCP server speaking
     length-prefixed JSON with admission control
@@ -272,7 +272,7 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         type=_positive_int,
         default=None,
         metavar="N",
-        help="pool width for the thread/process backends (default: CPUs)",
+        help="pool width for the process backend (default: CPUs)",
     )
     parser.add_argument(
         "--store-dir",
@@ -294,7 +294,7 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         type=_positive_float,
         default=None,
         metavar="SEC",
-        help="per-node deadline on the thread/process backends; a node "
+        help="per-node deadline on the process backend; a node "
         "past it fails with a structured timeout error",
     )
     parser.add_argument(
@@ -540,8 +540,8 @@ def _cmd_map_batch(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the network server until a signal or client ``shutdown`` op.
 
-    One :class:`ExecutorPool` (when the backend supports one), built
-    with the backend and width the flags name, and one front-end cache
+    One :class:`ExecutorPool` (on the process backend), built with the
+    width the flags name, and one front-end cache
     layered over the pool's store live for the whole run, so spawn and
     warm-up costs are paid once.  On top sits the asyncio
     :class:`~repro.serve.server.MappingServer` with its admission /
@@ -553,7 +553,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
 
-    from repro.api.pool import POOL_BACKENDS, ExecutorPool
+    from repro.api.pool import ExecutorPool
     from repro.serve.protocol import parse_address
     from repro.serve.server import MappingServer
 
@@ -569,9 +569,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     pool = None
-    if args.backend in POOL_BACKENDS:
+    if args.backend == "process":
         pool = ExecutorPool(
-            args.backend,
+            "process",
             workers=args.workers,
             store_dir=args.store_dir,
             idle_timeout=args.idle_timeout,

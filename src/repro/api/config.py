@@ -30,11 +30,11 @@ class EngineConfig:
     Parameters
     ----------
     backend:
-        Plan execution backend (``serial`` / ``thread`` / ``process``);
-        ``None`` = the service's default (its pool's backend, else
+        Plan execution backend, ``serial`` or ``process``; ``None`` =
+        the service's default (``process`` with an attached pool, else
         ``serial``).
     workers:
-        Worker count for parallel backends (``None`` = the service's,
+        Worker count of the process backend (``None`` = the service's,
         else auto; on an attached pool, the pool's width).  At least 1.
     store_dir:
         Root directory of the artifact store (``None`` = in-memory
@@ -47,9 +47,9 @@ class EngineConfig:
         = no retries).
     node_timeout:
         Per-node deadline in seconds, positive (``None`` = none; the
-        serial backend ignores it).  On local executors every ready
-        node is handed off at once, so the deadline also counts time a
-        node spends queued behind busy workers.
+        serial backend ignores it).  The process backend hands every
+        ready node off at once, so the deadline also counts time a node
+        spends queued behind busy workers.
     on_error:
         ``"raise"`` or ``"partial"`` (structured per-request errors).
     """

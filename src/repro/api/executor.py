@@ -14,16 +14,12 @@ node goes, when it is handed off, and what a lost worker means:
     topological order, so on a healthy batch this is plan order — the
     legacy sequential loop's order — and this backend is the
     bit-identical reference: same mappings, same cache interaction
-    sequence, same Figure-3 time accounting.
-``thread``
-    An :class:`~repro.api.pool.ExecutorPool` of threads that receives
-    every ready node at once.  The service's
-    :class:`~repro.api.cache.ArtifactCache` is switched to its
-    lock-striped concurrent mode; the mapping kernels drop the GIL in
-    their NumPy hot loops, so congestion-heavy batches overlap.
+    sequence, same Figure-3 time accounting.  The set owns the batch's
+    placement memo, so algorithms of one request share one placement
+    run.
 ``process``
-    An :class:`~repro.api.pool.ExecutorPool` of processes, also fed
-    every ready node at once, each node shipped with its request.  Each
+    An :class:`~repro.api.pool.ExecutorPool` of processes, fed every
+    ready node at once, each node shipped with its request.  Each
     worker owns a private ``MappingService`` whose read path is memory
     LRU → disk over a shared artifact store, so a grouping
     computed by one worker is *read* (not recomputed) by the workers
@@ -45,8 +41,6 @@ mode's responses are byte-identical to serial (pinned by
 
 from __future__ import annotations
 
-import contextvars
-import functools
 import heapq
 import os
 import time
@@ -64,11 +58,10 @@ from repro.api.config import EngineConfig
 from repro.api.fault import NO_RETRY, PlanError, RetryPolicy, maybe_inject
 from repro.api.plan import Plan, PlanNode
 from repro.api.request import MapRequest, MapResponse
-from repro.api.service import BATCH_PLACEMENTS
 
 __all__ = ["BACKENDS", "WorkerSet", "drive_plan", "execute_plan", "default_workers"]
 
-BACKENDS: Tuple[str, ...] = ("serial", "thread", "process")
+BACKENDS: Tuple[str, ...] = ("serial", "process")
 
 
 def default_workers() -> int:
@@ -91,14 +84,14 @@ def execute_plan(
     """Run *plan* as *config* says; responses return in request order.
 
     *service* is the :class:`~repro.api.service.MappingService` owning
-    the cache: serial/thread backends run nodes directly against it, the
+    the cache: the serial backend runs nodes directly against it, the
     process backend only reads its store configuration.  *config*
     supplies every execution knob (see
     :class:`~repro.api.config.EngineConfig`; a ``None`` backend means
     ``serial``).  With *pool* (an :class:`~repro.api.pool.ExecutorPool`)
-    the plan runs on the pool's long-lived workers, whose backend and
-    width are the pool's concern; without one, a parallel backend gets
-    a pool that lives for this batch.
+    the plan runs on the pool's long-lived workers, whose width is the
+    pool's concern; without one, the process backend gets a pool that
+    lives for this batch.
     """
     fault_kw = {
         "retry": config.retry,
@@ -108,25 +101,31 @@ def execute_plan(
     backend = config.backend or "serial"
     if pool is None and backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
-    # This batch's placement memo; in-process and thread nodes share it.
-    token = BATCH_PLACEMENTS.set({})
-    try:
-        if pool is not None:
-            return _collect(plan, _run_pooled(plan, service, pool, fault_kw))
-        if backend == "serial":
-            return _collect(plan, drive_plan(plan, service, **fault_kw))
-        with _batch_pool(service, backend, config) as pool:
-            return _collect(plan, _run_pooled(plan, service, pool, fault_kw))
-    finally:
-        BATCH_PLACEMENTS.reset(token)
+    if pool is not None:
+        return _collect(plan, _run_pooled(plan, service, pool, fault_kw))
+    if backend == "serial":
+        return _collect(plan, drive_plan(plan, service, **fault_kw))
+    with _batch_pool(service, config) as pool:
+        return _collect(plan, _run_pooled(plan, service, pool, fault_kw))
 
 
-def run_plan_node(service, request: MapRequest, kind: str, algorithm: Optional[str]):
-    """Execute one node against *service* (shared by every backend)."""
+def run_plan_node(
+    service,
+    request: MapRequest,
+    kind: str,
+    algorithm: Optional[str],
+    placements: Optional[dict],
+):
+    """Execute one node against *service* (shared by every backend).
+
+    *placements* is the batch's placement memo (see
+    :meth:`~repro.api.service.MappingService._place`), or ``None`` where
+    the node runs its own placement.
+    """
     maybe_inject(request, kind)
     if kind == "grouping":
         return service.warm_grouping(request)
-    return service._run_one(request, algorithm)
+    return service._run_one(request, algorithm, placements)
 
 
 class _NodeFailure:
@@ -196,12 +195,15 @@ class _InProcess(WorkerSet):
 
     Its futures are resolved before they are handed off, so a deadline
     never fires on them — the calling thread cannot preempt itself.
+    Every node it runs shares :attr:`placements`, the batch's placement
+    memo, which dies with the set.
     """
 
     def __init__(self, plan: Plan, service) -> None:
         self.plan = plan
         self.service = service
         self.ready: List[int] = []
+        self.placements: dict = {}
 
     def put(self, index: int) -> None:
         heapq.heappush(self.ready, index)
@@ -218,6 +220,7 @@ class _InProcess(WorkerSet):
                     self.plan.requests[node.request_index],
                     node.kind,
                     node.algorithm,
+                    self.placements,
                 )
             )
         except Exception as exc:
@@ -226,7 +229,7 @@ class _InProcess(WorkerSet):
 
 
 class _ExecutorWorkers(WorkerSet):
-    """A local thread/process executor, handed every ready node at once.
+    """A local process executor, handed every ready node at once.
 
     A ``BrokenExecutor`` means the executor died.  It is replaced via
     *respawn* when one is given (a persistent pool), and every node it
@@ -521,7 +524,7 @@ def drive_plan(
 # ---------------------------------------------------------------------------
 
 
-def _batch_pool(service, backend: str, config: EngineConfig):
+def _batch_pool(service, config: EngineConfig):
     """An :class:`~repro.api.pool.ExecutorPool` that lives for one batch.
 
     Process workers share the service cache's attached store (its root
@@ -537,7 +540,7 @@ def _batch_pool(service, backend: str, config: EngineConfig):
     if attached is not None:
         store_dir, namespaces = attached.root, attached.namespaces
     return ExecutorPool(
-        backend,
+        "process",
         workers=config.workers,
         store_dir=store_dir,
         worker_cache_bytes=None,
@@ -548,26 +551,16 @@ def _batch_pool(service, backend: str, config: EngineConfig):
 def _run_pooled(plan: Plan, service, pool, fault_kw: dict) -> List:
     """Run the DAG on an :class:`~repro.api.pool.ExecutorPool`'s workers.
 
-    Thread workers drive the caller's service (one in-memory cache,
-    concurrency enabled); process workers each receive the node's
-    request with the node.  Submission always goes through
-    :meth:`ExecutorPool.submit` with ``respawn=pool.respawn``, so a pool
-    replaced after a worker crash is picked up mid-batch.
+    Each worker receives the node's request with the node.  Submission
+    always goes through :meth:`ExecutorPool.submit` with
+    ``respawn=pool.respawn``, so a pool replaced after a worker crash is
+    picked up mid-batch.
     """
-    thread = pool.backend == "thread"
-    if thread:
-        service.cache.enable_concurrency()
-        run = functools.partial(run_plan_node, service)
-    else:
-        from repro.api.pool import _worker_run_node as run
+    from repro.api.pool import _worker_run_node
 
     def submit(node: PlanNode):
-        args = (run, plan.requests[node.request_index], node.kind, node.algorithm)
-        if thread:
-            # Thread nodes see the batch's placement memo through a copy
-            # of the submitting context.
-            args = (contextvars.copy_context().run,) + args
-        return pool.submit(*args)
+        request = plan.requests[node.request_index]
+        return pool.submit(_worker_run_node, request, node.kind, node.algorithm)
 
     with pool.session():
         workers = _ExecutorWorkers(plan, submit, pool.respawn)

@@ -1,6 +1,6 @@
-"""ExecutorPool — the workers and artifact store of every local batch.
+"""ExecutorPool — the worker processes and artifact store of every local batch.
 
-Every thread or process batch runs on an :class:`ExecutorPool`.  Without
+Every ``process`` batch runs on an :class:`ExecutorPool`.  Without
 ``pool=`` the engine builds one that lives for that one batch; a
 serving deployment keeps one alive instead, because pool spawn and
 store warm-up dominate small batches.  A long-lived pool amortizes both
@@ -10,10 +10,10 @@ across calls:
   first batch that needs them.
 * **Reuse** — every subsequent batch (from any thread, including the
   network server's driver threads in :mod:`repro.serve.server`) runs on
-  the same executor, and process workers keep their warm in-memory
+  the same executor, and the workers keep their warm in-memory
   artifact caches.
-* **Fixed shape** — the backend and width are set when the pool is
-  built; a batch asking for another shape is refused by
+* **Fixed shape** — the width is set when the pool is built; a batch
+  asking for another backend or width is refused by
   :meth:`MappingService.map_batch` rather than respawning the pool.
 * **One store** — the pool owns an artifact store (caller-supplied
   directory or a pool-scoped temporary one) that outlives individual
@@ -39,25 +39,23 @@ import atexit
 import tempfile
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.api.store import DEFAULT_PERSIST_NAMESPACES, DiskArtifactStore
 
-__all__ = ["ExecutorPool", "POOL_BACKENDS"]
-
-#: Backends a pool can host (``serial`` needs no workers to keep alive).
-POOL_BACKENDS: Tuple[str, ...] = ("thread", "process")
+__all__ = ["ExecutorPool"]
 
 
 class ExecutorPool:
-    """Reusable executor + artifact store shared across ``map_batch`` calls.
+    """Reusable process executor + artifact store shared across ``map_batch`` calls.
 
     Parameters
     ----------
     backend:
-        ``"thread"`` or ``"process"`` (``serial`` has nothing to pool).
+        ``"process"``, the one backend a pool hosts (``serial`` has
+        nothing to pool); any other value raises :class:`ValueError`.
     workers:
         Pool width (``None`` = the affinity-aware
         :func:`repro.api.executor.default_workers`).
@@ -83,7 +81,7 @@ class ExecutorPool:
 
     def __init__(
         self,
-        backend: str = "thread",
+        backend: str = "process",
         *,
         workers: Optional[int] = None,
         store_dir: Optional[str] = None,
@@ -91,10 +89,8 @@ class ExecutorPool:
         worker_cache_bytes: Optional[int] = 256 << 20,
         namespaces: frozenset = DEFAULT_PERSIST_NAMESPACES,
     ) -> None:
-        if backend not in POOL_BACKENDS:
-            raise ValueError(
-                f"unknown pool backend {backend!r}; choose from {POOL_BACKENDS}"
-            )
+        if backend != "process":
+            raise ValueError(f"unknown pool backend {backend!r}; a pool hosts 'process'")
         if idle_timeout is not None and idle_timeout <= 0:
             raise ValueError("idle_timeout must be positive (or None)")
         self.backend = backend
@@ -155,10 +151,10 @@ class ExecutorPool:
             return executor is None or not getattr(executor, "_broken", False)
 
     def worker_pids(self) -> List[int]:
-        """PIDs of live process-pool workers (empty for thread pools)."""
+        """PIDs of live workers (empty before the first spawn or after a reap)."""
         with self._lock:
             ex = self._executor
-            if ex is None or self.backend != "process":
+            if ex is None:
                 return []
             # ProcessPoolExecutor keeps no public worker registry;
             # degrade to empty rather than break if the private map
@@ -241,19 +237,14 @@ class ExecutorPool:
     def stats(self) -> dict:
         """Lifecycle counters for monitoring/serving endpoints."""
         with self._lock:
-            executor = self._executor
-            live = 0
-            if executor is not None and self.backend == "process":
-                live = len(getattr(executor, "_processes", None) or {})
             return {
                 "backend": self.backend,
                 "workers": self.workers,
                 "spawn_count": self.spawn_count,
                 "restarts": self.restarts,
-                "executor_alive": executor is not None,
-                "live_workers": live,
-                "healthy": not self._closed
-                and (executor is None or not getattr(executor, "_broken", False)),
+                "executor_alive": self._executor is not None,
+                "live_workers": len(self.worker_pids()),
+                "healthy": self.healthy,
                 "active_batches": self._active,
                 "closed": self._closed,
                 "store": self._store.stats() if self._store is not None else None,
@@ -282,21 +273,12 @@ class ExecutorPool:
             from repro.api.executor import default_workers
 
             width = self.workers if self.workers is not None else default_workers()
-            if self.backend == "thread":
-                self._executor = ThreadPoolExecutor(
-                    max_workers=width, thread_name_prefix="repro-pool"
-                )
-            else:
-                store = self._ensure_store()
-                self._executor = ProcessPoolExecutor(
-                    max_workers=width,
-                    initializer=_worker_init,
-                    initargs=(
-                        store.root,
-                        sorted(store.namespaces),
-                        self.worker_cache_bytes,
-                    ),
-                )
+            store = self._ensure_store()
+            self._executor = ProcessPoolExecutor(
+                max_workers=width,
+                initializer=_worker_init,
+                initargs=(store.root, sorted(store.namespaces), self.worker_cache_bytes),
+            )
             self.spawn_count += 1
         return self._executor
 
@@ -358,11 +340,7 @@ def _worker_init(
     """Build this worker's long-lived service over the pool's store."""
     global _WORKER_SERVICE
     from repro.api.cache import ArtifactCache
-    from repro.api.service import BATCH_PLACEMENTS, MappingService
-
-    # A forked worker starts with the forking thread's context, which may
-    # hold that batch's placement memo; its nodes place for themselves.
-    BATCH_PLACEMENTS.set(None)
+    from repro.api.service import MappingService
 
     store = DiskArtifactStore(store_root, namespaces=frozenset(namespaces))
     _WORKER_SERVICE = MappingService(
@@ -371,7 +349,11 @@ def _worker_init(
 
 
 def _worker_run_node(request, kind: str, algorithm: Optional[str]):
-    """Execute one plan node, shipped with its request, in this worker."""
+    """Execute one plan node, shipped with its request, in this worker.
+
+    No placement memo: a worker sees single nodes, not the batch, so each
+    of its nodes runs its own placement.
+    """
     from repro.api.executor import run_plan_node
 
-    return run_plan_node(_WORKER_SERVICE, request, kind, algorithm)
+    return run_plan_node(_WORKER_SERVICE, request, kind, algorithm, None)

@@ -17,12 +17,11 @@ Since the planner/executor split, ``map_batch`` is a **plan → execute →
 collect engine**: :func:`repro.api.plan.build_plan` turns the batch into
 an explicit artifact-dependency DAG (shared groupings and DEF baselines
 deduped, congestion route-table consumers chained) and
-:func:`repro.api.executor.execute_plan` runs it on a pluggable backend —
-``serial`` (the bit-identical reference ordering), ``thread`` (pool over
-ready nodes, lock-striped concurrent cache) or ``process`` (pool workers
+:func:`repro.api.executor.execute_plan` runs it on one of two
+backends — ``serial`` (the bit-identical reference ordering) or
+``process`` (workers of an :class:`~repro.api.pool.ExecutorPool`
 sharing artifacts through a cross-process
-:class:`~repro.api.store.DiskArtifactStore`); both parallel backends run
-on an :class:`~repro.api.pool.ExecutorPool`.
+:class:`~repro.api.store.DiskArtifactStore`).
 
 Timing follows Figure 3's accounting exactly as the legacy pipeline
 did: ``prep_time`` covers the shared grouping (0 when it was injected
@@ -34,16 +33,16 @@ grouping to ``map_time``.
 Within one ``map_batch``, algorithms of one request that run the same
 placement stage on the same coarse view run it once (UG, UWH, UMC, UMMC
 and UWHF share ``greedy``; HIER/HIERWH ``hier``; SFC/SFCWH ``sfc``).
-The memo is a dict :func:`~repro.api.executor.execute_plan` creates for
-the batch and drops when it returns, so no placement outlives its batch;
-each consumer gets its own copy of Γ and bills the seconds the one run
+The memo is a plain dict owned by the batch's in-process worker set
+(:class:`~repro.api.executor._InProcess`) and handed to each node it
+runs, so no placement outlives its batch and two concurrent batches
+never share one; process-pool nodes get none and place for themselves.
+Each consumer gets its own copy of Γ and bills the seconds the one run
 measured, so UWH's ``map_time`` still covers UG's placement.
 """
 
 from __future__ import annotations
 
-import contextvars
-import threading
 import time
 from dataclasses import replace
 from typing import Iterable, List, Optional, Tuple, Union
@@ -71,24 +70,6 @@ from repro.topology.machine import Machine
 
 __all__ = ["MappingService"]
 
-#: The running batch's placement memo: set by
-#: :func:`repro.api.executor.execute_plan` for the duration of one plan,
-#: ``None`` outside it (a process-pool worker, a direct :meth:`map`).
-BATCH_PLACEMENTS: contextvars.ContextVar = contextvars.ContextVar(
-    "batch_placements", default=None
-)
-
-
-class _SharedPlacement:
-    """One memo entry: the first consumer computes under the lock."""
-
-    __slots__ = ("lock", "gamma", "seconds")
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.gamma = None
-        self.seconds = 0.0
-
 
 class MappingService:
     """Executes :class:`MapRequest` objects against the mapper registry.
@@ -105,19 +86,19 @@ class MappingService:
     backend / workers:
         Shorthand for the same fields of *config*, which they override:
         the execution backend of :meth:`map_batch` (``"serial"``
-        reference, ``"thread"`` or ``"process"``) and the pool width
-        (``None`` = CPU count).
+        reference or ``"process"``) and the pool width (``None`` = CPU
+        count).
     pool:
         Optional long-lived :class:`~repro.api.pool.ExecutorPool`.
         When attached, :meth:`map_batch` reuses the pool's workers and
-        store for every non-serial batch instead of spawning per call —
+        store for every process batch instead of spawning per call —
         the serving-layer configuration.  The pool's backend becomes
         the service default unless *backend* is given explicitly
         (``MappingService(backend="serial", pool=pool)`` keeps the
         serial reference path as the default while the pool stays
-        available to per-batch configs).  The pool's backend and width
-        are fixed: a batch naming another one raises, and
-        ``backend="serial"`` bypasses the pool.  The pool is shared,
+        available to per-batch configs).  The pool's width is fixed:
+        a batch naming another one raises, and ``backend="serial"``
+        bypasses the pool.  The pool is shared,
         not owned: shut it down where it was created.
     config:
         Optional :class:`~repro.api.config.EngineConfig`: the service's
@@ -173,7 +154,7 @@ class MappingService:
                 f"map() takes exactly one algorithm, got {request.algorithms}; "
                 "use map_batch() for several"
             )
-        return self._run_one(request, request.algorithms[0])
+        return self._run_one(request, request.algorithms[0], None)
 
     def map_batch(
         self,
@@ -191,9 +172,9 @@ class MappingService:
         is computed exactly once across its algorithms and across
         requests hitting the same workload/machine/seed — and executed
         by :func:`repro.api.executor.execute_plan`: ``"serial"``
-        preserves the legacy loop bit for bit, ``"thread"`` and
-        ``"process"`` fan ready nodes out over the workers while
-        producing byte-identical mappings.
+        preserves the legacy loop bit for bit, ``"process"`` fans ready
+        nodes out over pool workers while producing byte-identical
+        mappings.
 
         *config* (an :class:`~repro.api.config.EngineConfig`) shapes
         this one batch in place of :attr:`config`; derive it with
@@ -201,7 +182,7 @@ class MappingService:
         fields.  Every field is taken from it except the execution
         shape: a ``None`` ``backend`` or ``workers`` means the service's.
 
-        * With an attached pool, a non-serial batch runs on the pool's
+        * With an attached pool, a process batch runs on the pool's
           long-lived workers; a batch naming a backend or width other
           than the pool's raises :class:`ValueError` before planning
           (the shape and ``store_dir`` are the pool's concern).  Without one,
@@ -211,7 +192,7 @@ class MappingService:
         * Fault tolerance: ``retry`` (a :class:`~repro.api.fault.
           RetryPolicy`) retries nodes that raise with exponential
           backoff, ``node_timeout`` bounds each node's wall time on the
-          parallel backends, and ``on_error="partial"`` turns permanent
+          process backend, and ``on_error="partial"`` turns permanent
           failures into structured :attr:`MapResponse.error` outcomes
           instead of aborting the batch.  The defaults reproduce the
           pre-fault-tolerance behaviour (and byte-identical results).
@@ -333,7 +314,7 @@ class MappingService:
 
         def compute():
             stage_times: dict = {}
-            result, _ = self._execute(request, get_spec("DEF"), stage_times)
+            result, _ = self._execute(request, get_spec("DEF"), stage_times, None)
             return {"result": result, "stage_times": stage_times, "metrics": None}
 
         entry = self.cache.get_or_compute("def_baseline", key, compute)
@@ -349,7 +330,11 @@ class MappingService:
             self.cache.put("def_baseline", key, entry)
         return entry
 
-    def _run_one(self, request: MapRequest, algo: str) -> MapResponse:
+    def _run_one(
+        self, request: MapRequest, algo: str, placements: Optional[dict]
+    ) -> MapResponse:
+        """Run one algorithm of *request*; *placements* is the batch's
+        placement memo, or ``None`` (see :meth:`_place`)."""
         spec = get_spec(algo)
         if spec.name == "DEF":
             # Run (and time) DEF freshly on every request, like the
@@ -357,7 +342,7 @@ class MappingService:
             # DEF-normalized time ratios on a warm cache.  The run still
             # seeds the baseline entry so TMAP's fallback reuses it.
             stage_times: dict = {}
-            result, _ = self._execute(request, spec, stage_times)
+            result, _ = self._execute(request, spec, stage_times, None)
             metrics = None
             if request.evaluate:
                 metrics = evaluate_mapping(
@@ -380,7 +365,7 @@ class MappingService:
                 tag=request.tag,
             )
         stage_times = {}
-        result, grouping_cached = self._execute(request, spec, stage_times)
+        result, grouping_cached = self._execute(request, spec, stage_times, placements)
         metrics = None
         if request.evaluate:
             metrics = evaluate_mapping(
@@ -399,7 +384,11 @@ class MappingService:
         )
 
     def _execute(
-        self, request: MapRequest, spec: MapperSpec, stage_times: dict
+        self,
+        request: MapRequest,
+        spec: MapperSpec,
+        stage_times: dict,
+        placements: Optional[dict],
     ) -> Tuple[MapperResult, bool]:
         ctx = StageContext(
             task_graph=request.task_graph,
@@ -441,11 +430,11 @@ class MappingService:
         ctx.view = ctx.coarse if spec.coarse_view == "volume" else self._unit_view(ctx)
 
         t0 = time.perf_counter()
-        gamma, placement_s = self._place(ctx, spec, request)
+        gamma, placement_s = self._place(ctx, spec, request, placements)
         mapping = Mapping(gamma, ctx.machine)
         stage_times[f"placement:{spec.placement}"] = placement_s
         # A shared placement bills the seconds its one run measured, not
-        # the lookup (or the wait for another thread's run).
+        # the lookup.
         borrowed = placement_s - (time.perf_counter() - t0)
 
         for name in spec.refine:
@@ -502,13 +491,17 @@ class MappingService:
 
     @staticmethod
     def _place(
-        ctx: StageContext, spec: MapperSpec, request: MapRequest
+        ctx: StageContext,
+        spec: MapperSpec,
+        request: MapRequest,
+        placements: Optional[dict],
     ) -> Tuple[np.ndarray, float]:
         """Run *spec*'s placement stage: ``(coarse Γ, seconds it took)``.
 
-        Inside a batch, the first algorithm of *request* to need this
-        (grouping, placement, coarse view) computes it while later ones
-        wait; each gets a private copy of Γ, never the read-only original.
+        With a memo (*placements*, one per batch's in-process worker
+        set), the first algorithm of *request* to need this (grouping,
+        placement, coarse view) computes it and later ones reuse it;
+        each gets a private copy of Γ, never the read-only original.
         Algorithms that group inside their own map time (TMAP, DEF) never
         share.
         """
@@ -520,18 +513,16 @@ class MappingService:
                 placed = placed.gamma
             return np.asarray(placed, dtype=np.int64), time.perf_counter() - t0
 
-        memo = BATCH_PLACEMENTS.get()
-        if memo is None or spec.group_in_map_time:
+        if placements is None or spec.group_in_map_time:
             return run()
         key = (id(request), spec.grouping, spec.placement, spec.coarse_view)
-        slot = memo.setdefault(key, _SharedPlacement())
-        with slot.lock:
-            if slot.gamma is None:
-                gamma, slot.seconds = run()
-                gamma = gamma.copy()
-                gamma.flags.writeable = False
-                slot.gamma = gamma
-        return slot.gamma.copy(), slot.seconds
+        shared = placements.get(key)
+        if shared is None:
+            gamma, seconds = run()
+            gamma = gamma.copy()
+            gamma.flags.writeable = False
+            shared = placements[key] = (gamma, seconds)
+        return shared[0].copy(), shared[1]
 
     def _unit_view(self, ctx: StageContext) -> TaskGraph:
         """Unit-cost view of the coarse graph (UTH), cached per coarse."""

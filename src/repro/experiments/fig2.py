@@ -98,10 +98,10 @@ def run_fig2(
     Each processor count's requests go through ``map_batch`` as one
     plan, so the execution engine sees all of that group's
     grouping/baseline/route artifacts at once (shared groupings
-    computed exactly once, DEF/TMAP run their own by spec) and a
-    parallel backend (``WorkloadCache(backend=...)`` or
-    ``REPRO_BACKEND``) fans the whole ready frontier out instead of
-    seven algorithms at a time.  Batching per processor count — not
+    computed exactly once, DEF/TMAP run their own by spec) and the
+    ``process`` backend (``WorkloadCache(backend=...)`` or
+    ``REPRO_BACKEND``) fans the whole ready frontier out over worker
+    processes instead of seven algorithms at a time.  Batching per processor count — not
     the entire sweep — bounds peak memory to one group's responses
     (rank-sized Γ vectors and coarse graphs) while still giving the
     engine dozens of independent nodes per plan.

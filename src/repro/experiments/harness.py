@@ -19,8 +19,8 @@ the planner/executor split routes through the parallel execution engine
 ``serial`` by default — bit-identical to the legacy sequential sweeps —
 and selectable per :class:`WorkloadCache` (or via the ``REPRO_BACKEND``
 / ``REPRO_WORKERS`` environment variables), so the fig1–5/table1 sweeps
-can fan requests out over a thread or process pool without touching the
-runners.
+can fan requests out over a process pool without touching the runners;
+any backend but ``serial`` or ``process`` raises :class:`ValueError`.
 """
 
 from __future__ import annotations

@@ -246,10 +246,10 @@ def build_workload(
 ):
     """Corpus matrix → partitioned task graph + allocated machine.
 
-    *procs* and *rows_per_unit* are capped at the ``paper`` profile's
-    (the paper's largest experiment), checked before the matrix is
-    generated, so one request cannot make the build allocate without
-    bound.
+    *procs* and *rows_per_unit* must be at least 1 and are capped at
+    the ``paper`` profile's (the paper's largest experiment), checked
+    before the matrix is generated, so one request cannot make the build
+    allocate without bound or silently build another size than it asked.
     """
     from repro.data.corpus import CORPUS, load_matrix
     from repro.experiments.profiles import PROFILES
@@ -276,6 +276,8 @@ def build_workload(
         raise ProtocolError(
             f"procs {procs} exceeds the limit of {paper.largest_procs}"
         )
+    if rows_per_unit < 1:
+        raise ProtocolError(f"rows_per_unit {rows_per_unit} must be >= 1")
     if rows_per_unit > paper.rows_per_unit:
         raise ProtocolError(
             f"rows_per_unit {rows_per_unit} exceeds the limit of {paper.rows_per_unit}"

@@ -36,8 +36,9 @@ queued is answered with a ``timeout`` error without touching the pool.
 ``MappingService.map_batch`` on one of ``max_in_flight`` driver
 threads, so the event loop keeps admitting and answering while plans
 execute.  Execute tasks are never cancelled, so the driver executor's
-width alone bounds concurrent plans; the service's cache is switched to
-its concurrent mode because several driver threads share it.
+width alone bounds concurrent plans.  The driver threads share the
+service's cache, whose striped locks run one compute per key, and each
+plan keeps its own placement memo.
 
 **Observability.**  Every op records into
 :class:`~repro.serve.metrics.LatencyHistogram`\\ s (end-to-end, queue
@@ -252,9 +253,6 @@ class MappingServer:
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
         self.service = MappingService(pool=pool, **service_kwargs)
-        # Several driver threads may execute plans against the one
-        # service concurrently; its cache must dedupe same-key computes.
-        self.service.cache.enable_concurrency()
         self.host = host
         self.port = port
         self.max_pending = max_pending

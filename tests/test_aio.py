@@ -81,7 +81,8 @@ def _assert_matches_sync(batches, replies):
 class TestAsyncParity:
     def test_map_batch_matches_sync(self):
         batches = [_entries([0, 1]), _entries([2]), _entries([3, 4])]
-        server = MappingServer(backend="thread", workers=2, max_in_flight=2)
+        # Two driver threads run serial batches on one service at once.
+        server = MappingServer(backend="serial", max_in_flight=2)
         replies = asyncio.run(_serve_concurrently(server, batches))
         _assert_matches_sync(batches, replies)
         stats = server.stats_payload()
@@ -91,7 +92,7 @@ class TestAsyncParity:
 
     def test_pooled_async_parity(self):
         batches = [_entries([0, 1]), _entries([2, 3])]
-        with ExecutorPool("thread", workers=2) as pool:
+        with ExecutorPool("process", workers=2) as pool:
             server = MappingServer(pool=pool, max_in_flight=2)
             replies = asyncio.run(_serve_concurrently(server, batches))
             # Every dispatch ran on the one attached executor.

@@ -17,7 +17,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from repro.api import EngineConfig, MappingService, MapRequest
+from repro.api import BACKENDS, EngineConfig, ExecutorPool, MappingService, MapRequest
 from repro.api.cli import build_parser, main
 from repro.api.fault import RetryPolicy
 from repro.api.registry import register_mapper, unregister_mapper
@@ -76,18 +76,22 @@ class TestPerBatchConfig:
                 )
             ]
             serial = MappingService().map_batch(batch)
-            svc = MappingService(
-                config=EngineConfig(
-                    backend="thread", workers=2, node_timeout=0.05, on_error="partial"
+            with ExecutorPool("process", workers=2) as pool:
+                svc = MappingService(
+                    pool=pool,
+                    config=EngineConfig(node_timeout=0.05, on_error="partial"),
                 )
-            )
-            timed_out = svc.map_batch(batch)
-            assert [r.ok for r in timed_out] == [True, False]
-            assert timed_out[1].error.kind == "timeout"
+                # The cleared batch runs first, so the workers are warm
+                # before the 50 ms deadline applies.
+                cleared = svc.map_batch(
+                    batch, config=replace(svc.config, node_timeout=None)
+                )
+                assert all(r.ok for r in cleared)
+                assert _fingerprints(cleared) == _fingerprints(serial)
 
-            cleared = svc.map_batch(batch, config=replace(svc.config, node_timeout=None))
-            assert all(r.ok for r in cleared)
-            assert _fingerprints(cleared) == _fingerprints(serial)
+                timed_out = svc.map_batch(batch)
+                assert [r.ok for r in timed_out] == [True, False]
+                assert timed_out[1].error.kind == "timeout"
         finally:
             unregister_mapper("SLOWUG")
 
@@ -100,19 +104,36 @@ class TestPerBatchConfig:
             "execute_plan",
             lambda plan, svc, config, **kw: seen.append(config) or [],
         )
-        svc = MappingService(backend="thread", workers=2)
+        svc = MappingService(backend="process", workers=2)
         svc.map_batch([], config=EngineConfig(on_error="partial"))
-        svc.map_batch([], config=EngineConfig(backend="process", workers=3))
+        svc.map_batch([], config=EngineConfig(backend="serial", workers=3))
         inherited, explicit = seen
-        assert (inherited.backend, inherited.workers) == ("thread", 2)
+        assert (inherited.backend, inherited.workers) == ("process", 2)
         assert inherited.on_error == "partial"
-        assert (explicit.backend, explicit.workers) == ("process", 3)
+        assert (explicit.backend, explicit.workers) == ("serial", 3)
 
     def test_service_config_holds_resolved_backend(self):
         assert MappingService().config.backend == "serial"
-        assert MappingService(backend="thread", workers=2).config == EngineConfig(
-            backend="thread", workers=2
+        assert MappingService(backend="process", workers=2).config == EngineConfig(
+            backend="process", workers=2
         )
+
+    def test_thread_backend_is_refused(self, machine16, random_task_graph, monkeypatch):
+        """Two backends are left, ``serial`` and ``process``."""
+        from repro.experiments.harness import WorkloadCache
+        from repro.experiments.profiles import get_profile
+
+        assert BACKENDS == ("serial", "process")
+        with pytest.raises(ValueError, match="thread"):
+            MappingService(backend="thread")
+        request = MapRequest(task_graph=random_task_graph, machine=machine16)
+        with pytest.raises(ValueError, match="thread"):
+            MappingService().map_batch(request, config=EngineConfig(backend="thread"))
+        with pytest.raises(ValueError, match="thread"):
+            ExecutorPool("thread")
+        monkeypatch.setenv("REPRO_BACKEND", "thread")
+        with pytest.raises(ValueError, match="thread"):
+            WorkloadCache(get_profile("smoke"))
 
 
 class TestCliFlags:
@@ -123,6 +144,7 @@ class TestCliFlags:
             ("--node-timeout", "-1"),
             ("--workers", "0"),
             ("--retries", "-1"),
+            ("--backend", "thread"),  # the removed thread backend
         ],
     )
     @pytest.mark.parametrize(
@@ -148,6 +170,18 @@ class TestCliFlags:
         monkeypatch.setattr(cli, "build_workload", no_build)
         with pytest.raises(SystemExit):
             main(["map", "--matrix", "cage15_like", "--node-timeout", "0"])
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_nonpositive_rows_per_unit_fails_before_the_matrix(self, monkeypatch, value, capsys):
+        import repro.data.corpus as corpus
+
+        def no_matrix(*args, **kwargs):
+            raise AssertionError("the matrix was built")
+
+        monkeypatch.setattr(corpus, "load_matrix", no_matrix)
+        argv = ["map", "--matrix", "cage15_like", "--rows-per-unit", value]
+        assert main(argv) == 2
+        assert "rows_per_unit" in capsys.readouterr().err
 
     def test_removed_backend_flag_is_rejected(self):
         with pytest.raises(SystemExit):

@@ -6,17 +6,18 @@ Pins the tentpole contracts of the planner/executor split:
   grouping node per key, ``def_baseline`` producer edges, chained
   ``route_table`` consumers) whose dependencies always point backwards;
 * ``backend="serial"`` reproduces the legacy sequential loop bit for
-  bit, and the ``thread``/``process`` backends produce byte-identical
-  mappings and metrics on a Fig. 3-shaped sweep;
+  bit, and the ``process`` backend produces byte-identical mappings and
+  metrics on a Fig. 3-shaped sweep;
 * the cross-process :class:`DiskArtifactStore` round-trips every
   artifact shape, tolerates arbitrary corruption, and feeds warm
   starts (zero recomputes) through the cache's disk layering;
-* the :class:`ArtifactCache` concurrent mode keeps statistics exact and
-  computes each key once under thread hammering.
+* the :class:`ArtifactCache` keeps statistics exact and computes each
+  key once under thread hammering.
 """
 
 from __future__ import annotations
 
+import collections
 import json
 import threading
 import time
@@ -177,7 +178,7 @@ class TestBackendParity:
         engine = MappingService().map_batch(requests, config=EngineConfig(backend="serial"))
         reference_service = MappingService()
         reference = [
-            reference_service._run_one(request, algo)
+            reference_service._run_one(request, algo, None)
             for request in requests
             for algo in request.algorithms
         ]
@@ -185,7 +186,7 @@ class TestBackendParity:
         for a, b in zip(engine, reference):
             _assert_responses_identical(a, b)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_parallel_backends_match_serial(self, backend):
         """Byte-identical MapResponses on the Fig. 3 sweep, any backend."""
         requests = self._sweep_requests()
@@ -227,7 +228,8 @@ class TestBackendParity:
 
 class TestExecutionSemantics:
     def test_grouping_computed_once_threaded(self, setup, monkeypatch):
-        """Planner dedupe holds under the thread backend (call counting)."""
+        """Planner dedupe within a batch, and the cache's same-key compute
+        lock across two threads batching on one service (call counting)."""
         tg, machine = setup
         import repro.mapping.pipeline as pipeline_mod
 
@@ -236,38 +238,44 @@ class TestExecutionSemantics:
 
         def counting(*args, **kwargs):
             calls.append(kwargs.get("seed"))
+            time.sleep(0.05)  # hold the compute so the other thread waits on it
             return real(*args, **kwargs)
 
         monkeypatch.setattr(pipeline_mod, "prepare_groups", counting)
         service = MappingService()
-        responses = service.map_batch(
-            [
-                MapRequest(
-                    task_graph=tg,
-                    machine=machine,
-                    algorithms=("UG", "UWH", "UMC", "UMMC", "SMAP"),
-                    seed=2,
-                ),
-                MapRequest(
-                    task_graph=tg, machine=machine, algorithms=("UTH",), seed=2
-                ),
-            ],
-            config=EngineConfig(
-                backend="thread",
-                workers=4,
+        requests = [
+            MapRequest(
+                task_graph=tg,
+                machine=machine,
+                algorithms=("UG", "UWH", "UMC", "UMMC", "SMAP"),
+                seed=2,
             ),
-        )
-        assert len(responses) == 6
-        assert len(calls) == 1  # one shared grouping across both requests
-        for r in responses[1:]:
+            MapRequest(task_graph=tg, machine=machine, algorithms=("UTH",), seed=2),
+        ]
+        barrier = threading.Barrier(2)
+        out = [None, None]
+
+        def batch(slot):
+            barrier.wait()
+            out[slot] = service.map_batch(requests)
+
+        threads = [threading.Thread(target=batch, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert all(len(responses) == 6 for responses in out)
+        assert len(calls) == 1  # one grouping across both requests and threads
+        for r in out[0][1:] + out[1]:
             np.testing.assert_array_equal(
-                r.result.group_of_task, responses[0].result.group_of_task
+                r.result.group_of_task, out[0][0].result.group_of_task
             )
 
     def test_prep_time_charged_to_first_consumer(self, setup):
         """Figure 3 accounting: exactly one response pays the grouping."""
         tg, machine = setup
-        for backend in ("serial", "thread"):
+        for backend in ("serial", "process"):
             responses = MappingService().map_batch(
                 MapRequest(
                     task_graph=tg,
@@ -291,7 +299,7 @@ class TestExecutionSemantics:
             raise RuntimeError("injected placement failure")
 
         monkeypatch.setattr(greedy_mod.GreedyMapper, "map", boom)
-        for backend in ("serial", "thread"):
+        for backend in ("serial", "process"):
             with pytest.raises(RuntimeError, match="injected"):
                 MappingService().map_batch(
                     MapRequest(task_graph=tg, machine=machine, algorithms=("UG",)),
@@ -320,9 +328,9 @@ class TestExecutionSemantics:
         ran = []
         real = executor_mod.run_plan_node
 
-        def recording(service, request, kind, algorithm):
+        def recording(service, request, kind, algorithm, placements):
             ran.append((kind, request_index[id(request)], algorithm))
-            return real(service, request, kind, algorithm)
+            return real(service, request, kind, algorithm, placements)
 
         monkeypatch.setattr(executor_mod, "run_plan_node", recording)
         execute_plan(plan, MappingService(), EngineConfig(backend="serial"))
@@ -339,7 +347,7 @@ class TestExecutionSemantics:
             ),
         ]
         responses = execute_plan(
-            build_plan(reqs), MappingService(), EngineConfig(backend="thread")
+            build_plan(reqs), MappingService(), EngineConfig(backend="process", workers=2)
         )
         assert [(r.tag, r.algorithm) for r in responses] == [
             ("a", "UWH"),
@@ -360,12 +368,14 @@ class TestSharedPlacement:
         from repro.api.stages import PLACEMENT_STAGES
 
         runs = {name: 0 for name in self.SHARED}
+        self.by_thread = collections.Counter()  # (thread name, stage) -> runs
         lock = threading.Lock()
 
         def counting(name, fn):
             def stage(ctx):
                 with lock:
                     runs[name] += 1
+                    self.by_thread[threading.current_thread().name, name] += 1
                 time.sleep(self.PAUSE)
                 return fn(ctx)
 
@@ -377,7 +387,7 @@ class TestSharedPlacement:
             )
         return runs
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", ["serial"])
     def test_each_placement_runs_once_per_batch(self, setup, counted, backend):
         tg, machine = setup
         request = MapRequest(task_graph=tg, machine=machine, algorithms=self.ALGOS, seed=2)
@@ -398,7 +408,9 @@ class TestSharedPlacement:
         assert len(greedy) == 1, "every consumer bills the one run's seconds"
 
     def test_thread_stress_one_run_per_request(self, setup, counted):
-        """More threads than cores, tiny switch interval: still one run each."""
+        """Two threads batch the same requests on one service, with a tiny
+        switch interval: each batch keeps its own memo, so each runs every
+        shared placement once per request, and both match serial."""
         import sys
 
         tg, machine = setup
@@ -408,26 +420,36 @@ class TestSharedPlacement:
         ]
         serial = MappingService().map_batch(requests)
         counted.update((name, 0) for name in counted)
-        out = []
+        self.by_thread.clear()
+        service = MappingService()
+        barrier = threading.Barrier(2)
+        out = {}
+
+        def batch(name):
+            barrier.wait()
+            out[name] = service.map_batch(requests)
+
+        threads = [
+            threading.Thread(target=batch, args=(name,), name=name)
+            for name in ("batch-a", "batch-b")
+        ]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            worker = threading.Thread(
-                target=lambda: out.extend(
-                    MappingService().map_batch(
-                        requests, config=EngineConfig(backend="thread", workers=6)
-                    )
-                )
-            )
-            worker.start()
-            worker.join(timeout=120)
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
-        assert not worker.is_alive()
-        assert counted == {name: len(requests) for name in self.SHARED}
-        assert len(out) == len(serial)
-        for a, b in zip(serial, out):
-            _assert_responses_identical(a, b)
+        assert not any(t.is_alive() for t in threads)
+        assert self.by_thread == {
+            (t.name, stage): len(requests) for t in threads for stage in self.SHARED
+        }
+        for name in ("batch-a", "batch-b"):
+            assert len(out[name]) == len(serial)
+            for a, b in zip(serial, out[name]):
+                _assert_responses_identical(a, b)
 
     def test_responses_equal_one_algorithm_batches(self, setup):
         tg, machine = setup
@@ -460,19 +482,28 @@ class TestSharedPlacement:
         assert ug.coarse_gamma.flags.writeable
         assert not np.shares_memory(ug.coarse_gamma, uwh.coarse_gamma)
 
-    def test_process_workers_start_without_a_memo(self, tmp_path):
-        """A worker forked mid-batch must not inherit the batch's memo."""
-        import contextvars
+    def test_process_workers_start_without_a_memo(self, setup, tmp_path, monkeypatch):
+        """A process worker sees single nodes, not the batch: it runs each
+        node with no placement memo at all."""
+        import repro.api.executor as executor_mod
+        import repro.api.pool as pool_mod
 
-        from repro.api.pool import _worker_init
-        from repro.api.service import BATCH_PLACEMENTS
+        tg, machine = setup
+        monkeypatch.setattr(pool_mod, "_WORKER_SERVICE", None)
+        seen = []
+        real = executor_mod.run_plan_node
 
-        def forked_worker():
-            BATCH_PLACEMENTS.set({"stale": object()})
-            _worker_init(str(tmp_path), ["grouping"], None)
-            return BATCH_PLACEMENTS.get()
+        def recording(service, request, kind, algorithm, placements):
+            seen.append(placements)
+            return real(service, request, kind, algorithm, placements)
 
-        assert contextvars.copy_context().run(forked_worker) is None
+        monkeypatch.setattr(executor_mod, "run_plan_node", recording)
+        pool_mod._worker_init(str(tmp_path), ["grouping"], None)
+        request = MapRequest(task_graph=tg, machine=machine, algorithms=("UG",), seed=2)
+        response = pool_mod._worker_run_node(request, "algo", "UG")
+        assert seen == [None]
+        (alone,) = MappingService().map_batch(request)
+        _assert_responses_identical(response, alone)
 
 
 class TestProcessStoreSharing:
@@ -657,8 +688,6 @@ class TestConcurrentCache:
     def test_stats_exact_under_thread_hammering(self):
         """Atomic counters: hits + misses add up, one compute per key."""
         cache = ArtifactCache()
-        cache.enable_concurrency()
-        assert cache.concurrent
         num_threads, per_thread, num_keys = 8, 200, 20
         computed = []
         lock = threading.Lock()
@@ -693,7 +722,7 @@ class TestConcurrentCache:
 
     def test_nested_get_or_compute_does_not_deadlock(self):
         """Computes may consult the cache (the DEF-baseline pattern)."""
-        cache = ArtifactCache(concurrent=True)
+        cache = ArtifactCache()
 
         def outer():
             inner = cache.get_or_compute("inner", "k", lambda: 10)
@@ -715,9 +744,8 @@ class TestConcurrentCache:
         assert results == [11] * 8
 
     def test_serial_behaviour_unchanged(self):
-        """Without enable_concurrency the semantics are the PR 3 ones."""
+        """A single caller sees plain LRU semantics through the stripes."""
         cache = ArtifactCache(max_entries=2)
-        assert not cache.concurrent
         cache.get_or_compute("ns", 1, lambda: "a")
         cache.get_or_compute("ns", 2, lambda: "b")
         cache.get_or_compute("ns", 3, lambda: "c")
@@ -750,7 +778,7 @@ class TestMapBatchCli:
                 "--manifest",
                 manifest,
                 "--backend",
-                "thread",
+                "process",
                 "--workers",
                 "2",
                 "--json",
@@ -760,7 +788,7 @@ class TestMapBatchCli:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["requests"] == 2 and payload["responses"] == 3
-        assert payload["backend"] == "thread"
+        assert payload["backend"] == "process"
         assert [r["algorithm"] for r in payload["results"]] == ["DEF", "UG", "UWH"]
         assert payload["results"][2]["tag"] == "w"
         assert payload["requests_per_s"] > 0

@@ -117,7 +117,7 @@ class TestRetryPolicy:
 class TestPartialResults:
     """on_error="partial": failures become structured outcomes."""
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_one_failure_spares_the_rest(self, workload, injector, backend):
         tg, machine = workload
         reqs = [_request(tg, machine, f"r{i}") for i in range(3)]
@@ -159,7 +159,7 @@ class TestPartialResults:
         with pytest.raises(InjectedFault):
             MappingService().map_batch([_request(tg, machine, "r0")])
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_retry_heals_transient_fault(self, workload, injector, backend):
         tg, machine = workload
         reqs = [_request(tg, machine, f"r{i}") for i in range(3)]
@@ -200,7 +200,7 @@ class TestPartialResults:
             for i in range(2)
         ]
         baseline = MappingService().map_batch(reqs())
-        for backend in ("serial", "thread"):
+        for backend in ("serial", "process"):
             out = MappingService().map_batch(
                 reqs(),
                 config=EngineConfig(
@@ -240,7 +240,7 @@ class TestNodeTimeout:
                     _request(tg, machine, "fast", algos=("UG",)),
                 ],
                 config=EngineConfig(
-                    backend="thread",
+                    backend="process",
                     workers=2,
                     node_timeout=0.3,
                     on_error="partial",
@@ -267,7 +267,7 @@ class TestNodeTimeout:
                 MappingService().map_batch(
                     [_request(tg, machine, "slow", algos=("SLEEPY2",))],
                     config=EngineConfig(
-                        backend="thread",
+                        backend="process",
                         node_timeout=0.3,
                     ),
                 )
@@ -673,7 +673,7 @@ class TestAioCancellation:
 
         async def run():
             server = MappingServer(
-                backend="thread",
+                backend="process",
                 workers=2,
                 config=EngineConfig(retry=RetryPolicy(max_attempts=2, backoff=0.01)),
             )

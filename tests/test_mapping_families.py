@@ -10,7 +10,7 @@ la Deveci et al.) are pinned the same way the paper algorithms are:
   disconnected workloads (``python tests/test_mapping_families.py``
   regenerates; do NOT regenerate unless a behaviour change is intended
   and reviewed);
-* every execution backend — ``serial``, ``thread``, ``process`` —
+* both execution backends — ``serial`` and ``process`` —
   must reproduce those goldens byte for byte.
 
 Plus structural properties the goldens cannot express: placements are
@@ -101,7 +101,7 @@ def _assert_matches_golden(responses, golden):
         assert r.metrics.mmc == want["mmc"], f"MMC diverged for {key}"
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 def test_family_goldens_on_every_backend(golden, backend):
     """HIER/SFC goldens are byte-identical on all execution backends."""
     responses = MappingService().map_batch(

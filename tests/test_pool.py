@@ -1,17 +1,16 @@
 """Tests for the serving layer's ExecutorPool.
 
 Pins the pool lifecycle contracts: lazy spawn, reuse across batches
-(byte-identical to serial), idle reap + lazy respawn, a shape fixed at
-construction (a batch asking for another backend or width is refused,
-a serial batch bypasses the pool), and a shutdown that leaves no stray
-worker processes.
+(byte-identical to serial), idle reap + lazy respawn, a width fixed at
+construction (a batch asking for another one is refused, a serial batch
+bypasses the pool), and a shutdown that leaves no stray worker
+processes.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import threading
 import time
 
 import numpy as np
@@ -25,7 +24,6 @@ from repro.api import (
     MappingService,
     MapRequest,
 )
-from repro.api.pool import POOL_BACKENDS
 from repro.graph.task_graph import TaskGraph
 from repro.topology.allocation import AllocationSpec, SparseAllocator
 from repro.topology.torus import Torus3D
@@ -64,18 +62,20 @@ def _assert_identical(serial, responses):
 
 class TestPoolLifecycle:
     def test_rejects_bad_config(self):
+        for backend in ("serial", "thread"):
+            with pytest.raises(ValueError, match=backend):
+                ExecutorPool(backend)
         with pytest.raises(ValueError):
-            ExecutorPool("serial")
-        with pytest.raises(ValueError):
-            ExecutorPool("thread", idle_timeout=0)
-        assert POOL_BACKENDS == ("thread", "process")
+            ExecutorPool("process", idle_timeout=0)
+        with ExecutorPool() as pool:
+            assert pool.backend == "process"
 
     def test_lazy_spawn_and_reuse_across_batches(self, setup):
         """No workers until the first batch; one spawn serves many."""
         tg, machine = setup
         request = _request(tg, machine)
         serial = MappingService().map_batch(request, config=EngineConfig(backend="serial"))
-        with ExecutorPool("thread", workers=2) as pool:
+        with ExecutorPool("process", workers=2) as pool:
             service = MappingService(pool=pool)
             assert pool.spawn_count == 0 and not pool.executor_alive
             _assert_identical(serial, service.map_batch(request))
@@ -115,7 +115,7 @@ class TestPoolLifecycle:
             assert pool.store.file_count("batch") == 0
             assert not os.path.exists(os.path.join(pool.store.root, "batch"))
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_batch_scoped_run_leaves_no_live_executor(self, setup, backend):
         """Without ``pool=`` the batch's pool is shut down when it ends."""
         tg, machine = setup
@@ -125,9 +125,6 @@ class TestPoolLifecycle:
         out = MappingService().map_batch(request, config=EngineConfig(backend=backend, workers=2))
         _assert_identical(serial, out)
         assert set(multiprocessing.active_children()) <= children
-        assert not [
-            t for t in threading.enumerate() if t.name.startswith("repro-pool")
-        ]
 
     def test_batch_scoped_process_run_uses_attached_store(self, setup, tmp_path):
         """The batch's workers share the service cache's store root and
@@ -147,7 +144,7 @@ class TestPoolLifecycle:
     def test_idle_reap_and_lazy_respawn(self, setup):
         tg, machine = setup
         request = _request(tg, machine, algos=("UG",))
-        with ExecutorPool("thread", workers=2, idle_timeout=0.2) as pool:
+        with ExecutorPool("process", workers=2, idle_timeout=0.2) as pool:
             service = MappingService(pool=pool)
             service.map_batch(request)
             assert pool.executor_alive
@@ -163,25 +160,24 @@ class TestPoolLifecycle:
     def test_constructor_serial_default_bypasses_pool(self, setup):
         """An explicit backend="serial" beside a pool stays honored."""
         tg, machine = setup
-        with ExecutorPool("thread", workers=2) as pool:
+        with ExecutorPool("process", workers=2) as pool:
             service = MappingService(backend="serial", pool=pool)
             service.map_batch(_request(tg, machine, algos=("UG",)))
             assert pool.spawn_count == 0
             # The pool remains available to a per-batch config.
             request = _request(tg, machine, algos=("UG",))
-            service.map_batch(request, config=EngineConfig(backend="thread"))
+            service.map_batch(request, config=EngineConfig(backend="process"))
             assert pool.spawn_count == 1
 
     def test_batch_of_another_shape_is_refused(self, setup):
-        """A pool's backend and width are fixed: a batch naming another
-        one raises before planning, and the pool never spawns for it."""
+        """A pool's width is fixed: a batch naming another one raises
+        before planning, and the pool never spawns for it."""
         tg, machine = setup
         request = _request(tg, machine, algos=("UG",))
-        with ExecutorPool("thread", workers=2) as pool:
+        with ExecutorPool("process", workers=2) as pool:
             service = MappingService(pool=pool)
-            for config in (EngineConfig(workers=1), EngineConfig(backend="process")):
-                with pytest.raises(ValueError, match="fixed"):
-                    service.map_batch(request, config=config)
+            with pytest.raises(ValueError, match="fixed"):
+                service.map_batch(request, config=EngineConfig(workers=1))
             with pytest.raises(ValueError, match="fixed"):
                 MappingService(pool=pool, workers=3).map_batch(request)
             assert pool.spawn_count == 0
@@ -193,7 +189,7 @@ class TestPoolLifecycle:
     def test_serial_batch_beside_a_pool_spawns_nothing(self, setup):
         tg, machine = setup
         request = _request(tg, machine, algos=("UG",))
-        with ExecutorPool("thread", workers=2) as pool:
+        with ExecutorPool("process", workers=2) as pool:
             out = MappingService(pool=pool).map_batch(
                 request, config=EngineConfig(backend="serial", workers=5)
             )
@@ -201,7 +197,7 @@ class TestPoolLifecycle:
             assert pool.spawn_count == 0 and not pool.executor_alive
 
     def test_store_access_after_shutdown_rejected(self):
-        pool = ExecutorPool("thread")
+        pool = ExecutorPool("process")
         pool.shutdown()
         with pytest.raises(RuntimeError):
             pool.store
@@ -229,7 +225,7 @@ class TestPoolLifecycle:
                 pass
 
     def test_temporary_store_removed_at_shutdown(self, setup):
-        pool = ExecutorPool("thread")
+        pool = ExecutorPool("process")
         root = pool.store.root
         assert os.path.isdir(root)
         pool.shutdown()

@@ -278,6 +278,9 @@ class TestParseLayer:
             # 40,000 rows per unit): refused before the matrix is built.
             [{**ENTRY, "procs": 1048576}],
             [{**ENTRY, "rows_per_unit": 40001}],
+            # Below one row per unit: refused, not mapped on a 64-row matrix.
+            [{**ENTRY, "rows_per_unit": 0}],
+            [{**ENTRY, "rows_per_unit": -5}],
         ],
     )
     def test_all_malformed_inputs_raise_protocol_error(self, entries):
@@ -438,7 +441,7 @@ def _direct_reference(entries, defaults=None):
 
 class TestServerIntegration:
     def test_happy_path_is_byte_identical_to_direct_service(self):
-        with ThreadedServer(backend="thread", workers=2) as ts:
+        with ThreadedServer(backend="process", workers=2) as ts:
             with ServeClient(*ts.address, tenant="t0") as client:
                 assert client.ping()
                 reply = client.map([dict(ENTRY)])
@@ -457,8 +460,7 @@ class TestServerIntegration:
         n = 5
         replies = [None] * n
         with ThreadedServer(
-            backend="thread",
-            workers=2,
+            backend="serial",
             coalesce_window=0.4,
             max_batch=16,
             max_in_flight=1,
@@ -495,8 +497,7 @@ class TestServerIntegration:
         n = 10
         replies = [None] * n
         with ThreadedServer(
-            backend="thread",
-            workers=2,
+            backend="serial",
             max_pending=2,
             coalesce_window=0.2,
             max_batch=1,
@@ -542,8 +543,7 @@ class TestServerIntegration:
         held_reply = []
         try:
             with ThreadedServer(
-                backend="thread",
-                workers=2,
+                backend="serial",
                 max_pending=1,
                 coalesce_window=0.0,
                 max_in_flight=1,
@@ -578,8 +578,7 @@ class TestServerIntegration:
 
     def test_queued_deadline_expires_without_execution(self):
         with ThreadedServer(
-            backend="thread",
-            workers=2,
+            backend="serial",
             coalesce_window=0.3,
             max_in_flight=1,
         ) as ts:
@@ -605,10 +604,10 @@ class TestServerIntegration:
 
         entry = {**ENTRY, "algos": "SLEEPYSRV"}
         try:
-            # A persistent pool: the spawn-per-call thread backend joins
+            # A persistent pool: the spawn-per-call process backend joins
             # its executor at batch end, which would hide the early
             # timeout reply behind the still-sleeping worker.
-            with ExecutorPool("thread", workers=2) as pool:
+            with ExecutorPool("process", workers=2) as pool:
                 with ThreadedServer(pool=pool, coalesce_window=0.0) as ts:
                     with ServeClient(*ts.address) as client:
                         t0 = time.perf_counter()
@@ -629,8 +628,7 @@ class TestServerIntegration:
         replies = {}
         lock = threading.Lock()
         with ThreadedServer(
-            backend="thread",
-            workers=2,
+            backend="serial",
             coalesce_window=0.4,
             max_batch=2,
             max_in_flight=1,
@@ -781,7 +779,7 @@ class TestServerIntegration:
         assert reply["error"]["kind"] == "shutdown"
 
     def test_stats_payload_shape(self):
-        with ThreadedServer(backend="thread", workers=2) as ts:
+        with ThreadedServer(backend="serial") as ts:
             with ServeClient(*ts.address) as client:
                 client.map([dict(ENTRY)])
                 stats = client.stats()
@@ -880,7 +878,7 @@ class TestDispatchConfig:
     def test_service_config_shapes_every_dispatch(self):
         retry = RetryPolicy(max_attempts=2)
         config = EngineConfig(retry=retry, node_timeout=30.0)
-        with ThreadedServer(backend="thread", workers=2, config=config) as ts:
+        with ThreadedServer(backend="process", workers=2, config=config) as ts:
             configs = self._spy(ts)
             with ServeClient(*ts.address) as client:
                 assert client.map([dict(ENTRY)])["ok"]
@@ -890,7 +888,7 @@ class TestDispatchConfig:
         assert plain.on_error == tight.on_error == "partial"
         assert plain.node_timeout == 30.0
         assert 0 < tight.node_timeout <= 10.0
-        assert plain.backend == tight.backend == "thread"
+        assert plain.backend == tight.backend == "process"
         assert plain.workers == tight.workers == 2
 
     @pytest.mark.parametrize("deadline", [float("nan"), "nan", float("inf"), "-inf"])
@@ -978,7 +976,7 @@ class TestServeCli:
     def test_stats_cli_against_live_server(self, capsys):
         from repro.api.cli import main
 
-        with ThreadedServer(backend="thread", workers=2) as ts:
+        with ThreadedServer(backend="serial") as ts:
             with ServeClient(*ts.address) as client:
                 assert client.map([dict(ENTRY)])["ok"]
             host, port = ts.address
@@ -1020,7 +1018,7 @@ class TestServeCli:
                 "--listen",
                 "127.0.0.1:0",
                 "--backend",
-                "thread",
+                "process",
                 "--workers",
                 "2",
             ],

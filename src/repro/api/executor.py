@@ -105,8 +105,13 @@ def execute_plan(
         return _collect(plan, _run_pooled(plan, service, pool, fault_kw))
     if backend == "serial":
         return _collect(plan, drive_plan(plan, service, **fault_kw))
-    with _batch_pool(service, config) as pool:
+    pool = _batch_pool(service, config)
+    try:
         return _collect(plan, _run_pooled(plan, service, pool, fault_kw))
+    finally:
+        # The batch owns these workers alone, and any still running a
+        # node runs one it abandoned: terminate them rather than join.
+        pool._close(terminate=True)
 
 
 def run_plan_node(

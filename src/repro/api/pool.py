@@ -25,7 +25,9 @@ across calls:
   therefore all warm artifacts) survives the reap.
 * **Clean shutdown** — context-manager exit or :meth:`shutdown` joins
   the workers and removes a pool-owned temporary store; an ``atexit``
-  hook covers pools the caller forgot.
+  hook covers pools the caller forgot.  The engine's batch-scoped pool
+  terminates its workers instead, so a node abandoned at its
+  ``node_timeout`` does not hold the batch.
 
 Process workers receive each node's :class:`~repro.api.request.
 MapRequest` with the node itself: a pickled request is small and
@@ -173,11 +175,21 @@ class ExecutorPool:
         Idempotent; also runs via ``atexit`` for pools never explicitly
         closed, so a serving process exits without stray workers.
         """
+        self._close(terminate=False)
+
+    def _close(self, *, terminate: bool) -> None:
+        """:meth:`shutdown`; with *terminate*, end the workers, not join them.
+
+        A batch-scoped pool closes this way: once its batch has returned,
+        a worker still running a node runs one the batch abandoned
+        (``node_timeout``), and joining it would hold the batch until
+        that node ends.
+        """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            self._stop_executor(wait=True)
+            self._stop_executor(wait=True, terminate=terminate)
             self._drop_store()
         atexit.unregister(self.shutdown)
 
@@ -282,9 +294,14 @@ class ExecutorPool:
             self.spawn_count += 1
         return self._executor
 
-    def _stop_executor(self, *, wait: bool) -> None:
+    def _stop_executor(self, *, wait: bool, terminate: bool = False) -> None:
         self._cancel_reap()
         if self._executor is not None:
+            if terminate:
+                # The same private worker map as worker_pids() reads.
+                workers = getattr(self._executor, "_processes", None) or {}
+                for proc in list(workers.values()):
+                    proc.terminate()
             self._executor.shutdown(wait=wait)
             self._executor = None
 

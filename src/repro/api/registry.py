@@ -83,9 +83,6 @@ class MapperSpec:
         Charge the grouping stage to ``map_time`` and never share it
         (TMAP re-partitions the task graph itself; DEF's blocking is
         part of its placement cost).
-    shares_grouping:
-        Whether the algorithm consumes the request's shared grouping —
-        the paper's "UWH/UMC/UMMC run on top of UG" family.
     consumes:
         Artifact namespaces the algorithm reads from the shared cache,
         used by the batch planner (:func:`repro.api.plan.build_plan`) to
@@ -111,7 +108,6 @@ class MapperSpec:
     coarse_view: str = "volume"
     fallback: Optional[str] = None
     group_in_map_time: bool = False
-    shares_grouping: bool = True
     consumes: Optional[Tuple[str, ...]] = None
     produces: Optional[Tuple[str, ...]] = None
     description: str = ""
@@ -303,7 +299,6 @@ _BUILTIN_SPECS = (
         grouping="blocked",
         placement="consecutive",
         group_in_map_time=True,
-        shares_grouping=False,
         # Every DEF run (re)seeds the def_baseline entry TMAP's
         # fallback reads — declared explicitly because the service's
         # seeding is keyed to this algorithm, not to its stage shape.
@@ -316,7 +311,6 @@ _BUILTIN_SPECS = (
         placement="topomap",
         fallback="def_mc",
         group_in_map_time=True,  # LibTopoMap partitions the task graph itself
-        shares_grouping=False,
         description="LibTopoMap-like dual recursive bipartitioning + DEF fallback",
     ),
     MapperSpec(

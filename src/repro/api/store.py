@@ -296,7 +296,6 @@ class DiskArtifactStore:
         not; ``bytes_read`` is file bytes behind successful loads)."""
         with self._counter_lock:
             return {
-                "tier": "disk",
                 "loads": self._loads,
                 "load_hits": self._load_hits,
                 "bytes_read": self._bytes_read,
@@ -383,8 +382,6 @@ def _decode(spec: Dict[str, Any], archive) -> Any:
         return RouteTable(
             archive[spec["ptr"]], archive[spec["links"]], spec["num_links"]
         )
-    if kind == "pickle":
-        return pickle.loads(bytes(archive[spec["id"]]))
     if kind == "pickle5":
         buffers = [archive[b] for b in spec["buffers"]]
         return pickle.loads(archive[spec["id"]], buffers=buffers)

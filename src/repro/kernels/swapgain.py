@@ -8,6 +8,10 @@ fixed number of NumPy calls:
 * :func:`all_task_whops` / :func:`task_whops_many` — the per-task
   ``TASKWHOPS`` rows (Σ hops·volume over the task's neighbours) for all
   tasks or a touched subset, used to build and refresh the ``whHeap``;
+* :func:`refresh_whops_around` — the ``whHeap`` refresh after a committed
+  swap: the refiners' ``whHeap`` is a :mod:`heapq` of
+  ``(-TASKWHOPS, task, task)`` with lazy deletion, so a refreshed
+  row pushes a fresh entry and the older one is skipped when popped;
 * :func:`batched_swap_gains` — the exact WH change of swapping one task
   against each of ``k`` partners, in one ragged-gather pass.
 
@@ -23,6 +27,8 @@ threshold.
 """
 
 from __future__ import annotations
+
+import heapq
 
 import numpy as np
 
@@ -86,26 +92,32 @@ def task_whops_many(
 
 
 def refresh_whops_around(
-    heap, sym: CSRGraph, table: HopTable, gamma: np.ndarray, swapped, whops=None
+    heap: list,
+    popped: list,
+    whops: np.ndarray,
+    sym: CSRGraph,
+    table: HopTable,
+    gamma: np.ndarray,
+    swapped,
 ) -> None:
-    """Refresh ``whHeap`` priorities around a committed swap.
+    """Refresh the cached ``TASKWHOPS`` rows and ``whHeap`` after a swap.
 
-    Only the swapped tasks and their neighbourhoods can change, and only
-    entries still *in* the heap are updated (popped tasks stay processed
-    for the pass, as in the paper's Algorithm 2 lines 5–6).  With
-    *whops* given, the cached per-task rows are refreshed as well.
-    Shared by the coarse and fine WH refiners.
+    Only the swapped tasks and their neighbourhoods can change.  Their
+    rows of *whops* are recomputed, and each of them not yet *popped*
+    this pass gets a fresh ``(-whops, task, task)`` entry on the
+    :mod:`heapq` list *heap*; its older entry goes stale.  Popped tasks
+    stay processed for the pass, as in the paper's Algorithm 2 lines
+    5–6.  Shared by the coarse and fine WH refiners.
     """
     t1, t2 = swapped
     touched = np.unique(
         np.concatenate([sym.neighbors(t1), sym.neighbors(t2), np.asarray([t1, t2])])
     ).astype(np.int64)
     fresh = task_whops_many(sym, table, gamma, touched)
-    if whops is not None:
-        whops[touched] = fresh
+    whops[touched] = fresh
     for u, w in zip(touched.tolist(), fresh.tolist()):
-        if u in heap:
-            heap.update(u, w)
+        if not popped[u]:
+            heapq.heappush(heap, (-w, u, u))
 
 
 def batched_swap_gains(

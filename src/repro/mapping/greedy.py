@@ -4,11 +4,13 @@ The algorithm grows a mapped region greedily:
 
 1. map ``t_MSRV`` (maximum send+receive volume task) to an arbitrary node;
 2. while unmapped tasks remain, pick the unmapped task with the maximum
-   total connectivity to mapped tasks (max-heap ``conn``); during the
-   seeding phase (``NBFS`` seeds) pick instead the *farthest* unmapped
-   task found by BFS on ``Gt`` from all mapped tasks (ties favour the
-   higher-communication-volume task; disconnected components fall back to
-   their maximum-volume task);
+   total connectivity to mapped tasks (max-heap ``conn``: a :mod:`heapq`
+   of ``(-connectivity, seq, task)`` with lazy deletion, ``seq`` fixed
+   when the task is first reached, so ties pop first-reached first);
+   during the seeding phase (``NBFS`` seeds) pick instead the *farthest*
+   unmapped task found by BFS on ``Gt`` from all mapped tasks (ties
+   favour the higher-communication-volume task; disconnected components
+   fall back to their maximum-volume task);
 3. place the picked task with ``GETBESTNODE``: BFS on ``Gm`` from the
    nodes of its mapped neighbours, stopping at the first level that
    contains allocated nodes with free capacity and choosing among them
@@ -27,6 +29,8 @@ allocated part of a BFS of ``Gm``, so the same node wins.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -37,7 +41,6 @@ from repro.graph.task_graph import TaskGraph
 from repro.kernels import HopTable, hop_table_for
 from repro.mapping.base import Mapping, validate_mapping, wh_of
 from repro.topology.machine import Machine
-from repro.util.heap import IntKeyMaxHeap
 
 __all__ = ["GreedyMapper"]
 
@@ -86,7 +89,13 @@ def greedy_map(task_graph: TaskGraph, machine: Machine, *, nbfs: int = 0) -> np.
     gamma = np.full(n_tasks, -1, dtype=np.int64)
     mapped_mask = np.zeros(n_tasks, dtype=bool)
     total_vol = task_graph.send_volume() + task_graph.recv_volume()
-    conn = IntKeyMaxHeap(n_tasks)
+    # conn: connectivity of each reached unmapped task to the mapped
+    # ones; its heap holds (-conn, seq, task) entries, and an entry is
+    # live only while its task is unmapped and its priority current.
+    conn = [0.0] * n_tasks
+    seq = [-1] * n_tasks
+    reached = itertools.count()
+    heap: List[tuple] = []
 
     # With uniform group weights the "has room" mask is task-independent
     # and only the placed node can change — maintain it incrementally.
@@ -99,14 +108,15 @@ def greedy_map(task_graph: TaskGraph, machine: Machine, *, nbfs: int = 0) -> np.
         free[node] -= weights[task]
         if room is not None:
             room[node] = alloc_mask[node] and free[node] >= weights[0] - 1e-9
-        if task in conn:
-            conn.remove(task)
         nbrs = sym.neighbors(task)
         keep = ~mapped_mask[nbrs]
         for u, c in zip(
             nbrs[keep].tolist(), sym.neighbor_weights(task)[keep].tolist()
         ):
-            conn.increase(u, c)
+            if seq[u] < 0:
+                seq[u] = next(reached)
+            conn[u] += c
+            heapq.heappush(heap, (-conn[u], seq[u], u))
 
     # ------------------------------------------------------------------
     # Non-uniform capacities: groups whose weight differs from the common
@@ -142,9 +152,9 @@ def greedy_map(task_graph: TaskGraph, machine: Machine, *, nbfs: int = 0) -> np.
             seeds_placed += 1
         else:
             tbest = -1
-            while conn:
-                cand, _ = conn.pop()
-                if not mapped_mask[cand]:
+            while heap:
+                neg, _, cand = heapq.heappop(heap)
+                if not mapped_mask[cand] and -neg == conn[cand]:
                     tbest = cand
                     break
             if tbest < 0:

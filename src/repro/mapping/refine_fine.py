@@ -10,17 +10,19 @@ can be measured (see ``benchmarks/test_ablation.py``).
 
 The fine refiner swaps individual *ranks* between nodes (unit weights, so
 capacity stays exact) using the same machinery: a whHeap of per-rank WH
-contributions, BFS-ordered candidate nodes from the ranks' neighbour
-nodes, and a Δ early exit.  Because every rank on a candidate node is a
-potential partner, each BFS-visited node contributes up to
-``procs_per_node`` candidates.  The BFS order of the allocated nodes
-comes from the allocation hop matrix
+contributions (a :mod:`heapq` with lazy deletion over a per-pass
+``whops`` array, as in the coarse refiner), BFS-ordered candidate nodes
+from the ranks' neighbour nodes, and a Δ early exit.  Because every rank
+on a candidate node is a potential partner, each BFS-visited node
+contributes up to ``procs_per_node`` candidates.  The BFS order of the
+allocated nodes comes from the allocation hop matrix
 (:meth:`~repro.topology.machine.Machine.bfs_order`), so a search costs
 the same on any torus size.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -34,7 +36,6 @@ from repro.kernels import (
     total_weighted_hops,
 )
 from repro.topology.machine import Machine
-from repro.util.heap import IntKeyMaxHeap
 
 __all__ = ["FineWHRefiner", "fine_wh_of", "internode_volume"]
 
@@ -87,19 +88,29 @@ class FineWHRefiner:
 
         for _ in range(self.max_passes):
             pass_start = wh
-            heap = IntKeyMaxHeap.from_priorities(all_task_whops(sym, table, gamma))
+            whops = all_task_whops(sym, table, gamma)
+            heap = [(-w, t, t) for t, w in enumerate(whops.tolist())]
+            heapq.heapify(heap)
+            popped = [False] * n
             while heap:
-                twh, contrib = heap.pop()
-                if contrib <= 0:
+                neg, _, twh = heapq.heappop(heap)
+                if popped[twh] or -neg != whops[twh]:
+                    continue  # stale: popped already, or re-pushed since
+                popped[twh] = True
+                if -neg <= 0:
                     continue  # nothing to gain from a zero-WH rank
-                gain = self._try_swap(twh, sym, table, machine, gamma, hosted, heap)
+                gain = self._try_swap(
+                    twh, sym, table, machine, gamma, hosted, heap, popped, whops
+                )
                 wh -= gain
             if pass_start <= 0 or (pass_start - wh) / pass_start <= self.min_gain:
                 break
         return gamma
 
     # ------------------------------------------------------------------
-    def _try_swap(self, twh, sym, table, machine, gamma, hosted, heap) -> float:
+    def _try_swap(
+        self, twh, sym, table, machine, gamma, hosted, heap, popped, whops
+    ) -> float:
         nbrs = sym.neighbors(twh)
         if nbrs.size == 0:
             return 0.0
@@ -120,7 +131,9 @@ class FineWHRefiner:
                     hosted[nb].remove(t)
                     hosted[na].append(t)
                     hosted[nb].append(twh)
-                    refresh_whops_around(heap, sym, table, gamma, (twh, t))
+                    refresh_whops_around(
+                        heap, popped, whops, sym, table, gamma, (twh, t)
+                    )
                     return gain
         return 0.0
 

@@ -106,11 +106,14 @@ class MCRefiner:
         once.
         """
         machine = mapping.machine
-        state = _CongestionState(
-            task_graph,
-            machine,
+        src_t, dst_t, vol = task_graph.graph.edge_list()
+        state = CongestionModel(
+            machine.torus,
+            src_t,
+            dst_t,
+            vol,
             mapping.gamma.copy(),
-            self.metric,
+            metric=self.metric,
             route_table=self._shared_route_table(task_graph, mapping, cache),
         )
         sym = task_graph.symmetrized()
@@ -131,7 +134,7 @@ class MCRefiner:
                 for tmc in state.tasks_through(emc):
                     if tmc in failed:
                         continue
-                    partner = self._find_swap(tmc, state, sym, weights)
+                    partner = self._find_swap(tmc, state, machine, sym, weights)
                     if partner is None:
                         failed.add(tmc)
                         continue
@@ -164,7 +167,8 @@ class MCRefiner:
     def _find_swap(
         self,
         tmc: int,
-        state: "_CongestionState",
+        state: CongestionModel,
+        machine: Machine,
         sym,
         weights: np.ndarray,
     ) -> Optional[int]:
@@ -179,7 +183,7 @@ class MCRefiner:
         nbrs = sym.neighbors(tmc)
         if nbrs.size == 0:
             return None
-        nodes, _ = state.machine.bfs_order(state.gamma[nbrs])
+        nodes, _ = machine.bfs_order(state.gamma[nbrs])
         hosts = state.host[nodes]
         # host[Γ[tmc]] == tmc subsumes the scalar "skip our own node".
         cand = hosts[(hosts >= 0) & (hosts != tmc)]
@@ -194,35 +198,3 @@ class MCRefiner:
         verdicts = state.evaluate_swaps(tmc, cands)
         hits = np.flatnonzero(verdicts)
         return int(cands[hits[0]]) if hits.size else None
-
-
-class _CongestionState(CongestionModel):
-    """Thin façade: the legacy constructor over the shared model.
-
-    Everything Algorithm 3 touches — link loads, ``commTasks``, swap
-    deltas, commits — lives in :class:`CongestionModel`; this subclass
-    only adapts the ``(task_graph, machine, gamma, metric)`` signature
-    the refiner (and the existing tests) use.
-    """
-
-    def __init__(
-        self,
-        task_graph: TaskGraph,
-        machine: Machine,
-        gamma: np.ndarray,
-        metric: str,
-        *,
-        route_table: Optional[RouteTable] = None,
-    ) -> None:
-        self.tg = task_graph
-        self.machine = machine
-        src_t, dst_t, vol = task_graph.graph.edge_list()
-        super().__init__(
-            machine.torus,
-            src_t,
-            dst_t,
-            vol,
-            gamma,
-            metric=metric,
-            route_table=route_table,
-        )

@@ -4,7 +4,10 @@ Kernighan–Lin-type *swap* refinement of a one-to-one group↔node mapping:
 
 * ``whHeap`` ranks tasks by the WH they individually incur
   (``TASKWHOPS``); the top task ``t_wh`` is the likeliest to profit from
-  moving closer to its neighbours;
+  moving closer to its neighbours.  It is a :mod:`heapq` of
+  ``(-TASKWHOPS, task, task)`` with lazy deletion: ties pop lowest id
+  first, and an entry counts only if its task is not yet popped this
+  pass and its priority is the task's current row;
 * candidate partners are discovered by BFS on ``Gm`` started from
   ``Γ[nghbor(t_wh)]`` (the nodes of ``t_wh``'s neighbours), visiting
   allocated nodes in BFS order — the order makes near-neighbour swaps be
@@ -25,12 +28,13 @@ task are read off the allocated nodes' BFS order
 allocation hop matrix whose cost does not grow with the torus) and
 scored in **one** :func:`repro.kernels.batched_swap_gains` call;
 per-task ``TASKWHOPS`` rows are cached in a flat array and refreshed
-only around committed swaps, feeding both the bulk ``whHeap`` build of
-each pass and the post-swap heap updates.
+only around committed swaps, feeding both the ``whHeap`` build of each
+pass and the fresh entries pushed after a swap.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +47,6 @@ from repro.kernels import (
     refresh_whops_around,
 )
 from repro.mapping.base import Mapping, validate_mapping, wh_of
-from repro.util.heap import IntKeyMaxHeap
 
 __all__ = ["WHRefiner"]
 
@@ -81,9 +84,14 @@ class WHRefiner:
         uniform = bool(np.all(weights == weights[0])) if weights.size else True
         for _ in range(self.max_passes):
             pass_start_wh = wh
-            heap = IntKeyMaxHeap.from_priorities(whops)
+            heap = [(-w, t, t) for t, w in enumerate(whops.tolist())]
+            heapq.heapify(heap)
+            popped = [False] * len(heap)
             while heap:
-                twh, _ = heap.pop()
+                neg, _, twh = heapq.heappop(heap)
+                if popped[twh] or -neg != whops[twh]:
+                    continue  # stale: popped already, or re-pushed since
+                popped[twh] = True
                 gain = self._try_swap(
                     twh,
                     sym,
@@ -93,6 +101,7 @@ class WHRefiner:
                     gamma,
                     host,
                     heap,
+                    popped,
                     whops,
                     uniform,
                 )
@@ -115,7 +124,8 @@ class WHRefiner:
         machine,
         gamma: np.ndarray,
         host: np.ndarray,
-        heap: IntKeyMaxHeap,
+        heap: list,
+        popped: list,
         whops: np.ndarray,
         uniform: bool,
     ) -> float:
@@ -159,7 +169,7 @@ class WHRefiner:
         gamma[t] = na
         host[na] = t
         host[nb] = twh
-        refresh_whops_around(heap, sym, table, gamma, (twh, t), whops=whops)
+        refresh_whops_around(heap, popped, whops, sym, table, gamma, (twh, t))
         return gain
 
 

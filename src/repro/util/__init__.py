@@ -1,10 +1,9 @@
 """Shared low-level utilities.
 
-This subpackage hosts the small data structures and helpers every other
-layer builds on:
+This subpackage hosts the small helpers every other layer builds on (the
+paper's priority queues need no module here: each is a :mod:`heapq` of
+``(-priority, seq, id)`` with lazy deletion, kept by its algorithm):
 
-* :mod:`repro.util.heap` -- the addressable integer-id max-heap behind
-  ``conn`` in Algorithm 1 and ``whHeap`` in Algorithm 2 of the paper.
 * :mod:`repro.util.rng` -- deterministic seeding helpers so that every
   experiment in the harness is reproducible bit-for-bit.
 * :mod:`repro.util.sfc` -- space-filling-curve orderings used by the
@@ -15,7 +14,6 @@ layer builds on:
   experiment (mapping times).
 """
 
-from repro.util.heap import IntKeyMaxHeap
 from repro.util.rng import seeded_rng, spawn_seeds
 from repro.util.sfc import hilbert2d_order, snake3d_order, sfc_node_order
 from repro.util.timing import Timer
@@ -28,7 +26,6 @@ from repro.util.validation import (
 )
 
 __all__ = [
-    "IntKeyMaxHeap",
     "seeded_rng",
     "spawn_seeds",
     "hilbert2d_order",

@@ -26,7 +26,8 @@ import pytest
 from repro.graph.task_graph import TaskGraph
 from repro.kernels.congestion import CongestionModel
 from repro.mapping.base import Mapping
-from repro.mapping.refine_mc import MCRefiner, _CongestionState
+from repro.mapping.refine_mc import MCRefiner
+from repro.metrics.mapping import evaluate_mapping
 from repro.topology.allocation import AllocationSpec, SparseAllocator
 from repro.topology.routing import RouteTable, routes_bulk
 from repro.topology.torus import Torus3D
@@ -491,8 +492,9 @@ class TestSharedRouteTable:
         )
 
     def test_facade_keeps_legacy_signature(self):
+        """The model as ``MCRefiner.refine`` builds it from a task graph."""
         tg, machine, gamma = make_instance(23)
-        state = _CongestionState(tg, machine, gamma.copy(), "volume")
-        assert isinstance(state, CongestionModel)
+        state = model_for(tg, machine, gamma, "volume")
         mc, ac = state.current_mc_ac()
-        assert mc >= 0.0 and ac >= 0.0
+        ref = evaluate_mapping(tg, machine, gamma)
+        assert mc == pytest.approx(ref.mc) and ac == pytest.approx(ref.ac)

@@ -27,6 +27,7 @@ fault fires exactly once, however many workers race for it.
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
 import os
 import time
 
@@ -273,6 +274,36 @@ class TestNodeTimeout:
                 )
         finally:
             unregister_mapper("SLEEPY2")
+
+    def test_batch_scoped_pool_returns_at_timeout_and_reaps(self, workload):
+        """A batch-scoped pool ends the worker running an abandoned node.
+
+        Joining that worker would hold the batch for the full 5 s sleep.
+        """
+        tg, machine = workload
+
+        @register_mapper("SLEEPY3", description="sleeps, then places greedily")
+        def sleepy(ctx):
+            time.sleep(5.0)
+            return PLACEMENT_STAGES["greedy"](ctx)  # pragma: no cover
+
+        try:
+            t0 = time.perf_counter()
+            out = MappingService().map_batch(
+                [_request(tg, machine, "slow", algos=("SLEEPY3",))],
+                config=EngineConfig(
+                    backend="process",
+                    workers=2,
+                    node_timeout=0.3,
+                    on_error="partial",
+                ),
+            )
+            elapsed = time.perf_counter() - t0
+        finally:
+            unregister_mapper("SLEEPY3")
+        assert not out[0].ok and out[0].error.kind == "timeout"
+        assert elapsed < 2.0
+        assert multiprocessing.active_children() == []
 
 
 class TestPoolSelfHealing:

@@ -1,16 +1,12 @@
 """Unit equivalence tests for the vectorized kernel layer.
 
 Each kernel is checked against the scalar reference it replaced:
-``HopTable`` against ``Torus3D.hop_distance``, ``IntKeyMaxHeap`` against
-a :mod:`heapq` model with lazy deletion under a randomized operation
-stream, and
+``HopTable`` against ``Torus3D.hop_distance``, and
 ``batched_swap_gains`` / ``all_task_whops`` against the scalar
 ``_swap_gain`` / ``_task_whops`` helpers of Algorithm 2.
 """
 
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 import pytest
@@ -25,7 +21,6 @@ from repro.kernels import (
 )
 from repro.mapping.refine_wh import _swap_gain, _task_whops
 from repro.topology.torus import Torus3D
-from repro.util.heap import IntKeyMaxHeap
 
 TORUS_SHAPES = [(4, 4, 4), (5, 3, 2), (6, 1, 1), (2, 2, 7), (1, 1, 1), (8, 2, 5)]
 
@@ -85,146 +80,6 @@ class TestHopTable:
         # the cached default-threshold table is untouched
         assert hop_table_for(torus) is default
         assert default.has_matrix is True
-
-
-# ----------------------------------------------------------------------
-# IntKeyMaxHeap
-# ----------------------------------------------------------------------
-class _HeapqModel:
-    """Reference addressable max-heap: :mod:`heapq` with lazy deletion.
-
-    Pops the highest priority first, then the earliest insertion; an
-    update keeps the item's insertion order, and ``update`` or
-    ``increase`` on an absent item inserts it.  A heap entry is live
-    only while it matches the item's current ``(priority, seq)``.
-    """
-
-    def __init__(self) -> None:
-        self._live = {}  # item -> (priority, insertion seq)
-        self._heap = []
-        self._seq = 0
-
-    def __len__(self) -> int:
-        return len(self._live)
-
-    def __contains__(self, item) -> bool:
-        return item in self._live
-
-    def _push(self, item, priority: float, seq: int) -> None:
-        self._live[item] = (priority, seq)
-        heapq.heappush(self._heap, (-priority, seq, item))
-
-    def insert(self, item, priority: float) -> None:
-        assert item not in self._live
-        self._seq += 1
-        self._push(item, priority, self._seq)
-
-    def update(self, item, priority: float) -> None:
-        if item in self._live:
-            self._push(item, priority, self._live[item][1])
-        else:
-            self.insert(item, priority)
-
-    def increase(self, item, delta: float) -> None:
-        if item in self._live:
-            self.update(item, self._live[item][0] + delta)
-        else:
-            self.insert(item, delta)
-
-    def remove(self, item) -> float:
-        return self._live.pop(item)[0]
-
-    def pop(self):
-        while True:
-            neg, seq, item = heapq.heappop(self._heap)
-            if self._live.get(item) == (-neg, seq):
-                del self._live[item]
-                return item, -neg
-
-
-class TestIntKeyMaxHeap:
-    def test_randomized_stream_matches_heapq_model(self):
-        rng = np.random.default_rng(13)
-        n = 50
-        a = _HeapqModel()
-        b = IntKeyMaxHeap(n)
-        for _ in range(2000):
-            op = rng.integers(0, 5)
-            item = int(rng.integers(0, n))
-            if op == 0 and item not in a:
-                prio = float(rng.integers(0, 20))
-                a.insert(item, prio)
-                b.insert(item, prio)
-            elif op == 1 and len(a):
-                assert a.pop() == b.pop()
-            elif op == 2 and item in a:
-                assert a.remove(item) == b.remove(item)
-            elif op == 3:
-                prio = float(rng.integers(0, 20))
-                if item in a:
-                    a.update(item, prio)
-                    b.update(item, prio)
-            else:
-                delta = float(rng.integers(0, 9))
-                a.increase(item, delta)
-                b.increase(item, delta)
-            assert len(a) == len(b)
-            assert b.validate()
-        while a:
-            assert a.pop() == b.pop()
-        assert not b
-
-    def test_from_priorities_matches_sequential_inserts(self):
-        rng = np.random.default_rng(21)
-        prios = rng.integers(0, 7, size=64).astype(float)  # many ties
-        a = _HeapqModel()
-        for i, p in enumerate(prios):
-            a.insert(i, float(p))
-        b = IntKeyMaxHeap.from_priorities(prios)
-        assert b.validate()
-        while a:
-            assert a.pop() == b.pop()
-        assert not b
-
-    def test_reinsert_after_remove(self):
-        h = IntKeyMaxHeap(4)
-        h.insert(2, 5.0)
-        h.remove(2)
-        assert 2 not in h
-        h.insert(2, 1.0)
-        h.insert(3, 1.0)  # same priority: 2 was inserted earlier
-        assert h.pop() == (2, 1.0)
-        assert h.pop() == (3, 1.0)
-
-    def test_error_paths(self):
-        h = IntKeyMaxHeap(3)
-        with pytest.raises(IndexError):
-            h.pop()
-        with pytest.raises(KeyError):
-            h.remove(1)
-        with pytest.raises(KeyError):
-            h.priority(0)
-        h.insert(1, 2.0)
-        with pytest.raises(ValueError):
-            h.insert(1, 3.0)
-        assert h.peek() == (1, 2.0)
-
-    def test_negative_ids_rejected(self):
-        """-1 sentinels must never wrap around onto the last item."""
-        h = IntKeyMaxHeap(3)
-        h.insert(2, 5.0)
-        assert -1 not in h
-        with pytest.raises(IndexError):
-            h.insert(-1, 1.0)
-        with pytest.raises(IndexError):
-            h.update(-1, 1.0)
-        with pytest.raises(IndexError):
-            h.increase(-1, 1.0)
-        with pytest.raises(KeyError):
-            h.remove(-1)
-        with pytest.raises(KeyError):
-            h.priority(-1)
-        assert h.priority(2) == 5.0  # untouched by the rejected calls
 
 
 # ----------------------------------------------------------------------

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.graph.task_graph import TaskGraph
+from repro.kernels.congestion import CongestionModel
 from repro.mapping.base import Mapping, wh_of
 from repro.mapping.greedy import GreedyMapper
-from repro.mapping.refine_mc import MCRefiner, _CongestionState
+from repro.mapping.refine_mc import MCRefiner
 from repro.mapping.refine_wh import WHRefiner, _swap_gain, _task_whops
 from repro.metrics.mapping import evaluate_mapping
 from repro.topology.allocation import AllocationSpec, SparseAllocator
@@ -117,7 +118,9 @@ class TestMCRefiner:
         """Sparse swap deltas must equal a from-scratch recomputation."""
         tg, machine = setup16
         gamma = bad_mapping(tg, machine, seed=4).gamma
-        state = _CongestionState(tg, machine, gamma.copy(), "volume")
+        state = CongestionModel(
+            machine.torus, *tg.graph.edge_list(), gamma.copy(), metric="volume"
+        )
         rng = np.random.default_rng(6)
         for _ in range(10):
             t1, t2 = (int(x) for x in rng.choice(16, size=2, replace=False))
@@ -133,7 +136,9 @@ class TestMCRefiner:
     def test_state_tracks_mc_ac(self, setup16):
         tg, machine = setup16
         gamma = bad_mapping(tg, machine, seed=8).gamma
-        state = _CongestionState(tg, machine, gamma.copy(), "volume")
+        state = CongestionModel(
+            machine.torus, *tg.graph.edge_list(), gamma.copy(), metric="volume"
+        )
         mc, ac = state.current_mc_ac()
         ref = evaluate_mapping(tg, machine, gamma)
         assert mc == pytest.approx(ref.mc)
@@ -142,7 +147,9 @@ class TestMCRefiner:
     def test_comm_tasks_index_consistent(self, setup16):
         tg, machine = setup16
         gamma = bad_mapping(tg, machine, seed=2).gamma
-        state = _CongestionState(tg, machine, gamma.copy(), "message")
+        state = CongestionModel(
+            machine.torus, *tg.graph.edge_list(), gamma.copy(), metric="message"
+        )
         # every link with load must know at least one task
         loaded = np.flatnonzero(state.msgs > 0)
         for l in loaded.tolist():

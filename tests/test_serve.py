@@ -595,8 +595,6 @@ class TestServerIntegration:
         assert stats["counters"]["dispatches"] == 0
 
     def test_deadline_mid_plan_becomes_node_timeout(self):
-        from repro.api import ExecutorPool
-
         @register_mapper("SLEEPYSRV", description="sleeps, then places greedily")
         def sleepy(ctx):
             time.sleep(5.0)
@@ -604,15 +602,13 @@ class TestServerIntegration:
 
         entry = {**ENTRY, "algos": "SLEEPYSRV"}
         try:
-            # A persistent pool: the spawn-per-call process backend joins
-            # its executor at batch end, which would hide the early
-            # timeout reply behind the still-sleeping worker.
-            with ExecutorPool("process", workers=2) as pool:
-                with ThreadedServer(pool=pool, coalesce_window=0.0) as ts:
-                    with ServeClient(*ts.address) as client:
-                        t0 = time.perf_counter()
-                        reply = client.map([entry], deadline_s=0.5)
-                        elapsed = time.perf_counter() - t0
+            with ThreadedServer(
+                backend="process", workers=2, coalesce_window=0.0
+            ) as ts:
+                with ServeClient(*ts.address) as client:
+                    t0 = time.perf_counter()
+                    reply = client.map([entry], deadline_s=0.5)
+                    elapsed = time.perf_counter() - t0
         finally:
             unregister_mapper("SLEEPYSRV")
         # The request was dispatched, its deadline became the engine's

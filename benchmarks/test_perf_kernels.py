@@ -6,8 +6,8 @@ Tracks the primitives the mapping hot paths are built from:
   coordinate-formula ``Torus3D.hop_distance``;
 * one ``Machine.bfs_order`` call, the BFS order of the allocated nodes
   that GETBESTNODE and the swap-partner searches read;
-* one ``batched_swap_gains`` call (Δ=8 candidates) vs Δ scalar
-  ``_swap_gain`` invocations;
+* Algorithm 2's inner step on a ``SwapCostTable``, Δ=8 gains plus one
+  committed swap, vs Δ scalar ``_swap_gain`` invocations;
 * one ``CongestionModel.evaluate_swaps`` call (Δ=8 candidates) vs Δ
   scalar ``swap_improves`` probes — Algorithm 3's inner loop — and a
   model's construction plus its first, cold probe (the pair-route
@@ -28,9 +28,9 @@ import pytest
 
 from repro.graph.csr import CSRGraph
 from repro.graph.task_graph import TaskGraph
-from repro.kernels import HopTable, batched_swap_gains, hop_table_for
+from repro.kernels import HopTable, SwapCostTable, hop_table_for
 from repro.kernels.congestion import CongestionModel
-from repro.mapping.refine_wh import _swap_gain, _task_whops
+from repro.mapping.refine_wh import _swap_gain
 from repro.partition.driver import PartitionConfig, multilevel_bisect, partition_graph
 from repro.topology.machine import Machine
 from repro.topology.routing import RouteTable, routes_bulk
@@ -110,17 +110,20 @@ def test_swap_gain_scalar_baseline(benchmark, torus, swap_workload):
     benchmark(scalar)
 
 
-def test_swap_gain_batched(benchmark, torus, swap_workload):
+def test_swap_gain_table(benchmark, torus, swap_workload):
     sym, gamma, partners = swap_workload
-    table = hop_table_for(torus)
-    whops0 = _task_whops(0, sym, torus, gamma)
-
-    def batched():
-        return batched_swap_gains(sym, table, gamma, 0, partners, whops_t1=whops0)
-
-    got = benchmark(batched)
+    nodes = np.sort(gamma)  # the 256 tasks' nodes are the allocation
+    hops = hop_table_for(torus).cross_hops(nodes, nodes)
+    table = SwapCostTable(sym, hops, np.searchsorted(nodes, gamma))
     want = [_swap_gain(0, int(t), sym, torus, gamma) for t in partners]
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+    np.testing.assert_array_equal(table.gains(0, partners), want)
+
+    def gains_and_commit():
+        gains = table.gains(0, partners)
+        table.commit(0, int(partners[0]))  # a second round swaps back
+        return gains
+
+    benchmark(gains_and_commit)
 
 
 @pytest.fixture(scope="module")

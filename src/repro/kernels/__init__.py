@@ -11,10 +11,9 @@ kernels reproduce the scalar reference paths bit for bit (see
 from repro.kernels.congestion import CongestionModel
 from repro.kernels.hoptable import DEFAULT_MATRIX_MAX_NODES, HopTable, hop_table_for
 from repro.kernels.swapgain import (
+    SwapCostTable,
     all_task_whops,
-    batched_swap_gains,
     refresh_whops_around,
-    task_whops_many,
     total_weighted_hops,
 )
 
@@ -23,9 +22,8 @@ __all__ = [
     "DEFAULT_MATRIX_MAX_NODES",
     "HopTable",
     "hop_table_for",
+    "SwapCostTable",
     "all_task_whops",
-    "batched_swap_gains",
     "refresh_whops_around",
-    "task_whops_many",
     "total_weighted_hops",
 ]

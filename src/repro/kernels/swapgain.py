@@ -1,29 +1,34 @@
-"""Batched weighted-hop kernels for the swap refiners.
+"""Weighted-hop kernels for the swap refiners.
 
-Algorithm 2 evaluates up to Δ swap candidates per popped task; the scalar
-path paid four ``hop_distance`` calls plus fresh ``np.full`` temporaries
-*per candidate*.  The kernels here score a whole candidate batch with a
-fixed number of NumPy calls:
+Algorithm 2 evaluates up to Δ swap candidates per popped task.  The
+coarse refiner scores them from a **swap-cost table**
+(:class:`SwapCostTable`): with ``H`` the ring-hop block between the
+allocated nodes, ``C[t, r] = Σ_u w(t,u)·H[r, Γ(u)]`` is what task ``t``
+would pay on allocation row ``r``.  ``TASKWHOPS(t)`` is ``C[t, Γ(t)]``,
+a swap's gain is four table entries plus the direct edge's correction,
+scored for all ≤Δ partners in one vectorised gather, and a committed
+swap updates only the rows of the swapped tasks' neighbours.  A try
+costs a fixed handful of NumPy calls instead of a ragged gather over
+every partner's neighbour list, which at |Va| = 16–32 is what counted.
 
-* :func:`all_task_whops` / :func:`task_whops_many` — the per-task
-  ``TASKWHOPS`` rows (Σ hops·volume over the task's neighbours) for all
-  tasks or a touched subset, used to build and refresh the ``whHeap``;
+The fine refiner works on ranks, where a table would be
+``n_ranks × |Va|``; it keeps per-rank rows instead:
+
+* :func:`all_task_whops` — ``TASKWHOPS`` of every task in one pass;
 * :func:`refresh_whops_around` — the ``whHeap`` refresh after a committed
   swap: the refiners' ``whHeap`` is a :mod:`heapq` of
   ``(-TASKWHOPS, task, task)`` with lazy deletion, so a refreshed
-  row pushes a fresh entry and the older one is skipped when popped;
-* :func:`batched_swap_gains` — the exact WH change of swapping one task
-  against each of ``k`` partners, in one ragged-gather pass.
+  row pushes a fresh entry and the older one is skipped when popped.
 
 All sums are over integer hop counts times the task graph's communication
 volumes.  Volumes in this reproduction are integer-valued (message/byte
-counts), which makes every weighted-hop sum exact in float64 and the
-batched results equal to the scalar reference *bit for bit* — the
-golden-equivalence tests pin this down end to end.  With non-integer
-volumes the reduction orders differ, so agreement is only to a few ulp
-(~1e-9 in the equivalence tests) and a swap whose scalar gain is exactly
-zero could in principle tip over ``WHRefiner``'s 1e-12 acceptance
-threshold.
+counts), so every weighted-hop sum is an integer below 2**53, exact in
+float64 whatever the summation order, and the table's gains equal the
+scalar reference *bit for bit* — the golden-equivalence tests pin this
+down end to end.  With non-integer volumes the table accumulates its
+commits, so agreement is only to ~1e-9 relative and a swap whose scalar
+gain is exactly zero could in principle tip over ``WHRefiner``'s 1e-12
+acceptance threshold.
 """
 
 from __future__ import annotations
@@ -36,9 +41,8 @@ from repro.graph.csr import CSRGraph, _ranges
 from repro.kernels.hoptable import HopTable
 
 __all__ = [
+    "SwapCostTable",
     "all_task_whops",
-    "task_whops_many",
-    "batched_swap_gains",
     "refresh_whops_around",
     "total_weighted_hops",
 ]
@@ -70,27 +74,6 @@ def all_task_whops(sym: CSRGraph, table: HopTable, gamma: np.ndarray) -> np.ndar
     return np.bincount(rows, weights=hops * sym.weights, minlength=n)
 
 
-def task_whops_many(
-    sym: CSRGraph, table: HopTable, gamma: np.ndarray, tasks: np.ndarray
-) -> np.ndarray:
-    """``TASKWHOPS`` of a task subset (float64[len(tasks)]).
-
-    Used to refresh the cached per-task rows around a committed swap —
-    only the swapped pair and their neighbourhoods can change.
-    """
-    tasks = np.asarray(tasks, dtype=np.int64)
-    starts = sym.indptr[tasks]
-    counts = sym.indptr[tasks + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(tasks.size, dtype=np.float64)
-    gather = np.repeat(starts, counts) + _ranges(counts)
-    nbrs = sym.indices[gather]
-    hops = table.pairwise_hops(np.repeat(gamma[tasks], counts), gamma[nbrs])
-    seg = np.repeat(np.arange(tasks.size, dtype=np.int64), counts)
-    return np.bincount(seg, weights=hops * sym.weights[gather], minlength=tasks.size)
-
-
 def refresh_whops_around(
     heap: list,
     popped: list,
@@ -107,82 +90,97 @@ def refresh_whops_around(
     this pass gets a fresh ``(-whops, task, task)`` entry on the
     :mod:`heapq` list *heap*; its older entry goes stale.  Popped tasks
     stay processed for the pass, as in the paper's Algorithm 2 lines
-    5–6.  Shared by the coarse and fine WH refiners.
+    5–6.
     """
     t1, t2 = swapped
     touched = np.unique(
         np.concatenate([sym.neighbors(t1), sym.neighbors(t2), np.asarray([t1, t2])])
     ).astype(np.int64)
-    fresh = task_whops_many(sym, table, gamma, touched)
+    starts = sym.indptr[touched]
+    counts = sym.indptr[touched + 1] - starts
+    gather = np.repeat(starts, counts) + _ranges(counts)
+    hops = table.pairwise_hops(np.repeat(gamma[touched], counts), gamma[sym.indices[gather]])
+    seg = np.repeat(np.arange(touched.size, dtype=np.int64), counts)
+    fresh = np.bincount(seg, weights=hops * sym.weights[gather], minlength=touched.size)
     whops[touched] = fresh
     for u, w in zip(touched.tolist(), fresh.tolist()):
         if not popped[u]:
             heapq.heappush(heap, (-w, u, u))
 
 
-def batched_swap_gains(
-    sym: CSRGraph,
-    table: HopTable,
-    gamma: np.ndarray,
-    t1: int,
-    partners: np.ndarray,
-    *,
-    whops_t1: float,
-) -> np.ndarray:
-    """Exact WH gains of swapping Γ[*t1*] with each partner (float64[k]).
-
-    Positive entries are improvements.  The direct ``t1``–partner edge
-    keeps its dilation under a swap and is excluded from both sides of
-    the difference, exactly as in the scalar ``_swap_gain``.
+class SwapCostTable:
+    """``C[t, r]``: the WH task *t* would incur on allocation row *r*.
 
     Parameters
     ----------
-    whops_t1:
-        ``TASKWHOPS(t1)`` under the current Γ (the cached heap row) —
-        the "before" cost of ``t1`` including a possible direct edge.
+    sym:
+        The symmetrized task graph (rows sorted, as every ``CSRGraph``).
+    hops:
+        ``[|Va|, |Va|]`` hop counts between the allocated nodes in
+        ascending id order — the WH metric's ring distance, so the
+        torus' ``HopTable.cross_hops(nodes, nodes)``.  It must be
+        symmetric.  These are *not* ``Machine.alloc_hops()``: on a
+        degraded torus BFS hops differ from ring hops, and BFS hops only
+        order the swap partners.
+    row:
+        int64[n] allocation row of every task, at most one task per row.
+        The table owns this array: :meth:`commit` updates it in place.
+
+    ``C = Mᵀ @ H``, with ``M[r, t]`` the volume between *t* and the task
+    on row *r*, built from the CSR rows.  ``M`` is kept too: it gives a
+    swap's direct-edge volume in one gather, and a commit just swaps two
+    of its rows.  Each costs ``8·n·|Va|`` bytes (8 KB at 32 nodes,
+    2 MB at 512).
     """
-    partners = np.asarray(partners, dtype=np.int64)
-    k = partners.size
-    if k == 0:
-        return np.zeros(0, dtype=np.float64)
-    nbrs1 = sym.neighbors(t1)
-    w1 = sym.neighbor_weights(t1)
-    n1 = int(gamma[t1])
-    n2s = gamma[partners]
-    nbr_nodes1 = gamma[nbrs1]
 
-    # -- t1 side ------------------------------------------------------
-    if nbrs1.size:
-        # cost(t1, n2_j, t2_j): the excluded direct neighbour sits at
-        # n2_j itself (hop 0), so the full row sum needs no correction.
-        cost_t1_after = table.cross_hops(n2s, nbr_nodes1) @ w1
-        # cost(t1, n1, t2_j): subtract the direct edge's contribution
-        # from the cached full row (rows sorted: binary-search member).
-        idx = np.searchsorted(nbrs1, partners)
-        idxc = np.minimum(idx, nbrs1.size - 1)
-        direct_w = np.where(nbrs1[idxc] == partners, w1[idxc], 0.0)
-        cost_t1_before = whops_t1 - direct_w * table.hops_to_many(n1, n2s)
-    else:
-        # Isolated pivot: only the partners' costs move.
-        cost_t1_after = np.zeros(k, dtype=np.float64)
-        cost_t1_before = np.full(k, float(whops_t1))
+    __slots__ = ("sym", "hops", "row", "volume", "cost")
 
-    # -- partner side (ragged over the partners' neighbour lists) -----
-    starts = sym.indptr[partners]
-    counts = sym.indptr[partners + 1] - starts
-    if int(counts.sum()):
-        gather = np.repeat(starts, counts) + _ranges(counts)
-        nbrs2 = sym.indices[gather]
-        w2 = np.where(nbrs2 == t1, 0.0, sym.weights[gather])
-        nodes2 = gamma[nbrs2]
-        seg = np.repeat(np.arange(k, dtype=np.int64), counts)
-        before_hops = table.pairwise_hops(np.repeat(n2s, counts), nodes2)
-        cost_t2_before = np.bincount(seg, weights=before_hops * w2, minlength=k)
-        cost_t2_after = np.bincount(
-            seg, weights=table.hops_to_many(n1, nodes2) * w2, minlength=k
+    def __init__(self, sym: CSRGraph, hops: np.ndarray, row: np.ndarray) -> None:
+        n, k = sym.num_vertices, hops.shape[0]
+        self.sym = sym
+        self.hops = np.asarray(hops, dtype=np.float64)
+        self.row = row
+        owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(sym.indptr))
+        volume = np.bincount(
+            row[sym.indices] * n + owner, weights=sym.weights, minlength=k * n
         )
-    else:
-        cost_t2_before = np.zeros(k, dtype=np.float64)
-        cost_t2_after = np.zeros(k, dtype=np.float64)
+        self.volume = volume.reshape(k, n)
+        self.cost = self.volume.T @ self.hops
 
-    return (cost_t1_before + cost_t2_before) - (cost_t1_after + cost_t2_after)
+    def whops(self, tasks=None) -> np.ndarray:
+        """``TASKWHOPS`` of *tasks* (all tasks by default): ``C[t, Γ(t)]``."""
+        if tasks is None:
+            tasks = np.arange(self.row.size)
+        return self.cost[tasks, self.row[tasks]]
+
+    def gains(self, t1: int, partners: np.ndarray) -> np.ndarray:
+        """Exact WH gains of swapping *t1* with each partner (float64[k]).
+
+        Positive entries are improvements.  The direct ``t1``–partner
+        edge keeps its dilation under a swap; it is counted on both
+        "before" rows and on neither "after" row, hence ``2·w·H``.
+        """
+        cost, row = self.cost, self.row
+        r1, r2 = row[t1], row[partners]
+        return (
+            (cost[t1, r1] - cost[t1, r2])
+            + (cost[partners, r2] - cost[partners, r1])
+            - 2.0 * self.volume[r2, t1] * self.hops[r1, r2]
+        )
+
+    def commit(self, t1: int, t2: int) -> np.ndarray:
+        """Swap the rows of *t1* and *t2*; return the tasks whose WH moved.
+
+        Only the neighbours' rows of ``C`` change: each gains
+        ``±w·(H[r2] − H[r1])``.  The returned ids (sorted, unique) are
+        the neighbourhoods of both tasks plus the tasks themselves.
+        """
+        sym, cost, row = self.sym, self.cost, self.row
+        r1, r2 = row[t1], row[t2]
+        moved = self.hops[r2] - self.hops[r1]
+        nbrs1, nbrs2 = sym.neighbors(t1), sym.neighbors(t2)
+        cost[nbrs1] += sym.neighbor_weights(t1)[:, None] * moved
+        cost[nbrs2] -= sym.neighbor_weights(t2)[:, None] * moved
+        row[t1], row[t2] = r2, r1
+        self.volume[[r1, r2]] = self.volume[[r2, r1]]
+        return np.unique(np.concatenate([nbrs1, nbrs2, [t1, t2]]))

@@ -138,14 +138,6 @@ class FineWHRefiner:
         return 0.0
 
 
-def _rank_whops(t: int, sym, table, gamma: np.ndarray) -> float:
-    nbrs = sym.neighbors(t)
-    if nbrs.size == 0:
-        return 0.0
-    hops = table.hops_to_many(int(gamma[t]), gamma[nbrs])
-    return float((hops * sym.neighbor_weights(t)).sum())
-
-
 def _fine_swap_gain(t1: int, t2: int, sym, table, gamma: np.ndarray) -> float:
     """Exact symmetric-WH change of swapping the two ranks' nodes."""
     n1, n2 = int(gamma[t1]), int(gamma[t2])

@@ -22,14 +22,14 @@ processors-per-node every group weighs the same, so this is vacuous in
 the paper's setting but keeps heterogeneous configurations feasible).
 
 Hot-path layout (behaviour-identical to the scalar reference, pinned by
-the golden-equivalence tests): the ≤Δ BFS-ordered candidates of a popped
-task are read off the allocated nodes' BFS order
-(:meth:`repro.topology.machine.Machine.bfs_order`, a lookup in the
-allocation hop matrix whose cost does not grow with the torus) and
-scored in **one** :func:`repro.kernels.batched_swap_gains` call;
-per-task ``TASKWHOPS`` rows are cached in a flat array and refreshed
-only around committed swaps, feeding both the ``whHeap`` build of each
-pass and the fresh entries pushed after a swap.
+the golden-equivalence tests): the refiner works on allocation rows (the
+allocated nodes in ascending id).  The ≤Δ BFS-ordered candidates of a
+popped task are read off the allocation hop matrix
+(:meth:`repro.topology.machine.Machine.bfs_rows`, whose cost does not
+grow with the torus) and scored in one gather from a
+:class:`repro.kernels.SwapCostTable`, which also holds every task's
+``TASKWHOPS``.  A committed swap updates the table's rows of the two
+tasks' neighbours only, and pushes fresh ``whHeap`` entries for them.
 """
 
 from __future__ import annotations
@@ -40,12 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.task_graph import TaskGraph
-from repro.kernels import (
-    all_task_whops,
-    batched_swap_gains,
-    hop_table_for,
-    refresh_whops_around,
-)
+from repro.kernels import SwapCostTable, hop_table_for
 from repro.mapping.base import Mapping, validate_mapping, wh_of
 
 __all__ = ["WHRefiner"]
@@ -63,28 +58,26 @@ class WHRefiner:
 
     def refine(self, task_graph: TaskGraph, mapping: Mapping) -> Mapping:
         """Refine *mapping* in a copy; the input is left untouched."""
-        gamma = mapping.gamma.copy()
         machine = mapping.machine
-        sym = task_graph.symmetrized()
-        weights = task_graph.loads
-        table = hop_table_for(machine.torus)
-
-        # task currently hosted by each node (one-to-one at group level).
-        host = np.full(machine.torus.num_nodes, -1, dtype=np.int64)
-        host[gamma] = np.arange(task_graph.num_tasks)
-
-        wh = wh_of(task_graph, machine, gamma)
+        wh = wh_of(task_graph, machine, mapping.gamma)
         if wh <= 0:
-            return Mapping(gamma, machine)
+            return Mapping(mapping.gamma.copy(), machine)
+        nodes, node_row = machine.sorted_alloc()
+        hops = hop_table_for(machine.torus).cross_hops(nodes, nodes)
+        table = SwapCostTable(task_graph.symmetrized(), hops, node_row[mapping.gamma])
+        row = table.row
+        weights = task_graph.loads
+        # task currently hosted on each allocation row (one-to-one).
+        host = np.full(nodes.size, -1, dtype=np.int64)
+        host[row] = np.arange(task_graph.num_tasks)
 
-        # Cached TASKWHOPS rows; invalidated only around committed swaps.
-        whops = all_task_whops(sym, table, gamma)
         # With uniform group weights (the paper's setting) the equal-weight
         # swap restriction is vacuous; skip the per-level filter then.
         uniform = bool(np.all(weights == weights[0])) if weights.size else True
         for _ in range(self.max_passes):
             pass_start_wh = wh
-            heap = [(-w, t, t) for t, w in enumerate(whops.tolist())]
+            whops = table.whops().tolist()
+            heap = [(-w, t, t) for t, w in enumerate(whops)]
             heapq.heapify(heap)
             popped = [False] * len(heap)
             while heap:
@@ -92,91 +85,61 @@ class WHRefiner:
                 if popped[twh] or -neg != whops[twh]:
                     continue  # stale: popped already, or re-pushed since
                 popped[twh] = True
-                gain = self._try_swap(
-                    twh,
-                    sym,
-                    weights,
-                    table,
-                    machine,
-                    gamma,
-                    host,
-                    heap,
-                    popped,
-                    whops,
-                    uniform,
-                )
+                found = self._find_swap(twh, table, machine, host, weights, uniform)
+                if found is None:
+                    continue
+                t, gain = found
                 wh -= gain
+                host[row[twh]], host[row[t]] = t, twh
+                touched = table.commit(twh, t)
+                for u, w in zip(touched.tolist(), table.whops(touched).tolist()):
+                    whops[u] = w
+                    if not popped[u]:
+                        heapq.heappush(heap, (-w, u, u))
             if pass_start_wh <= 0:
                 break
             improvement = (pass_start_wh - wh) / pass_start_wh
             if improvement <= self.min_gain:
                 break
+        gamma = nodes[row]
         validate_mapping(gamma, machine, weights)
         return Mapping(gamma, machine)
 
     # ------------------------------------------------------------------
-    def _try_swap(
-        self,
-        twh: int,
-        sym,
-        weights: np.ndarray,
-        table,
-        machine,
-        gamma: np.ndarray,
-        host: np.ndarray,
-        heap: list,
-        popped: list,
-        whops: np.ndarray,
-        uniform: bool,
-    ) -> float:
-        """Score ≤Δ BFS-ordered candidates; commit the first improving swap.
+    def _find_swap(self, twh: int, table, machine, host, weights, uniform: bool):
+        """Score ≤Δ BFS-ordered candidates; return the first improving one.
 
-        Returns the WH gain achieved (0.0 when no swap was committed).
+        Returns ``(partner, gain)``, or None when no candidate improves.
         The candidate *filtering* (hosting a task, equal weights)
         consumes no Δ budget — only scored candidates do — matching the
         scalar reference exactly.
         """
-        nbrs = sym.neighbors(twh)
+        nbrs = table.sym.neighbors(twh)
         if nbrs.size == 0:
-            return 0.0
+            return None
 
         # ---- the first ≤Δ eligible partners in BFS order ----
-        nodes, _ = machine.bfs_order(gamma[nbrs])
-        hosts = host[nodes]
-        # host[Γ[twh]] == twh, so the "skip our own node" test of the
+        rows, _ = machine.bfs_rows(table.row[nbrs])
+        hosts = host[rows]
+        # host[row[twh]] == twh, so the "skip our own node" test of the
         # scalar path is subsumed by hosts != twh.
         cand = hosts[(hosts >= 0) & (hosts != twh)]
         if not uniform:
             cand = cand[weights[cand] == weights[twh]]
         partners = cand[: self.delta]
         if partners.size == 0:
-            return 0.0
-        na = int(gamma[twh])
+            return None
 
-        # ---- one batched gain evaluation for the whole candidate set ----
-        gains = batched_swap_gains(
-            sym, table, gamma, twh, partners, whops_t1=float(whops[twh])
-        )
-        improving = np.flatnonzero(gains > 1e-12)
-        if improving.size == 0:
-            return 0.0
-        j = int(improving[0])
-        t = int(partners[j])
-        gain = float(gains[j])
-
-        nb = int(gamma[t])
-        gamma[twh] = nb
-        gamma[t] = na
-        host[na] = t
-        host[nb] = twh
-        refresh_whops_around(heap, popped, whops, sym, table, gamma, (twh, t))
-        return gain
+        for t, gain in zip(partners.tolist(), table.gains(twh, partners).tolist()):
+            if gain > 1e-12:
+                return t, gain
+        return None
 
 
 # ----------------------------------------------------------------------
 # Scalar reference implementations.
 #
-# The batched kernels above must agree with these term for term; the
+# The swap-cost table must agree with these term for term; the
 # equivalence tests exercise both paths side by side.  They are not on
 # the hot path.
 # ----------------------------------------------------------------------
@@ -194,7 +157,7 @@ def _swap_gain(t1: int, t2: int, sym, torus, gamma: np.ndarray) -> float:
 
     The direct t1–t2 edge keeps its dilation under a swap, so it is
     excluded from both sides of the difference.  Scalar reference for
-    :func:`repro.kernels.batched_swap_gains`.
+    :meth:`repro.kernels.SwapCostTable.gains`.
     """
     n1, n2 = int(gamma[t1]), int(gamma[t2])
 

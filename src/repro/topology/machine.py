@@ -130,7 +130,7 @@ class Machine:
     def hop_distance(self, u, v) -> np.ndarray:
         return self.torus.hop_distance(u, v)
 
-    def _sorted_alloc(self) -> Tuple[np.ndarray, np.ndarray]:
+    def sorted_alloc(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(nodes, row)``: *alloc_nodes* by id, and each node's position there."""
         if self._by_id is None:
             nodes = np.sort(self.alloc_nodes)
@@ -152,7 +152,7 @@ class Machine:
         off entirely.
         """
         if self._alloc_hops is None:
-            nodes, _ = self._sorted_alloc()
+            nodes, _ = self.sorted_alloc()
             if self.has_faults:
                 gm = self.torus.graph()
                 hops = np.stack([gm.bfs_levels([int(s)])[nodes] for s in nodes])
@@ -173,14 +173,19 @@ class Machine:
         This is exactly the allocated part of :meth:`CSRGraph.bfs_levels`
         from the same seeds, in (level, id) order.
         """
+        nodes, row = self.sorted_alloc()
+        rows, level = self.bfs_rows(row[seeds])
+        return nodes[rows], level
+
+    def bfs_rows(self, seed_rows) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`bfs_order` over rows of :meth:`sorted_alloc`: ``(rows, levels)``."""
         hops = self.alloc_hops()
-        nodes, row = self._sorted_alloc()
         unreached = np.iinfo(hops.dtype).max
-        level = hops[row[seeds]].min(axis=0, initial=unreached)
+        level = hops[seed_rows].min(axis=0, initial=unreached)
         order = np.argsort(level, kind="stable")
         level = level[order]
         reached = np.searchsorted(level, unreached)
-        return nodes[order[:reached]], level[:reached]
+        return order[:reached], level[:reached]
 
     def uniform_capacity(self) -> bool:
         """True if every allocated node offers the same processor count."""

@@ -1,9 +1,9 @@
 """Unit equivalence tests for the vectorized kernel layer.
 
 Each kernel is checked against the scalar reference it replaced:
-``HopTable`` against ``Torus3D.hop_distance``, and
-``batched_swap_gains`` / ``all_task_whops`` against the scalar
-``_swap_gain`` / ``_task_whops`` helpers of Algorithm 2.
+``HopTable`` against ``Torus3D.hop_distance``, and ``SwapCostTable`` /
+``all_task_whops`` against the scalar ``_swap_gain`` / ``_task_whops``
+helpers of Algorithm 2.
 """
 
 from __future__ import annotations
@@ -11,16 +11,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.graph.csr import CSRGraph
 from repro.graph.task_graph import TaskGraph
-from repro.kernels import (
-    HopTable,
-    all_task_whops,
-    batched_swap_gains,
-    hop_table_for,
-    task_whops_many,
-)
+from repro.kernels import HopTable, SwapCostTable, all_task_whops, hop_table_for
 from repro.mapping.refine_wh import _swap_gain, _task_whops
 from repro.topology.torus import Torus3D
+from test_kernels_golden import _degraded_machine, _random_task_graph
 
 TORUS_SHAPES = [(4, 4, 4), (5, 3, 2), (6, 1, 1), (2, 2, 7), (1, 1, 1), (8, 2, 5)]
 
@@ -99,6 +95,11 @@ def swap_setup():
     return tg.symmetrized(), torus, gamma
 
 
+def _cost_table(sym, table, gamma, nodes):
+    """A :class:`SwapCostTable` over allocation *nodes* (ascending ids)."""
+    return SwapCostTable(sym, table.cross_hops(nodes, nodes), np.searchsorted(nodes, gamma))
+
+
 class TestSwapGainKernels:
     @pytest.mark.parametrize("use_matrix", [True, False])
     def test_all_task_whops_matches_scalar(self, swap_setup, use_matrix):
@@ -108,62 +109,112 @@ class TestSwapGainKernels:
         want = [_task_whops(t, sym, torus, gamma) for t in range(sym.num_vertices)]
         np.testing.assert_array_equal(got, np.asarray(want))
 
-    def test_task_whops_many_matches_scalar(self, swap_setup):
+    def test_table_whops_match_scalar(self, swap_setup):
         sym, torus, gamma = swap_setup
-        table = hop_table_for(torus)
+        cost = _cost_table(sym, hop_table_for(torus), gamma, np.arange(torus.num_nodes))
         subset = np.asarray([0, 3, 7, 7, 29], dtype=np.int64)
-        got = task_whops_many(sym, table, gamma, subset)
         want = [_task_whops(int(t), sym, torus, gamma) for t in subset]
-        np.testing.assert_array_equal(got, np.asarray(want))
+        np.testing.assert_array_equal(cost.whops(subset), np.asarray(want))
+        want = [_task_whops(t, sym, torus, gamma) for t in range(sym.num_vertices)]
+        np.testing.assert_array_equal(cost.whops(), np.asarray(want))
 
     @pytest.mark.parametrize("use_matrix", [True, False])
     def test_batched_gains_match_scalar(self, swap_setup, use_matrix):
+        """Table gains equal ``_swap_gain`` bit for bit, with the dense
+        hop matrix and with the ring-table fallback."""
         sym, torus, gamma = swap_setup
         table = HopTable(torus, matrix_max_nodes=10_000 if use_matrix else 0)
+        cost = _cost_table(sym, table, gamma, np.sort(gamma))
         rng = np.random.default_rng(31)
         for t1 in (0, 4, 17):
-            whops_t1 = _task_whops(t1, sym, torus, gamma)
             others = np.asarray(
                 [t for t in rng.permutation(sym.num_vertices)[:12] if t != t1],
                 dtype=np.int64,
             )
-            got = batched_swap_gains(
-                sym, table, gamma, t1, others, whops_t1=whops_t1
-            )
+            got = cost.gains(t1, others)
             want = [_swap_gain(t1, int(t2), sym, torus, gamma) for t2 in others]
-            np.testing.assert_allclose(got, np.asarray(want), rtol=0, atol=1e-9)
+            np.testing.assert_array_equal(got, np.asarray(want))
+
+    def test_direct_edge_partner(self, swap_setup):
+        """A partner adjacent to the pivot: its edge keeps its dilation."""
+        sym, torus, gamma = swap_setup
+        cost = _cost_table(sym, hop_table_for(torus), gamma, np.sort(gamma))
+        for t1 in (0, 9, 21):
+            partners = sym.neighbors(t1)
+            assert partners.size
+            got = cost.gains(t1, partners)
+            want = [_swap_gain(t1, int(t2), sym, torus, gamma) for t2 in partners]
+            np.testing.assert_array_equal(got, np.asarray(want))
 
     def test_batched_gains_empty_partners(self, swap_setup):
         sym, torus, gamma = swap_setup
-        table = hop_table_for(torus)
-        out = batched_swap_gains(
-            sym, table, gamma, 0, np.empty(0, dtype=np.int64), whops_t1=0.0
-        )
-        assert out.shape == (0,)
+        cost = _cost_table(sym, hop_table_for(torus), gamma, np.sort(gamma))
+        assert cost.gains(0, np.empty(0, dtype=np.int64)).shape == (0,)
 
     def test_isolated_pivot(self, swap_setup):
         _, torus, _ = swap_setup
-        table = hop_table_for(torus)
         # pivot task 2 has no neighbours: only the partners' costs move.
         tg = TaskGraph.from_edges(3, [0], [1], [4.0])
         sym = tg.symmetrized()
         gamma = np.asarray([0, 1, 30], dtype=np.int64)
-        got = batched_swap_gains(
-            sym, table, gamma, 2, np.asarray([0, 1]), whops_t1=0.0
-        )
+        cost = _cost_table(sym, hop_table_for(torus), gamma, np.sort(gamma))
+        got = cost.gains(2, np.asarray([0, 1]))
         want = [_swap_gain(2, t2, sym, torus, gamma) for t2 in (0, 1)]
         np.testing.assert_array_equal(got, np.asarray(want))
 
     def test_isolated_partner(self, swap_setup):
         _, torus, _ = swap_setup
-        table = hop_table_for(torus)
         # graph where task 2 is isolated: swapping with it moves only t1.
         tg = TaskGraph.from_edges(3, [0], [1], [4.0])
         sym = tg.symmetrized()
         gamma = np.asarray([0, 1, 30], dtype=np.int64)
-        whops_t1 = _task_whops(0, sym, torus, gamma)
-        got = batched_swap_gains(
-            sym, table, gamma, 0, np.asarray([2]), whops_t1=whops_t1
-        )
-        want = _swap_gain(0, 2, sym, torus, gamma)
-        assert got[0] == want
+        cost = _cost_table(sym, hop_table_for(torus), gamma, np.sort(gamma))
+        assert cost.gains(0, np.asarray([2]))[0] == _swap_gain(0, 2, sym, torus, gamma)
+
+    def test_degraded_machine_uses_ring_hops(self):
+        """On a degraded torus gains follow the WH metric's ring distance,
+        not the BFS hops that order the partners."""
+        machine = _degraded_machine()
+        nodes, _ = machine.sorted_alloc()
+        table = hop_table_for(machine.torus)
+        assert not np.array_equal(machine.alloc_hops(), table.cross_hops(nodes, nodes))
+        sym = _random_task_graph(nodes.size, 120, seed=43).symmetrized()
+        gamma = np.random.default_rng(47).permutation(nodes)
+        cost = _cost_table(sym, table, gamma, nodes)
+        for t1 in range(sym.num_vertices):
+            others = np.delete(np.arange(sym.num_vertices), t1)
+            want = [_swap_gain(t1, int(t2), sym, machine.torus, gamma) for t2 in others]
+            np.testing.assert_array_equal(cost.gains(t1, others), np.asarray(want))
+
+    @pytest.mark.parametrize("integral", [True, False])
+    def test_commits_match_fresh_build(self, swap_setup, integral):
+        """After 60 random committed swaps the table equals a fresh build:
+        exactly on integral volumes, to 1e-9 relative otherwise."""
+        sym, torus, gamma = swap_setup
+        if not integral:
+            sym = CSRGraph(
+                sym.indptr, sym.indices, sym.weights * 1.37, sym.vertex_weights,
+                sorted_indices=True,
+            )
+        nodes = np.arange(torus.num_nodes)  # free rows too
+        table = hop_table_for(torus)
+        cost = _cost_table(sym, table, gamma, nodes)
+        gamma = gamma.copy()
+        rng = np.random.default_rng(53)
+        for _ in range(60):
+            t1, t2 = (int(t) for t in rng.choice(sym.num_vertices, 2, replace=False))
+            want_gain = _swap_gain(t1, t2, sym, torus, gamma)
+            np.testing.assert_allclose(
+                cost.gains(t1, np.asarray([t2])), [want_gain], rtol=1e-9, atol=1e-9
+            )
+            touched = cost.commit(t1, t2)
+            gamma[[t1, t2]] = gamma[[t2, t1]]
+            want = {t1, t2, *sym.neighbors(t1).tolist(), *sym.neighbors(t2).tolist()}
+            assert touched.tolist() == sorted(want)
+        fresh = _cost_table(sym, table, gamma, nodes)
+        np.testing.assert_array_equal(cost.row, gamma)
+        np.testing.assert_array_equal(cost.volume, fresh.volume)
+        if integral:
+            np.testing.assert_array_equal(cost.cost, fresh.cost)
+        else:
+            np.testing.assert_allclose(cost.cost, fresh.cost, rtol=1e-9, atol=0)

@@ -15,7 +15,8 @@ Scenarios cover all seven paper algorithms plus the UTH/UWHF
 extensions (``EXTENDED_MAPPER_NAMES``), a heterogeneous-capacity
 machine, a disconnected task graph, and a degraded torus (one dead
 node, one dead link direction) whose BFS tie order only these goldens
-pin.
+pin.  The WH-refining mappers also run at the serve workload's shapes
+(ppn 4 on 16 and 32 allocated nodes, and 32 with one-way dead links).
 """
 
 from __future__ import annotations
@@ -101,6 +102,10 @@ def _degraded_machine() -> Machine:
 
 DEGRADED_MAPPER_NAMES = ("UG", "UWH", "UMC", "UMMC", "UWHF")
 
+#: The WH-refining mappers, at the serve workload's shapes (ppn 4 on 16
+#: and 32 allocated nodes) where Algorithm 2 scores from its swap-cost table.
+WH_MAPPER_NAMES = ("UWH", "HIERWH", "SFCWH")
+
 
 def scenarios():
     """(name, task_graph, machine, mapper_names) golden scenarios."""
@@ -114,10 +119,23 @@ def scenarios():
     ]
 
 
+def wh_scenarios():
+    """Serve-shaped WH scenarios: 16 and 32 nodes, and 32 with dead links."""
+    m16 = _allocated_machine((4, 4, 4), 16, 4, seed=61)
+    m32 = _allocated_machine((6, 4, 4), 32, 4, seed=67)
+    # the +x link out of four allocated nodes fails, in that direction only.
+    dead = m32.degrade(dead_links=[int(n) * 6 for n in m32.alloc_nodes[:4]])
+    return [
+        ("wh16", _random_task_graph(64, 420, seed=71), m16, WH_MAPPER_NAMES),
+        ("wh32", _random_task_graph(128, 900, seed=73), m32, WH_MAPPER_NAMES),
+        ("wh32dead", _random_task_graph(128, 900, seed=79), dead, WH_MAPPER_NAMES),
+    ]
+
+
 def all_scenarios():
-    """:func:`scenarios` plus the degraded-torus scenario."""
+    """:func:`scenarios`, the degraded-torus scenario and :func:`wh_scenarios`."""
     degraded = _random_task_graph(80, 560, seed=41), _degraded_machine()
-    return scenarios() + [("degraded", *degraded, DEGRADED_MAPPER_NAMES)]
+    return scenarios() + [("degraded", *degraded, DEGRADED_MAPPER_NAMES)] + wh_scenarios()
 
 
 def _run_all(cases=None):
@@ -171,7 +189,7 @@ def golden():
         return json.load(fh)
 
 
-@pytest.mark.parametrize("scenario_idx", range(4))
+@pytest.mark.parametrize("scenario_idx", range(7))
 def test_golden_equivalence(golden, scenario_idx):
     """The batched kernels reproduce the scalar-reference goldens bit for bit."""
     name, tg, machine, mapper_names = all_scenarios()[scenario_idx]

@@ -2,8 +2,9 @@
 
 Tracks the primitives the mapping hot paths are built from:
 
-* hop-table lookup (``pairwise_hops`` / ``cross_hops``) vs the
-  coordinate-formula ``Torus3D.hop_distance``;
+* the allocation's ring-hop matrix (``Machine.ring_hops``): its build,
+  and a row gather over allocated node pairs vs the coordinate formula
+  ``Torus3D.hop_distance`` on the same pairs;
 * one ``Machine.bfs_order`` call, the BFS order of the allocated nodes
   that GETBESTNODE and the swap-partner searches read;
 * Algorithm 2's inner step on a ``SwapCostTable``, Δ=8 gains plus one
@@ -28,7 +29,7 @@ import pytest
 
 from repro.graph.csr import CSRGraph
 from repro.graph.task_graph import TaskGraph
-from repro.kernels import HopTable, SwapCostTable, hop_table_for
+from repro.kernels import SwapCostTable
 from repro.kernels.congestion import CongestionModel
 from repro.mapping.refine_wh import _swap_gain
 from repro.partition.driver import PartitionConfig, multilevel_bisect, partition_graph
@@ -45,10 +46,16 @@ def torus():
 
 
 @pytest.fixture(scope="module")
-def pairs(torus):
+def alloc_nodes(torus):
+    """256 allocated nodes of the torus (a 4096-proc job at ppn 16)."""
+    return np.random.default_rng(5).choice(torus.num_nodes, 256, replace=False)
+
+
+@pytest.fixture(scope="module")
+def pairs(alloc_nodes):
     rng = np.random.default_rng(7)
-    a = rng.integers(0, torus.num_nodes, size=N_PAIRS)
-    b = rng.integers(0, torus.num_nodes, size=N_PAIRS)
+    a = rng.choice(alloc_nodes, size=N_PAIRS)
+    b = rng.choice(alloc_nodes, size=N_PAIRS)
     return a, b
 
 
@@ -57,32 +64,27 @@ def test_hop_formula_baseline(benchmark, torus, pairs):
     benchmark(lambda: torus.hop_distance(a, b))
 
 
-def test_hop_table_pairwise(benchmark, torus, pairs):
+def test_ring_hops_build(benchmark, torus, alloc_nodes):
+    hops = benchmark(lambda: Machine(torus, alloc_nodes, 4).ring_hops())
+    nodes = np.sort(alloc_nodes)
+    np.testing.assert_array_equal(
+        hops, torus.hop_distance(nodes[:, None], nodes[None, :])
+    )
+
+
+def test_ring_hops_gather(benchmark, torus, alloc_nodes, pairs):
     a, b = pairs
-    table = hop_table_for(torus)
-    assert table.has_matrix
-    benchmark(lambda: table.pairwise_hops(a, b))
+    machine = Machine(torus, alloc_nodes, 4)
+    hops = machine.ring_hops()  # the one-off build is not what this times
+    _, row = machine.sorted_alloc()
+    got = benchmark(lambda: hops[row[a], row[b]])
+    np.testing.assert_array_equal(got, torus.hop_distance(a, b))
 
 
-def test_hop_table_ring_fallback(benchmark, torus, pairs):
-    a, b = pairs
-    table = HopTable(torus, matrix_max_nodes=0)
-    benchmark(lambda: table.pairwise_hops(a, b))
-
-
-def test_hop_table_cross(benchmark, torus):
-    rng = np.random.default_rng(9)
-    cands = rng.integers(0, torus.num_nodes, size=100)
-    nbrs = rng.integers(0, torus.num_nodes, size=100)
-    table = hop_table_for(torus)
-    benchmark(lambda: table.cross_hops(cands, nbrs))
-
-
-def test_bfs_order(benchmark, torus):
-    nodes = np.random.default_rng(5).choice(torus.num_nodes, 256, replace=False)
-    machine = Machine(torus, nodes, 4)
+def test_bfs_order(benchmark, torus, alloc_nodes):
+    machine = Machine(torus, alloc_nodes, 4)
     machine.alloc_hops()  # the one-off build is not what this times
-    seeds = nodes[:8]
+    seeds = alloc_nodes[:8]
     order, _ = benchmark(lambda: machine.bfs_order(seeds))
     assert order.size == 256
 
@@ -112,9 +114,8 @@ def test_swap_gain_scalar_baseline(benchmark, torus, swap_workload):
 
 def test_swap_gain_table(benchmark, torus, swap_workload):
     sym, gamma, partners = swap_workload
-    nodes = np.sort(gamma)  # the 256 tasks' nodes are the allocation
-    hops = hop_table_for(torus).cross_hops(nodes, nodes)
-    table = SwapCostTable(sym, hops, np.searchsorted(nodes, gamma))
+    machine = Machine(torus, gamma, 4)  # the 256 tasks' nodes are the allocation
+    table = SwapCostTable(sym, machine.ring_hops(), machine.alloc_rows(gamma))
     want = [_swap_gain(0, int(t), sym, torus, gamma) for t in partners]
     np.testing.assert_array_equal(table.gains(0, partners), want)
 

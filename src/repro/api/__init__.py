@@ -7,8 +7,8 @@ placement → refine*), the :class:`~repro.api.service.MappingService`
 executes :class:`~repro.api.request.MapRequest` objects against that
 registry, and an :class:`~repro.api.cache.ArtifactCache` shares
 groupings, DEF baselines and derived coarse graphs across algorithms
-and requests (hop tables are memoized per torus in the kernel layer,
-with a content-keyed handle via ``MappingService.hop_table``).
+and requests (hops between allocated nodes are cached on each
+``Machine``, see ``Machine.ring_hops``).
 
 Quickstart::
 

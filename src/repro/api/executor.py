@@ -532,24 +532,22 @@ def drive_plan(
 def _batch_pool(service, config: EngineConfig):
     """An :class:`~repro.api.pool.ExecutorPool` that lives for one batch.
 
-    Process workers share the service cache's attached store (its root
-    and namespaces) unless ``config.store_dir`` names another root; with
-    neither the pool's own temporary root lives for the batch.  Worker
-    caches are unbounded, as nothing outlives the batch.
+    Process workers share the service cache's attached store unless
+    ``config.store_dir`` names another root; with neither the pool's own
+    temporary root lives for the batch.  Worker caches are unbounded, as
+    nothing outlives the batch.
     """
     from repro.api.pool import ExecutorPool
-    from repro.api.store import DEFAULT_PERSIST_NAMESPACES
 
-    store_dir, namespaces = config.store_dir, DEFAULT_PERSIST_NAMESPACES
+    store_dir = config.store_dir
     attached = getattr(service.cache, "store", None) if store_dir is None else None
     if attached is not None:
-        store_dir, namespaces = attached.root, attached.namespaces
+        store_dir = attached.root
     return ExecutorPool(
         "process",
         workers=config.workers,
         store_dir=store_dir,
         worker_cache_bytes=None,
-        namespaces=namespaces,
     )
 
 

@@ -43,9 +43,9 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
-from repro.api.store import DEFAULT_PERSIST_NAMESPACES, DiskArtifactStore
+from repro.api.store import DiskArtifactStore
 
 __all__ = ["ExecutorPool"]
 
@@ -89,7 +89,6 @@ class ExecutorPool:
         store_dir: Optional[str] = None,
         idle_timeout: Optional[float] = None,
         worker_cache_bytes: Optional[int] = 256 << 20,
-        namespaces: frozenset = DEFAULT_PERSIST_NAMESPACES,
     ) -> None:
         if backend != "process":
             raise ValueError(f"unknown pool backend {backend!r}; a pool hosts 'process'")
@@ -100,7 +99,6 @@ class ExecutorPool:
         self.store_dir = store_dir
         self.idle_timeout = idle_timeout
         self.worker_cache_bytes = worker_cache_bytes
-        self.namespaces = frozenset(namespaces)
         #: Executor spawns over the pool's lifetime (lazy spawn and reap
         #: make this observable; tests pin it).
         self.spawn_count = 0
@@ -275,7 +273,7 @@ class ExecutorPool:
             if root is None:
                 self._tmp = tempfile.TemporaryDirectory(prefix="repro-pool-")
                 root = self._tmp.name
-            self._store = DiskArtifactStore(root, namespaces=self.namespaces)
+            self._store = DiskArtifactStore(root)
         return self._store
 
     def _ensure_executor(self):
@@ -289,7 +287,7 @@ class ExecutorPool:
             self._executor = ProcessPoolExecutor(
                 max_workers=width,
                 initializer=_worker_init,
-                initargs=(store.root, sorted(store.namespaces), self.worker_cache_bytes),
+                initargs=(store.root, self.worker_cache_bytes),
             )
             self.spawn_count += 1
         return self._executor
@@ -349,17 +347,13 @@ class ExecutorPool:
 _WORKER_SERVICE = None
 
 
-def _worker_init(
-    store_root: str,
-    namespaces: Sequence[str],
-    cache_bytes: Optional[int],
-) -> None:
+def _worker_init(store_root: str, cache_bytes: Optional[int]) -> None:
     """Build this worker's long-lived service over the pool's store."""
     global _WORKER_SERVICE
     from repro.api.cache import ArtifactCache
     from repro.api.service import MappingService
 
-    store = DiskArtifactStore(store_root, namespaces=frozenset(namespaces))
+    store = DiskArtifactStore(store_root)
     _WORKER_SERVICE = MappingService(
         cache=ArtifactCache(store=store, max_bytes=cache_bytes)
     )

@@ -8,10 +8,9 @@ baselines, unit-cost and message-count coarse views — through an
 :class:`~repro.api.cache.ArtifactCache` across algorithms *and*
 requests.  ``map_batch`` is the high-throughput entry point: one
 workload mapped by N algorithms computes its grouping exactly once.
-Hop tables are memoized per torus instance in the kernel layer
-(:func:`repro.kernels.hop_table_for`); :meth:`MappingService.hop_table`
-additionally exposes them as a content-keyed artifact for API consumers
-holding merely-*equal* (not identical) machines.
+Hops between allocated nodes are not an artifact: each
+:class:`~repro.topology.machine.Machine` caches its own
+(:meth:`~repro.topology.machine.Machine.ring_hops`).
 
 Since the planner/executor split, ``map_batch`` is a **plan → execute →
 collect engine**: :func:`repro.api.plan.build_plan` turns the batch into
@@ -237,20 +236,6 @@ class MappingService:
             "grouping",
             key,
             lambda: self._compute_grouping(task_graph, machine, seed, config),
-        )
-
-    def hop_table(self, machine: Machine):
-        """Hop-distance table for *machine*'s torus, cached as an artifact.
-
-        Delegates to :func:`repro.kernels.hop_table_for` (which also
-        memoizes per torus instance); the artifact entry makes the table
-        shareable across requests whose machines are merely *equal* in
-        content, not identical objects.
-        """
-        from repro.kernels import hop_table_for
-
-        return self.cache.get_or_compute(
-            "hop_table", machine_key(machine), lambda: hop_table_for(machine.torus)
         )
 
     def warm_grouping(self, request: MapRequest) -> Tuple[float, bool]:

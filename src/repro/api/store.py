@@ -52,13 +52,13 @@ from typing import Any, Dict, Hashable, List, Optional
 
 import numpy as np
 
-__all__ = ["DiskArtifactStore", "DEFAULT_PERSIST_NAMESPACES", "artifact_digest"]
+__all__ = ["DiskArtifactStore", "PERSIST_NAMESPACES", "artifact_digest"]
 
-#: Namespaces worth sharing across processes by default: the expensive,
+#: Namespaces worth sharing across processes: the expensive,
 #: deterministic artifacts the planner dedupes (groupings, initial route
-#: tables, DEF baselines and the derived coarse views).  Hop tables are
-#: excluded — they are cheap to rebuild and memoized per torus already.
-DEFAULT_PERSIST_NAMESPACES = frozenset(
+#: tables, DEF baselines and the derived coarse views).  Every other
+#: namespace stays in one process's memory.
+PERSIST_NAMESPACES = frozenset(
     {"grouping", "route_table", "def_baseline", "message_coarse", "unit_coarse"}
 )
 
@@ -80,10 +80,10 @@ class DiskArtifactStore:
     Contract
     --------
     * **Namespaces** partition the key space ("grouping",
-      "route_table", "def_baseline", …).  :attr:`namespaces` declares
-      which of them an attached :class:`~repro.api.cache.ArtifactCache`
-      reads *and* writes through; direct calls are never restricted by
-      the set.
+      "route_table", "def_baseline", …).  :attr:`namespaces`
+      (:data:`PERSIST_NAMESPACES`) declares which of them an attached
+      :class:`~repro.api.cache.ArtifactCache` reads *and* writes
+      through; direct calls are never restricted by the set.
     * **Determinism**: a key's value is a pure function of the key, so
       a save whose target already exists may be skipped (counted as
       ``save_skips`` in :meth:`stats`); ``force=True`` overwrites
@@ -100,20 +100,12 @@ class DiskArtifactStore:
     root:
         Directory holding the store (created if absent).  Multiple
         processes may share one root concurrently.
-    namespaces:
-        The namespaces an attached :class:`~repro.api.cache.ArtifactCache`
-        should persist (read *and* write through).  Direct
-        :meth:`save`/:meth:`load` calls are not restricted by this set.
     """
 
-    def __init__(
-        self,
-        root: str,
-        *,
-        namespaces: frozenset = DEFAULT_PERSIST_NAMESPACES,
-    ) -> None:
+    namespaces = PERSIST_NAMESPACES
+
+    def __init__(self, root: str) -> None:
         self.root = os.path.abspath(root)
-        self.namespaces = frozenset(namespaces)
         self._counter_lock = threading.Lock()
         self._loads = 0
         self._load_hits = 0

@@ -1,7 +1,7 @@
 """Vectorized hot-path kernels shared by the mapping algorithms.
 
-The mappers' inner loops — hop-distance lookups, BFS frontier sweeps,
-swap-gain evaluation — live here as batched NumPy kernels so the
+The mappers' inner loops — weighted-hop sums, swap-gain evaluation,
+congestion probes — live here as batched NumPy kernels so the
 algorithm modules stay readable while the arithmetic stays in contiguous
 arrays.  Everything in this package is *behaviour-preserving*: the
 kernels reproduce the scalar reference paths bit for bit (see
@@ -9,7 +9,6 @@ kernels reproduce the scalar reference paths bit for bit (see
 """
 
 from repro.kernels.congestion import CongestionModel
-from repro.kernels.hoptable import DEFAULT_MATRIX_MAX_NODES, HopTable, hop_table_for
 from repro.kernels.swapgain import (
     SwapCostTable,
     all_task_whops,
@@ -19,9 +18,6 @@ from repro.kernels.swapgain import (
 
 __all__ = [
     "CongestionModel",
-    "DEFAULT_MATRIX_MAX_NODES",
-    "HopTable",
-    "hop_table_for",
     "SwapCostTable",
     "all_task_whops",
     "refresh_whops_around",

@@ -49,7 +49,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.topology.routing import RouteTable, _ranges, routes_bulk
+from repro.graph.csr import _ranges
+from repro.topology.routing import RouteTable, routes_bulk
 from repro.topology.torus import Torus3D
 
 __all__ = ["CongestionModel"]

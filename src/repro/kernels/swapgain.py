@@ -38,7 +38,6 @@ import heapq
 import numpy as np
 
 from repro.graph.csr import CSRGraph, _ranges
-from repro.kernels.hoptable import HopTable
 
 __all__ = [
     "SwapCostTable",
@@ -48,30 +47,32 @@ __all__ = [
 ]
 
 
-def total_weighted_hops(graph: CSRGraph, table: HopTable, gamma: np.ndarray) -> float:
-    """WH of mapping *gamma* over *graph*'s directed edges (Σ hops·vol).
+def total_weighted_hops(graph: CSRGraph, hops: np.ndarray, rows: np.ndarray) -> float:
+    """WH over *graph*'s directed edges (Σ hops·vol).
 
-    The single implementation behind ``wh_of``, ``fine_wh_of`` and the
-    ``weighted_hops`` metric, so the refiners' internal WH bookkeeping
-    can never diverge from the reported metric.
+    *hops* is ``Machine.ring_hops()`` and *rows* every task's allocation
+    row (``Machine.alloc_rows(Γ)``).  The single implementation behind
+    ``wh_of``, ``fine_wh_of`` and the ``weighted_hops`` metric, so the
+    refiners' internal WH bookkeeping can never diverge from the
+    reported metric.
     """
     src, dst, vol = graph.edge_list()
-    hops = table.pairwise_hops(gamma[src], gamma[dst])
-    return float((hops * vol).sum())
+    return float((hops[rows[src], rows[dst]] * vol).sum())
 
 
-def all_task_whops(sym: CSRGraph, table: HopTable, gamma: np.ndarray) -> np.ndarray:
-    """``TASKWHOPS`` of every task under Γ in one pass (float64[n]).
+def all_task_whops(sym: CSRGraph, hops: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``TASKWHOPS`` of every task in one pass (float64[n]).
 
+    *hops* and *rows* are as for :func:`total_weighted_hops`.
     Equivalent to calling the scalar per-task helper n times; one edge
     gather plus a ``bincount`` instead.
     """
     n = sym.num_vertices
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(sym.indptr))
-    if rows.size == 0:
+    owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(sym.indptr))
+    if owner.size == 0:
         return np.zeros(n, dtype=np.float64)
-    hops = table.pairwise_hops(gamma[rows], gamma[sym.indices])
-    return np.bincount(rows, weights=hops * sym.weights, minlength=n)
+    dilation = hops[rows[owner], rows[sym.indices]]
+    return np.bincount(owner, weights=dilation * sym.weights, minlength=n)
 
 
 def refresh_whops_around(
@@ -79,8 +80,8 @@ def refresh_whops_around(
     popped: list,
     whops: np.ndarray,
     sym: CSRGraph,
-    table: HopTable,
-    gamma: np.ndarray,
+    hops: np.ndarray,
+    rows: np.ndarray,
     swapped,
 ) -> None:
     """Refresh the cached ``TASKWHOPS`` rows and ``whHeap`` after a swap.
@@ -99,9 +100,9 @@ def refresh_whops_around(
     starts = sym.indptr[touched]
     counts = sym.indptr[touched + 1] - starts
     gather = np.repeat(starts, counts) + _ranges(counts)
-    hops = table.pairwise_hops(np.repeat(gamma[touched], counts), gamma[sym.indices[gather]])
+    dilation = hops[np.repeat(rows[touched], counts), rows[sym.indices[gather]]]
     seg = np.repeat(np.arange(touched.size, dtype=np.int64), counts)
-    fresh = np.bincount(seg, weights=hops * sym.weights[gather], minlength=touched.size)
+    fresh = np.bincount(seg, weights=dilation * sym.weights[gather], minlength=touched.size)
     whops[touched] = fresh
     for u, w in zip(touched.tolist(), fresh.tolist()):
         if not popped[u]:
@@ -117,11 +118,10 @@ class SwapCostTable:
         The symmetrized task graph (rows sorted, as every ``CSRGraph``).
     hops:
         ``[|Va|, |Va|]`` hop counts between the allocated nodes in
-        ascending id order — the WH metric's ring distance, so the
-        torus' ``HopTable.cross_hops(nodes, nodes)``.  It must be
-        symmetric.  These are *not* ``Machine.alloc_hops()``: on a
-        degraded torus BFS hops differ from ring hops, and BFS hops only
-        order the swap partners.
+        ascending id order — the WH metric's ring distance, so
+        ``Machine.ring_hops()``.  It must be symmetric.  These are *not*
+        ``Machine.alloc_hops()``: on a degraded torus BFS hops differ
+        from ring hops, and BFS hops only order the swap partners.
     row:
         int64[n] allocation row of every task, at most one task per row.
         The table owns this array: :meth:`commit` updates it in place.

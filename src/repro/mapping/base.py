@@ -92,8 +92,8 @@ def group_targets(machine: Machine) -> np.ndarray:
 
 
 def wh_of(task_graph: TaskGraph, machine: Machine, gamma: np.ndarray) -> float:
-    """Weighted hops of a coarse mapping (no routing pass needed)."""
-    from repro.kernels import hop_table_for, total_weighted_hops
+    """Weighted hops of a mapping into ``Va`` (no routing pass needed)."""
+    from repro.kernels import total_weighted_hops
 
-    g = np.asarray(gamma, dtype=np.int64)
-    return total_weighted_hops(task_graph.graph, hop_table_for(machine.torus), g)
+    rows = machine.alloc_rows(np.asarray(gamma, dtype=np.int64))
+    return total_weighted_hops(task_graph.graph, machine.ring_hops(), rows)

@@ -21,10 +21,12 @@ The algorithm grows a mapped region greedily:
 one, exactly as the paper's implementation does.
 
 Hot path: GETBESTNODE only ever picks an allocated node and its seeds
-are allocated, so it reads the BFS order of the allocated nodes from the
-machine's allocation hop matrix (:meth:`Machine.bfs_order`) at a cost
-that does not grow with the torus; the order (level, then id) is the
-allocated part of a BFS of ``Gm``, so the same node wins.
+are allocated, so it works on allocation rows: it reads the BFS order
+of the allocated nodes from the machine's allocation hop matrix
+(:meth:`Machine.bfs_rows`) and the WH overhead from its ring-hop matrix
+(:meth:`Machine.ring_hops`), at a cost that does not grow with the
+torus.  The order (level, then id) is the allocated part of a BFS of
+``Gm``, so the same node wins.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.graph.task_graph import TaskGraph
-from repro.kernels import HopTable, hop_table_for
 from repro.mapping.base import Mapping, validate_mapping, wh_of
 from repro.topology.machine import Machine
 
@@ -82,9 +83,8 @@ def greedy_map(task_graph: TaskGraph, machine: Machine, *, nbfs: int = 0) -> np.
     caps = machine.node_capacities().astype(np.float64)
     free = caps.copy()
     # Hoisted out of the per-task placement loop: allocation membership
-    # and the hop table are placement-invariant.
+    # is placement-invariant.
     alloc_mask = machine.alloc_mask()
-    table = hop_table_for(machine.torus)
 
     gamma = np.full(n_tasks, -1, dtype=np.int64)
     mapped_mask = np.zeros(n_tasks, dtype=bool)
@@ -141,7 +141,7 @@ def greedy_map(task_graph: TaskGraph, machine: Machine, *, nbfs: int = 0) -> np.
 
     for t in order_first:
         node = _get_best_node(
-            t, task_graph, sym, machine, gamma, mapped_mask, free, table, room
+            t, task_graph, sym, machine, gamma, mapped_mask, free, room
         )
         place(t, node)
 
@@ -162,7 +162,7 @@ def greedy_map(task_graph: TaskGraph, machine: Machine, *, nbfs: int = 0) -> np.
                 rest = np.flatnonzero(~mapped_mask)
                 tbest = int(rest[np.argmax(total_vol[rest])])
         node = _get_best_node(
-            tbest, task_graph, sym, machine, gamma, mapped_mask, free, table, room
+            tbest, task_graph, sym, machine, gamma, mapped_mask, free, room
         )
         place(tbest, node)
 
@@ -208,7 +208,6 @@ def _get_best_node(
     gamma: np.ndarray,
     mapped_mask: np.ndarray,
     free: np.ndarray,
-    table: HopTable,
     room: Optional[np.ndarray] = None,
 ) -> int:
     """GETBESTNODE of Algorithm 1 (with the early-exit BFS).
@@ -220,31 +219,34 @@ def _get_best_node(
       *farthest* allocated nodes with room (spreading unrelated tasks).
 
     Both read the allocated nodes' BFS order from
-    :meth:`Machine.bfs_order`; ties within a level go to the lowest id.
+    :meth:`Machine.bfs_rows`; ties within a level go to the lowest id,
+    which is the lowest allocation row.
     """
     nbrs = sym.neighbors(task)
     nbr_w = sym.neighbor_weights(task)
     mapped_nbrs = nbrs[mapped_mask[nbrs]]
     spread = mapped_nbrs.size == 0
-    mapped_nbr_nodes = gamma[mapped_nbrs]
+    nodes, node_row = machine.sorted_alloc()
+    mapped_nbr_rows = node_row[gamma[mapped_nbrs]]
 
-    nodes, levels = machine.bfs_order(gamma[gamma >= 0] if spread else mapped_nbr_nodes)
-    # bfs_order yields allocated nodes only, so free capacity decides.
+    seed_rows = node_row[gamma[gamma >= 0]] if spread else mapped_nbr_rows
+    rows, levels = machine.bfs_rows(seed_rows)
+    # bfs_rows yields allocated nodes only, so free capacity decides.
     fits = room if room is not None else free >= task_graph.loads[task] - 1e-9
-    ok = fits[nodes]
+    ok = fits[nodes[rows]]
     if not ok.any():
         # Room exists by construction, but on a degraded torus the
         # seeds may reach none of the free nodes.
         raise ValueError("no free allocated node found")
-    nodes, levels = nodes[ok], levels[ok]
+    rows, levels = rows[ok], levels[ok]
     if spread:
         # The farthest level's lowest id: its first entry in BFS order.
-        return int(nodes[np.searchsorted(levels, levels[-1])])
+        return int(nodes[rows[np.searchsorted(levels, levels[-1])]])
 
-    # The nearest level holding a free node, in ascending id order.
-    cands = nodes[: np.searchsorted(levels, levels[0], side="right")]
+    # The nearest level holding a free node, in ascending row order.
+    cands = rows[: np.searchsorted(levels, levels[0], side="right")]
     costs = nbr_w[mapped_mask[nbrs]]
     # Minimum WH overhead among this level's candidates.
-    overhead = table.cross_hops(cands, mapped_nbr_nodes) @ costs
+    overhead = machine.ring_hops()[cands[:, None], mapped_nbr_rows] @ costs
     best = np.flatnonzero(overhead == overhead.min())
-    return int(cands[best].min())
+    return int(nodes[cands[best].min()])

@@ -14,9 +14,10 @@ contributions (a :mod:`heapq` with lazy deletion over a per-pass
 ``whops`` array, as in the coarse refiner), BFS-ordered candidate nodes
 from the ranks' neighbour nodes, and a Δ early exit.  Because every rank
 on a candidate node is a potential partner, each BFS-visited node
-contributes up to ``procs_per_node`` candidates.  The BFS order of the
-allocated nodes comes from the allocation hop matrix
-(:meth:`~repro.topology.machine.Machine.bfs_order`), so a search costs
+contributes up to ``procs_per_node`` candidates.  Like the coarse
+refiner it works on allocation rows: the BFS order comes from
+:meth:`~repro.topology.machine.Machine.bfs_rows` and the hops from
+:meth:`~repro.topology.machine.Machine.ring_hops`, so a search costs
 the same on any torus size.
 """
 
@@ -29,12 +30,8 @@ from typing import Dict, List
 import numpy as np
 
 from repro.graph.task_graph import TaskGraph
-from repro.kernels import (
-    all_task_whops,
-    hop_table_for,
-    refresh_whops_around,
-    total_weighted_hops,
-)
+from repro.kernels import all_task_whops, refresh_whops_around
+from repro.mapping.base import wh_of
 from repro.topology.machine import Machine
 
 __all__ = ["FineWHRefiner", "fine_wh_of", "internode_volume"]
@@ -42,8 +39,7 @@ __all__ = ["FineWHRefiner", "fine_wh_of", "internode_volume"]
 
 def fine_wh_of(task_graph: TaskGraph, machine: Machine, fine_gamma: np.ndarray) -> float:
     """WH of a rank-level mapping (counts each directed edge once)."""
-    g = np.asarray(fine_gamma, dtype=np.int64)
-    return total_weighted_hops(task_graph.graph, hop_table_for(machine.torus), g)
+    return wh_of(task_graph, machine, fine_gamma)
 
 
 def internode_volume(task_graph: TaskGraph, fine_gamma: np.ndarray) -> float:
@@ -73,22 +69,22 @@ class FineWHRefiner:
     ) -> np.ndarray:
         """Return an improved copy of the rank→node mapping."""
         gamma = np.asarray(fine_gamma, dtype=np.int64).copy()
-        sym = task_graph.symmetrized()
-        table = hop_table_for(machine.torus)
-        n = task_graph.num_tasks
-
-        # node -> list of hosted ranks.
-        hosted: Dict[int, List[int]] = {}
-        for t in range(n):
-            hosted.setdefault(int(gamma[t]), []).append(t)
-
         wh = fine_wh_of(task_graph, machine, gamma)
         if wh <= 0:
             return gamma
+        sym = task_graph.symmetrized()
+        hops = machine.ring_hops()
+        rows = machine.alloc_rows(gamma)
+        n = task_graph.num_tasks
+
+        # allocation row -> list of hosted ranks.
+        hosted: Dict[int, List[int]] = {}
+        for t in range(n):
+            hosted.setdefault(int(rows[t]), []).append(t)
 
         for _ in range(self.max_passes):
             pass_start = wh
-            whops = all_task_whops(sym, table, gamma)
+            whops = all_task_whops(sym, hops, rows)
             heap = [(-w, t, t) for t, w in enumerate(whops.tolist())]
             heapq.heapify(heap)
             popped = [False] * n
@@ -100,60 +96,59 @@ class FineWHRefiner:
                 if -neg <= 0:
                     continue  # nothing to gain from a zero-WH rank
                 gain = self._try_swap(
-                    twh, sym, table, machine, gamma, hosted, heap, popped, whops
+                    twh, sym, hops, machine, rows, hosted, heap, popped, whops
                 )
                 wh -= gain
             if pass_start <= 0 or (pass_start - wh) / pass_start <= self.min_gain:
                 break
-        return gamma
+        return machine.sorted_alloc()[0][rows]
 
     # ------------------------------------------------------------------
     def _try_swap(
-        self, twh, sym, table, machine, gamma, hosted, heap, popped, whops
+        self, twh, sym, hops, machine, rows, hosted, heap, popped, whops
     ) -> float:
         nbrs = sym.neighbors(twh)
         if nbrs.size == 0:
             return 0.0
-        na = int(gamma[twh])
-        nodes, _ = machine.bfs_order(gamma[nbrs])
+        ra = int(rows[twh])
+        order, _ = machine.bfs_rows(rows[nbrs])
         checked = 0
-        for node in nodes[nodes != na].tolist():
-            for t in list(hosted.get(node, ())):
+        for r in order[order != ra].tolist():
+            for t in list(hosted.get(r, ())):
                 if checked >= self.delta:
                     return 0.0
                 checked += 1
-                gain = _fine_swap_gain(twh, t, sym, table, gamma)
+                gain = _fine_swap_gain(twh, t, sym, hops, rows)
                 if gain > 1e-12:
-                    nb = int(gamma[t])
-                    gamma[twh] = nb
-                    gamma[t] = na
-                    hosted[na].remove(twh)
-                    hosted[nb].remove(t)
-                    hosted[na].append(t)
-                    hosted[nb].append(twh)
+                    rb = int(rows[t])
+                    rows[twh] = rb
+                    rows[t] = ra
+                    hosted[ra].remove(twh)
+                    hosted[rb].remove(t)
+                    hosted[ra].append(t)
+                    hosted[rb].append(twh)
                     refresh_whops_around(
-                        heap, popped, whops, sym, table, gamma, (twh, t)
+                        heap, popped, whops, sym, hops, rows, (twh, t)
                     )
                     return gain
         return 0.0
 
 
-def _fine_swap_gain(t1: int, t2: int, sym, table, gamma: np.ndarray) -> float:
-    """Exact symmetric-WH change of swapping the two ranks' nodes."""
-    n1, n2 = int(gamma[t1]), int(gamma[t2])
-    if n1 == n2:
+def _fine_swap_gain(t1: int, t2: int, sym, hops, rows: np.ndarray) -> float:
+    """Exact symmetric-WH change of swapping the two ranks' allocation rows."""
+    r1, r2 = int(rows[t1]), int(rows[t2])
+    if r1 == r2:
         return 0.0
 
-    def cost(task: int, node: int, exclude: int) -> float:
+    def cost(task: int, row: int, exclude: int) -> float:
         nbrs = sym.neighbors(task)
         w = sym.neighbor_weights(task)
         keep = nbrs != exclude
         kept = nbrs[keep]
         if kept.size == 0:
             return 0.0
-        hops = table.hops_to_many(node, gamma[kept])
-        return float((hops * w[keep]).sum())
+        return float((hops[row, rows[kept]] * w[keep]).sum())
 
-    before = cost(t1, n1, t2) + cost(t2, n2, t1)
-    after = cost(t1, n2, t2) + cost(t2, n1, t1)
+    before = cost(t1, r1, t2) + cost(t2, r2, t1)
+    after = cost(t1, r2, t2) + cost(t2, r1, t1)
     return before - after

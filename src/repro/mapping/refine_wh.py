@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.task_graph import TaskGraph
-from repro.kernels import SwapCostTable, hop_table_for
+from repro.kernels import SwapCostTable
 from repro.mapping.base import Mapping, validate_mapping, wh_of
 
 __all__ = ["WHRefiner"]
@@ -63,8 +63,9 @@ class WHRefiner:
         if wh <= 0:
             return Mapping(mapping.gamma.copy(), machine)
         nodes, node_row = machine.sorted_alloc()
-        hops = hop_table_for(machine.torus).cross_hops(nodes, nodes)
-        table = SwapCostTable(task_graph.symmetrized(), hops, node_row[mapping.gamma])
+        table = SwapCostTable(
+            task_graph.symmetrized(), machine.ring_hops(), node_row[mapping.gamma]
+        )
         row = table.row
         weights = task_graph.loads
         # task currently hosted on each allocation row (one-to-one).

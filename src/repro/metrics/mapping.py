@@ -31,7 +31,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.graph.task_graph import TaskGraph
-from repro.kernels import hop_table_for, total_weighted_hops
+from repro.kernels import total_weighted_hops
 from repro.topology.machine import Machine
 from repro.topology.routing import RouteTable, shared_route_table
 
@@ -125,17 +125,15 @@ def evaluate_mapping(
     """
     gamma = _validate_gamma(task_graph, machine, gamma)
     src_t, dst_t, vol = task_graph.graph.edge_list()
-    src_n = gamma[src_t]
-    dst_n = gamma[dst_t]
-    torus = machine.torus
-    dilation = hop_table_for(torus).pairwise_hops(src_n, dst_n).astype(np.float64)
+    rows = machine.alloc_rows(gamma)
+    dilation = machine.ring_hops()[rows[src_t], rows[dst_t]].astype(np.float64)
     th = float(dilation.sum())
     wh = float((dilation * vol).sum())
 
     msgs, vols = link_congestion(
         task_graph, machine, gamma, cache=cache, route_table=route_table
     )
-    bw = torus.link_bandwidths()
+    bw = machine.torus.link_bandwidths()
     used = msgs > 0
     n_used = int(np.count_nonzero(used))
     mmc = float(msgs.max()) if n_used else 0.0
@@ -154,12 +152,14 @@ def weighted_hops(
 ) -> float:
     """WH only (cheaper than :func:`evaluate_mapping`; no routing pass)."""
     gamma = _validate_gamma(task_graph, machine, gamma)
-    return total_weighted_hops(task_graph.graph, hop_table_for(machine.torus), gamma)
+    return total_weighted_hops(
+        task_graph.graph, machine.ring_hops(), machine.alloc_rows(gamma)
+    )
 
 
 def total_hops(task_graph: TaskGraph, machine: Machine, gamma: np.ndarray) -> float:
     """TH only."""
     gamma = _validate_gamma(task_graph, machine, gamma)
     src_t, dst_t, _ = task_graph.graph.edge_list()
-    dilation = hop_table_for(machine.torus).pairwise_hops(gamma[src_t], gamma[dst_t])
-    return float(dilation.sum())
+    rows = machine.alloc_rows(gamma)
+    return float(machine.ring_hops()[rows[src_t], rows[dst_t]].sum())

@@ -247,9 +247,11 @@ def build_workload(
     """Corpus matrix → partitioned task graph + allocated machine.
 
     *procs* and *rows_per_unit* must be at least 1 and are capped at
-    the ``paper`` profile's (the paper's largest experiment), checked
-    before the matrix is generated, so one request cannot make the build
-    allocate without bound or silently build another size than it asked.
+    the ``paper`` profile's (the paper's largest experiment), and so is
+    the node count ``procs // ppn``, which sizes the machine's
+    ``|Va|²`` hop matrices.  All are checked before the matrix is
+    generated, so one request cannot make the build allocate without
+    bound or silently build another size than it asked.
     """
     from repro.data.corpus import CORPUS, load_matrix
     from repro.experiments.profiles import PROFILES
@@ -275,6 +277,12 @@ def build_workload(
     if procs > paper.largest_procs:
         raise ProtocolError(
             f"procs {procs} exceeds the limit of {paper.largest_procs}"
+        )
+    max_nodes = paper.largest_procs // paper.procs_per_node
+    if procs // ppn > max_nodes:
+        raise ProtocolError(
+            f"procs {procs} at ppn {ppn} need {procs // ppn} nodes, "
+            f"above the limit of {max_nodes}"
         )
     if rows_per_unit < 1:
         raise ProtocolError(f"rows_per_unit {rows_per_unit} must be >= 1")

@@ -14,6 +14,13 @@ machine keeps one matrix of ``Gm`` BFS hops between allocated nodes
 the allocated subsequence of a multi-source BFS: a node's level is its
 fewest hops from any seed, and a level lists its nodes by id.  A
 search then costs O(seeds × |Va|), whatever the torus size.
+
+The WH/TH metrics and the mappers' gains likewise ask only for hops
+between allocated nodes, because Γ maps into ``Va``.  They read the
+ring distance of :meth:`Torus3D.hop_distance` from one cached
+``[|Va|, |Va|]`` matrix (:meth:`Machine.ring_hops`), indexed by
+allocation row (:meth:`Machine.alloc_rows`).  On a healthy torus BFS
+hops are ring hops, and the two matrices are one array.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ class Machine:
         "_alloc_mask",
         "_alloc_index",
         "_by_id",
+        "_ring_hops",
         "_alloc_hops",
     )
 
@@ -85,6 +93,7 @@ class Machine:
         self._alloc_mask: Optional[np.ndarray] = None
         self._alloc_index: Optional[np.ndarray] = None
         self._by_id: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._ring_hops: Optional[np.ndarray] = None
         self._alloc_hops: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
@@ -139,25 +148,56 @@ class Machine:
             self._by_id = (nodes, row)
         return self._by_id
 
+    def alloc_rows(self, nodes) -> np.ndarray:
+        """Rows of :meth:`sorted_alloc` of the allocated node ids *nodes*.
+
+        Raises ``ValueError`` if any node lies outside ``Va``.
+        """
+        rows = self.sorted_alloc()[1][nodes]
+        if rows.size and rows.min() < 0:
+            raise ValueError("node outside the allocation")
+        return rows
+
+    def ring_hops(self) -> np.ndarray:
+        """``[|Va|, |Va|]`` ring hops between allocated nodes (cached).
+
+        Entry ``[i, j]`` is :meth:`Torus3D.hop_distance` between the
+        allocated nodes on rows ``i`` and ``j`` of :meth:`sorted_alloc`:
+        the WH metric's distance, which failures do not change.  The
+        dtype is the smallest unsigned integer holding the torus diameter
+        plus one.  The matrix is summed one dimension at a time from that
+        dimension's ring table, so no wider ``|Va|²`` array is made.
+        """
+        if self._ring_hops is None:
+            nodes, _ = self.sorted_alloc()
+            coords = self.torus.coords()[nodes]
+            dtype = np.min_scalar_type(self.torus.diameter + 1)
+            out = np.zeros((nodes.size, nodes.size), dtype=dtype)
+            for d, size in enumerate(self.torus.dims):
+                k = np.arange(size)
+                diff = np.abs(k[:, None] - k[None, :])
+                ring = np.minimum(diff, size - diff).astype(dtype)
+                out += ring[np.ix_(coords[:, d], coords[:, d])]
+            self._ring_hops = out
+        return self._ring_hops
+
     def alloc_hops(self) -> np.ndarray:
         """``[|Va|, |Va|]`` ``Gm`` BFS hops between allocated nodes (cached).
 
         Rows are sources and columns targets, both in ascending node id.
         The dtype is the smallest unsigned integer holding every hop
         count, and its maximum marks a pair with no path.  On a healthy
-        torus BFS hops equal the ring distance, so the matrix is a
-        gather from the torus' :class:`~repro.kernels.HopTable`.  With
-        faults it comes from one BFS of ``Gm`` per allocated node: a dead
-        link can fail in one direction only, and some pairs may be cut
-        off entirely.
+        torus BFS hops equal the ring distance, so this is
+        :meth:`ring_hops` itself.  With faults it comes from one BFS of
+        ``Gm`` per allocated node: a dead link can fail in one direction
+        only, and some pairs may be cut off entirely.
         """
+        if not self.has_faults:
+            return self.ring_hops()
         if self._alloc_hops is None:
             nodes, _ = self.sorted_alloc()
-            if self.has_faults:
-                gm = self.torus.graph()
-                hops = np.stack([gm.bfs_levels([int(s)])[nodes] for s in nodes])
-            else:
-                hops = self.torus.hop_table().cross_hops(nodes, nodes)
+            gm = self.torus.graph()
+            hops = np.stack([gm.bfs_levels([int(s)])[nodes] for s in nodes])
             dtype = np.min_scalar_type(int(hops.max()) + 1)
             out = hops.astype(dtype)
             out[hops < 0] = np.iinfo(dtype).max

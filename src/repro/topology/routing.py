@@ -39,6 +39,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.graph.csr import _ranges
 from repro.topology.torus import Torus3D
 
 __all__ = [
@@ -318,16 +319,6 @@ def link_loads(
     if links.size:
         np.add.at(loads, links, volumes[msg])
     return loads
-
-
-def _ranges(counts: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(c)`` per count (see repro.graph.csr)."""
-    counts = np.asarray(counts, dtype=np.int64)
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    block_starts = np.cumsum(counts) - counts
-    return np.arange(total, dtype=np.int64) - np.repeat(block_starts, counts)
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,6 @@ class Torus3D:
         "_link_bw",
         "_link_valid",
         "_link_alive",
-        "_hop_table",
     )
 
     def __init__(
@@ -108,7 +107,6 @@ class Torus3D:
         self._link_bw: Optional[np.ndarray] = None
         self._link_valid: Optional[np.ndarray] = None
         self._link_alive: Optional[np.ndarray] = None
-        self._hop_table = None
 
     # ------------------------------------------------------------------
     # failure masks
@@ -122,7 +120,7 @@ class Torus3D:
         """A torus with the given failures merged into the existing mask.
 
         Returns a fresh instance (existing per-instance caches — graph,
-        hop tables, route tables — key on identity or content and stay
+        link arrays, route tables — key on identity or content and stay
         valid for the healthy original).
         """
         links = np.concatenate(
@@ -205,17 +203,6 @@ class Torus3D:
         diff = np.abs(cu - cv)
         per_dim = np.minimum(diff, sizes - diff)
         return per_dim.sum(axis=-1)
-
-    def hop_table(self):
-        """Cached :class:`repro.kernels.HopTable` for batched hop lookups.
-
-        The mapping and metric hot paths go through this table; the
-        coordinate formula above stays as the scalar reference the
-        equivalence tests compare against.
-        """
-        from repro.kernels.hoptable import hop_table_for
-
-        return hop_table_for(self)
 
     @property
     def diameter(self) -> int:

@@ -268,15 +268,6 @@ class TestMappingService:
         )
         assert resp.metrics is not None and resp.metrics.wh > 0
 
-    def test_hop_table_cached(self, setup):
-        _, machine = setup
-        service = MappingService()
-        a = service.hop_table(machine)
-        b = service.hop_table(machine)
-        assert a is b
-        s = service.cache.stats("hop_table")
-        assert (s.hits, s.misses) == (1, 1)
-
     def test_precomputed_groups_injected(self, setup):
         tg, machine = setup
         service = MappingService()

@@ -37,7 +37,7 @@ from repro.api import (
 )
 from repro.api.executor import execute_plan
 from repro.api.request import MapResponse
-from repro.api.store import DEFAULT_PERSIST_NAMESPACES
+from repro.api.store import PERSIST_NAMESPACES
 from repro.experiments.harness import WorkloadCache
 from repro.experiments.profiles import ExperimentProfile
 from repro.graph.task_graph import TaskGraph
@@ -498,7 +498,7 @@ class TestSharedPlacement:
             return real(service, request, kind, algorithm, placements)
 
         monkeypatch.setattr(executor_mod, "run_plan_node", recording)
-        pool_mod._worker_init(str(tmp_path), ["grouping"], None)
+        pool_mod._worker_init(str(tmp_path), None)
         request = MapRequest(task_graph=tg, machine=machine, algorithms=("UG",), seed=2)
         response = pool_mod._worker_run_node(request, "algo", "UG")
         assert seen == [None]
@@ -667,8 +667,8 @@ class TestDiskArtifactStore:
         np.testing.assert_array_equal(value, np.arange(5))
         assert store.contains("grouping", ("k",))
         # Non-persisted namespaces stay memory-only.
-        cache.get_or_compute("hop_table", ("k",), lambda: np.arange(5))
-        assert not store.contains("hop_table", ("k",))
+        cache.get_or_compute("scratch", ("k",), lambda: np.arange(5))
+        assert not store.contains("scratch", ("k",))
 
         fresh = ArtifactCache(store=store)
         loaded = fresh.get_or_compute(
@@ -679,9 +679,10 @@ class TestDiskArtifactStore:
         assert (stats.hits, stats.misses, stats.store_hits) == (1, 0, 1)
 
     def test_default_persist_namespaces(self):
-        assert "grouping" in DEFAULT_PERSIST_NAMESPACES
-        assert "route_table" in DEFAULT_PERSIST_NAMESPACES
-        assert "def_baseline" in DEFAULT_PERSIST_NAMESPACES
+        assert "grouping" in PERSIST_NAMESPACES
+        assert "route_table" in PERSIST_NAMESPACES
+        assert "def_baseline" in PERSIST_NAMESPACES
+        assert DiskArtifactStore.namespaces is PERSIST_NAMESPACES
 
 
 class TestConcurrentCache:

@@ -1,9 +1,9 @@
 """Unit equivalence tests for the vectorized kernel layer.
 
 Each kernel is checked against the scalar reference it replaced:
-``HopTable`` against ``Torus3D.hop_distance``, and ``SwapCostTable`` /
-``all_task_whops`` against the scalar ``_swap_gain`` / ``_task_whops``
-helpers of Algorithm 2.
+``Machine.ring_hops`` against ``Torus3D.hop_distance``, and
+``SwapCostTable`` / ``all_task_whops`` against the scalar ``_swap_gain``
+/ ``_task_whops`` helpers of Algorithm 2.
 """
 
 from __future__ import annotations
@@ -13,69 +13,52 @@ import pytest
 
 from repro.graph.csr import CSRGraph
 from repro.graph.task_graph import TaskGraph
-from repro.kernels import HopTable, SwapCostTable, all_task_whops, hop_table_for
+from repro.kernels import SwapCostTable, all_task_whops
 from repro.mapping.refine_wh import _swap_gain, _task_whops
+from repro.topology.machine import Machine
 from repro.topology.torus import Torus3D
 from test_kernels_golden import _degraded_machine, _random_task_graph
 
 TORUS_SHAPES = [(4, 4, 4), (5, 3, 2), (6, 1, 1), (2, 2, 7), (1, 1, 1), (8, 2, 5)]
 
 
+def _all_pairs(torus, nodes):
+    """``[len(nodes), len(nodes)]`` hops from the coordinate formula."""
+    return torus.hop_distance(nodes[:, None], nodes[None, :])
+
+
 # ----------------------------------------------------------------------
-# HopTable
+# Machine.ring_hops
 # ----------------------------------------------------------------------
-class TestHopTable:
+class TestRingHops:
     @pytest.mark.parametrize("dims", TORUS_SHAPES)
-    @pytest.mark.parametrize("use_matrix", [True, False])
-    def test_pairwise_matches_hop_distance(self, dims, use_matrix):
+    def test_matches_hop_distance(self, dims):
+        """Every allocated pair of a healthy machine; BFS order reads the same array."""
         torus = Torus3D(dims)
-        table = HopTable(torus, matrix_max_nodes=10_000 if use_matrix else 0)
-        assert table.has_matrix == use_matrix
         rng = np.random.default_rng(3)
-        a = rng.integers(0, torus.num_nodes, size=200)
-        b = rng.integers(0, torus.num_nodes, size=200)
-        np.testing.assert_array_equal(
-            table.pairwise_hops(a, b), torus.hop_distance(a, b)
-        )
+        size = int(rng.integers(1, torus.num_nodes + 1))
+        machine = Machine(torus, rng.choice(torus.num_nodes, size, replace=False), 2)
+        nodes, _ = machine.sorted_alloc()
+        hops = machine.ring_hops()
+        np.testing.assert_array_equal(hops, _all_pairs(torus, nodes))
+        assert hops.dtype == np.min_scalar_type(torus.diameter + 1)
+        assert machine.ring_hops() is hops
+        assert machine.alloc_hops() is hops
 
-    @pytest.mark.parametrize("use_matrix", [True, False])
-    def test_hops_to_many_and_cross(self, use_matrix):
-        torus = Torus3D((5, 4, 3))
-        table = HopTable(torus, matrix_max_nodes=10_000 if use_matrix else 0)
-        rng = np.random.default_rng(5)
-        others = rng.integers(0, torus.num_nodes, size=37)
-        np.testing.assert_array_equal(
-            table.hops_to_many(11, others),
-            torus.hop_distance(np.full(37, 11), others),
-        )
-        a = rng.integers(0, torus.num_nodes, size=9)
-        cross = table.cross_hops(a, others)
-        assert cross.shape == (9, 37)
-        want = torus.hop_distance(
-            np.repeat(a, others.shape[0]), np.tile(others, a.shape[0])
-        ).reshape(9, 37)
-        np.testing.assert_array_equal(cross, want)
+    def test_degraded_machine_keeps_ring_distance(self):
+        """Failures change BFS hops, never the WH metric's ring distance."""
+        machine = _degraded_machine()
+        nodes, _ = machine.sorted_alloc()
+        hops = machine.ring_hops()
+        np.testing.assert_array_equal(hops, _all_pairs(machine.torus, nodes))
+        assert np.any(hops != machine.alloc_hops())
 
-    def test_matrix_threshold_respected(self):
-        torus = Torus3D((4, 4, 4))
-        assert HopTable(torus, matrix_max_nodes=63).has_matrix is False
-        assert HopTable(torus, matrix_max_nodes=64).has_matrix is True
-
-    def test_hop_table_for_caches_on_torus(self):
-        torus = Torus3D((3, 3, 3))
-        t1 = hop_table_for(torus)
-        assert hop_table_for(torus) is t1
-        assert torus.hop_table() is t1
-
-    def test_hop_table_for_custom_threshold_bypasses_cache(self):
-        torus = Torus3D((3, 3, 3))
-        default = hop_table_for(torus)
-        ringonly = hop_table_for(torus, matrix_max_nodes=0)
-        assert ringonly is not default
-        assert ringonly.has_matrix is False
-        # the cached default-threshold table is untouched
-        assert hop_table_for(torus) is default
-        assert default.has_matrix is True
+    def test_alloc_rows(self):
+        machine = Machine(Torus3D((3, 3, 3)), [20, 4, 9], 1)
+        rows = machine.alloc_rows(np.asarray([9, 20, 4, 4]))
+        assert rows.tolist() == [1, 2, 0, 0]
+        with pytest.raises(ValueError, match="outside the allocation"):
+            machine.alloc_rows(np.asarray([4, 5]))
 
 
 # ----------------------------------------------------------------------
@@ -95,36 +78,40 @@ def swap_setup():
     return tg.symmetrized(), torus, gamma
 
 
-def _cost_table(sym, table, gamma, nodes):
-    """A :class:`SwapCostTable` over allocation *nodes* (ascending ids)."""
-    return SwapCostTable(sym, table.cross_hops(nodes, nodes), np.searchsorted(nodes, gamma))
+def _machine(torus, gamma, full_alloc):
+    """The whole torus allocated, or just the nodes Γ uses."""
+    return Machine(torus, range(torus.num_nodes) if full_alloc else gamma, 1)
+
+
+def _cost_table(sym, machine, gamma):
+    """A :class:`SwapCostTable` over *machine*'s allocation rows."""
+    return SwapCostTable(sym, machine.ring_hops(), machine.alloc_rows(gamma))
 
 
 class TestSwapGainKernels:
-    @pytest.mark.parametrize("use_matrix", [True, False])
-    def test_all_task_whops_matches_scalar(self, swap_setup, use_matrix):
+    @pytest.mark.parametrize("full_alloc", [True, False])
+    def test_all_task_whops_matches_scalar(self, swap_setup, full_alloc):
         sym, torus, gamma = swap_setup
-        table = HopTable(torus, matrix_max_nodes=10_000 if use_matrix else 0)
-        got = all_task_whops(sym, table, gamma)
+        machine = _machine(torus, gamma, full_alloc)
+        got = all_task_whops(sym, machine.ring_hops(), machine.alloc_rows(gamma))
         want = [_task_whops(t, sym, torus, gamma) for t in range(sym.num_vertices)]
         np.testing.assert_array_equal(got, np.asarray(want))
 
     def test_table_whops_match_scalar(self, swap_setup):
         sym, torus, gamma = swap_setup
-        cost = _cost_table(sym, hop_table_for(torus), gamma, np.arange(torus.num_nodes))
+        cost = _cost_table(sym, _machine(torus, gamma, True), gamma)
         subset = np.asarray([0, 3, 7, 7, 29], dtype=np.int64)
         want = [_task_whops(int(t), sym, torus, gamma) for t in subset]
         np.testing.assert_array_equal(cost.whops(subset), np.asarray(want))
         want = [_task_whops(t, sym, torus, gamma) for t in range(sym.num_vertices)]
         np.testing.assert_array_equal(cost.whops(), np.asarray(want))
 
-    @pytest.mark.parametrize("use_matrix", [True, False])
-    def test_batched_gains_match_scalar(self, swap_setup, use_matrix):
-        """Table gains equal ``_swap_gain`` bit for bit, with the dense
-        hop matrix and with the ring-table fallback."""
+    @pytest.mark.parametrize("full_alloc", [True, False])
+    def test_batched_gains_match_scalar(self, swap_setup, full_alloc):
+        """Table gains equal ``_swap_gain`` bit for bit, with free rows in
+        the table and without."""
         sym, torus, gamma = swap_setup
-        table = HopTable(torus, matrix_max_nodes=10_000 if use_matrix else 0)
-        cost = _cost_table(sym, table, gamma, np.sort(gamma))
+        cost = _cost_table(sym, _machine(torus, gamma, full_alloc), gamma)
         rng = np.random.default_rng(31)
         for t1 in (0, 4, 17):
             others = np.asarray(
@@ -138,7 +125,7 @@ class TestSwapGainKernels:
     def test_direct_edge_partner(self, swap_setup):
         """A partner adjacent to the pivot: its edge keeps its dilation."""
         sym, torus, gamma = swap_setup
-        cost = _cost_table(sym, hop_table_for(torus), gamma, np.sort(gamma))
+        cost = _cost_table(sym, _machine(torus, gamma, False), gamma)
         for t1 in (0, 9, 21):
             partners = sym.neighbors(t1)
             assert partners.size
@@ -148,7 +135,7 @@ class TestSwapGainKernels:
 
     def test_batched_gains_empty_partners(self, swap_setup):
         sym, torus, gamma = swap_setup
-        cost = _cost_table(sym, hop_table_for(torus), gamma, np.sort(gamma))
+        cost = _cost_table(sym, _machine(torus, gamma, False), gamma)
         assert cost.gains(0, np.empty(0, dtype=np.int64)).shape == (0,)
 
     def test_isolated_pivot(self, swap_setup):
@@ -157,7 +144,7 @@ class TestSwapGainKernels:
         tg = TaskGraph.from_edges(3, [0], [1], [4.0])
         sym = tg.symmetrized()
         gamma = np.asarray([0, 1, 30], dtype=np.int64)
-        cost = _cost_table(sym, hop_table_for(torus), gamma, np.sort(gamma))
+        cost = _cost_table(sym, _machine(torus, gamma, False), gamma)
         got = cost.gains(2, np.asarray([0, 1]))
         want = [_swap_gain(2, t2, sym, torus, gamma) for t2 in (0, 1)]
         np.testing.assert_array_equal(got, np.asarray(want))
@@ -168,7 +155,7 @@ class TestSwapGainKernels:
         tg = TaskGraph.from_edges(3, [0], [1], [4.0])
         sym = tg.symmetrized()
         gamma = np.asarray([0, 1, 30], dtype=np.int64)
-        cost = _cost_table(sym, hop_table_for(torus), gamma, np.sort(gamma))
+        cost = _cost_table(sym, _machine(torus, gamma, False), gamma)
         assert cost.gains(0, np.asarray([2]))[0] == _swap_gain(0, 2, sym, torus, gamma)
 
     def test_degraded_machine_uses_ring_hops(self):
@@ -176,11 +163,10 @@ class TestSwapGainKernels:
         not the BFS hops that order the partners."""
         machine = _degraded_machine()
         nodes, _ = machine.sorted_alloc()
-        table = hop_table_for(machine.torus)
-        assert not np.array_equal(machine.alloc_hops(), table.cross_hops(nodes, nodes))
+        assert not np.array_equal(machine.alloc_hops(), machine.ring_hops())
         sym = _random_task_graph(nodes.size, 120, seed=43).symmetrized()
         gamma = np.random.default_rng(47).permutation(nodes)
-        cost = _cost_table(sym, table, gamma, nodes)
+        cost = _cost_table(sym, machine, gamma)
         for t1 in range(sym.num_vertices):
             others = np.delete(np.arange(sym.num_vertices), t1)
             want = [_swap_gain(t1, int(t2), sym, machine.torus, gamma) for t2 in others]
@@ -196,9 +182,8 @@ class TestSwapGainKernels:
                 sym.indptr, sym.indices, sym.weights * 1.37, sym.vertex_weights,
                 sorted_indices=True,
             )
-        nodes = np.arange(torus.num_nodes)  # free rows too
-        table = hop_table_for(torus)
-        cost = _cost_table(sym, table, gamma, nodes)
+        machine = _machine(torus, gamma, True)  # free rows too
+        cost = _cost_table(sym, machine, gamma)
         gamma = gamma.copy()
         rng = np.random.default_rng(53)
         for _ in range(60):
@@ -211,7 +196,7 @@ class TestSwapGainKernels:
             gamma[[t1, t2]] = gamma[[t2, t1]]
             want = {t1, t2, *sym.neighbors(t1).tolist(), *sym.neighbors(t2).tolist()}
             assert touched.tolist() == sorted(want)
-        fresh = _cost_table(sym, table, gamma, nodes)
+        fresh = _cost_table(sym, machine, gamma)
         np.testing.assert_array_equal(cost.row, gamma)
         np.testing.assert_array_equal(cost.volume, fresh.volume)
         if integral:

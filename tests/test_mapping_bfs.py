@@ -31,13 +31,20 @@ def _reference_order(machine, seeds):
 
 
 @st.composite
-def machines_and_seeds(draw):
-    """A torus with 1-4 routers per dimension, an allocation, faults, seeds."""
+def healthy_machines(draw):
+    """A torus with 1-4 routers per dimension and an allocation."""
     dims = tuple(draw(st.integers(1, 4)) for _ in range(3))
     torus = Torus3D(dims)
     n = torus.num_nodes
     alloc = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
-    machine = Machine(torus, alloc, 2)
+    return Machine(torus, alloc, 2)
+
+
+@st.composite
+def machines_and_seeds(draw):
+    """A healthy machine, maybe degraded by faults, and seeds."""
+    machine = draw(healthy_machines())
+    torus, alloc = machine.torus, machine.alloc_nodes.tolist()
     valid = np.flatnonzero(torus.link_valid()).tolist()
     dead_links = draw(st.lists(st.sampled_from(valid), max_size=8)) if valid else []
     dead_nodes = draw(st.lists(st.sampled_from(alloc), max_size=len(alloc) - 1, unique=True))
@@ -61,7 +68,7 @@ def test_bfs_order_matches_bfs_levels(case):
 @settings(max_examples=60, deadline=None)
 @given(machines_and_seeds())
 def test_alloc_hops_is_per_source_bfs(case):
-    """Healthy tori take the hop-table gather, degraded ones BFS: both equal BFS."""
+    """Healthy tori read the ring-hop matrix, degraded ones BFS: both equal BFS."""
     machine, _ = case
     hops = machine.alloc_hops()
     nodes = np.sort(machine.alloc_nodes)
@@ -71,6 +78,18 @@ def test_alloc_hops_is_per_source_bfs(case):
     assert np.all((hops == unreached) == (want < 0))
     np.testing.assert_array_equal(hops[want >= 0], want[want >= 0])
     assert hops.dtype == np.min_scalar_type(int(want.max()) + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(healthy_machines())
+def test_healthy_alloc_hops_are_bfs_and_ring_hops(machine):
+    """On a healthy torus BFS hops are ring hops: one array serves both."""
+    hops = machine.alloc_hops()
+    assert hops is machine.ring_hops()
+    nodes = np.sort(machine.alloc_nodes)
+    gm = machine.graph()
+    want = np.stack([gm.bfs_levels([int(s)])[nodes] for s in nodes])
+    np.testing.assert_array_equal(hops, want)
 
 
 def test_unreachable_nodes_are_left_out():

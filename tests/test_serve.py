@@ -281,6 +281,9 @@ class TestParseLayer:
             # Below one row per unit: refused, not mapped on a 64-row matrix.
             [{**ENTRY, "rows_per_unit": 0}],
             [{**ENTRY, "rows_per_unit": -5}],
+            # More nodes than the paper's largest allocation (16,384 / 16):
+            # refused before any |Va|^2 hop matrix is built.
+            [{**ENTRY, "procs": 16384, "ppn": 1}],
         ],
     )
     def test_all_malformed_inputs_raise_protocol_error(self, entries):

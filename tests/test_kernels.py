@@ -1,7 +1,8 @@
 """Unit equivalence tests for the vectorized kernel layer.
 
 Each kernel is checked against the scalar reference it replaced:
-``Machine.ring_hops`` against ``Torus3D.hop_distance``, and
+``Machine.ring_hops`` (the allocation's hop table) against
+``Torus3D.hop_distance``, and
 ``SwapCostTable`` / ``all_task_whops`` against the scalar ``_swap_gain``
 / ``_task_whops`` helpers of Algorithm 2.
 """
@@ -28,18 +29,33 @@ def _all_pairs(torus, nodes):
 
 
 # ----------------------------------------------------------------------
-# Machine.ring_hops
+# Machine.ring_hops: the allocation's hop table
 # ----------------------------------------------------------------------
-class TestRingHops:
+class TestHopTable:
     @pytest.mark.parametrize("dims", TORUS_SHAPES)
-    def test_matches_hop_distance(self, dims):
-        """Every allocated pair of a healthy machine; BFS order reads the same array."""
+    @pytest.mark.parametrize("full_alloc", [True, False])
+    def test_pairwise_matches_hop_distance(self, dims, full_alloc):
+        """Random allocated pairs gathered by row, and every allocated pair,
+        equal the coordinate formula; BFS order reads the same array.
+
+        ``full_alloc`` allocates the whole torus, else a random subset.
+        """
         torus = Torus3D(dims)
         rng = np.random.default_rng(3)
-        size = int(rng.integers(1, torus.num_nodes + 1))
-        machine = Machine(torus, rng.choice(torus.num_nodes, size, replace=False), 2)
-        nodes, _ = machine.sorted_alloc()
+        if full_alloc:
+            alloc = np.arange(torus.num_nodes)
+        else:
+            size = int(rng.integers(1, torus.num_nodes + 1))
+            alloc = rng.choice(torus.num_nodes, size, replace=False)
+        machine = Machine(torus, alloc, 2)
         hops = machine.ring_hops()
+        a = rng.choice(alloc, size=200)
+        b = rng.choice(alloc, size=200)
+        np.testing.assert_array_equal(
+            hops[machine.alloc_rows(a), machine.alloc_rows(b)],
+            torus.hop_distance(a, b),
+        )
+        nodes, _ = machine.sorted_alloc()
         np.testing.assert_array_equal(hops, _all_pairs(torus, nodes))
         assert hops.dtype == np.min_scalar_type(torus.diameter + 1)
         assert machine.ring_hops() is hops

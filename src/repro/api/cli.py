@@ -182,9 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.005,
         metavar="SEC",
-        help="batching window: seconds the dispatcher collects concurrent "
-        "requests before folding them into one engine batch (default "
-        "0.005; 0 dispatches eagerly)",
+        help="batching window: the dispatcher collects concurrent requests "
+        "for at most SEC seconds; ends once every open connection awaits "
+        "a reply (default 0.005; 0 dispatches eagerly)",
     )
     p_serve.add_argument(
         "--max-batch",
@@ -656,7 +656,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         f"(max_pending={server['max_pending']}, "
         f"window={server['coalesce_window_s'] * 1e3:g} ms, "
         f"max_batch={server['max_batch']}, "
-        f"in_flight={server['in_flight']}/{server['max_in_flight']}"
+        f"in_flight={server['in_flight']}/{server['max_in_flight']}, "
+        f"connections={server['connections']}"
         f"{', draining' if server['stopping'] else ''})"
     )
     tenants = (
@@ -674,6 +675,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     print(
         f"coalesce: dispatches={coalesce['dispatches']} "
         f"coalesced_requests={coalesce['coalesced_requests']} "
+        f"closed_early={coalesce['closed_early']} "
         f"mean_batch={coalesce['mean_batch']:.2f}"
     )
     print(

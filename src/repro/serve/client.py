@@ -1,10 +1,12 @@
 """Blocking client for the mapping server's length-prefixed protocol.
 
-The server side is asyncio; most callers (tests, the load generator,
-shell tooling) are plain threads, so the client is deliberately
-synchronous — one socket, one outstanding request per call, responses
-matched by id.  Concurrency is achieved the obvious way: one
-:class:`ServeClient` per thread.
+The server side is asyncio; most callers (tests, the benchmark's
+``serve`` workload, shell tooling) are plain threads, so the client is
+deliberately synchronous — one socket, one outstanding request per
+call, responses matched by id.  The server relies on that: once every
+open connection awaits a reply, it closes its coalescing window.
+Concurrency is achieved the obvious way: one :class:`ServeClient` per
+thread.
 
 Quickstart::
 

@@ -179,15 +179,19 @@ def _check_length(length: int) -> None:
         )
 
 
-async def read_frame(reader) -> Optional[Any]:
-    """Read one frame from an asyncio stream; ``None`` on clean EOF."""
+async def read_frame(reader) -> Any:
+    """Read one frame from an asyncio stream.
+
+    Raises :class:`EOFError` on clean EOF between frames, so a frame
+    whose JSON body is ``null`` is not mistaken for a closed peer.
+    """
     import asyncio
 
     try:
         header = await reader.readexactly(_LENGTH.size)
     except asyncio.IncompleteReadError as exc:
         if not exc.partial:
-            return None  # clean EOF between frames
+            raise EOFError("peer closed the connection") from exc
         raise ProtocolError("connection closed mid-frame") from exc
     (length,) = _LENGTH.unpack(header)
     _check_length(length)

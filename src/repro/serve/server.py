@@ -24,13 +24,18 @@ one-request tenant arriving behind a 50-request flood is dispatched
 second, not fifty-first.
 
 **Request coalescing.**  The dispatcher collects admitted requests for
-a short ``coalesce_window`` and folds up to ``max_batch`` of them into
-*one* ``map_batch`` call.  Identical concurrent workloads then dedupe
-through the planner for free — N clients asking for the same mapping
-cost one grouping computation — and distinct workloads still share the
-batch's pool session.  Per-request deadlines propagate into the
-engine's ``node_timeout`` machinery; a deadline that expires while
-queued is answered with a ``timeout`` error without touching the pool.
+at most ``coalesce_window`` seconds and folds up to ``max_batch`` of
+them into *one* ``map_batch`` call.  Identical concurrent workloads then
+dedupe through the planner for free — N clients asking for the same
+mapping cost one grouping computation — and distinct workloads still
+share the batch's pool session.  The window ends early once every open
+connection has an unanswered ``map``: a client waiting for its reply
+sends nothing more, so the rest of the window could only add latency.
+One idle open connection (a monitor, a client between requests) keeps
+the window open to its full length.  Per-request deadlines propagate
+into the engine's ``node_timeout`` machinery; a deadline that expires
+while queued is answered with a ``timeout`` error without touching the
+pool.
 
 **Bounded in-flight plans.**  Each dispatched batch runs the blocking
 ``MappingService.map_batch`` on one of ``max_in_flight`` driver
@@ -46,8 +51,8 @@ wait, execute) and a counter set; the ``stats`` op (also served to the
 ``repro-map stats`` CLI) exports p50/p95/p99 per endpoint, queue
 depths per tenant, in-flight plans, shed/coalesce counters, cache
 statistics and :meth:`ExecutorPool.stats` pool health in one JSON
-object — the payload the tail-latency CI gate and the load generator
-read.
+object — the payload ``repro-map stats`` prints and the benchmark's
+``serve`` workload reads.
 """
 
 from __future__ import annotations
@@ -91,6 +96,7 @@ _COUNTER_NAMES = (
     "dispatches",
     "dispatched_requests",
     "coalesced_requests",
+    "closed_early",
     "result_errors",
 )
 
@@ -211,8 +217,9 @@ class MappingServer:
     max_pending:
         Admission bound: ``map`` requests admitted but unanswered.
     coalesce_window:
-        Seconds the dispatcher collects requests before folding them
-        into one engine batch.  0 dispatches eagerly.
+        Most seconds the dispatcher collects requests before folding
+        them into one engine batch; the window ends early once every
+        open connection awaits a reply.  0 dispatches eagerly.
     max_batch:
         Most tickets folded into one ``map_batch`` call.
     tenant_weights / default_tenant_weight:
@@ -271,6 +278,10 @@ class MappingServer:
         self._dispatcher_task: Optional[asyncio.Task] = None
         self._execute_tasks: set = set()
         self._work_available: Optional[asyncio.Event] = None
+        # Unanswered map tickets per open connection (keyed by writer);
+        # _all_waiting is set while none of them is idle.
+        self._unanswered: Dict[object, int] = {}
+        self._all_waiting: Optional[asyncio.Event] = None
         self._drained: Optional[asyncio.Event] = None
         self._stopped: Optional[asyncio.Event] = None
         self._stopping = False
@@ -294,6 +305,8 @@ class MappingServer:
         if self._server is not None:
             raise RuntimeError("server already started")
         self._work_available = asyncio.Event()
+        self._all_waiting = asyncio.Event()
+        self._all_waiting.set()  # no connection is open yet
         self._drained = asyncio.Event()
         self._drained.set()
         self._stopped = asyncio.Event()
@@ -323,6 +336,7 @@ class MappingServer:
         # awaited: since 3.12 it waits for every open client connection
         # to finish, so one lingering client would wedge the shutdown.
         self._server.close()
+        self._all_waiting.set()  # no window may hold up the drain
         if drain:
             try:
                 await asyncio.wait_for(self._drained.wait(), drain_timeout)
@@ -358,27 +372,38 @@ class MappingServer:
     # ------------------------------------------------------------------
     async def _handle_connection(self, reader, writer) -> None:
         write_lock = asyncio.Lock()
+        self._unanswered[writer] = 0
+        self._check_waiting()
         try:
             while True:
                 try:
                     frame = await read_frame(reader)
+                except EOFError:
+                    break
                 except ProtocolError as exc:
                     self.counters["protocol_errors"] += 1
                     await self._safe_reply(
                         writer, write_lock, {"id": None, "ok": False, "error": exc.as_dict()}
                     )
                     break  # framing is gone; the connection is unusable
-                if frame is None:
-                    break
                 await self._handle_frame(frame, writer, write_lock)
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
+            del self._unanswered[writer]
+            self._check_waiting()
             try:
                 writer.close()
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+
+    def _check_waiting(self) -> None:
+        """Set ``_all_waiting`` iff no open connection is idle (or stopping)."""
+        if self._stopping or all(self._unanswered.values()):
+            self._all_waiting.set()
+        else:
+            self._all_waiting.clear()
 
     async def _handle_frame(self, frame, writer, write_lock) -> None:
         t0 = time.monotonic()
@@ -452,7 +477,7 @@ class MappingServer:
                 deadline = float(deadline)
                 if not math.isfinite(deadline):
                     raise ValueError(deadline)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 self.counters["bad_request"] += 1
                 await self._safe_reply(
                     writer,
@@ -510,6 +535,8 @@ class MappingServer:
         self.counters["accepted"] += 1
         self.recent.observe()
         self._fair.push(ticket)
+        self._unanswered[writer] += 1
+        self._check_waiting()
         self._work_available.set()
 
     # ------------------------------------------------------------------
@@ -523,17 +550,36 @@ class MappingServer:
                 await self._work_available.wait()
                 self._work_available.clear()
                 continue
-            if self.coalesce_window > 0 and not self._stopping:
-                # The batching window: let concurrent compatible
-                # requests pile up so the planner can dedupe them.
-                await asyncio.sleep(self.coalesce_window)
+            closed_early = await self._coalesce()
             group: List[_Ticket] = []
             while len(self._fair) and len(group) < self.max_batch:
                 group.append(self._fair.pop())
-            if group:
-                await self._dispatch(group)
+            if group and await self._dispatch(group) and closed_early:
+                self.counters["closed_early"] += 1
 
-    async def _dispatch(self, group: List[_Ticket]) -> None:
+    async def _coalesce(self) -> bool:
+        """The batching window: let concurrent requests pile up so the
+        planner can dedupe them.
+
+        Waits at most ``coalesce_window`` seconds, and only while some
+        open connection is idle: a connection waiting for its reply
+        sends nothing more.  Returns True if the window closed early
+        because no connection was idle.
+        """
+        if self.coalesce_window <= 0 or self._stopping:
+            return False
+        if not self._all_waiting.is_set():
+            try:
+                await asyncio.wait_for(self._all_waiting.wait(), self.coalesce_window)
+            except asyncio.TimeoutError:
+                return False
+        return not self._stopping
+
+    async def _dispatch(self, group: List[_Ticket]) -> bool:
+        """Answer expired or unparsable tickets, run the rest as one batch.
+
+        Returns True if a batch was started.
+        """
         loop = asyncio.get_running_loop()
         now = time.monotonic()
         seq = self.counters["dispatches"] + 1
@@ -584,7 +630,7 @@ class MappingServer:
         while len(self._workloads) > WORKLOAD_LIMIT:
             self._workloads.popitem(last=False)
         if not ready:
-            return
+            return False
         self.counters["dispatches"] += 1
         self.counters["dispatched_requests"] += len(ready)
         if len(ready) > 1:
@@ -602,6 +648,7 @@ class MappingServer:
         )
         self._execute_tasks.add(task)
         task.add_done_callback(self._execute_tasks.discard)
+        return True
 
     async def _execute(
         self, group: List[_Ticket], node_timeout: Optional[float], coalesced: int
@@ -654,6 +701,12 @@ class MappingServer:
             self._in_flight -= 1
 
     async def _finish(self, ticket: _Ticket, payload: dict) -> None:
+        # The one place every admitted ticket is answered.  Its
+        # connection may send again once the reply is out, so it counts
+        # as idle from here (unless it has closed meanwhile).
+        if ticket.writer in self._unanswered:
+            self._unanswered[ticket.writer] -= 1
+            self._check_waiting()
         await self._safe_reply(ticket.writer, ticket.write_lock, payload)
         self.latency["map"].observe(time.monotonic() - ticket.arrival)
         self.counters["completed"] += 1
@@ -701,6 +754,7 @@ class MappingServer:
                 "max_batch": self.max_batch,
                 "in_flight": self._in_flight,
                 "max_in_flight": self.max_in_flight,
+                "connections": len(self._unanswered),
                 "stopping": self._stopping,
             },
             "queue": {
@@ -714,6 +768,7 @@ class MappingServer:
                 "dispatches": dispatches,
                 "dispatched_requests": self.counters["dispatched_requests"],
                 "coalesced_requests": self.counters["coalesced_requests"],
+                "closed_early": self.counters["closed_early"],
                 "mean_batch": (
                     self.counters["dispatched_requests"] / dispatches
                     if dispatches
@@ -730,7 +785,7 @@ class ThreadedServer:
     """A :class:`MappingServer` on a private loop thread (tests, tools).
 
     The asyncio server needs a running loop; blocking callers (pytest,
-    the load generator's client threads) get one here::
+    the benchmark's client threads) get one here::
 
         with ThreadedServer(max_pending=8) as ts:
             client = ServeClient(*ts.address)

@@ -14,11 +14,14 @@ Pins the contracts of :mod:`repro.serve`:
 * the real-socket server (ephemeral port) answers happy-path requests
   **byte-identically** to a direct ``MappingService.map_batch`` call,
   coalesces N concurrent identical requests into exactly one dispatch
-  with exactly one grouping-stage computation, sheds load with
+  with exactly one grouping-stage computation, closes the coalescing
+  window once every open connection awaits a reply, sheds load with
   structured ``overloaded`` errors when the admission queue is full,
   expires queued deadlines without touching the engine, and propagates
   in-flight deadlines into per-node timeouts, and never runs more than
   ``max_in_flight`` plans at once;
+* random frames on a live server get a structured error or a clean
+  drop, and leave no connection, ticket or thread behind;
 * the ``serve`` / ``stats`` CLI subcommands drive a real server.
 """
 
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import socket
 import struct
 import threading
@@ -34,7 +38,7 @@ from collections import OrderedDict
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import (
@@ -442,6 +446,20 @@ def _direct_reference(entries, defaults=None):
     return [canonical_result(response_payload(r)) for r in responses]
 
 
+def _registered_client(ts, **kwargs):
+    """A connected :class:`ServeClient` the server already counts.
+
+    A TCP connect can return before the server runs the connection's
+    handler.  The handler registers its connection before the first
+    read, so a ping reply proves the server counts it: a test that
+    expects one coalesced dispatch must not start requests before every
+    client is counted, or the window may close without the latecomer.
+    """
+    client = ServeClient(*ts.address, **kwargs).connect()
+    assert client.ping()
+    return client
+
+
 class TestServerIntegration:
     def test_happy_path_is_byte_identical_to_direct_service(self):
         with ThreadedServer(backend="process", workers=2) as ts:
@@ -471,7 +489,7 @@ class TestServerIntegration:
             barrier = threading.Barrier(n)
 
             def worker(i):
-                with ServeClient(*ts.address, tenant=f"c{i}") as client:
+                with _registered_client(ts, tenant=f"c{i}") as client:
                     barrier.wait(timeout=30)
                     replies[i] = client.map([dict(ENTRY)])
 
@@ -509,7 +527,7 @@ class TestServerIntegration:
             barrier = threading.Barrier(n)
 
             def worker(i):
-                with ServeClient(*ts.address, tenant=f"c{i}") as client:
+                with _registered_client(ts, tenant=f"c{i}") as client:
                     barrier.wait(timeout=30)
                     replies[i] = client.map([dict(ENTRY)])
 
@@ -585,9 +603,10 @@ class TestServerIntegration:
             coalesce_window=0.3,
             max_in_flight=1,
         ) as ts:
-            with ServeClient(*ts.address) as client:
-                # The window guarantees >= 0.3 s of queueing; a 1 ms
-                # deadline must expire there.
+            with _registered_client(ts), ServeClient(*ts.address) as client:
+                # The idle connection holds the window open, which
+                # guarantees >= 0.3 s of queueing; a 1 ms deadline must
+                # expire there.
                 reply = client.map([dict(ENTRY)], deadline_s=0.001)
                 stats = client.stats()
         assert reply["ok"] is False
@@ -635,7 +654,7 @@ class TestServerIntegration:
             barrier = threading.Barrier(flood_n + 1)
 
             def worker(tenant, key):
-                with ServeClient(*ts.address, tenant=tenant) as client:
+                with _registered_client(ts, tenant=tenant) as client:
                     barrier.wait(timeout=30)
                     r = client.map([dict(ENTRY)])
                     with lock:
@@ -750,6 +769,21 @@ class TestServerIntegration:
             finally:
                 sock.close()
 
+    def test_non_object_frames_are_answered_and_keep_the_connection(self):
+        # A JSON ``null`` body is a frame, not the end of the stream.
+        with ThreadedServer(backend="serial") as ts:
+            sock = socket.create_connection(ts.address, timeout=10)
+            try:
+                for body in (None, [1], 3, "map"):
+                    send_frame(sock, body)
+                    reply = recv_frame(sock)
+                    assert reply["ok"] is False
+                    assert reply["error"]["kind"] == "bad_request"
+                send_frame(sock, {"op": "ping"})
+                assert recv_frame(sock)["pong"] is True
+            finally:
+                sock.close()
+
     def test_shutdown_op_drains_and_stops(self):
         ts = ThreadedServer(backend="serial")
         ts.start()
@@ -789,6 +823,9 @@ class TestServerIntegration:
         assert stats["latency"]["map"]["p50_ms"] <= stats["latency"]["map"]["p99_ms"]
         assert stats["server"]["max_in_flight"] == 2
         assert stats["server"]["in_flight"] == 0
+        assert stats["server"]["connections"] == 1  # the asking client
+        # The lone client waited for its reply: the window closed at once.
+        assert stats["coalesce"]["closed_early"] == 1
         assert stats["pool"] is None  # no ExecutorPool in this config
         assert "grouping" in stats["cache"]
 
@@ -890,7 +927,10 @@ class TestDispatchConfig:
         assert plain.backend == tight.backend == "process"
         assert plain.workers == tight.workers == 2
 
-    @pytest.mark.parametrize("deadline", [float("nan"), "nan", float("inf"), "-inf"])
+    @pytest.mark.parametrize(
+        "deadline",
+        [float("nan"), "nan", float("inf"), "-inf", pytest.param(10**400, id="int-1e400")],
+    )
     def test_non_finite_deadline_is_a_bad_request(self, deadline):
         replies = {}
         with ThreadedServer(backend="serial", coalesce_window=0.3) as ts:
@@ -933,7 +973,7 @@ class TestDispatchConfig:
             barrier = threading.Barrier(n)
 
             def worker(i):
-                with ServeClient(*ts.address, tenant=f"c{i}") as client:
+                with _registered_client(ts, tenant=f"c{i}") as client:
                     barrier.wait(timeout=30)
                     replies[i] = client.map([dict(ENTRY)], reply_timeout=30)
 
@@ -952,6 +992,227 @@ class TestDispatchConfig:
             assert reply["error"]["exception"] == "ValueError"
         assert stats["queue"]["pending"] == 0
         assert stats["counters"]["completed"] == n
+
+
+class TestCoalescingWindow:
+    """The window lasts at most ``coalesce_window`` and ends once every
+    open connection has an unanswered ``map``: such a client sends
+    nothing more, so waiting on could only add latency."""
+
+    def test_window_closes_once_every_connection_waits(self):
+        n, window = 4, 5.0
+        replies, elapsed = [None] * n, [None] * n
+        with ThreadedServer(
+            backend="serial", coalesce_window=window, max_batch=16, max_in_flight=1
+        ) as ts:
+            barrier = threading.Barrier(n)
+
+            def worker(i):
+                with _registered_client(ts, tenant=f"c{i}") as client:
+                    barrier.wait(timeout=30)
+                    t0 = time.perf_counter()
+                    replies[i] = client.map([dict(ENTRY)], reply_timeout=60)
+                    elapsed[i] = time.perf_counter() - t0
+
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            with ServeClient(*ts.address) as client:
+                stats = client.stats()
+        assert all(r["ok"] for r in replies)
+        # One dispatch folded every client, without waiting the window out.
+        assert stats["counters"]["dispatches"] == 1
+        assert [r["coalesced"] for r in replies] == [n] * n
+        assert stats["coalesce"]["closed_early"] == 1
+        assert max(elapsed) < window / 2
+
+    def test_idle_connection_holds_the_window(self):
+        window = 0.3
+        with ThreadedServer(backend="serial", coalesce_window=window) as ts:
+            with _registered_client(ts) as idle, ServeClient(*ts.address) as client:
+                t0 = time.perf_counter()
+                reply = client.map([dict(ENTRY)])
+                elapsed = time.perf_counter() - t0
+                stats = idle.stats()
+        assert reply["ok"] is True
+        assert elapsed >= window
+        assert stats["server"]["connections"] == 2
+        assert stats["coalesce"]["closed_early"] == 0
+
+    def test_closing_the_idle_connection_ends_the_window(self):
+        window = 5.0
+        box = []
+        with ThreadedServer(backend="serial", coalesce_window=window) as ts:
+            with _registered_client(ts) as client:
+                idle = _registered_client(ts)
+                try:
+
+                    def send():
+                        t0 = time.perf_counter()
+                        box.append(client.map([dict(ENTRY)], reply_timeout=60))
+                        box.append(time.perf_counter() - t0)
+
+                    sender = threading.Thread(target=send)
+                    sender.start()
+                    # stats is not a map: the idle connection stays idle.
+                    while idle.stats()["queue"]["depth"] == 0:
+                        time.sleep(0.01)
+                    assert not box  # the window holds the request
+                finally:
+                    idle.close()
+                sender.join(timeout=60)
+                assert not sender.is_alive()
+                stats = client.stats()
+        reply, elapsed = box
+        assert reply["ok"] is True
+        assert elapsed < window / 2
+        assert stats["coalesce"]["closed_early"] == 1
+
+    def test_refused_requests_leave_their_connection_idle(self):
+        """A ``bad_request`` or shed reply answers a request that was
+        never admitted, and a ``bad_request`` from a ticket's entries
+        answers an admitted one: after each the connection is idle, so
+        it holds the next window open."""
+        window = 0.3
+        held = []
+        with ThreadedServer(
+            backend="serial", coalesce_window=window, max_pending=1
+        ) as ts:
+            with _registered_client(ts) as a, _registered_client(ts) as b:
+                assert a.map([])["error"]["kind"] == "bad_request"  # refused
+                bad = a.map([{**ENTRY, "ppn": 0}])  # admitted, then refused
+                assert bad["error"]["kind"] == "bad_request"
+
+                def send():
+                    t0 = time.perf_counter()
+                    held.append(b.map([dict(ENTRY)], reply_timeout=60))
+                    held.append(time.perf_counter() - t0)
+
+                sender = threading.Thread(target=send)
+                sender.start()
+                while a.stats()["queue"]["pending"] == 0:
+                    time.sleep(0.01)
+                shed = a.map([dict(ENTRY)])
+                sender.join(timeout=60)
+                assert not sender.is_alive()
+                stats = a.stats()
+        assert shed["error"]["kind"] == "overloaded"
+        reply, elapsed = held
+        assert reply["ok"] is True
+        # a was idle throughout, so b's request waited the whole window.
+        assert elapsed >= window
+        assert stats["coalesce"]["closed_early"] == 0
+        assert stats["queue"]["pending"] == 0
+
+
+#: Frame fields a ``map`` (or any op) frame may carry, with any JSON
+#: value; ``op`` never draws ``shutdown``, which would stop the server.
+_FRAME_FIELDS = {
+    "op": st.one_of(st.sampled_from(["map", "stats", "ping", "nope"]), _JSON_SCALARS),
+    "id": _JSON_SCALARS,
+    "entries": st.one_of(st.lists(_ENTRIES, max_size=2), _JSON_VALUES),
+    "entry": st.one_of(_ENTRIES, _JSON_VALUES),
+    "defaults": st.one_of(_ENTRIES, _JSON_VALUES),
+    "tenant": _JSON_SCALARS,
+    "deadline_s": _JSON_SCALARS,
+}
+_FRAMES = st.one_of(
+    st.fixed_dictionaries({}, optional=_FRAME_FIELDS), _JSON_VALUES
+).filter(lambda f: not (isinstance(f, dict) and f.get("op") == "shutdown"))
+
+#: How a fuzzed connection ends: a clean close, a malformed last frame
+#: (answered with one error, then dropped), a reset, or a close while
+#: its last ``map`` is still unanswered.
+_TAILS = st.sampled_from(
+    ["eof", "oversized", "not_json", "short_header", "short_body", "reset", "abandon"]
+)
+
+
+def _assert_structured(reply):
+    assert isinstance(reply, dict) and isinstance(reply.get("ok"), bool), reply
+    if not reply["ok"]:
+        assert set(reply["error"]) == set(error_payload("x", "y")), reply
+
+
+def _fuzz_connection(address, frames, tail):
+    """Send *frames*, check one structured reply each, then end by *tail*."""
+    sock = socket.create_connection(address, timeout=30)
+    try:
+        sock.sendall(b"".join(encode_frame(f) for f in frames))
+        for _ in frames:
+            _assert_structured(recv_frame(sock))
+        if tail == "abandon":
+            send_frame(sock, {"op": "map", "entries": [dict(ENTRY)]})
+        if tail in ("reset", "abandon"):
+            # Close with an RST, whatever the server still has to say.
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            return
+        sock.sendall(
+            {
+                "eof": b"",
+                "oversized": struct.pack(">I", MAX_FRAME_BYTES + 1),
+                "not_json": struct.pack(">I", 3) + b"\xff{]",
+                "short_header": b"\x00\x00",
+                "short_body": struct.pack(">I", 10) + b"{}",
+            }[tail]
+        )
+        sock.shutdown(socket.SHUT_WR)
+        if tail != "eof":
+            reply = recv_frame(sock)
+            _assert_structured(reply)
+            assert reply["id"] is None and reply["error"]["kind"] == "bad_request"
+        assert recv_frame(sock) is None  # the server closed the connection
+    finally:
+        sock.close()
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0
+
+
+class TestFrameFuzz:
+    def test_random_frames_leave_the_server_up_and_clean(self):
+        """Bad lengths, non-object JSON, mistyped fields and connections
+        closed mid-frame, all against one live server: every input gets
+        a structured error or a clean drop, and afterwards no
+        connection, ticket, thread or file descriptor is left over."""
+        threads_before = set(threading.enumerate())
+        fds_before = _open_fds()
+        with mock.patch("repro.serve.protocol.build_workload", _stub_workload):
+            with ThreadedServer(backend="serial") as ts:
+                with ServeClient(*ts.address) as monitor:
+                    baseline = monitor.stats()["server"]["connections"]
+
+                    @settings(
+                        max_examples=60,
+                        deadline=None,
+                        suppress_health_check=[HealthCheck.too_slow],
+                    )
+                    @given(frames=st.lists(_FRAMES, max_size=4), tail=_TAILS)
+                    def exchange(frames, tail):
+                        _fuzz_connection(ts.address, frames, tail)
+
+                    exchange()
+                    give_up = time.monotonic() + 30
+                    while True:
+                        stats = monitor.stats()
+                        settled = (
+                            stats["server"]["connections"] == baseline
+                            and stats["queue"]["pending"] == 0
+                        )
+                        if settled or time.monotonic() > give_up:
+                            break
+                        time.sleep(0.05)
+                    assert monitor.ping()
+                assert not ts.server._dispatcher_task.done()
+        assert stats["server"]["connections"] == baseline
+        assert stats["queue"]["pending"] == 0
+        assert stats["counters"]["accepted"] == stats["counters"]["completed"]
+        assert set(threading.enumerate()) <= threads_before
+        assert _open_fds() <= fds_before
 
 
 class TestServerConstruction:
@@ -985,6 +1246,8 @@ class TestServeCli:
             payload = json.loads(capsys.readouterr().out)
         assert rc == 0 and rc_json == 0
         assert "counters:" in human and "endpoint" in human
+        assert "connections=" in human and "closed_early=1" in human
+        assert payload["coalesce"]["closed_early"] == 1
         assert payload["counters"]["completed"] == 1
         assert payload["latency"]["map"]["count"] == 1
 

@@ -59,13 +59,19 @@ def _reference(tag):
 
 
 def _serve_two(ts, tags):
-    """Barrier-start one client per tag; returns replies keyed by tag."""
+    """Barrier-start one client per tag; returns replies keyed by tag.
+
+    Each client pings first: the reply proves the server counts its
+    connection, so the coalescing window cannot close before every
+    client's request has arrived.
+    """
     replies = {}
     lock = threading.Lock()
     barrier = threading.Barrier(len(tags))
 
     def worker(tag):
         with ServeClient(*ts.address, tenant=tag, timeout=300.0) as client:
+            assert client.ping()
             barrier.wait(timeout=60)
             r = client.map([{**ENTRY, "tag": tag}])
             with lock:
